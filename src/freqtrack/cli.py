@@ -9,6 +9,7 @@ shape error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -279,7 +280,31 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
+# Options whose comma-list value may start with a minus sign.
+_RANGE_OPTIONS = ("--grid", "--track-range")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_range_values(argv: list[str]) -> list[str]:
+    """Rewrite `--grid -4,4,64` as `--grid=-4,4,64`.
+
+    argparse reads a dash-led token that is not a plain number as an
+    option flag, so a negative range would otherwise lose its value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RANGE_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(_join_range_values(args), namespace)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

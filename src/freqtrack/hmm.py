@@ -8,7 +8,8 @@ reconstructed, so very peaked likelihoods (hundreds of nats) stay exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,22 +108,38 @@ def forward_backward(obs: ObservationTable, trans: np.ndarray, init: np.ndarray)
 
 @dataclass
 class PosteriorMarginals:
-    singles: np.ndarray  # (T, P)
-    pairs: np.ndarray    # (T-1, P, P): pairs[i][q, p] = Pr[state q at i, p at i+1 | data]
+    """Posterior marginals of one forward-backward pass; the O(TP^2) tensor
+    ``pairs`` is built from ``head`` and ``weighted`` only when read."""
+
+    singles: np.ndarray   # (T, P)
+    pair_sum: np.ndarray  # (P, P): pairs summed over bins
+    trans: np.ndarray = field(repr=False)     # (P, P)
+    head: np.ndarray = field(repr=False)      # (T-1, P): forward[:-1]
+    weighted: np.ndarray = field(repr=False)  # (T-1, P): O[1:] * backward[1:] / c[1:]
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """(T-1, P, P): pairs[i][q, p] = Pr[state q at i, p at i+1 | data]."""
+        pairs = self.head[:, :, None] * self.trans
+        pairs *= self.weighted[:, None, :]
+        return pairs
 
 
 def posterior_marginals(fb: ForwardBackwardResult, obs: ObservationTable,
                         trans: np.ndarray) -> PosteriorMarginals:
+    """Single marginals and the bin-summed pair marginals of the chain.
+
+    pair_sum = trans * (forward[:-1]^T @ W) with W = O[1:] * backward[1:] / c[1:]
+    is one matmul; the (T-1, P, P) ``pairs`` tensor is built lazily on
+    first access, so callers that only need the sum never allocate it.
+    """
     if fb.backward is None:
         raise ValueError("run the backward pass before computing posteriors")
-    scaled = obs.scaled()
-    singles = fb.forward * fb.backward
-    n_bins = scaled.shape[0]
-    pairs = np.empty((n_bins - 1, scaled.shape[1], scaled.shape[1]))
-    for i in range(n_bins - 1):
-        weighted = scaled[i + 1] * fb.backward[i + 1]
-        pairs[i] = fb.forward[i][:, None] * trans * weighted[None, :] / fb.normalizers[i + 1]
-    return PosteriorMarginals(singles=singles, pairs=pairs)
+    head = fb.forward[:-1]
+    weighted = obs.scaled()[1:] * fb.backward[1:] / fb.normalizers[1:, None]
+    return PosteriorMarginals(singles=fb.forward * fb.backward,
+                              pair_sum=trans * (head.T @ weighted),
+                              trans=trans, head=head, weighted=weighted)
 
 
 def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float,

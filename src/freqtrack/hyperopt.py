@@ -62,7 +62,7 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     dist2 = (states[None, :] - states[:, None]) ** 2  # [q, p]
     expected = np.sum(trans * dist2, axis=1)          # per source state q
     term = (dist2 - expected[:, None]) / (2.0 * r_nu**2)
-    d_rnu = np.sum(post.pairs.sum(axis=0) * term)
+    d_rnu = np.sum(post.pair_sum * term)
 
     return -np.array([d_ra, d_rb, d_rnu])
 

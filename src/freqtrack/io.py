@@ -78,8 +78,15 @@ def read_track_csv(path) -> np.ndarray:
             for row in reader:
                 if not row:
                     continue
-                values[int(row[0])] = float(row[1])
-    except (ValueError, TypeError, IndexError) as exc:
+                if len(row) != 2:
+                    raise DataFormatError(f"{path}: bad row {row}")
+                t, nu = int(row[0]), float(row[1])
+                if t in values:
+                    raise DataFormatError(f"{path}: duplicate bin index {t}")
+                if not np.isfinite(nu):
+                    raise DataFormatError(f"{path}: non-finite nu {row[1]!r} at bin {t}")
+                values[t] = nu
+    except (ValueError, TypeError) as exc:
         if isinstance(exc, DataFormatError):
             raise
         raise DataFormatError(f"{path}: {exc}") from exc

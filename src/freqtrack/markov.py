@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.linalg import toeplitz
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,18 @@ def make_grid(nu_min: float, nu_max: float, size: int) -> FrequencyGrid:
 def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
     """Row-stochastic matrix exp(-(nu^p - nu^q)^2 / 2 r_nu), normalized over
     destination states p.  Row index is the source state q.
+
+    The grid is uniform, so the kernel depends only on k = |p - q|: its P
+    values exp(-(k h)^2 / 2 r_nu) fill a symmetric Toeplitz matrix, and
+    row q sums to cum[q] + cum[P-1-q] - kernel[0] with cum the running sum
+    of the kernel.  The diagonal entry is exactly 1, so every row sum is at
+    least 1 and no row underflows to zero.
     """
     if r_nu <= 0:
         raise ValueError("r_nu must be positive")
-    states = grid.states
-    log_kernel = -((states[None, :] - states[:, None]) ** 2) / (2.0 * r_nu)
-    log_kernel -= logsumexp(log_kernel, axis=1, keepdims=True)
-    return np.exp(log_kernel)
+    kernel = np.exp(-((np.arange(grid.size) * grid.spacing) ** 2) / (2.0 * r_nu))
+    cum = np.cumsum(kernel)
+    return toeplitz(kernel) / (cum + cum[::-1] - kernel[0])[:, None]
 
 
 def initial_distribution(grid: FrequencyGrid, band_width: int = 1) -> np.ndarray:

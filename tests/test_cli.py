@@ -50,6 +50,41 @@ def test_malformed_header_rejected(tmp_path):
         ftio.read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param("1,0.1\n2,0.2\n2,0.3\n", id="duplicate_t"),
+    pytest.param("1,0.1\n2,nan\n", id="nan_nu"),
+    pytest.param("1,0.1\n2,inf\n", id="inf_nu"),
+    pytest.param("1,0.1,junk\n2,0.2\n", id="extra_column"),
+])
+def test_malformed_track_rejected(tmp_path, rows):
+    path = tmp_path / "track.csv"
+    path.write_text("t,nu\n" + rows)
+    with pytest.raises(ftio.DataFormatError):
+        ftio.read_track_csv(path)
+
+
+def test_malformed_truth_exit_code(tmp_path):
+    assert run(["simulate", "--seed", "3"] + small_args(tmp_path)) == 0
+    (tmp_path / "hyper.txt").write_text("r_a=1.0\nr_b=0.1\nr_nu=0.002\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(truth.read_text() + "24,0.0\n")
+    code = run(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
+                "--truth", str(truth), "--out", str(tmp_path)])
+    assert code == 3
+
+
+@pytest.mark.parametrize("form", ["space", "equals"])
+def test_negative_ranges_accepted(tmp_path, form):
+    options = [("--grid", "-4,4,64"), ("--track-range", "-.5,0.5")]
+    argv = ["simulate", "--out", str(tmp_path)]
+    for option, value in options:
+        argv += [option, value] if form == "space" else [f"{option}={value}"]
+    cfg = build_config(make_parser().parse_args(argv))
+    assert (cfg.nu_min, cfg.nu_max, cfg.grid_size) == (-4.0, 4.0, 64)
+    assert (cfg.track_lo, cfg.track_hi) == (-0.5, 0.5)
+    assert run(argv + ["--bins", "8"]) == 0
+
+
 def test_config_file_with_flag_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("n_bins=32\nseed=5\nr_b=0.2\n")

@@ -94,6 +94,7 @@ def test_forward_backward_match_brute_force():
         post = posterior_marginals(fb, obs, trans)
         assert fb.log_likelihood == pytest.approx(bf.log_likelihood, rel=1e-10)
         assert np.max(np.abs(post.singles - bf.singles)) < 1e-10
+        assert np.max(np.abs(post.pair_sum - bf.pairs.sum(axis=0))) < 1e-10
         if obs.n_bins > 1:
             assert np.max(np.abs(post.pairs - bf.pairs)) < 1e-10
 

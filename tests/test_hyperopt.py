@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,23 @@ def test_gradient_matches_finite_differences():
                 - hyper_nll(ds, Hyperparameters.from_array(down), grid)
             ) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def test_gradient_memory_is_below_pair_tensor():
+    # the EM gradient needs only the bin-summed pair marginals, never the
+    # (T-1, P, P) tensor
+    n_bins, n_states = 128, 384
+    track = make_test_track("sine", n_bins, (-1.5, 1.5))
+    hyper = Hyperparameters(1.0, 0.1, 1e-3)
+    ds = synthesize_dataset(track, hyper, 4, seed=0)
+    grid = FrequencyGrid(-3.5, 3.5, n_states)
+    tracemalloc.start()
+    try:
+        hyper_nll_gradient(ds, hyper, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n_bins - 1) * n_states**2 * 8 / 4
 
 
 def test_observation_gradient_zero_crossing():

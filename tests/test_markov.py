@@ -29,6 +29,18 @@ def test_transition_rows_sum_to_one():
         assert np.all(np.diag(trans) > 0)
 
 
+@pytest.mark.parametrize("spec", [(0.3, 2.7, 17), (-3.5, 3.5, 384)])
+@pytest.mark.parametrize("r_nu", [1e-12, 1e-4, 1e-2, 1.0, 1e6])
+def test_transition_matches_dense_formula(spec, r_nu):
+    grid = make_grid(*spec)
+    states = grid.states
+    dense = np.exp(-((states[None, :] - states[:, None]) ** 2) / (2 * r_nu))
+    dense /= dense.sum(axis=1, keepdims=True)
+    # atol covers entries below 1e-15: where the exponent is ~1e4 the dense
+    # reference itself carries a relative error of exponent * eps
+    np.testing.assert_allclose(transition_matrix(grid, r_nu), dense, rtol=1e-12, atol=1e-15)
+
+
 def test_transition_flat_limit():
     grid = make_grid(0, 1, 10)
     trans = transition_matrix(grid, 1e6)
