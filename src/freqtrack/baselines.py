@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from freqtrack.refine import canonicalize, decimal_part
+from freqtrack.refine import decimal_part
 from freqtrack.signal import DataSet
 from freqtrack.spectral import periodogram_deriv_many, periodogram_table
 
@@ -34,5 +34,16 @@ def ml_periodogram_argmax(dataset: DataSet, grid_resolution: int = 1024) -> np.n
 
 def unwrap_track(track) -> np.ndarray:
     """Classical unwrap: shift each frequency by an integer so successive
-    differences stay within half a cycle (the canonicalization recursion)."""
-    return canonicalize(track)
+    differences stay within half a cycle.
+
+    The first frequency is kept.  Each output frequency differs from the
+    input by an integer, so all per-bin periodograms are preserved; the
+    smoothness penalty can only shrink, strictly so whenever the input
+    violates the half-step bound.
+    """
+    track = np.asarray(track, dtype=float)
+    out = np.empty_like(track)
+    out[0] = track[0]
+    for t in range(track.size - 1):
+        out[t + 1] = out[t] + decimal_part(track[t + 1] - out[t])
+    return out

@@ -64,23 +64,18 @@ class RunConfig:
         return Hyperparameters(self.r_a, self.r_b, self.r_nu)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def load_config(path) -> dict:
+    """Config-file overrides, each converted by the type of its field's default."""
     raw = ftio.read_key_values(path)
     overrides = {}
     for key, value in raw.items():
-        if key not in _FIELD_TYPES:
+        if key not in _DEFAULTS:
             raise UsageError(f"unknown config key {key!r}")
-        kind = _FIELD_TYPES[key]
         try:
-            if kind == "int":
-                overrides[key] = int(value)
-            elif kind == "float":
-                overrides[key] = float(value)
-            else:
-                overrides[key] = value
+            overrides[key] = type(_DEFAULTS[key])(value)
         except ValueError as exc:
             raise UsageError(f"bad value for config key {key!r}: {value!r}") from exc
     return overrides
@@ -91,7 +86,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         cfg = replace(cfg, **load_config(args.config))
     overrides = {}
-    for name in _FIELD_TYPES:
+    for name in _DEFAULTS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -384,7 +379,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
+        # ZeroDivisionError: hyperparameters so small that a model coefficient,
+        # such as lam = 1 / (2 alpha r_nu), divides by an underflowed zero
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -23,20 +23,19 @@ class NumericalError(RuntimeError):
     """Raised when a probability recursion underflows to exact zero."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationTable:
-    """Per-bin state log-likelihoods log O_t(p), plus the periodograms that
-    generated them and the per-row max shifts used for rescaling."""
+    """Per-bin state log-likelihoods log O_t(p), for forward-backward, and
+    the periodograms that generated them, whose negation is Viterbi's local
+    cost."""
 
     log_prob: np.ndarray      # (T, P)
     periodograms: np.ndarray  # (T, P)
-    row_shift: np.ndarray     # (T,)
 
-    @classmethod
-    def from_log_prob(cls, log_prob) -> "ObservationTable":
-        log_prob = np.asarray(log_prob, dtype=float)
-        return cls(log_prob=log_prob, periodograms=log_prob.copy(),
-                   row_shift=log_prob.max(axis=1))
+    @cached_property
+    def row_shift(self) -> np.ndarray:
+        """(T,) per-row max of log_prob, the shift used for rescaling."""
+        return self.log_prob.max(axis=1)
 
     def scaled(self) -> np.ndarray:
         """exp(log O) with each row divided by its max; entries in (0, 1]."""
@@ -59,8 +58,7 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     log_prob = (log_beta_coefficient(hyper, n)
                 + alpha_coefficient(hyper, n) * p_table
                 - gamma[:, None])
-    return ObservationTable(log_prob=log_prob, periodograms=p_table,
-                            row_shift=log_prob.max(axis=1))
+    return ObservationTable(log_prob=log_prob, periodograms=p_table)
 
 
 @dataclass

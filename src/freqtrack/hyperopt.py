@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from freqtrack.hmm import forward, forward_backward, observation_table, posterior_marginals
+from freqtrack.likelihood import in_initial_band
 from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
 from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import empirical_correlation, periodogram_table
@@ -78,7 +79,7 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid) -> Hyperparameters:
     """
     if dataset.n_bins < 2:
         raise ValueError("need at least two bins")
-    lags = np.mean([empirical_correlation(row) for row in dataset.samples], axis=0)
+    lags = np.mean(empirical_correlation(dataset.samples), axis=0)
     r0 = float(lags[0].real)
     if r0 <= 0:
         raise ValueError("degenerate all-zero data")
@@ -86,7 +87,7 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid) -> Hyperparameters:
     r_a = max(r1, 1e-6 * r0)
     r_b = max(r0 - r1, 1e-6 * r0)
 
-    band = grid.states[(grid.states > -0.5) & (grid.states <= 0.5)]
+    band = grid.states[in_initial_band(grid.states)]
     p_table = periodogram_table(dataset.samples, band)
     ml_freqs = band[np.argmax(p_table, axis=1)]
     r_nu = max(float(np.var(np.diff(ml_freqs))), 1e-8)

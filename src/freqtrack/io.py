@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -25,24 +24,39 @@ def write_dataset_csv(path, dataset: DataSet) -> None:
                 writer.writerow([t + 1, n + 1, repr(float(value.real)), repr(float(value.imag))])
 
 
-def read_dataset_csv(path) -> DataSet:
+def _read_rows(path, header: list[str], parse) -> list:
+    """parse(row) for every non-blank row of a CSV file with this header.
+
+    A wrong header, a row with the wrong column count and any ValueError
+    raised by parse all become DataFormatError.
+    """
     rows = []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["t", "n", "re", "im"]:
-                raise DataFormatError(f"{path}: expected header t,n,re,im, got {header}")
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"expected header {','.join(header)}, got {found}")
             for row in reader:
                 if not row:
                     continue
-                if len(row) != 4:
-                    raise DataFormatError(f"{path}: bad row {row}")
-                rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3])))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, DataFormatError):
-            raise
+                if len(row) != len(header):
+                    raise ValueError(f"bad row {row}")
+                rows.append(parse(row))
+    except (ValueError, csv.Error) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    return rows
+
+
+def _parse_sample(row) -> tuple[int, int, complex]:
+    t, n = int(row[0]), int(row[1])
+    if t < 1 or n < 1:
+        raise ValueError(f"indices must be at least 1, got t={t}, n={n}")
+    return t, n, complex(float(row[2]), float(row[3]))
+
+
+def read_dataset_csv(path) -> DataSet:
+    rows = _read_rows(path, ["t", "n", "re", "im"], _parse_sample)
     if not rows:
         raise DataFormatError(f"{path}: no sample rows")
     n_bins = max(r[0] for r in rows)
@@ -50,8 +64,8 @@ def read_dataset_csv(path) -> DataSet:
     if len(rows) != n_bins * n_samples:
         raise DataFormatError(f"{path}: expected {n_bins * n_samples} rows, got {len(rows)}")
     samples = np.full((n_bins, n_samples), np.nan + 0j)
-    for t, n, re, im in rows:
-        samples[t - 1, n - 1] = re + 1j * im
+    for t, n, value in rows:
+        samples[t - 1, n - 1] = value
     if np.any(np.isnan(samples.real)):
         raise DataFormatError(f"{path}: missing (t, n) entries")
     return DataSet(samples=samples)
@@ -68,28 +82,14 @@ def write_track_csv(path, track) -> None:
 
 
 def read_track_csv(path) -> np.ndarray:
+    rows = _read_rows(path, ["t", "nu"], lambda row: (int(row[0]), float(row[1])))
     values = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["t", "nu"]:
-                raise DataFormatError(f"{path}: expected header t,nu, got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataFormatError(f"{path}: bad row {row}")
-                t, nu = int(row[0]), float(row[1])
-                if t in values:
-                    raise DataFormatError(f"{path}: duplicate bin index {t}")
-                if not np.isfinite(nu):
-                    raise DataFormatError(f"{path}: non-finite nu {row[1]!r} at bin {t}")
-                values[t] = nu
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, DataFormatError):
-            raise
-        raise DataFormatError(f"{path}: {exc}") from exc
+    for t, nu in rows:
+        if t in values:
+            raise DataFormatError(f"{path}: duplicate bin index {t}")
+        if not np.isfinite(nu):
+            raise DataFormatError(f"{path}: non-finite nu {nu!r} at bin {t}")
+        values[t] = nu
     if not values or sorted(values) != list(range(1, len(values) + 1)):
         raise DataFormatError(f"{path}: bin indices must be 1..T")
     return np.array([values[t] for t in sorted(values)])
@@ -111,5 +111,8 @@ def read_key_values(path) -> dict[str, str]:
             if "=" not in line:
                 raise DataFormatError(f"{path}: expected key=value lines, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise DataFormatError(f"{path}: duplicate key {key!r}")
+            out[key] = value.strip()
     return out

@@ -54,10 +54,13 @@ def log_marginal_likelihood(samples, nu: float, hyper: Hyperparameters) -> float
     return log_beta_coefficient(hyper, y.size) - gamma + alpha * periodogram(y, nu)
 
 
-def in_initial_band(nu1: float, band_width: int = 1) -> bool:
-    """First-frequency constraint set (-K/2, +K/2], left-open right-closed."""
+def in_initial_band(nu, band_width: int = 1):
+    """First-frequency constraint set (-K/2, +K/2], left-open right-closed.
+
+    Elementwise: a scalar gives a bool, an array a boolean mask.
+    """
     half = band_width / 2.0
-    return -half < nu1 <= half
+    return (nu > -half) & (nu <= half)
 
 
 def data_misfit(data, track) -> float:
@@ -66,22 +69,7 @@ def data_misfit(data, track) -> float:
     track = np.asarray(track, dtype=float)
     if track.size != samples.shape[0]:
         raise ValueError(f"track length {track.size} != number of bins {samples.shape[0]}")
-    return -sum(periodogram(samples[t], track[t]) for t in range(track.size))
-
-
-def smoothness_penalty(track, r_nu: float, band_width: int = 1) -> float:
-    """Quadratic first-difference penalty plus the first-frequency band term.
-
-    Returns +inf when nu_1 leaves the band.  The constant 2 r_nu log K is
-    included for completeness (zero for K=1).
-    """
-    if r_nu <= 0:
-        raise ValueError("r_nu must be positive")
-    track = np.asarray(track, dtype=float)
-    if not in_initial_band(track[0], band_width):
-        return np.inf
-    const = 2.0 * r_nu * np.log(band_width)
-    return const + float(np.sum(np.diff(track) ** 2))
+    return -float(np.sum(periodogram(samples, track)))
 
 
 @dataclass(frozen=True)

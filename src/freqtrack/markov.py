@@ -8,6 +8,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import toeplitz
 
+from freqtrack.likelihood import in_initial_band
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -34,10 +36,6 @@ class FrequencyGrid:
         return (self.nu_max - self.nu_min) / (self.size - 1)
 
 
-def make_grid(nu_min: float, nu_max: float, size: int) -> FrequencyGrid:
-    return FrequencyGrid(nu_min, nu_max, size)
-
-
 def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
     """Row-stochastic matrix exp(-(nu^p - nu^q)^2 / 2 r_nu), normalized over
     destination states p.  Row index is the source state q.
@@ -57,8 +55,7 @@ def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
 
 def initial_distribution(grid: FrequencyGrid, band_width: int = 1) -> np.ndarray:
     """Uniform mass on grid states inside (-K/2, +K/2], zero elsewhere."""
-    half = band_width / 2.0
-    mask = (grid.states > -half) & (grid.states <= half)
+    mask = in_initial_band(grid.states, band_width)
     if not mask.any():
         raise ValueError("no grid state falls inside the initial band")
     return mask / mask.sum()

@@ -1,10 +1,11 @@
-"""Continuous refinement of a discrete track and half-step canonicalization.
+"""Continuous refinement of a discrete track by Newton steps.
 
 The tracking criterion is smooth away from the band constraint, with a
 cheap gradient (periodogram derivatives) and a tridiagonal Hessian, so
-Newton steps solve in linear time.  A rewrapping recursion built on the
-decimal-part function turns any track into one whose successive steps
-stay within half a cycle without increasing the criterion.
+Newton steps solve in linear time.  The decimal-part function and the
+half-step test serve the rewrapping recursion, baselines.unwrap_track,
+which turns any track into one whose successive steps stay within half a
+cycle without increasing the criterion.
 """
 
 from __future__ import annotations
@@ -24,21 +25,6 @@ def decimal_part(x):
     x = np.asarray(x, dtype=float)
     out = x - np.floor(x + 0.5)
     return out if out.ndim else float(out)
-
-
-def canonicalize(track) -> np.ndarray:
-    """Rewrap a track so every successive step is at most half a cycle.
-
-    Each output frequency differs from the input by an integer, so all
-    per-bin periodograms are preserved; the smoothness penalty can only
-    shrink, strictly so whenever the input violates the half-step bound.
-    """
-    track = np.asarray(track, dtype=float)
-    out = np.empty_like(track)
-    out[0] = track[0]
-    for t in range(track.size - 1):
-        out[t + 1] = out[t] + decimal_part(track[t + 1] - out[t])
-    return out
 
 
 def steps_within_half(track) -> bool:
@@ -133,14 +119,20 @@ def refine_map(
                     step = None
             if step is not None and float(step @ grad) >= 0.0:
                 step = None
+        # A Newton step whose predicted decrease -g.step/2 is below the
+        # rounding level of the criterion is taken in full: the decrease
+        # test would only compare rounding noise.
+        rounding = 16 * np.finfo(float).eps * max(1.0, abs(value))
+        below_rounding = step is not None and -0.5 * float(grad @ step) < rounding
         if step is None:
             step = -grad / max(np.max(np.abs(grad)), 1.0)
         scale = 1.0
         new_value = objective(track + scale * step)
-        while new_value >= value and scale > 1e-14:
+        below_rounding = below_rounding and np.isfinite(new_value)
+        while not below_rounding and new_value >= value and scale > 1e-14:
             scale *= 0.5
             new_value = objective(track + scale * step)
-        if new_value >= value:
+        if not below_rounding and new_value >= value:
             # no decrease in the step direction: treat as converged
             converged = np.max(np.abs(grad)) < grad_tol
             iterations -= 1

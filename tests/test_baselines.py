@@ -69,3 +69,23 @@ def test_unwrap_cannot_fix_fast_tracks():
     out = unwrap_track(wrap_to_band(track))
     assert steps_within_half(out)
     assert not np.allclose(out, track)
+
+
+def test_unwrap_track_keeps_first_value_and_small_steps():
+    rng = np.random.default_rng(1)
+    track = np.cumsum(rng.uniform(-0.3, 0.3, 20)) + 0.2
+    # scramble each entry by a random integer; canonical form must undo it
+    scrambled = track + rng.integers(-4, 5, 20)
+    scrambled[0] = track[0]
+    out = unwrap_track(scrambled)
+    assert np.allclose(out, track, atol=1e-12)
+    assert steps_within_half(out)
+    assert not steps_within_half(scrambled) or np.allclose(scrambled, track)
+
+
+def test_unwrap_track_is_idempotent():
+    rng = np.random.default_rng(2)
+    track = rng.uniform(-3, 3, 30)
+    once = unwrap_track(track)
+    assert np.allclose(unwrap_track(once), once)
+    assert steps_within_half(once)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from freqtrack import io as ftio
 from freqtrack.cli import RunConfig, build_config, main, make_parser, rmse
@@ -61,6 +63,27 @@ def test_malformed_track_rejected(tmp_path, rows):
     path.write_text("t,nu\n" + rows)
     with pytest.raises(ftio.DataFormatError):
         ftio.read_track_csv(path)
+
+
+@pytest.mark.parametrize("index", ["0", "-1"])
+def test_nonpositive_dataset_index_rejected(tmp_path, index):
+    # index -1 used to land on the last row through negative indexing
+    path = tmp_path / "dataset.csv"
+    path.write_text(f"t,n,re,im\n1,{index},0.5,0.5\n1,2,0.5,0.5\n")
+    with pytest.raises(ftio.DataFormatError):
+        ftio.read_dataset_csv(path)
+    (tmp_path / "hyper.txt").write_text("r_a=1.0\nr_b=0.1\nr_nu=0.002\n")
+    assert run(["track", str(path), str(tmp_path / "hyper.txt"), "--out", str(tmp_path)]) == 3
+
+
+def test_duplicate_key_rejected(tmp_path):
+    path = tmp_path / "hyper.txt"
+    path.write_text("r_a=1.0\nr_b=0.1\nr_nu=0.002\nr_a=5.0\n")
+    with pytest.raises(ftio.DataFormatError):
+        ftio.read_key_values(path)
+    assert run(["simulate", "--seed", "3"] + small_args(tmp_path)) == 0
+    assert run(["track", str(tmp_path / "dataset.csv"), str(path),
+                "--out", str(tmp_path), "--grid=-2.5,2.5,48"]) == 3
 
 
 def test_malformed_truth_exit_code(tmp_path):
@@ -160,6 +183,12 @@ def test_exit_code_data(tmp_path):
     bad.write_text("t,n,re,im\n1,1,not_a_number,0\n")
     code = run(["estimate", str(bad), "--out", str(tmp_path)])
     assert code == 3
+    # valid values whose smoothing weight 1 / (2 alpha r_nu) divides by zero
+    good = tmp_path / "good.csv"
+    good.write_text("t,n,re,im\n1,1,1.0,0.0\n1,2,0.0,1.0\n")
+    hyper = tmp_path / "hyper.txt"
+    hyper.write_text("r_a=1e-300\nr_b=1.0\nr_nu=1e-300\n")
+    assert run(["track", str(good), str(hyper), "--out", str(tmp_path)]) == 3
 
 
 def test_exit_code_bad_config(tmp_path):
@@ -167,3 +196,80 @@ def test_exit_code_bad_config(tmp_path):
     cfg.write_text("no_such_key=1\n")
     code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 1
+
+
+# Reader fuzzing: whatever text sits in an input file, the CLI exits with 0
+# (the text was a valid file) or 3 (a data error), never with a traceback.
+_TOKEN = st.one_of(st.integers(-2, 6).map(str), st.floats().map(repr), st.text(max_size=6))
+
+
+def _file_text(head, line):
+    structured = st.builds(lambda first, rows: "\n".join([first, *rows]) + "\n",
+                           head, st.lists(line, max_size=10))
+    return st.one_of(st.text(), structured)
+
+
+def _csv_text(header: str):
+    return _file_text(st.one_of(st.just(header), st.text(max_size=12)),
+                      st.lists(_TOKEN, max_size=5).map(",".join))
+
+
+@st.composite
+def _complete_dataset_text(draw):
+    # every (t, n) present once, so the pipeline runs on arbitrary float values
+    n_bins, n_samples = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = [f"{t},{n},{draw(st.floats())!r},{draw(st.floats())!r}"
+            for t in range(1, n_bins + 1) for n in range(1, n_samples + 1)]
+    return "\n".join(["t,n,re,im", *rows]) + "\n"
+
+
+_KEY_VALUE_TEXT = _file_text(
+    st.just("r_a=1.0\nr_b=0.1\nr_nu=0.01"),
+    st.lists(st.one_of(st.sampled_from(["r_a", "r_b", "r_nu"]), _TOKEN), max_size=3).map("=".join))
+
+# Extreme but finite values overflow inside the numerics with a RuntimeWarning
+# before the CLI rejects them; these tests check exit codes, so such warnings
+# are reported, not raised, even when the suite runs with -W error.
+_FUZZ = pytest.mark.filterwarnings("default::RuntimeWarning")
+_SETTINGS = settings(deadline=None, max_examples=200,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _valid_inputs(tmp_path):
+    ds = synthesize_dataset([0.1, 0.3, 0.4], Hyperparameters(1.0, 0.1, 1e-2), 4, seed=0)
+    ftio.write_dataset_csv(tmp_path / "dataset.csv", ds)
+    ftio.write_track_csv(tmp_path / "truth.csv", [0.1, 0.3, 0.4])
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "0.1", "r_nu": "0.01"})
+
+
+def _track_exit_code(tmp_path, truth=True) -> int:
+    return run(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
+                "--out", str(tmp_path), "--grid=-1,1,8"]
+               + (["--truth", str(tmp_path / "truth.csv")] if truth else []))
+
+
+@_FUZZ
+@_SETTINGS
+@given(text=st.one_of(_csv_text("t,n,re,im"), _complete_dataset_text()))
+def test_fuzzed_dataset_exit_code(tmp_path, text):
+    _valid_inputs(tmp_path)
+    (tmp_path / "dataset.csv").write_text(text, encoding="utf-8")
+    assert _track_exit_code(tmp_path, truth=False) in (0, 3)
+
+
+@_FUZZ
+@_SETTINGS
+@given(text=_csv_text("t,nu"))
+def test_fuzzed_truth_exit_code(tmp_path, text):
+    _valid_inputs(tmp_path)
+    (tmp_path / "truth.csv").write_text(text, encoding="utf-8")
+    assert _track_exit_code(tmp_path) in (0, 3)
+
+
+@_FUZZ
+@_SETTINGS
+@given(text=_KEY_VALUE_TEXT)
+def test_fuzzed_hyper_exit_code(tmp_path, text):
+    _valid_inputs(tmp_path)
+    (tmp_path / "hyper.txt").write_text(text, encoding="utf-8")
+    assert _track_exit_code(tmp_path) in (0, 3)

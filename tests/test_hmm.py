@@ -25,7 +25,8 @@ def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
     grid = FrequencyGrid(-1.0, 1.0, n_states)
     trans = transition_matrix(grid, float(rng.uniform(0.01, 1.0)))
     init = initial_distribution(grid, 1)
-    obs = ObservationTable.from_log_prob(rng.normal(0, scale, (n_bins, n_states)))
+    log_prob = rng.normal(0, scale, (n_bins, n_states))
+    obs = ObservationTable(log_prob, log_prob)
     return grid, obs, trans, init
 
 
@@ -103,7 +104,7 @@ def test_forward_scaling_identity():
     rng = np.random.default_rng(4)
     grid, obs, trans, init = random_instance(rng, n_bins=4, n_states=5)
     shift = 7.3
-    shifted = ObservationTable.from_log_prob(obs.log_prob + shift)
+    shifted = ObservationTable(obs.log_prob + shift, obs.periodograms + shift)
     a = forward(obs, trans, init)
     b = forward(shifted, trans, init)
     assert b.log_likelihood == pytest.approx(a.log_likelihood + 4 * shift, rel=1e-12)
@@ -123,7 +124,8 @@ def test_backward_two_bin_hand_computation():
     grid = FrequencyGrid(-0.25, 0.25, 2)
     trans = transition_matrix(grid, 0.1)
     init = initial_distribution(grid, 1)
-    obs = ObservationTable.from_log_prob(np.log([[0.4, 0.6], [0.9, 0.1]]))
+    log_prob = np.log([[0.4, 0.6], [0.9, 0.1]])
+    obs = ObservationTable(log_prob, log_prob)
     fb = forward_backward(obs, trans, init)
     scaled = obs.scaled()
     for p in range(2):
@@ -147,7 +149,7 @@ def test_degenerate_chain_gives_one_hot_posteriors():
     trans = transition_matrix(grid, 1e-10)
     init = np.zeros(5)
     init[2] = 1.0
-    obs = ObservationTable.from_log_prob(np.zeros((4, 5)))
+    obs = ObservationTable(np.zeros((4, 5)), np.zeros((4, 5)))
     fb = forward_backward(obs, trans, init)
     post = posterior_marginals(fb, obs, trans)
     expected = np.zeros((4, 5))
@@ -161,8 +163,7 @@ def test_viterbi_matches_exhaustive_search():
         grid = FrequencyGrid(-1.0, 1.0, 4)
         lam = float(rng.uniform(0.1, 5.0))
         costs = rng.normal(0, 2, (3, 4))
-        obs = ObservationTable.from_log_prob(costs)
-        obs.periodograms = costs
+        obs = ObservationTable(costs, costs)
         path, cost = viterbi(obs, grid, lam, 1)
         admissible = (grid.states > -0.5) & (grid.states <= 0.5)
         best, best_cost = exhaustive_min_cost(-costs, grid.states, lam, admissible)
@@ -174,8 +175,7 @@ def test_viterbi_large_lambda_gives_best_constant_path():
     rng = np.random.default_rng(8)
     grid = FrequencyGrid(-1.0, 1.0, 5)
     pg = rng.normal(0, 1, (4, 5))
-    obs = ObservationTable.from_log_prob(pg)
-    obs.periodograms = pg
+    obs = ObservationTable(pg, pg)
     path, _ = viterbi(obs, grid, 1e9, 1)
     admissible = np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))
     best_const = admissible[np.argmax(pg.sum(axis=0)[admissible])]
@@ -184,8 +184,7 @@ def test_viterbi_large_lambda_gives_best_constant_path():
 
 def test_viterbi_flat_costs_tie_breaks_to_lowest_admissible_state():
     grid = FrequencyGrid(-1.0, 1.0, 5)
-    obs = ObservationTable.from_log_prob(np.zeros((3, 5)))
-    obs.periodograms = np.zeros((3, 5))
+    obs = ObservationTable(np.zeros((3, 5)), np.zeros((3, 5)))
     path, _ = viterbi(obs, grid, 1.0, 1)
     lowest = int(np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))[0])
     assert np.all(path == lowest)
@@ -193,7 +192,7 @@ def test_viterbi_flat_costs_tie_breaks_to_lowest_admissible_state():
 
 def test_viterbi_no_admissible_start_raises():
     grid = FrequencyGrid(2.0, 3.0, 4)
-    obs = ObservationTable.from_log_prob(np.zeros((2, 4)))
+    obs = ObservationTable(np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         viterbi(obs, grid, 1.0, 1)
 
@@ -212,8 +211,7 @@ def test_viterbi_optimality_certificate():
     rng = np.random.default_rng(10)
     grid = FrequencyGrid(-1.0, 1.0, 8)
     pg = rng.normal(0, 2, (6, 8))
-    obs = ObservationTable.from_log_prob(pg)
-    obs.periodograms = pg
+    obs = ObservationTable(pg, pg)
     lam = 0.7
     path, cost = viterbi(obs, grid, lam, 1)
     admissible = np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))
@@ -231,9 +229,9 @@ def test_brute_force_trivial_cases():
     grid = FrequencyGrid(-1.0, 1.0, 5)
     trans = transition_matrix(grid, 0.1)
     init = initial_distribution(grid, 5)  # uniform
-    obs = ObservationTable.from_log_prob(np.zeros((1, 5)))
+    obs = ObservationTable(np.zeros((1, 5)), np.zeros((1, 5)))
     bf = brute_force_joint(obs, trans, init)
     assert np.allclose(bf.singles[0], 0.2)
     assert bf.log_likelihood == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        brute_force_joint(ObservationTable.from_log_prob(np.zeros((30, 5))), trans, init)
+        brute_force_joint(ObservationTable(np.zeros((30, 5)), np.zeros((30, 5))), trans, init)

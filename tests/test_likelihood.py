@@ -9,7 +9,6 @@ from freqtrack.likelihood import (
     log_marginal_likelihood,
     map_objective,
     smoothing_weight,
-    smoothness_penalty,
 )
 from freqtrack.signal import DataSet, Hyperparameters, steering_vector
 
@@ -86,17 +85,14 @@ def test_data_misfit_length_mismatch():
         data_misfit(samples, [0.0, 0.1])
 
 
-def test_smoothness_penalty_values():
-    assert smoothness_penalty([0.2, 0.2, 0.2], 1e-3, 1) == pytest.approx(0.0)
-    assert smoothness_penalty([0, 0.3, 0.1], 1e-3, 1) == pytest.approx(0.13)
-    assert smoothness_penalty([0.7, 0.7], 1e-3, 1) == np.inf
-
-
 def test_initial_band_boundaries():
     assert in_initial_band(0.5, 1)
     assert not in_initial_band(-0.5, 1)
     assert in_initial_band(0.0, 1)
     assert in_initial_band(-1.4, 3)
+    nus = np.array([-1.5, -0.5, -0.1, 0.5, 0.7, 1.5])
+    assert np.array_equal(in_initial_band(nus, 1), [False, False, True, True, False, False])
+    assert np.array_equal(in_initial_band(nus, 3), [False, True, True, True, True, True])
 
 
 def test_map_objective_reduces_to_misfit_for_constant_track():

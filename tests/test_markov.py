@@ -1,26 +1,26 @@
 import numpy as np
 import pytest
 
-from freqtrack.markov import FrequencyGrid, initial_distribution, make_grid, transition_matrix
+from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
 
 
 def test_grid_states():
-    assert np.allclose(make_grid(-0.5, 0.5, 3).states, [-0.5, 0, 0.5])
-    assert np.allclose(make_grid(0, 1, 2).states, [0, 1])
-    grid = make_grid(-2.5, 2.5, 128)
+    assert np.allclose(FrequencyGrid(-0.5, 0.5, 3).states, [-0.5, 0, 0.5])
+    assert np.allclose(FrequencyGrid(0, 1, 2).states, [0, 1])
+    grid = FrequencyGrid(-2.5, 2.5, 128)
     assert grid.spacing == pytest.approx(5 / 127)
     assert np.all(np.diff(grid.states) > 0)
 
 
 def test_grid_argument_errors():
     with pytest.raises(ValueError):
-        make_grid(0.5, -0.5, 10)
+        FrequencyGrid(0.5, -0.5, 10)
     with pytest.raises(ValueError):
-        make_grid(0, 1, 1)
+        FrequencyGrid(0, 1, 1)
 
 
 def test_transition_rows_sum_to_one():
-    grid = make_grid(-2.5, 2.5, 64)
+    grid = FrequencyGrid(-2.5, 2.5, 64)
     for r_nu in (1e-4, 1e-2, 1.0):
         trans = transition_matrix(grid, r_nu)
         assert np.allclose(trans.sum(axis=1), 1.0, atol=1e-12)
@@ -32,7 +32,7 @@ def test_transition_rows_sum_to_one():
 @pytest.mark.parametrize("spec", [(0.3, 2.7, 17), (-3.5, 3.5, 384)])
 @pytest.mark.parametrize("r_nu", [1e-12, 1e-4, 1e-2, 1.0, 1e6])
 def test_transition_matches_dense_formula(spec, r_nu):
-    grid = make_grid(*spec)
+    grid = FrequencyGrid(*spec)
     states = grid.states
     dense = np.exp(-((states[None, :] - states[:, None]) ** 2) / (2 * r_nu))
     dense /= dense.sum(axis=1, keepdims=True)
@@ -42,19 +42,19 @@ def test_transition_matches_dense_formula(spec, r_nu):
 
 
 def test_transition_flat_limit():
-    grid = make_grid(0, 1, 10)
+    grid = FrequencyGrid(0, 1, 10)
     trans = transition_matrix(grid, 1e6)
     assert np.allclose(trans, 0.1, atol=1e-3)
 
 
 def test_transition_degenerate_limit():
-    grid = make_grid(0, 1, 10)
+    grid = FrequencyGrid(0, 1, 10)
     trans = transition_matrix(grid, 1e-8)
     assert np.allclose(np.diag(trans), 1.0, atol=1e-12)
 
 
 def test_transition_depends_only_on_squared_distance():
-    grid = make_grid(-1, 1, 9)
+    grid = FrequencyGrid(-1, 1, 9)
     r_nu = 0.05
     trans = transition_matrix(grid, r_nu)
     states = grid.states
@@ -70,7 +70,7 @@ def test_transition_depends_only_on_squared_distance():
 
 
 def test_initial_distribution_band():
-    grid = make_grid(-2.5, 2.5, 128)
+    grid = FrequencyGrid(-2.5, 2.5, 128)
     init = initial_distribution(grid, 1)
     inside = (grid.states > -0.5) & (grid.states <= 0.5)
     assert init.sum() == pytest.approx(1.0)
@@ -79,16 +79,16 @@ def test_initial_distribution_band():
 
 
 def test_initial_distribution_excludes_open_left_endpoint():
-    grid = make_grid(-0.5, 0.5, 3)
+    grid = FrequencyGrid(-0.5, 0.5, 3)
     assert np.allclose(initial_distribution(grid, 1), [0, 0.5, 0.5])
 
 
 def test_initial_distribution_wide_band_is_uniform():
-    grid = make_grid(-1, 1, 8)
+    grid = FrequencyGrid(-1, 1, 8)
     assert np.allclose(initial_distribution(grid, 5), 1 / 8)
 
 
 def test_initial_distribution_empty_band_raises():
-    grid = make_grid(2.0, 3.0, 4)
+    grid = FrequencyGrid(2.0, 3.0, 4)
     with pytest.raises(ValueError):
         initial_distribution(grid, 1)

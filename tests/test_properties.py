@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqtrack.baselines import wrap_to_band
-from freqtrack.refine import canonicalize, decimal_part, steps_within_half
+from freqtrack.baselines import unwrap_track, wrap_to_band
+from freqtrack.refine import decimal_part, steps_within_half
 from freqtrack.signal import steering_vector
 from freqtrack.spectral import empirical_correlation, periodogram
 
@@ -34,8 +34,8 @@ def test_wrap_to_band_is_integer_shift(x):
 
 
 @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=12))
-def test_canonicalize_output_has_half_steps(track):
-    out = canonicalize(np.array(track))
+def test_unwrap_track_output_has_half_steps(track):
+    out = unwrap_track(np.array(track))
     assert steps_within_half(out)
     assert out[0] == track[0]
     assert np.allclose(decimal_part(out - np.array(track)), 0.0, atol=1e-9)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from freqtrack.hmm import observation_table, viterbi
 from freqtrack.likelihood import map_objective, smoothing_weight
+from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import (
-    canonicalize,
     decimal_part,
     objective_gradient,
     refine_map,
@@ -30,26 +31,6 @@ def test_decimal_part_range_and_periodicity():
     assert np.all(d >= -0.5) and np.all(d < 0.5)
     assert np.allclose(x - d, np.round(x - d))
     assert np.allclose(decimal_part(x + 3), d)
-
-
-def test_canonicalize_keeps_first_value_and_small_steps():
-    rng = np.random.default_rng(1)
-    track = np.cumsum(rng.uniform(-0.3, 0.3, 20)) + 0.2
-    # scramble each entry by a random integer; canonical form must undo it
-    scrambled = track + rng.integers(-4, 5, 20)
-    scrambled[0] = track[0]
-    out = canonicalize(scrambled)
-    assert np.allclose(out, track, atol=1e-12)
-    assert steps_within_half(out)
-    assert not steps_within_half(scrambled) or np.allclose(scrambled, track)
-
-
-def test_canonicalize_is_idempotent():
-    rng = np.random.default_rng(2)
-    track = rng.uniform(-3, 3, 30)
-    once = canonicalize(track)
-    assert np.allclose(canonicalize(once), once)
-    assert steps_within_half(once)
 
 
 def tracking_problem(seed=0, n_bins=24):
@@ -86,6 +67,20 @@ def test_refinement_decreases_objective_and_zeroes_gradient():
     assert np.max(np.abs(grad)) < 1e-7
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_refinement_converges_below_rounding_level(seed):
+    # default simulation: near the minimum the Newton decrease falls below
+    # the rounding of the criterion (about -500), which must not stop descent
+    truth = make_test_track("sine", 128, (-1.5, 1.5))
+    hyper = Hyperparameters(1.0, 0.1, 1e-3)
+    ds = synthesize_dataset(truth, hyper, 4, seed=seed)
+    grid = FrequencyGrid(-2.5, 2.5, 128)
+    path, _ = viterbi(observation_table(ds, grid, hyper), grid, smoothing_weight(hyper, 4))
+    result = refine_map(ds, grid.states[path], hyper)
+    assert result.converged
+    assert np.max(np.abs(objective_gradient(ds, result.track, hyper))) < 1e-9
+
+
 def test_refinement_is_local_minimum():
     ds, track, hyper = tracking_problem(seed=5)
     result = refine_map(ds, track, hyper)
@@ -109,9 +104,9 @@ def test_refinement_single_bin_reaches_periodogram_peak():
     hyper = Hyperparameters(1.0, 1e-6, 1e-2)
     ds = synthesize_dataset([0.21], hyper, 4, seed=9, fixed_amplitude=1.0)
     result = refine_map(ds, np.array([0.15]), hyper)
-    from freqtrack.spectral import periodogram_deriv
+    from freqtrack.spectral import periodogram_deriv_many
 
-    first, second = periodogram_deriv(ds.samples[0], result.track[0])
+    (first,), (second,) = periodogram_deriv_many(ds.samples, result.track)
     assert first == pytest.approx(0.0, abs=1e-8)
     assert second < 0
     assert result.track[0] == pytest.approx(0.21, abs=0.05)

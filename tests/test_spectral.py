@@ -4,7 +4,6 @@ import pytest
 from freqtrack.spectral import (
     empirical_correlation,
     periodogram,
-    periodogram_deriv,
     periodogram_deriv_many,
     periodogram_table,
 )
@@ -59,7 +58,7 @@ def test_first_lag_of_pure_cisoid():
 
 
 def test_derivative_zero_at_symmetric_maximum():
-    first, second = periodogram_deriv([1, 1, 1, 1], 0.0)
+    (first,), (second,) = periodogram_deriv_many([[1, 1, 1, 1]], [0.0])
     assert first == pytest.approx(0.0, abs=1e-12)
     assert second < 0.0
 
@@ -69,7 +68,7 @@ def test_derivatives_match_finite_differences():
     for _ in range(20):
         y = random_record(rng)
         nu = rng.uniform(-1, 1)
-        first, second = periodogram_deriv(y, nu)
+        (first,), (second,) = periodogram_deriv_many([y], [nu])
         h = 1e-6
         fd1 = (periodogram(y, nu + h) - periodogram(y, nu - h)) / (2 * h)
         assert first == pytest.approx(fd1, rel=1e-6, abs=1e-8)
@@ -84,7 +83,7 @@ def test_second_derivative_nonpositive_at_grid_maximum():
         y = random_record(rng)
         nus = np.linspace(-0.5, 0.5, 512, endpoint=False)
         peak = nus[np.argmax(periodogram(y, nus))]
-        _, second = periodogram_deriv(y, peak)
+        _, (second,) = periodogram_deriv_many([y], [peak])
         assert second <= 1e-9
 
 
@@ -94,8 +93,17 @@ def test_vectorized_helpers_match_scalar():
     nus = rng.uniform(-1, 1, 5)
     firsts, seconds = periodogram_deriv_many(samples, nus)
     table = periodogram_table(samples, nus)
+    lags = empirical_correlation(samples)
+    per_row = periodogram(samples, nus)
+    ks = np.arange(-3, 4)
     for t in range(5):
-        f, s = periodogram_deriv(samples[t], nus[t])
+        c = empirical_correlation(samples[t])
+        assert np.array_equal(lags[t], c)
+        # P'(nu) and P''(nu) from the signed lags of this row alone
+        terms = np.concatenate([np.conj(c[:0:-1]), c]) * np.exp(-2j * np.pi * nus[t] * ks)
+        f = np.real(np.sum(-2j * np.pi * ks * terms))
+        s = np.real(np.sum(-4 * np.pi**2 * ks**2 * terms))
         assert firsts[t] == pytest.approx(f)
         assert seconds[t] == pytest.approx(s)
         assert table[t, t] == pytest.approx(periodogram(samples[t], nus[t]))
+        assert per_row[t] == pytest.approx(table[t, t])
