@@ -70,6 +70,7 @@ class RefinementResult:
     objective_trace: list
     iterations: int
     converged: bool
+    stop_reason: str  # "gradient", "no_decrease" or "max_iter"
 
 
 def refine_map(
@@ -96,6 +97,7 @@ def refine_map(
         raise ValueError("infeasible starting track")
     trace = [value]
     converged = False
+    stop_reason = "max_iter"
     iterations = 0
 
     def objective(candidate):
@@ -105,6 +107,7 @@ def refine_map(
         grad = objective_gradient(dataset, track, hyper, band_width)
         if np.max(np.abs(grad)) < grad_tol:
             converged = True
+            stop_reason = "gradient"
             iterations -= 1
             break
         step = None
@@ -135,11 +138,12 @@ def refine_map(
         if not below_rounding and new_value >= value:
             # no decrease in the step direction: treat as converged
             converged = np.max(np.abs(grad)) < grad_tol
+            stop_reason = "no_decrease"
             iterations -= 1
             break
         track = track + scale * step
         value = new_value
         trace.append(value)
 
-    return RefinementResult(track=track, objective_trace=trace,
-                            iterations=iterations, converged=converged)
+    return RefinementResult(track=track, objective_trace=trace, iterations=iterations,
+                            converged=converged, stop_reason=stop_reason)

@@ -191,6 +191,22 @@ def test_exit_code_data(tmp_path):
     assert run(["track", str(good), str(hyper), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_extreme_sample_fails_before_writing_tracks(tmp_path):
+    # |1.34e154|^2 is still finite, so the periodograms are, but the
+    # observation row overflows; unchecked, that periodogram absorbs every
+    # pair cost and the Viterbi path collapses onto the lowest grid state
+    assert run(["simulate", "--seed", "1", "--bins", "16", "--out", str(tmp_path)]) == 0
+    dataset = tmp_path / "dataset.csv"
+    lines = dataset.read_text().splitlines()
+    t, n, _, im = lines[5].split(",")
+    lines[5] = ",".join([t, n, "1.34e154", im])
+    dataset.write_text("\n".join(lines) + "\n")
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "0.1", "r_nu": "1e-3"})
+    assert run(["track", str(dataset), str(tmp_path / "hyper.txt"), "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "viterbi_map.csv").exists()
+
+
 def test_exit_code_bad_config(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("no_such_key=1\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freqtrack.hmm import (
+    BAND_HALF_WIDTH,
     ObservationTable,
     brute_force_joint,
     backward,
@@ -44,6 +45,33 @@ def exhaustive_min_cost(local, states, lam, admissible):
         if cost < best_cost:
             best, best_cost = np.array(path), cost
     return best, best_cost
+
+
+def dense_min_cost_path(local, pair_cost, init_cost):
+    """Reference min-sum search over every predecessor; pair_cost is [q, p]."""
+    n_bins, n_states = local.shape
+    cost = local[0] + init_cost
+    back = np.zeros((n_bins, n_states), dtype=int)
+    for t in range(1, n_bins):
+        total = cost[:, None] + pair_cost
+        back[t] = np.argmin(total, axis=0)
+        cost = total[back[t], np.arange(n_states)] + local[t]
+    path = [int(np.argmin(cost))]
+    for t in range(n_bins - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    return np.array(path[::-1]), float(cost[path[0]])
+
+
+def band_instance(n_states, costs, seed=0):
+    """Grid over [-4, 4] and (12, P) observation rows: random, or flat but
+    for the last bin, which favours the top state."""
+    grid = FrequencyGrid(-4.0, 4.0, n_states)
+    if costs == "random":
+        rows = np.random.default_rng(seed).normal(0, 2, (12, n_states))
+    else:
+        rows = np.zeros((12, n_states))
+        rows[-1, -1] = 1.0
+    return grid, ObservationTable(rows, rows)
 
 
 def test_observation_table_matches_per_entry_likelihood():
@@ -223,6 +251,58 @@ def test_viterbi_optimality_certificate():
             np.diff(states[rand_path]) ** 2
         )
         assert cost <= rand_cost + 1e-12
+
+
+@pytest.mark.parametrize("costs", ["random", "flat"])
+@pytest.mark.parametrize("lam", [1e-6, 1e-2, 1.0, 1e2, 1e6])
+@pytest.mark.parametrize("n_states", [129, 300, 512])
+def test_viterbi_band_equals_dense_search(n_states, lam, costs):
+    grid, obs = band_instance(n_states, costs, seed=n_states)
+    path, cost = viterbi(obs, grid, lam, 1)
+    init_cost = np.where(initial_distribution(grid, 1) > 0, 0.0, np.inf)
+    pair_cost = lam * (grid.states[None, :] - grid.states[:, None]) ** 2
+    ref_path, ref_cost = dense_min_cost_path(-obs.periodograms, pair_cost, init_cost)
+    assert np.array_equal(path, ref_path)
+    assert cost == ref_cost
+    if lam == 1e-6 and costs == "random" and n_states >= 300:
+        # the optimum leaves the band, so the dense fallback is exercised
+        assert np.max(np.abs(np.diff(ref_path))) > BAND_HALF_WIDTH
+
+
+@pytest.mark.parametrize("trans_kind", ["r_nu=1e-2", "r_nu=1", "underflow", "uniform"])
+@pytest.mark.parametrize("n_states", [129, 300, 512])
+def test_map_path_band_equals_dense_search(n_states, trans_kind):
+    if trans_kind == "uniform":
+        # every pair cost ties, so after the first bin each stage must pick
+        # state 0, outside the band of most rows; the top state at the last
+        # bin carries that choice into the path
+        grid, obs = band_instance(n_states, "flat")
+        trans = np.full((n_states, n_states), 1.0 / n_states)
+    else:
+        grid, obs = band_instance(n_states, "random", seed=n_states)
+        # r_nu = 1e-12: off-diagonal transitions underflow to 0, pair cost +inf
+        r_nu = {"r_nu=1e-2": 1e-2, "r_nu=1": 1.0, "underflow": 1e-12}[trans_kind]
+        trans = transition_matrix(grid, r_nu)
+    init = initial_distribution(grid, 1)
+    path, log_joint = map_path(obs, trans, init)
+    with np.errstate(divide="ignore"):
+        ref_path, ref_cost = dense_min_cost_path(-obs.log_prob, -np.log(trans), -np.log(init))
+    assert np.array_equal(path, ref_path)
+    assert log_joint == -ref_cost
+    if trans_kind == "uniform":
+        assert np.all(ref_path[1:-1] == 0) and ref_path[-1] == n_states - 1
+
+
+def test_viterbi_rejects_non_finite_observations():
+    grid = FrequencyGrid(-1.0, 1.0, 5)
+    rows = np.zeros((4, 5))
+    rows[2, 3] = np.nan
+    with pytest.raises(ValueError, match="not finite at bin 2"):
+        viterbi(ObservationTable(rows, np.zeros((4, 5))), grid, 1.0, 1)
+    with pytest.raises(ValueError, match="not finite at bin 2"):
+        viterbi(ObservationTable(np.zeros((4, 5)), rows), grid, 1.0, 1)
+    with pytest.raises(ValueError, match="finite"):
+        viterbi(ObservationTable(np.zeros((4, 5)), np.zeros((4, 5))), grid, np.inf, 1)
 
 
 def test_brute_force_trivial_cases():

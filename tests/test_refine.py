@@ -81,6 +81,32 @@ def test_refinement_converges_below_rounding_level(seed):
     assert np.max(np.abs(objective_gradient(ds, result.track, hyper))) < 1e-9
 
 
+def test_stop_reason_gradient():
+    ds, track, hyper = tracking_problem(seed=3)
+    init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
+    result = refine_map(ds, init, hyper)
+    assert result.stop_reason == "gradient" and result.converged
+
+
+def test_stop_reason_max_iter():
+    ds, track, hyper = tracking_problem(seed=3)
+    init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
+    result = refine_map(ds, init, hyper, max_iter=1)
+    assert result.stop_reason == "max_iter" and not result.converged
+    assert result.iterations == 1
+
+
+def test_stop_reason_no_decrease():
+    # at a Newton minimum a gradient step only meets rounding noise, and a
+    # zero tolerance never accepts the gradient as small enough
+    ds, track, hyper = tracking_problem(seed=3)
+    init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
+    minimum = refine_map(ds, init, hyper).track
+    result = refine_map(ds, minimum, hyper, method="gradient", grad_tol=0.0)
+    assert result.stop_reason == "no_decrease" and not result.converged
+    assert np.array_equal(result.track, minimum)
+
+
 def test_refinement_is_local_minimum():
     ds, track, hyper = tracking_problem(seed=5)
     result = refine_map(ds, track, hyper)
