@@ -14,18 +14,26 @@ or tie it; the band is scanned in ascending order, so ties still go to the
 lowest index.  Rows without that certificate are searched densely, so the
 result is exact for any pair cost, at worst the dense O(T P^2) plus the
 band.
+
+Forward and backward apply the Gaussian transition T[q, p] =
+k[|p - q|] / z[q] as a convolution with the kernel cut after lag h, the
+last lag where k exceeds KERNEL_CUTOFF = 2^-106.  Each bin bounds how much
+the dropped entries could have moved its result and is recomputed with the
+dense product unless that bound is within eps of it; a kernel whose 2h+1
+taps leave fewer than BAND_MIN_SKIPPED states out runs the whole pass
+densely.  The cost is O(T P h), at worst the dense O(T P^2).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
-from freqtrack.markov import FrequencyGrid, initial_distribution
+from freqtrack.markov import FrequencyGrid, GaussianTransition, initial_distribution
 from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import periodogram_table
 
@@ -33,6 +41,22 @@ from freqtrack.spectral import periodogram_table
 # On T=4096, P=512 tracking (lam = 512.5) 48 and 64 are fastest, 32 makes
 # about 40% of the rows fall back and 96 costs 50% more.
 BAND_HALF_WIDTH = 64
+
+# Kernel values at or below u^2 = 2^-106 (u = 2^-53) are dropped from the
+# forward-backward band: next to the diagonal entry 1 they lie below the
+# rounding of its rounding error.
+KERNEL_CUTOFF = 2.0**-106
+# The band is applied only while its 2h+1 taps leave at least this many of
+# the P states out; a wider kernel runs the pass with the dense product.
+# Forward passes over T=128 simulated bins: at P=128 the two tie at 2h+1
+# near 64 (band 1.0 against dense 1.4 ms at 65 taps, 2.1 against 1.8 ms at
+# 77); at P=384 and P=512 the band is still faster at 0.95 P taps.
+BAND_MIN_SKIPPED = 64
+_EPS = float(np.finfo(float).eps)
+
+# Largest record energy sum_n |y(n)|^2 accepted: the likelihood's gradient
+# takes fourth powers of variances of this order.
+MAX_RECORD_ENERGY = float(np.finfo(float).max) ** 0.25
 
 
 class NumericalError(RuntimeError):
@@ -67,13 +91,25 @@ class ObservationTable:
 
 
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters) -> ObservationTable:
-    """Entry (t, p) is the marginal log-likelihood of record t at state p."""
+    """Entry (t, p) is the marginal log-likelihood of record t at state p.
+
+    Raises ValueError when a record's energy sum_n |y(n)|^2 exceeds
+    MAX_RECORD_ENERGY: the likelihood's gradient takes fourth powers of
+    variances of that order, which would overflow.
+    """
     n = dataset.n_samples
+    with np.errstate(over="ignore"):
+        energy = np.sum(np.abs(dataset.samples) ** 2, axis=1)
+    too_large = ~(energy <= MAX_RECORD_ENERGY)  # NaN fails too
+    if too_large.any():
+        t = int(np.argmax(too_large))
+        raise ValueError(f"bin {t} has record energy {energy[t]:.3g}, above "
+                         f"{MAX_RECORD_ENERGY:.3g}: the likelihood's powers of the "
+                         "variances would overflow")
     p_table = periodogram_table(dataset.samples, grid.states)
-    gamma = np.sum(np.abs(dataset.samples) ** 2, axis=1) / hyper.r_b
     log_prob = (log_beta_coefficient(hyper, n)
                 + alpha_coefficient(hyper, n) * p_table
-                - gamma[:, None])
+                - (energy / hyper.r_b)[:, None])
     return ObservationTable(log_prob=log_prob, periodograms=p_table)
 
 
@@ -82,42 +118,101 @@ class ForwardBackwardResult:
     forward: np.ndarray       # (T, P), rows sum to 1
     normalizers: np.ndarray   # (T,), computed on shifted observation rows
     log_likelihood: float
+    half_width: int           # kernel lags kept on each side; P - 1 for the dense product
+    truncation_bound: float   # largest dropped kernel value k[h+1]; 0 when none is dropped
+    fallback_bins: int        # bins recomputed with the dense product, both passes
     backward: np.ndarray | None = None
 
 
-def forward(obs: ObservationTable, trans: np.ndarray, init: np.ndarray) -> ForwardBackwardResult:
-    """Scaled forward recursion; log-likelihood includes the row shifts."""
+def _kernel_band(trans: GaussianTransition) -> tuple[int, np.ndarray | None, float]:
+    """(h, taps, k[h+1]) of the kernel cut after its last value above
+    KERNEL_CUTOFF; taps is None, h = P - 1 and the bound 0 when the 2h+1
+    taps would leave fewer than BAND_MIN_SKIPPED states out."""
+    kernel = trans.kernel
+    half = int(np.count_nonzero(kernel > KERNEL_CUTOFF)) - 1
+    if 2 * half + 1 > kernel.size - BAND_MIN_SKIPPED:
+        return kernel.size - 1, None, 0.0
+    return half, np.concatenate([kernel[half:0:-1], kernel[:half + 1]]), float(kernel[half + 1])
+
+
+def forward(obs: ObservationTable, trans: GaussianTransition,
+            init: np.ndarray) -> ForwardBackwardResult:
+    """Scaled forward recursion; log-likelihood includes the row shifts.
+
+    Each step f @ T is the convolution of f / norm with the 2h+1 kernel
+    taps kept by _kernel_band, O(P h) instead of O(P^2) (a correlation,
+    as the taps are symmetric).  The dropped entries are at most k[h+1]
+    and the scaled observation row at most 1, so they move the bin's
+    normalizer by at most P k[h+1] sum(f / norm); a bin where that is not
+    within eps of the normalizer is recomputed with the dense product.  A
+    kernel too wide for the band runs the whole pass densely, so the cost
+    is O(T P h), O(T P^2) at worst.
+    """
     scaled = obs.scaled()
     n_bins, n_states = scaled.shape
+    half, taps, bound = _kernel_band(trans)
     fwd = np.empty((n_bins, n_states))
     norms = np.empty(n_bins)
+    fallbacks = 0
     probe = scaled[0] * init
+    norm = probe.sum()
     for t in range(n_bins):
         if t > 0:
-            probe = scaled[t] * (fwd[t - 1] @ trans)
-        norms[t] = probe.sum()
-        if norms[t] == 0.0:
+            certified = False
+            if taps is not None:
+                source = fwd[t - 1] / trans.norm
+                probe = scaled[t] * np.correlate(source, taps, "same")
+                norm = probe.sum()
+                certified = n_states * bound * source.sum() <= _EPS * norm  # NaN fails
+                fallbacks += not certified
+            if not certified:
+                probe = scaled[t] * (fwd[t - 1] @ trans.matrix)
+                norm = probe.sum()
+        if norm == 0.0:
             raise NumericalError(f"forward probability underflowed to zero at bin {t}")
-        fwd[t] = probe / norms[t]
+        norms[t] = norm
+        fwd[t] = probe / norm
     log_likelihood = float(np.sum(np.log(norms)) + np.sum(obs.row_shift))
-    return ForwardBackwardResult(forward=fwd, normalizers=norms, log_likelihood=log_likelihood)
+    return ForwardBackwardResult(forward=fwd, normalizers=norms, log_likelihood=log_likelihood,
+                                 half_width=half, truncation_bound=bound, fallback_bins=fallbacks)
 
 
-def backward(obs: ObservationTable, trans: np.ndarray, normalizers: np.ndarray) -> np.ndarray:
-    """Scaled backward recursion dividing by the forward normalizers."""
+def backward(obs: ObservationTable, trans: GaussianTransition,
+             fwd: ForwardBackwardResult) -> ForwardBackwardResult:
+    """Scaled backward recursion dividing by the forward normalizers.
+
+    Returns a copy of fwd with the backward table set and the backward
+    pass's fallbacks added to fallback_bins.  Each step T @ v is the
+    convolution of v with the same taps as the forward pass, divided by
+    norm.  The dropped terms move the posterior mass of bin t,
+    sum_q f_t[q] b_t[q], by at most k[h+1] sum(v) sum(f_t / norm) / c_{t+1},
+    c the forward normalizers; a bin where that is not within eps of the
+    mass is recomputed with the dense product.
+    """
     scaled = obs.scaled()
     n_bins, n_states = scaled.shape
+    _, taps, bound = _kernel_band(trans)
+    source_mass = (fwd.forward / trans.norm).sum(axis=1)
     bwd = np.empty((n_bins, n_states))
     bwd[-1] = 1.0
+    fallbacks = 0
     for t in range(n_bins - 2, -1, -1):
-        bwd[t] = (trans @ (scaled[t + 1] * bwd[t + 1])) / normalizers[t + 1]
-    return bwd
+        weights = scaled[t + 1] * bwd[t + 1]
+        certified = False
+        if taps is not None:
+            spread = np.correlate(weights, taps, "same") / trans.norm
+            mass = fwd.forward[t] @ spread
+            certified = bound * weights.sum() * source_mass[t] <= _EPS * mass  # NaN fails
+            fallbacks += not certified
+        if not certified:
+            spread = trans.matrix @ weights
+        bwd[t] = spread / fwd.normalizers[t + 1]
+    return replace(fwd, backward=bwd, fallback_bins=fwd.fallback_bins + fallbacks)
 
 
-def forward_backward(obs: ObservationTable, trans: np.ndarray, init: np.ndarray) -> ForwardBackwardResult:
-    result = forward(obs, trans, init)
-    result.backward = backward(obs, trans, result.normalizers)
-    return result
+def forward_backward(obs: ObservationTable, trans: GaussianTransition,
+                     init: np.ndarray) -> ForwardBackwardResult:
+    return backward(obs, trans, forward(obs, trans, init))
 
 
 @dataclass

@@ -17,7 +17,8 @@ import numpy as np
 
 from freqtrack.hmm import forward, forward_backward, observation_table, posterior_marginals
 from freqtrack.likelihood import in_initial_band
-from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
+from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
+                              transition_matrix)
 from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import empirical_correlation, periodogram_table
 
@@ -31,9 +32,8 @@ def hyper_nll(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid,
               band_width: int = 1) -> float:
     """Negative log-likelihood of the hyperparameters (one forward pass)."""
     obs = observation_table(dataset, grid, hyper)
-    trans = transition_matrix(grid, hyper.r_nu)
     init = initial_distribution(grid, band_width)
-    return -forward(obs, trans, init).log_likelihood
+    return -forward(obs, gaussian_transition(grid, hyper.r_nu), init).log_likelihood
 
 
 def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid,
@@ -42,7 +42,7 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     obs = observation_table(dataset, grid, hyper)
     trans = transition_matrix(grid, hyper.r_nu)
     init = initial_distribution(grid, band_width)
-    fb = forward_backward(obs, trans, init)
+    fb = forward_backward(obs, gaussian_transition(grid, hyper.r_nu), init)
     post = posterior_marginals(fb, obs, trans)
 
     n = dataset.n_samples

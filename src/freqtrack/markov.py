@@ -36,12 +36,27 @@ class FrequencyGrid:
         return (self.nu_max - self.nu_min) / (self.size - 1)
 
 
-def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
-    """Row-stochastic matrix exp(-(nu^p - nu^q)^2 / 2 r_nu), normalized over
-    destination states p.  Row index is the source state q.
+@dataclass(frozen=True)
+class GaussianTransition:
+    """The Gaussian-kernel transition of a uniform grid in factored form,
+    T[q, p] = kernel[|p - q|] / norm[q], row index the source state q."""
 
-    The grid is uniform, so the kernel depends only on k = |p - q|: its P
-    values exp(-(k h)^2 / 2 r_nu) fill a symmetric Toeplitz matrix, and
+    kernel: np.ndarray  # (P,): exp(-(k h)^2 / 2 r_nu) at lag k; kernel[0] = 1
+    norm: np.ndarray    # (P,): row sums of the kernel, each at least 1
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (P, P) row-stochastic matrix."""
+        matrix = toeplitz(self.kernel)
+        matrix /= self.norm[:, None]  # in place: a second P x P array costs 4x the division
+        return matrix
+
+
+def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:
+    """Transition exp(-(nu^p - nu^q)^2 / 2 r_nu), normalized over destination
+    states p, as P kernel values and P row normalizers.
+
+    The grid is uniform, so the kernel depends only on k = |p - q|, and
     row q sums to cum[q] + cum[P-1-q] - kernel[0] with cum the running sum
     of the kernel.  The diagonal entry is exactly 1, so every row sum is at
     least 1 and no row underflows to zero.
@@ -50,7 +65,12 @@ def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
         raise ValueError("r_nu must be positive")
     kernel = np.exp(-((np.arange(grid.size) * grid.spacing) ** 2) / (2.0 * r_nu))
     cum = np.cumsum(kernel)
-    return toeplitz(kernel) / (cum + cum[::-1] - kernel[0])[:, None]
+    return GaussianTransition(kernel=kernel, norm=cum + cum[::-1] - kernel[0])
+
+
+def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
+    """Dense row-stochastic (P, P) matrix of gaussian_transition(grid, r_nu)."""
+    return gaussian_transition(grid, r_nu).matrix
 
 
 def initial_distribution(grid: FrequencyGrid, band_width: int = 1) -> np.ndarray:

@@ -27,7 +27,7 @@ from freqtrack.hyperopt import (
     hyper_nll_gradient,
 )
 from freqtrack.likelihood import log_marginal_likelihood, map_objective
-from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
+from freqtrack.markov import FrequencyGrid, gaussian_transition, initial_distribution
 from freqtrack.refine import (
     _hessian_bands,
     objective_gradient,
@@ -59,12 +59,13 @@ def test_criterion_1_hmm_oracle_equivalence():
         n_bins = int(rng.integers(1, 6))
         n_states = int(rng.integers(3, 7))
         grid = FrequencyGrid(-1.0, 1.0, n_states)
-        trans = transition_matrix(grid, float(rng.uniform(0.01, 1.0)))
+        transition = gaussian_transition(grid, float(rng.uniform(0.01, 1.0)))
+        trans = transition.matrix
         init = initial_distribution(grid, 1)
         log_prob = rng.normal(0, 5, (n_bins, n_states))
         obs = ObservationTable(log_prob, log_prob)
         bf = brute_force_joint(obs, trans, init)
-        fb = forward_backward(obs, trans, init)
+        fb = forward_backward(obs, transition, init)
         post = posterior_marginals(fb, obs, trans)
         path, log_joint = map_path(obs, trans, init)
         ok &= abs(fb.log_likelihood - bf.log_likelihood) < 1e-10 * max(
@@ -274,10 +275,11 @@ def test_criterion_8_hyperparameter_recovery():
 
 def test_criterion_9_probability_hygiene():
     ds, _ = standard_dataset()
-    trans = transition_matrix(GRID, TRUE_HYPER.r_nu)
+    transition = gaussian_transition(GRID, TRUE_HYPER.r_nu)
+    trans = transition.matrix
     init = initial_distribution(GRID, 1)
     obs = observation_table(ds, GRID, TRUE_HYPER)
-    fb = forward_backward(obs, trans, init)
+    fb = forward_backward(obs, transition, init)
     post = posterior_marginals(fb, obs, trans)
     ok = np.max(np.abs(trans.sum(axis=1) - 1.0)) < 1e-10
     ok &= np.max(np.abs(fb.forward.sum(axis=1) - 1.0)) < 1e-10

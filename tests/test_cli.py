@@ -191,20 +191,35 @@ def test_exit_code_data(tmp_path):
     assert run(["track", str(good), str(hyper), "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
-def test_extreme_sample_fails_before_writing_tracks(tmp_path):
-    # |1.34e154|^2 is still finite, so the periodograms are, but the
-    # observation row overflows; unchecked, that periodogram absorbs every
-    # pair cost and the Viterbi path collapses onto the lowest grid state
+def _extreme_dataset(tmp_path):
+    """The default simulation, 16 bins, with one sample set to 1.34e154:
+    its record energy, about 1.8e308, is just below the float maximum."""
     assert run(["simulate", "--seed", "1", "--bins", "16", "--out", str(tmp_path)]) == 0
     dataset = tmp_path / "dataset.csv"
     lines = dataset.read_text().splitlines()
     t, n, _, im = lines[5].split(",")
     lines[5] = ",".join([t, n, "1.34e154", im])
     dataset.write_text("\n".join(lines) + "\n")
+    return dataset
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_extreme_sample_fails_before_writing_tracks(tmp_path):
+    # unchecked, the observation row overflows, its periodogram absorbs
+    # every pair cost and the Viterbi path collapses onto the lowest state
+    dataset = _extreme_dataset(tmp_path)
     ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "0.1", "r_nu": "1e-3"})
     assert run(["track", str(dataset), str(tmp_path / "hyper.txt"), "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "viterbi_map.csv").exists()
+
+
+def test_extreme_sample_fails_estimate_with_data_error(tmp_path, capsys):
+    # unchecked, the fit drives n r_a + r_b past 1.34e154, where the
+    # gradient's square of it raises OverflowError and the CLI crashes
+    dataset = _extreme_dataset(tmp_path)
+    assert run(["estimate", str(dataset), "--out", str(tmp_path)]) == 3
+    assert "bin 1 has record energy" in capsys.readouterr().err
+    assert not (tmp_path / "hyper.txt").exists()
 
 
 def test_exit_code_bad_config(tmp_path):

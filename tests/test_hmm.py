@@ -5,6 +5,7 @@ import pytest
 
 from freqtrack.hmm import (
     BAND_HALF_WIDTH,
+    KERNEL_CUTOFF,
     ObservationTable,
     brute_force_joint,
     backward,
@@ -16,7 +17,8 @@ from freqtrack.hmm import (
     viterbi,
 )
 from freqtrack.likelihood import log_marginal_likelihood
-from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
+from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
+                              transition_matrix)
 from freqtrack.signal import Hyperparameters, synthesize_dataset
 
 
@@ -24,7 +26,7 @@ def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
     n_bins = n_bins or int(rng.integers(1, 6))
     n_states = n_states or int(rng.integers(3, 7))
     grid = FrequencyGrid(-1.0, 1.0, n_states)
-    trans = transition_matrix(grid, float(rng.uniform(0.01, 1.0)))
+    trans = gaussian_transition(grid, float(rng.uniform(0.01, 1.0)))
     init = initial_distribution(grid, 1)
     log_prob = rng.normal(0, scale, (n_bins, n_states))
     obs = ObservationTable(log_prob, log_prob)
@@ -118,9 +120,9 @@ def test_forward_backward_match_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(20):
         grid, obs, trans, init = random_instance(rng)
-        bf = brute_force_joint(obs, trans, init)
+        bf = brute_force_joint(obs, trans.matrix, init)
         fb = forward_backward(obs, trans, init)
-        post = posterior_marginals(fb, obs, trans)
+        post = posterior_marginals(fb, obs, trans.matrix)
         assert fb.log_likelihood == pytest.approx(bf.log_likelihood, rel=1e-10)
         assert np.max(np.abs(post.singles - bf.singles)) < 1e-10
         assert np.max(np.abs(post.pair_sum - bf.pairs.sum(axis=0))) < 1e-10
@@ -150,22 +152,84 @@ def test_forward_rows_sum_to_one():
 
 def test_backward_two_bin_hand_computation():
     grid = FrequencyGrid(-0.25, 0.25, 2)
-    trans = transition_matrix(grid, 0.1)
+    trans = gaussian_transition(grid, 0.1)
     init = initial_distribution(grid, 1)
     log_prob = np.log([[0.4, 0.6], [0.9, 0.1]])
     obs = ObservationTable(log_prob, log_prob)
     fb = forward_backward(obs, trans, init)
     scaled = obs.scaled()
     for p in range(2):
-        expected = np.sum(scaled[1] * trans[p]) / fb.normalizers[1]
+        expected = np.sum(scaled[1] * trans.matrix[p]) / fb.normalizers[1]
         assert fb.backward[0, p] == pytest.approx(expected, rel=1e-12)
+
+
+def dense_forward_backward(obs, trans, init):
+    """Reference scaled forward-backward on the dense matrix:
+    (log-likelihood, forward, backward)."""
+    scaled = obs.scaled()
+    fwd, norms = np.empty_like(scaled), np.empty(obs.n_bins)
+    probe = scaled[0] * init
+    for t in range(obs.n_bins):
+        if t > 0:
+            probe = scaled[t] * (fwd[t - 1] @ trans)
+        norms[t] = probe.sum()
+        fwd[t] = probe / norms[t]
+    bwd = np.ones_like(scaled)
+    for t in range(obs.n_bins - 2, -1, -1):
+        bwd[t] = trans @ (scaled[t + 1] * bwd[t + 1]) / norms[t + 1]
+    return np.sum(np.log(norms)) + np.sum(obs.row_shift), fwd, bwd
+
+
+def assert_matches_dense(obs, transition, init):
+    fb = forward_backward(obs, transition, init)
+    log_likelihood, fwd, bwd = dense_forward_backward(obs, transition.matrix, init)
+    assert fb.log_likelihood == pytest.approx(log_likelihood, rel=1e-12)
+    # entries reached only through dropped kernel values (<= 2^-106) differ
+    # by about that much relative to their row, whose scale is 1 but for
+    # the backward table
+    np.testing.assert_allclose(fb.forward, fwd, rtol=1e-12, atol=1e-15)
+    scale = bwd.max(axis=1, keepdims=True)
+    np.testing.assert_allclose(fb.backward / scale, bwd / scale, rtol=1e-12, atol=1e-15)
+    singles = posterior_marginals(fb, obs, transition.matrix).singles
+    np.testing.assert_allclose(singles, fwd * bwd, rtol=1e-12, atol=1e-15)
+    return fb
+
+
+@pytest.mark.parametrize("r_nu", [1e-12, 1e-4, 1e-2, 1.0, 1e6])
+@pytest.mark.parametrize("n_states", [17, 128, 384])
+def test_forward_backward_band_equals_dense(n_states, r_nu):
+    grid = FrequencyGrid(-3.5, 3.5, n_states)
+    transition = gaussian_transition(grid, r_nu)
+    rows = np.random.default_rng(n_states).normal(0, 5, (12, n_states))
+    init = initial_distribution(grid, 1)
+    fb = assert_matches_dense(ObservationTable(rows, rows), transition, init)
+    kernel = transition.kernel
+    if fb.half_width < n_states - 1:
+        assert np.all(kernel[:fb.half_width + 1] > KERNEL_CUTOFF)
+        assert fb.truncation_bound == kernel[fb.half_width + 1] <= KERNEL_CUTOFF
+    else:
+        assert fb.truncation_bound == 0.0 and fb.fallback_bins == 0
+
+
+def test_forward_backward_band_falls_back_on_a_forced_jump():
+    # sigma = 1 state, so the band keeps 12 lags; the second row puts all its
+    # mass 20 states above the first, where only dropped kernel values reach
+    grid = FrequencyGrid(-3.5, 3.5, 128)
+    transition = gaussian_transition(grid, grid.spacing**2)
+    rows = np.full((3, 128), -1e3)
+    rows[0, 64] = rows[1, 84] = 0.0
+    rows[2] = np.random.default_rng(1).normal(0, 5, 128)
+    init = initial_distribution(grid, 1)
+    fb = assert_matches_dense(ObservationTable(rows, rows), transition, init)
+    assert fb.half_width == 12
+    assert fb.fallback_bins >= 1
 
 
 def test_posterior_pair_consistency():
     rng = np.random.default_rng(6)
     grid, obs, trans, init = random_instance(rng, n_bins=4, n_states=5)
     fb = forward_backward(obs, trans, init)
-    post = posterior_marginals(fb, obs, trans)
+    post = posterior_marginals(fb, obs, trans.matrix)
     assert np.allclose(post.singles.sum(axis=1), 1.0, atol=1e-10)
     for i in range(3):
         assert np.allclose(post.pairs[i].sum(axis=0), post.singles[i + 1], atol=1e-10)
@@ -174,12 +238,12 @@ def test_posterior_pair_consistency():
 
 def test_degenerate_chain_gives_one_hot_posteriors():
     grid = FrequencyGrid(-1.0, 1.0, 5)
-    trans = transition_matrix(grid, 1e-10)
+    trans = gaussian_transition(grid, 1e-10)
     init = np.zeros(5)
     init[2] = 1.0
     obs = ObservationTable(np.zeros((4, 5)), np.zeros((4, 5)))
     fb = forward_backward(obs, trans, init)
-    post = posterior_marginals(fb, obs, trans)
+    post = posterior_marginals(fb, obs, trans.matrix)
     expected = np.zeros((4, 5))
     expected[:, 2] = 1.0
     assert np.allclose(post.singles, expected, atol=1e-9)
@@ -229,8 +293,8 @@ def test_map_path_matches_brute_force():
     rng = np.random.default_rng(9)
     for _ in range(20):
         grid, obs, trans, init = random_instance(rng)
-        bf = brute_force_joint(obs, trans, init)
-        path, log_joint = map_path(obs, trans, init)
+        bf = brute_force_joint(obs, trans.matrix, init)
+        path, log_joint = map_path(obs, trans.matrix, init)
         assert np.array_equal(path, bf.best_path)
         assert log_joint == pytest.approx(bf.best_log_joint, rel=1e-9)
 
