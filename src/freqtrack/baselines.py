@@ -15,17 +15,21 @@ def wrap_to_band(x):
     return out if out.ndim else float(out)
 
 
-def ml_periodogram_argmax(dataset: DataSet, grid_resolution: int = 1024) -> np.ndarray:
+# Frequencies searched per cycle by the argmax estimator before its Newton polish.
+ARGMAX_GRID_SIZE = 1024
+
+
+def ml_periodogram_argmax(dataset: DataSet) -> np.ndarray:
     """Per-bin periodogram maximizer over (-0.5, 0.5], independently per bin.
 
-    A fine-grid argmax is followed by one Newton polish step when the local
-    curvature allows it.
+    An argmax over ARGMAX_GRID_SIZE frequencies is followed by one Newton
+    polish step when the local curvature allows it.
     """
-    nus = -0.5 + np.arange(1, grid_resolution + 1) / grid_resolution
+    nus = -0.5 + np.arange(1, ARGMAX_GRID_SIZE + 1) / ARGMAX_GRID_SIZE
     p_table = periodogram_table(dataset.samples, nus)
     peaks = nus[np.argmax(p_table, axis=1)]
     first, second = periodogram_deriv_many(dataset.samples, peaks)
-    spacing = 1.0 / grid_resolution
+    spacing = 1.0 / ARGMAX_GRID_SIZE
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(second < 0, -first / second, 0.0)
     step = np.where(np.abs(step) <= spacing, step, 0.0)

@@ -20,11 +20,12 @@ import numpy as np
 from freqtrack import io as ftio
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.hmm import NumericalError, observation_table, viterbi
-from freqtrack.hyperopt import STRATEGIES, empirical_init, estimate_ml, hyper_nll
+from freqtrack.hyperopt import LINE_SEARCHES, STRATEGIES, estimate_ml, hyper_nll
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import refine_map
-from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
+from freqtrack.signal import (TRACK_PROFILES, DataSet, Hyperparameters, make_test_track,
+                              synthesize_dataset)
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -235,32 +236,34 @@ def cmd_track(cfg: RunConfig, dataset_path: str, hyper_path: str, truth_path: st
 
 def cmd_eval(cfg: RunConfig) -> int:
     """Seeded replicates of simulate -> estimate -> track, summarized."""
+    if cfg.replicates < 1:
+        raise UsageError("eval needs at least one replicate")
     truth = make_test_track(cfg.profile, cfg.n_bins, (cfg.track_lo, cfg.track_hi))
-    names = ["ml_aliased", "ml_unwrapped", "viterbi_map", "hessian_map"]
-    results = {name: [] for name in names}
+    results: dict[str, list[float]] = {}
     hyper_errors = []
     grid = cfg.grid()
     out = Path(cfg.out)
     with open(out / "eval_replicates.csv", "w") as fh:
-        fh.write("seed," + ",".join(f"rmse_{n}" for n in names) + "\n")
         for rep in range(cfg.replicates):
             seed = cfg.seed + rep
             dataset = synthesize_dataset(truth, cfg.hyper(), cfg.n_samples, seed)
             report = estimate_ml(dataset, grid, strategy=cfg.strategy,
                                  line_search=cfg.line_search, band_width=cfg.band_width)
             tracks = compute_tracks(dataset, grid, report.minimizer, cfg.band_width)
+            if rep == 0:
+                fh.write("seed," + ",".join(f"rmse_{n}" for n in tracks) + "\n")
             row = [str(seed)]
-            for name in names:
-                value = rmse(tracks[name], truth)
-                results[name].append(value)
+            for name, track in tracks.items():
+                value = rmse(track, truth)
+                results.setdefault(name, []).append(value)
                 row.append(repr(value))
             fh.write(",".join(row) + "\n")
             hyper_errors.append(np.abs(np.log10(report.minimizer.as_array())
                                        - np.log10(cfg.hyper().as_array())))
     summary = {}
     print(f"{'method':<14} {'mean rmse':>10} {'median':>10} {'p90':>10}")
-    for name in names:
-        values = np.array(results[name])
+    for name, values in results.items():
+        values = np.array(values)
         summary[f"mean_rmse_{name}"] = repr(float(values.mean()))
         summary[f"median_rmse_{name}"] = repr(float(np.median(values)))
         summary[f"p90_rmse_{name}"] = repr(float(np.percentile(values, 90)))
@@ -326,15 +329,14 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="write a simulated dataset and its truth track")
     _add_common(p)
-    p.add_argument("--profile", choices=("linear_ramp", "sine", "piecewise"), dest="profile")
+    p.add_argument("--profile", choices=TRACK_PROFILES, dest="profile")
     p.add_argument("--track-range", help='truth span "lo,hi"')
 
     p = sub.add_parser("estimate", help="estimate hyperparameters by maximum likelihood")
     _add_common(p)
     p.add_argument("dataset", help="dataset CSV (t,n,re,im)")
     p.add_argument("--strategy", choices=STRATEGIES + ("all",), dest="strategy")
-    p.add_argument("--line-search", choices=("dichotomy", "quadratic_interp", "golden_section"),
-                   dest="line_search")
+    p.add_argument("--line-search", choices=LINE_SEARCHES, dest="line_search")
     p.add_argument("--levelsets", action="store_true",
                    help="also sample the criterion on a log-spaced box")
 
@@ -346,7 +348,7 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="Monte-Carlo sweep of simulate -> estimate -> track")
     _add_common(p)
-    p.add_argument("--profile", choices=("linear_ramp", "sine", "piecewise"), dest="profile")
+    p.add_argument("--profile", choices=TRACK_PROFILES, dest="profile")
     p.add_argument("--track-range", help='truth span "lo,hi"')
     p.add_argument("--replicates", type=int, dest="replicates")
     p.add_argument("--strategy", choices=STRATEGIES, dest="strategy")

@@ -1,19 +1,18 @@
-"""Viterbi, scaled forward/backward recursions, and brute-force oracles.
+"""Viterbi, scaled forward/backward recursions, and posterior marginals.
 
 Observation rows live in the log domain and are max-shifted before
 exponentiation; the shifts are reinstated when the data log-likelihood is
 reconstructed, so very peaked likelihoods (hundreds of nats) stay exact.
 
-Viterbi and the discrete MAP path share one min-sum loop.  Each stage
-searches only the predecessors within BAND_HALF_WIDTH states of each
-target, which holds the argmin whenever the pair cost grows away from the
-diagonal, as the quadratic lam * (nu^p - nu^q)^2 does.  A row's band
-minimum is kept only if it is strictly below min(cost) plus the cheapest
-pair cost outside the band, which proves that no outside state can reach
-or tie it; the band is scanned in ascending order, so ties still go to the
-lowest index.  Rows without that certificate are searched densely, so the
-result is exact for any pair cost, at worst the dense O(T P^2) plus the
-band.
+Each stage of Viterbi's min-sum loop searches only the predecessors
+within BAND_HALF_WIDTH states of each target, which holds the argmin
+whenever the pair cost grows away from the diagonal, as the quadratic
+lam * (nu^p - nu^q)^2 does.  A row's band minimum is kept only if it is
+strictly below min(cost) plus the cheapest pair cost outside the band,
+which proves that no outside state can reach or tie it; the band is
+scanned in ascending order, so ties still go to the lowest index.  Rows
+without that certificate are searched densely, so the result is exact
+for any pair cost, at worst the dense O(T P^2) plus the band.
 
 Forward and backward apply the Gaussian transition T[q, p] =
 k[|p - q|] / z[q] as a convolution with the kernel cut after lag h, the
@@ -26,7 +25,6 @@ densely.  The cost is O(T P h), at worst the dense O(T P^2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -53,10 +51,6 @@ KERNEL_CUTOFF = 2.0**-106
 # 77); at P=384 and P=512 the band is still faster at 0.95 P taps.
 BAND_MIN_SKIPPED = 64
 _EPS = float(np.finfo(float).eps)
-
-# Largest record energy sum_n |y(n)|^2 accepted: the likelihood's gradient
-# takes fourth powers of variances of this order.
-MAX_RECORD_ENERGY = float(np.finfo(float).max) ** 0.25
 
 
 class NumericalError(RuntimeError):
@@ -93,23 +87,18 @@ class ObservationTable:
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters) -> ObservationTable:
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
 
-    Raises ValueError when a record's energy sum_n |y(n)|^2 exceeds
-    MAX_RECORD_ENERGY: the likelihood's gradient takes fourth powers of
-    variances of that order, which would overflow.
+    Raises ValueError naming r_a and r_b when alpha, log beta or the
+    largest record energy over r_b is not finite: the entries would then
+    be infinite or NaN.
     """
     n = dataset.n_samples
-    with np.errstate(over="ignore"):
-        energy = np.sum(np.abs(dataset.samples) ** 2, axis=1)
-    too_large = ~(energy <= MAX_RECORD_ENERGY)  # NaN fails too
-    if too_large.any():
-        t = int(np.argmax(too_large))
-        raise ValueError(f"bin {t} has record energy {energy[t]:.3g}, above "
-                         f"{MAX_RECORD_ENERGY:.3g}: the likelihood's powers of the "
-                         "variances would overflow")
+    alpha = alpha_coefficient(hyper, n)
+    log_beta = log_beta_coefficient(hyper, n)
+    if not np.isfinite([alpha, log_beta, float(dataset.energy.max()) / hyper.r_b]).all():
+        raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make the "
+                         "likelihood coefficients alpha, log beta or energy / r_b non-finite")
     p_table = periodogram_table(dataset.samples, grid.states)
-    log_prob = (log_beta_coefficient(hyper, n)
-                + alpha_coefficient(hyper, n) * p_table
-                - (energy / hyper.r_b)[:, None])
+    log_prob = log_beta + alpha * p_table - (dataset.energy / hyper.r_b)[:, None]
     return ObservationTable(log_prob=log_prob, periodograms=p_table)
 
 
@@ -284,15 +273,6 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float,
     return _min_cost_path(local, pair_cost, np.where(admissible, 0.0, np.inf))
 
 
-def map_path(obs: ObservationTable, trans: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, float]:
-    """Most probable state path of the discrete chain; returns (path, log joint)."""
-    with np.errstate(divide="ignore"):
-        init_cost = -np.log(init)
-        pair_cost = -np.log(trans)
-    path, cost = _min_cost_path(-obs.log_prob, pair_cost, init_cost)
-    return path, -cost
-
-
 def _min_cost_path(local: np.ndarray, pair_cost: np.ndarray,
                    init_cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Min-sum recursion cost_t[p] = min_q cost_{t-1}[q] + pair_cost[q, p] + local[t, p].
@@ -341,50 +321,3 @@ def _min_cost_path(local: np.ndarray, pair_cost: np.ndarray,
     for t in range(n_bins - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path, best_cost
-
-
-@dataclass
-class BruteForceResult:
-    log_likelihood: float
-    singles: np.ndarray
-    pairs: np.ndarray
-    best_path: np.ndarray
-    best_log_joint: float
-
-
-def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray,
-                      max_paths: int = 10**6) -> BruteForceResult:
-    """Exact P^T enumeration of the chain, for oracle comparisons only."""
-    scaled = obs.scaled()
-    n_bins, n_states = scaled.shape
-    if n_states**n_bins > max_paths:
-        raise ValueError(f"instance too large: {n_states}^{n_bins} paths")
-    singles = np.zeros((n_bins, n_states))
-    pairs = np.zeros((n_bins - 1, n_states, n_states))
-    total = 0.0
-    best_path = None
-    best_weight = -np.inf
-    for path in itertools.product(range(n_states), repeat=n_bins):
-        weight = init[path[0]] * scaled[0, path[0]]
-        for t in range(1, n_bins):
-            weight *= trans[path[t - 1], path[t]] * scaled[t, path[t]]
-        if weight == 0.0:
-            continue
-        total += weight
-        for t in range(n_bins):
-            singles[t, path[t]] += weight
-        for t in range(n_bins - 1):
-            pairs[t, path[t], path[t + 1]] += weight
-        if weight > best_weight:
-            best_weight = weight
-            best_path = np.array(path)
-    if total == 0.0:
-        raise NumericalError("all joint path probabilities are zero")
-    shift_total = float(np.sum(obs.row_shift))
-    return BruteForceResult(
-        log_likelihood=float(np.log(total)) + shift_total,
-        singles=singles / total,
-        pairs=pairs / total,
-        best_path=best_path,
-        best_log_joint=float(np.log(best_weight)) + shift_total,
-    )

@@ -23,7 +23,13 @@ from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import empirical_correlation, periodogram_table
 
 STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribiere")
-LINE_SEARCHES = ("dichotomy", "quadratic_interp", "golden_section")
+
+# estimate_ml stops after MAX_ITER iterations or once one lowers the
+# criterion by less than REL_TOL * max(1, |f|); a line search once its
+# bracket [a, c] is narrower than LINE_SEARCH_TOL * max(1, c).
+MAX_ITER = 200
+REL_TOL = 1e-8
+LINE_SEARCH_TOL = 1e-3
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -53,9 +59,8 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
 
     d_ra = np.sum(singles * (-n / s + n * p_table / s**2))
 
-    energy = np.sum(np.abs(dataset.samples) ** 2, axis=1)
     d_rb = np.sum(
-        singles * ((1 - n) / r_b - 1 / s + (energy / r_b**2)[:, None]
+        singles * ((1 - n) / r_b - 1 / s + (dataset.energy / r_b**2)[:, None]
                    - n * r_a * (n * r_a + 2 * r_b) / (r_b**2 * s**2) * p_table)
     )
 
@@ -140,8 +145,8 @@ def _bracket(phi, f0: float, step: float):
     return a, b, c, fb
 
 
-def _golden_section(phi, a, b, c, fb, tol):
-    while c - a > tol * max(1.0, c):
+def _golden_section(phi, a, b, c, fb):
+    while c - a > LINE_SEARCH_TOL * max(1.0, c):
         if c - b > b - a:
             u = b + (1 - _GOLDEN) * (c - b)
             fu = phi(u)
@@ -159,9 +164,9 @@ def _golden_section(phi, a, b, c, fb, tol):
     return b, fb
 
 
-def _dichotomy(phi, a, b, c, fb, tol):
+def _dichotomy(phi, a, b, c, fb):
     best, fbest = b, fb
-    while c - a > tol * max(1.0, c):
+    while c - a > LINE_SEARCH_TOL * max(1.0, c):
         mid = 0.5 * (a + c)
         delta = 0.125 * (c - a)
         f1 = phi(mid - delta)
@@ -177,11 +182,11 @@ def _dichotomy(phi, a, b, c, fb, tol):
     return best, fbest
 
 
-def _quadratic_interp(phi, a, b, c, fb, tol):
+def _quadratic_interp(phi, a, b, c, fb):
     fa, fc = phi(a), phi(c)
     best, fbest = b, fb
     for _ in range(60):
-        if c - a <= tol * max(1.0, c):
+        if c - a <= LINE_SEARCH_TOL * max(1.0, c):
             break
         denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
         if abs(denom) < 1e-300:
@@ -214,14 +219,15 @@ _REFINERS = {
     "dichotomy": _dichotomy,
     "quadratic_interp": _quadratic_interp,
 }
+LINE_SEARCHES = tuple(_REFINERS)
 
 
-def _line_search(phi, f0, step, method, tol=1e-3):
+def _line_search(phi, f0, step, method):
     bracket = _bracket(phi, f0, step)
     if bracket is None:
         return None
     a, b, c, fb = bracket
-    s, fs = _REFINERS[method](phi, a, b, c, fb, tol)
+    s, fs = _REFINERS[method](phi, a, b, c, fb)
     if fs >= f0:
         return None
     return s, fs
@@ -234,13 +240,11 @@ def estimate_ml(
     line_search: str = "golden_section",
     band_width: int = 1,
     init: Hyperparameters | None = None,
-    max_iter: int = 200,
-    rel_tol: float = 1e-8,
 ) -> OptimizerReport:
     """Minimize hyper_nll over log(r) starting from the empirical estimates.
 
-    Stops when the relative decrease of the criterion falls below rel_tol
-    or the iteration cap is reached.  Every accepted step decreases the
+    Stops when the relative decrease of the criterion falls below REL_TOL
+    or after MAX_ITER iterations.  Every accepted step decreases the
     criterion, so the trajectory is monotone.
     """
     if strategy not in STRATEGIES:
@@ -266,7 +270,7 @@ def estimate_ml(
     if strategy == "coordinate_wise":
         steps = np.full(3, 0.1)
         iterations = 0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             f_before = fx
             for axis in range(3):
                 direction = np.zeros(3)
@@ -285,7 +289,7 @@ def estimate_ml(
                 if not moved:
                     steps[axis] = max(steps[axis] * 0.25, 1e-8)
             trajectory.append(x.copy())
-            if f_before - fx < rel_tol * max(1.0, abs(fx)):
+            if f_before - fx < REL_TOL * max(1.0, abs(fx)):
                 converged = True
                 break
     else:
@@ -294,7 +298,7 @@ def estimate_ml(
         weights = None
         step_hint = 0.1
         iterations = 0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, MAX_ITER + 1):
             g = grad(x)
             gnorm = float(np.linalg.norm(g))
             if gnorm == 0.0:
@@ -338,7 +342,7 @@ def estimate_ml(
             step_hint = max(s, 1e-6)
             prev_g, prev_d = g, d
             trajectory.append(x.copy())
-            if f_before - fx < rel_tol * max(1.0, abs(fx)):
+            if f_before - fx < REL_TOL * max(1.0, abs(fx)):
                 converged = True
                 break
 

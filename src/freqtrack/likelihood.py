@@ -21,12 +21,6 @@ from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import periodogram
 
 
-def _samples(data) -> np.ndarray:
-    if isinstance(data, DataSet):
-        return data.samples
-    return np.asarray(data, dtype=complex)
-
-
 def alpha_coefficient(hyper: Hyperparameters, n_samples: int) -> float:
     n = n_samples
     return n * hyper.r_a / (hyper.r_b * (n * hyper.r_a + hyper.r_b))
@@ -42,18 +36,6 @@ def smoothing_weight(hyper: Hyperparameters, n_samples: int) -> float:
     return 1.0 / (2.0 * alpha_coefficient(hyper, n_samples) * hyper.r_nu)
 
 
-def log_marginal_likelihood(samples, nu: float, hyper: Hyperparameters) -> float:
-    """Log density of the record under the amplitude-marginalized model.
-
-    Equals the complex Gaussian log density with covariance
-    r_a z(nu) z(nu)^H + r_b I.
-    """
-    y = np.asarray(samples, dtype=complex).ravel()
-    gamma = float(np.vdot(y, y).real) / hyper.r_b
-    alpha = alpha_coefficient(hyper, y.size)
-    return log_beta_coefficient(hyper, y.size) - gamma + alpha * periodogram(y, nu)
-
-
 def in_initial_band(nu, band_width: int = 1):
     """First-frequency constraint set (-K/2, +K/2], left-open right-closed.
 
@@ -63,9 +45,8 @@ def in_initial_band(nu, band_width: int = 1):
     return (nu > -half) & (nu <= half)
 
 
-def data_misfit(data, track) -> float:
-    """Negative sum of per-bin periodograms along the track (SIP)."""
-    samples = _samples(data)
+def data_misfit(samples: np.ndarray, track) -> float:
+    """Negative sum of per-bin periodograms of the (T, N) samples along the track (SIP)."""
     track = np.asarray(track, dtype=float)
     if track.size != samples.shape[0]:
         raise ValueError(f"track length {track.size} != number of bins {samples.shape[0]}")
@@ -80,12 +61,12 @@ class MapObjective:
     weight: float
 
 
-def map_objective(data, track, hyper: Hyperparameters, band_width: int = 1) -> MapObjective:
+def map_objective(dataset: DataSet, track, hyper: Hyperparameters,
+                  band_width: int = 1) -> MapObjective:
     """-sum_t P_t(nu_t) + lam sum_t (nu_{t+1}-nu_t)^2 (+inf outside band)."""
-    samples = _samples(data)
     track = np.asarray(track, dtype=float)
-    lam = smoothing_weight(hyper, samples.shape[1])
+    lam = smoothing_weight(hyper, dataset.n_samples)
     if not in_initial_band(track[0], band_width):
         return MapObjective(value=np.inf, weight=lam)
-    value = data_misfit(samples, track) + lam * float(np.sum(np.diff(track) ** 2))
+    value = data_misfit(dataset.samples, track) + lam * float(np.sum(np.diff(track) ** 2))
     return MapObjective(value=value, weight=lam)

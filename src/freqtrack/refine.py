@@ -2,10 +2,10 @@
 
 The tracking criterion is smooth away from the band constraint, with a
 cheap gradient (periodogram derivatives) and a tridiagonal Hessian, so
-Newton steps solve in linear time.  The decimal-part function and the
-half-step test serve the rewrapping recursion, baselines.unwrap_track,
-which turns any track into one whose successive steps stay within half a
-cycle without increasing the criterion.
+Newton steps solve in linear time.  The decimal-part function serves the
+rewrapping recursion, baselines.unwrap_track, which turns any track into
+one whose successive steps stay within half a cycle without increasing
+the criterion.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ def decimal_part(x):
     x = np.asarray(x, dtype=float)
     out = x - np.floor(x + 0.5)
     return out if out.ndim else float(out)
-
-
-def steps_within_half(track) -> bool:
-    """True iff all successive absolute frequency differences are <= 1/2."""
-    track = np.asarray(track, dtype=float)
-    return bool(np.all(np.abs(np.diff(track)) <= 0.5))
 
 
 def objective_gradient(dataset: DataSet, track, hyper: Hyperparameters,

@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Largest record energy sum_n |y(n)|^2 accepted: the likelihood's gradient
+# takes fourth powers of variances of this order.
+MAX_RECORD_ENERGY = float(np.finfo(float).max) ** 0.25
+
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -41,11 +45,15 @@ class Hyperparameters:
 
 @dataclass
 class DataSet:
-    """T range bins of N complex samples each, optionally with ground truth."""
+    """T range bins of N complex samples each, optionally with ground truth.
+
+    Raises ValueError when a record's energy exceeds MAX_RECORD_ENERGY.
+    """
 
     samples: np.ndarray
     true_track: np.ndarray | None = None
     true_hyper: Hyperparameters | None = None
+    energy: np.ndarray = field(init=False, repr=False)  # (T,): sum_n |y_t(n)|^2
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
@@ -55,7 +63,16 @@ class DataSet:
             raise ValueError("need T >= 1 bins of N >= 2 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
+        with np.errstate(over="ignore"):
+            energy = np.sum(np.abs(samples) ** 2, axis=1)
+        too_large = ~(energy <= MAX_RECORD_ENERGY)
+        if too_large.any():
+            t = int(np.argmax(too_large))
+            raise ValueError(f"bin {t} has record energy {energy[t]:.3g}, above "
+                             f"{MAX_RECORD_ENERGY:.3g}: the likelihood's powers of the "
+                             "variances would overflow")
         self.samples = samples
+        self.energy = energy
         if self.true_track is not None:
             self.true_track = np.asarray(self.true_track, dtype=float)
 
@@ -68,9 +85,10 @@ class DataSet:
         return self.samples.shape[1]
 
 
-def steering_vector(nu: float, n_samples: int) -> np.ndarray:
-    """Unit-modulus cisoid template; 1-periodic in nu."""
-    return np.exp(2j * np.pi * nu * np.arange(n_samples))
+def steering_vector(nu, n_samples: int) -> np.ndarray:
+    """Unit-modulus cisoid template, 1-periodic in nu; an array nu gives
+    one template per entry, along a new last axis."""
+    return np.exp(2j * np.pi * np.multiply.outer(nu, np.arange(n_samples)))
 
 
 TRACK_PROFILES = ("linear_ramp", "sine", "piecewise")
@@ -136,6 +154,5 @@ def synthesize_dataset(
     else:
         amps = np.full(n_bins, complex(fixed_amplitude))
     noise = _circular_gaussian(rng, hyper.r_b, (n_bins, n_samples))
-    phase = np.exp(2j * np.pi * np.outer(track, np.arange(n_samples)))
-    samples = amps[:, None] * phase + noise
+    samples = amps[:, None] * steering_vector(track, n_samples) + noise
     return DataSet(samples=samples, true_track=track.copy(), true_hyper=hyper)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track, wrap_to_band
-from freqtrack.refine import steps_within_half
 from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
 from freqtrack.spectral import periodogram
+from oracles import steps_within_half
 
 
 def test_wrap_to_band_values():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freqtrack.hmm import ObservationTable, brute_force_joint, observation_table
+from freqtrack.hmm import ObservationTable, observation_table
 from freqtrack.hyperopt import (
     LINE_SEARCHES,
     STRATEGIES,
@@ -14,6 +14,7 @@ from freqtrack.hyperopt import (
 )
 from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
 from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
+from oracles import brute_force_joint
 
 
 def small_problem(seed, n_bins=4, n_states=5):

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqtrack.baselines import unwrap_track, wrap_to_band
-from freqtrack.refine import decimal_part, steps_within_half
+from freqtrack.refine import decimal_part
 from freqtrack.signal import steering_vector
 from freqtrack.spectral import empirical_correlation, periodogram
+from oracles import steps_within_half
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

@@ -4,13 +4,9 @@ import pytest
 from freqtrack.hmm import observation_table, viterbi
 from freqtrack.likelihood import map_objective, smoothing_weight
 from freqtrack.markov import FrequencyGrid
-from freqtrack.refine import (
-    decimal_part,
-    objective_gradient,
-    refine_map,
-    steps_within_half,
-)
+from freqtrack.refine import decimal_part, objective_gradient, refine_map
 from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
+from oracles import steps_within_half
 
 
 def test_decimal_part_values():
