@@ -42,7 +42,6 @@ class RunConfig:
     nu_min: float = -2.5
     nu_max: float = 2.5
     grid_size: int = 128
-    band_width: int = 1
     n_samples: int = 4
     n_bins: int = 128
     seed: int = 0
@@ -115,16 +114,16 @@ def rmse(estimate, truth) -> float:
     return float(np.sqrt(np.mean((estimate - truth) ** 2)))
 
 
-def compute_tracks(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters,
-                   band_width: int = 1) -> dict[str, np.ndarray]:
+def compute_tracks(dataset: DataSet, grid: FrequencyGrid,
+                   hyper: Hyperparameters) -> dict[str, np.ndarray]:
     """Run all four estimators: aliased ML, unwrapped ML, Viterbi-MAP, Hessian-MAP."""
     aliased = ml_periodogram_argmax(dataset)
     unwrapped = unwrap_track(aliased)
     obs = observation_table(dataset, grid, hyper)
     lam = smoothing_weight(hyper, dataset.n_samples)
-    path, _ = viterbi(obs, grid, lam, band_width)
+    path, _ = viterbi(obs, grid, lam)
     viterbi_track = grid.states[path]
-    refined = refine_map(dataset, viterbi_track, hyper, band_width, method="newton")
+    refined = refine_map(dataset, viterbi_track, hyper, method="newton")
     return {
         "ml_aliased": aliased,
         "ml_unwrapped": unwrapped,
@@ -153,8 +152,7 @@ def cmd_estimate(cfg: RunConfig, dataset_path: str, levelsets: bool) -> int:
     reports = {}
     for strategy in strategies:
         reports[strategy] = estimate_ml(dataset, grid, strategy=strategy,
-                                        line_search=cfg.line_search,
-                                        band_width=cfg.band_width)
+                                        line_search=cfg.line_search)
     best_name = min(reports, key=lambda s: reports[s].reached_minimum)
     best = reports[best_name]
     print(f"{'strategy':<16} {'minimum':>14} {'log10 r_a':>10} {'log10 r_b':>10} "
@@ -195,7 +193,7 @@ def _write_levelsets(path, dataset, grid, center: Hyperparameters, cfg: RunConfi
         for ra in axes[0]:
             for rb in axes[1]:
                 for rnu in axes[2]:
-                    value = hyper_nll(dataset, Hyperparameters(ra, rb, rnu), grid, cfg.band_width)
+                    value = hyper_nll(dataset, Hyperparameters(ra, rb, rnu), grid)
                     fh.write(f"{float(ra)!r},{float(rb)!r},{float(rnu)!r},{value!r}\n")
     print(f"wrote {path} ({m}x{m}x{m} samples)")
 
@@ -218,7 +216,7 @@ def cmd_track(cfg: RunConfig, dataset_path: str, hyper_path: str, truth_path: st
     grid = cfg.grid()
     out = Path(cfg.out)
     start = time.perf_counter()
-    tracks = compute_tracks(dataset, grid, hyper, cfg.band_width)
+    tracks = compute_tracks(dataset, grid, hyper)
     elapsed = time.perf_counter() - start
     metrics = {}
     for name, track in tracks.items():
@@ -248,8 +246,8 @@ def cmd_eval(cfg: RunConfig) -> int:
             seed = cfg.seed + rep
             dataset = synthesize_dataset(truth, cfg.hyper(), cfg.n_samples, seed)
             report = estimate_ml(dataset, grid, strategy=cfg.strategy,
-                                 line_search=cfg.line_search, band_width=cfg.band_width)
-            tracks = compute_tracks(dataset, grid, report.minimizer, cfg.band_width)
+                                 line_search=cfg.line_search)
+            tracks = compute_tracks(dataset, grid, report.minimizer)
             if rep == 0:
                 fh.write("seed," + ",".join(f"rmse_{n}" for n in tracks) + "\n")
             row = [str(seed)]
@@ -316,7 +314,6 @@ def _add_common(parser):
     parser.add_argument("--grid", help='grid spec "min,max,P"')
     parser.add_argument("--bins", type=int, dest="n_bins")
     parser.add_argument("--samples", type=int, dest="n_samples")
-    parser.add_argument("--band-width", type=int, dest="band_width")
     parser.add_argument("--r-a", type=float, dest="r_a")
     parser.add_argument("--r-b", type=float, dest="r_b")
     parser.add_argument("--r-nu", type=float, dest="r_nu")

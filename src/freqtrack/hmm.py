@@ -128,6 +128,10 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
             init: np.ndarray) -> ForwardBackwardResult:
     """Scaled forward recursion; log-likelihood includes the row shifts.
 
+    Bin 0 is shifted by its maximum over the admissible states (init > 0):
+    a peak on an inadmissible alias would scale all of them to zero.  Only
+    the log-likelihood reads that shift, not backward or the posteriors.
+
     Each step f @ T is the convolution of f / norm with the 2h+1 kernel
     taps kept by _kernel_band, O(P h) instead of O(P^2) (a correlation,
     as the taps are symmetric).  The dropped entries are at most k[h+1]
@@ -143,7 +147,9 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     fwd = np.empty((n_bins, n_states))
     norms = np.empty(n_bins)
     fallbacks = 0
-    probe = scaled[0] * init
+    head = np.where(init > 0, obs.log_prob[0], -np.inf)
+    shifts = np.append(head.max(), obs.row_shift[1:])
+    probe = np.exp(head - shifts[0]) * init
     norm = probe.sum()
     for t in range(n_bins):
         if t > 0:
@@ -161,7 +167,7 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
             raise NumericalError(f"forward probability underflowed to zero at bin {t}")
         norms[t] = norm
         fwd[t] = probe / norm
-    log_likelihood = float(np.sum(np.log(norms)) + np.sum(obs.row_shift))
+    log_likelihood = float(np.sum(np.log(norms)) + np.sum(shifts))
     return ForwardBackwardResult(forward=fwd, normalizers=norms, log_likelihood=log_likelihood,
                                  half_width=half, truncation_bound=bound, fallback_bins=fallbacks)
 
@@ -240,8 +246,7 @@ def posterior_marginals(fb: ForwardBackwardResult, obs: ObservationTable,
                               trans=trans, head=head, weighted=weighted)
 
 
-def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float,
-            band_width: int = 1) -> tuple[np.ndarray, float]:
+def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.ndarray, float]:
     """Minimum-cost state path for the regularized tracking criterion.
 
     Local cost is -P_t(nu^p), pair cost lam * (nu^p - nu^q)^2, and the
@@ -268,7 +273,7 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float,
         raise ValueError(f"local cost is not finite at bin {int(np.argmin(finite))}")
     states = grid.states
     local = -obs.periodograms
-    admissible = initial_distribution(grid, band_width) > 0
+    admissible = initial_distribution(grid) > 0
     pair_cost = lam * (states[None, :] - states[:, None]) ** 2  # [q, p]
     return _min_cost_path(local, pair_cost, np.where(admissible, 0.0, np.inf))
 

@@ -34,20 +34,18 @@ LINE_SEARCH_TOL = 1e-3
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def hyper_nll(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid,
-              band_width: int = 1) -> float:
+def hyper_nll(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid) -> float:
     """Negative log-likelihood of the hyperparameters (one forward pass)."""
     obs = observation_table(dataset, grid, hyper)
-    init = initial_distribution(grid, band_width)
+    init = initial_distribution(grid)
     return -forward(obs, gaussian_transition(grid, hyper.r_nu), init).log_likelihood
 
 
-def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid,
-                       band_width: int = 1) -> np.ndarray:
+def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid) -> np.ndarray:
     """Exact gradient [d/dr_a, d/dr_b, d/dr_nu] of hyper_nll via the EM identity."""
     obs = observation_table(dataset, grid, hyper)
     trans = transition_matrix(grid, hyper.r_nu)
-    init = initial_distribution(grid, band_width)
+    init = initial_distribution(grid)
     fb = forward_backward(obs, gaussian_transition(grid, hyper.r_nu), init)
     post = posterior_marginals(fb, obs, trans)
 
@@ -238,7 +236,6 @@ def estimate_ml(
     grid: FrequencyGrid,
     strategy: str = "polak_ribiere",
     line_search: str = "golden_section",
-    band_width: int = 1,
     init: Hyperparameters | None = None,
 ) -> OptimizerReport:
     """Minimize hyper_nll over log(r) starting from the empirical estimates.
@@ -254,9 +251,9 @@ def estimate_ml(
     if init is None:
         init = empirical_init(dataset, grid)
 
-    fun = _Counted(lambda x: hyper_nll(dataset, Hyperparameters.from_array(np.exp(x)), grid, band_width))
+    fun = _Counted(lambda x: hyper_nll(dataset, Hyperparameters.from_array(np.exp(x)), grid))
     grad = _Counted(
-        lambda x: hyper_nll_gradient(dataset, Hyperparameters.from_array(np.exp(x)), grid, band_width)
+        lambda x: hyper_nll_gradient(dataset, Hyperparameters.from_array(np.exp(x)), grid)
         * np.exp(x)
     )
 

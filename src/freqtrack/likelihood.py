@@ -8,12 +8,13 @@ with alpha = N r_a / (r_b (N r_a + r_b)), gamma = |y|^2 / r_b and P the
 periodogram.  Summed over bins and combined with a Gauss-Markov prior on
 frequency increments, the negative log posterior is a regularized least
 squares criterion with weight lam = 1 / (2 alpha r_nu), plus a band
-constraint on the first frequency that pins down the global integer shift.
+constraint on the first frequency that pins down the global integer shift:
+the criterion is equal on every integer shift of a track (1-periodic
+likelihood, increment-only prior), and a band one period wide, (-1/2, +1/2],
+admits exactly one of those copies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +37,14 @@ def smoothing_weight(hyper: Hyperparameters, n_samples: int) -> float:
     return 1.0 / (2.0 * alpha_coefficient(hyper, n_samples) * hyper.r_nu)
 
 
-def in_initial_band(nu, band_width: int = 1):
-    """First-frequency constraint set (-K/2, +K/2], left-open right-closed.
-
-    Elementwise: a scalar gives a bool, an array a boolean mask.
+def in_initial_band(nu):
+    """First-frequency constraint set (-1/2, +1/2], left-open right-closed;
+    elementwise.  A wider band admits shifted copies of a track at equal
+    criterion and leaves the grid to pick one: three periods wide, it moved
+    the refined MAP of the default simulation by one cycle on seeds 1 and 3
+    (RMSE 0.016 -> 1.004, 0.015 -> 1.001).
     """
-    half = band_width / 2.0
-    return (nu > -half) & (nu <= half)
+    return (nu > -0.5) & (nu <= 0.5)
 
 
 def data_misfit(samples: np.ndarray, track) -> float:
@@ -53,20 +55,10 @@ def data_misfit(samples: np.ndarray, track) -> float:
     return -float(np.sum(periodogram(samples, track)))
 
 
-@dataclass(frozen=True)
-class MapObjective:
-    """Value of the regularized tracking criterion and its weight lam."""
-
-    value: float
-    weight: float
-
-
-def map_objective(dataset: DataSet, track, hyper: Hyperparameters,
-                  band_width: int = 1) -> MapObjective:
+def map_objective(dataset: DataSet, track, hyper: Hyperparameters) -> float:
     """-sum_t P_t(nu_t) + lam sum_t (nu_{t+1}-nu_t)^2 (+inf outside band)."""
     track = np.asarray(track, dtype=float)
+    if not in_initial_band(track[0]):
+        return np.inf
     lam = smoothing_weight(hyper, dataset.n_samples)
-    if not in_initial_band(track[0], band_width):
-        return MapObjective(value=np.inf, weight=lam)
-    value = data_misfit(dataset.samples, track) + lam * float(np.sum(np.diff(track) ** 2))
-    return MapObjective(value=value, weight=lam)
+    return data_misfit(dataset.samples, track) + lam * float(np.sum(np.diff(track) ** 2))

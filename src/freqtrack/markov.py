@@ -73,9 +73,9 @@ def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
     return gaussian_transition(grid, r_nu).matrix
 
 
-def initial_distribution(grid: FrequencyGrid, band_width: int = 1) -> np.ndarray:
-    """Uniform mass on grid states inside (-K/2, +K/2], zero elsewhere."""
-    mask = in_initial_band(grid.states, band_width)
+def initial_distribution(grid: FrequencyGrid) -> np.ndarray:
+    """Uniform mass on grid states inside (-1/2, +1/2], zero elsewhere."""
+    mask = in_initial_band(grid.states)
     if not mask.any():
         raise ValueError("no grid state falls inside the initial band")
     return mask / mask.sum()

@@ -19,6 +19,11 @@ from freqtrack.likelihood import in_initial_band, map_objective, smoothing_weigh
 from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import periodogram_deriv_many
 
+# refine_map stops after MAX_ITER iterations or once every component of
+# the gradient is below GRAD_TOL in magnitude.
+MAX_ITER = 100
+GRAD_TOL = 1e-8
+
 
 def decimal_part(x):
     """Wrap to [-0.5, +0.5); 1-periodic, with decimal_part(0.5) == -0.5."""
@@ -27,11 +32,10 @@ def decimal_part(x):
     return out if out.ndim else float(out)
 
 
-def objective_gradient(dataset: DataSet, track, hyper: Hyperparameters,
-                       band_width: int = 1) -> np.ndarray:
+def objective_gradient(dataset: DataSet, track, hyper: Hyperparameters) -> np.ndarray:
     """Gradient of the tracking criterion: -P'_t plus the difference-penalty term."""
     track = np.asarray(track, dtype=float)
-    if not in_initial_band(track[0], band_width):
+    if not in_initial_band(track[0]):
         raise ValueError("first frequency outside the initial band: criterion is infinite")
     lam = smoothing_weight(hyper, dataset.n_samples)
     first, _ = periodogram_deriv_many(dataset.samples, track)
@@ -71,10 +75,7 @@ def refine_map(
     dataset: DataSet,
     init_track,
     hyper: Hyperparameters,
-    band_width: int = 1,
     method: str = "newton",
-    max_iter: int = 100,
-    grad_tol: float = 1e-8,
 ) -> RefinementResult:
     """Locally minimize the tracking criterion from a feasible starting track.
 
@@ -86,7 +87,7 @@ def refine_map(
     if method not in ("gradient", "newton"):
         raise ValueError(f"unknown method {method!r}")
     track = np.asarray(init_track, dtype=float).copy()
-    value = map_objective(dataset, track, hyper, band_width).value
+    value = map_objective(dataset, track, hyper)
     if not np.isfinite(value):
         raise ValueError("infeasible starting track")
     trace = [value]
@@ -95,11 +96,11 @@ def refine_map(
     iterations = 0
 
     def objective(candidate):
-        return map_objective(dataset, candidate, hyper, band_width).value
+        return map_objective(dataset, candidate, hyper)
 
-    for iterations in range(1, max_iter + 1):
-        grad = objective_gradient(dataset, track, hyper, band_width)
-        if np.max(np.abs(grad)) < grad_tol:
+    for iterations in range(1, MAX_ITER + 1):
+        grad = objective_gradient(dataset, track, hyper)
+        if np.max(np.abs(grad)) < GRAD_TOL:
             converged = True
             stop_reason = "gradient"
             iterations -= 1
@@ -131,7 +132,7 @@ def refine_map(
             new_value = objective(track + scale * step)
         if not below_rounding and new_value >= value:
             # no decrease in the step direction: treat as converged
-            converged = np.max(np.abs(grad)) < grad_tol
+            converged = np.max(np.abs(grad)) < GRAD_TOL
             stop_reason = "no_decrease"
             iterations -= 1
             break

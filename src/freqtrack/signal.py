@@ -45,14 +45,12 @@ class Hyperparameters:
 
 @dataclass
 class DataSet:
-    """T range bins of N complex samples each, optionally with ground truth.
+    """T range bins of N complex samples each.
 
     Raises ValueError when a record's energy exceeds MAX_RECORD_ENERGY.
     """
 
     samples: np.ndarray
-    true_track: np.ndarray | None = None
-    true_hyper: Hyperparameters | None = None
     energy: np.ndarray = field(init=False, repr=False)  # (T,): sum_n |y_t(n)|^2
 
     def __post_init__(self):
@@ -73,8 +71,6 @@ class DataSet:
                              "variances would overflow")
         self.samples = samples
         self.energy = energy
-        if self.true_track is not None:
-            self.true_track = np.asarray(self.true_track, dtype=float)
 
     @property
     def n_bins(self) -> int:
@@ -155,4 +151,4 @@ def synthesize_dataset(
         amps = np.full(n_bins, complex(fixed_amplitude))
     noise = _circular_gaussian(rng, hyper.r_b, (n_bins, n_samples))
     samples = amps[:, None] * steering_vector(track, n_samples) + noise
-    return DataSet(samples=samples, true_track=track.copy(), true_hyper=hyper)
+    return DataSet(samples=samples)

@@ -210,6 +210,16 @@ def test_exit_code_data(tmp_path):
     assert run(["track", str(good), str(hyper), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("r_b", ["1e-4", "1e-6", "1e-10"])
+def test_high_snr_estimate_succeeds(tmp_path, r_b):
+    # line-search probes reach points where bin 0 peaks on an alias outside
+    # the initial band, thousands of nats above every admissible state
+    assert run(["simulate", "--r-b", r_b, "--bins", "16", "--out", str(tmp_path)]) == 0
+    assert run(["estimate", str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]) == 0
+    hyper = ftio.read_key_values(tmp_path / "hyper.txt")
+    assert np.isfinite(float(hyper["reached_minimum"]))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_track_rejects_hyperparameters_with_non_finite_coefficients(tmp_path, capsys):
     # r_b = 1e-310 is positive and finite, but alpha and energy / r_b overflow

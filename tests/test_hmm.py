@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from freqtrack.hmm import (
     BAND_HALF_WIDTH,
@@ -25,7 +26,7 @@ def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
     n_states = n_states or int(rng.integers(3, 7))
     grid = FrequencyGrid(-1.0, 1.0, n_states)
     trans = gaussian_transition(grid, float(rng.uniform(0.01, 1.0)))
-    init = initial_distribution(grid, 1)
+    init = initial_distribution(grid)
     log_prob = rng.normal(0, scale, (n_bins, n_states))
     obs = ObservationTable(log_prob, log_prob)
     return grid, obs, trans, init
@@ -151,7 +152,7 @@ def test_forward_rows_sum_to_one():
 def test_backward_two_bin_hand_computation():
     grid = FrequencyGrid(-0.25, 0.25, 2)
     trans = gaussian_transition(grid, 0.1)
-    init = initial_distribution(grid, 1)
+    init = initial_distribution(grid)
     log_prob = np.log([[0.4, 0.6], [0.9, 0.1]])
     obs = ObservationTable(log_prob, log_prob)
     fb = forward_backward(obs, trans, init)
@@ -199,7 +200,7 @@ def test_forward_backward_band_equals_dense(n_states, r_nu):
     grid = FrequencyGrid(-3.5, 3.5, n_states)
     transition = gaussian_transition(grid, r_nu)
     rows = np.random.default_rng(n_states).normal(0, 5, (12, n_states))
-    init = initial_distribution(grid, 1)
+    init = initial_distribution(grid)
     fb = assert_matches_dense(ObservationTable(rows, rows), transition, init)
     kernel = transition.kernel
     if fb.half_width < n_states - 1:
@@ -217,10 +218,32 @@ def test_forward_backward_band_falls_back_on_a_forced_jump():
     rows = np.full((3, 128), -1e3)
     rows[0, 64] = rows[1, 84] = 0.0
     rows[2] = np.random.default_rng(1).normal(0, 5, 128)
-    init = initial_distribution(grid, 1)
+    init = initial_distribution(grid)
     fb = assert_matches_dense(ObservationTable(rows, rows), transition, init)
     assert fb.half_width == 12
     assert fb.fallback_bins >= 1
+
+
+def test_forward_bin_zero_peak_outside_initial_band():
+    # bin 0 peaks at -1.5, outside the initial band, more than 745 nats (where
+    # exp underflows) above every admissible state
+    grid = FrequencyGrid(-1.5, 1.5, 24)
+    transition = gaussian_transition(grid, 0.05)
+    init = initial_distribution(grid)
+    rows = np.random.default_rng(7).normal(0, 5, (6, 24))
+    rows[0, 0] = rows[0].max() + 800.0
+    assert init[0] == 0.0
+    result = forward(ObservationTable(rows, rows), transition, init)
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(init) + rows[0]
+        log_trans = np.log(transition.matrix)
+    expected = [log_alpha]
+    for row in rows[1:]:
+        expected.append(logsumexp(expected[-1][:, None] + log_trans, axis=0) + row)
+    assert result.log_likelihood == pytest.approx(logsumexp(expected[-1]), rel=1e-12)
+    for fwd, log_alpha in zip(result.forward, expected):
+        np.testing.assert_allclose(fwd, np.exp(log_alpha - logsumexp(log_alpha)),
+                                   rtol=1e-10, atol=1e-15)
 
 
 def test_posterior_pair_consistency():
@@ -254,7 +277,7 @@ def test_viterbi_matches_exhaustive_search():
         lam = float(rng.uniform(0.1, 5.0))
         costs = rng.normal(0, 2, (3, 4))
         obs = ObservationTable(costs, costs)
-        path, cost = viterbi(obs, grid, lam, 1)
+        path, cost = viterbi(obs, grid, lam)
         admissible = (grid.states > -0.5) & (grid.states <= 0.5)
         best, best_cost = exhaustive_min_cost(-costs, grid.states, lam, admissible)
         assert np.array_equal(path, best)
@@ -266,7 +289,7 @@ def test_viterbi_large_lambda_gives_best_constant_path():
     grid = FrequencyGrid(-1.0, 1.0, 5)
     pg = rng.normal(0, 1, (4, 5))
     obs = ObservationTable(pg, pg)
-    path, _ = viterbi(obs, grid, 1e9, 1)
+    path, _ = viterbi(obs, grid, 1e9)
     admissible = np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))
     best_const = admissible[np.argmax(pg.sum(axis=0)[admissible])]
     assert np.all(path == best_const)
@@ -275,7 +298,7 @@ def test_viterbi_large_lambda_gives_best_constant_path():
 def test_viterbi_flat_costs_tie_breaks_to_lowest_admissible_state():
     grid = FrequencyGrid(-1.0, 1.0, 5)
     obs = ObservationTable(np.zeros((3, 5)), np.zeros((3, 5)))
-    path, _ = viterbi(obs, grid, 1.0, 1)
+    path, _ = viterbi(obs, grid, 1.0)
     lowest = int(np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))[0])
     assert np.all(path == lowest)
 
@@ -284,7 +307,7 @@ def test_viterbi_no_admissible_start_raises():
     grid = FrequencyGrid(2.0, 3.0, 4)
     obs = ObservationTable(np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
-        viterbi(obs, grid, 1.0, 1)
+        viterbi(obs, grid, 1.0)
 
 
 def test_map_path_matches_brute_force():
@@ -303,7 +326,7 @@ def test_viterbi_optimality_certificate():
     pg = rng.normal(0, 2, (6, 8))
     obs = ObservationTable(pg, pg)
     lam = 0.7
-    path, cost = viterbi(obs, grid, lam, 1)
+    path, cost = viterbi(obs, grid, lam)
     admissible = np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))
     states = grid.states
     for _ in range(1000):
@@ -320,8 +343,8 @@ def test_viterbi_optimality_certificate():
 @pytest.mark.parametrize("n_states", [129, 300, 512])
 def test_viterbi_band_equals_dense_search(n_states, lam, costs):
     grid, obs = band_instance(n_states, costs, seed=n_states)
-    path, cost = viterbi(obs, grid, lam, 1)
-    init_cost = np.where(initial_distribution(grid, 1) > 0, 0.0, np.inf)
+    path, cost = viterbi(obs, grid, lam)
+    init_cost = np.where(initial_distribution(grid) > 0, 0.0, np.inf)
     pair_cost = lam * (grid.states[None, :] - grid.states[:, None]) ** 2
     ref_path, ref_cost = dense_min_cost_path(-obs.periodograms, pair_cost, init_cost)
     assert np.array_equal(path, ref_path)
@@ -345,7 +368,7 @@ def test_map_path_band_equals_dense_search(n_states, trans_kind):
         # r_nu = 1e-12: off-diagonal transitions underflow to 0, pair cost +inf
         r_nu = {"r_nu=1e-2": 1e-2, "r_nu=1": 1.0, "underflow": 1e-12}[trans_kind]
         trans = transition_matrix(grid, r_nu)
-    init = initial_distribution(grid, 1)
+    init = initial_distribution(grid)
     path, log_joint = map_path(obs, trans, init)
     with np.errstate(divide="ignore"):
         ref_path, ref_cost = dense_min_cost_path(-obs.log_prob, -np.log(trans), -np.log(init))
@@ -360,17 +383,17 @@ def test_viterbi_rejects_non_finite_observations():
     rows = np.zeros((4, 5))
     rows[2, 3] = np.nan
     with pytest.raises(ValueError, match="not finite at bin 2"):
-        viterbi(ObservationTable(rows, np.zeros((4, 5))), grid, 1.0, 1)
+        viterbi(ObservationTable(rows, np.zeros((4, 5))), grid, 1.0)
     with pytest.raises(ValueError, match="not finite at bin 2"):
-        viterbi(ObservationTable(np.zeros((4, 5)), rows), grid, 1.0, 1)
+        viterbi(ObservationTable(np.zeros((4, 5)), rows), grid, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        viterbi(ObservationTable(np.zeros((4, 5)), np.zeros((4, 5))), grid, np.inf, 1)
+        viterbi(ObservationTable(np.zeros((4, 5)), np.zeros((4, 5))), grid, np.inf)
 
 
 def test_brute_force_trivial_cases():
     grid = FrequencyGrid(-1.0, 1.0, 5)
     trans = transition_matrix(grid, 0.1)
-    init = initial_distribution(grid, 5)  # uniform
+    init = np.full(5, 0.2)  # uniform
     obs = ObservationTable(np.zeros((1, 5)), np.zeros((1, 5)))
     bf = brute_force_joint(obs, trans, init)
     assert np.allclose(bf.singles[0], 0.2)

@@ -34,7 +34,7 @@ def test_hyper_nll_matches_brute_force():
         ds, hyper, grid = small_problem(seed, n_bins=3, n_states=4)
         obs = observation_table(ds, grid, hyper)
         trans = transition_matrix(grid, hyper.r_nu)
-        init = initial_distribution(grid, 1)
+        init = initial_distribution(grid)
         bf = brute_force_joint(obs, trans, init)
         assert hyper_nll(ds, hyper, grid) == pytest.approx(-bf.log_likelihood, rel=1e-10)
 
@@ -54,11 +54,14 @@ def test_hyper_nll_flat_transition_limit():
     ds, _, _ = small_problem(7, n_bins=4)
     hyper = Hyperparameters(1.0, 0.5, 1e6)
     grid = FrequencyGrid(-1.0, 1.0, 8)
-    band_width = 5  # wide band: uniform initial mass over the whole grid
-    value = hyper_nll(ds, hyper, grid, band_width=band_width)
+    value = hyper_nll(ds, hyper, grid)
     obs = observation_table(ds, grid, hyper)
     scaled = np.exp(obs.log_prob - obs.row_shift[:, None])
-    independent = -np.sum(np.log(scaled.mean(axis=1)) + obs.row_shift)
+    # a flat transition forgets the state: bin 0 carries the initial law,
+    # every later bin the uniform one
+    uniform = np.full((ds.n_bins - 1, grid.size), 1 / grid.size)
+    weights = np.vstack([initial_distribution(grid), uniform])
+    independent = -np.sum(np.log(np.sum(scaled * weights, axis=1)) + obs.row_shift)
     assert value == pytest.approx(independent, rel=1e-3)
 
 

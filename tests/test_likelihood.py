@@ -76,13 +76,11 @@ def test_data_misfit_length_mismatch():
 
 
 def test_initial_band_boundaries():
-    assert in_initial_band(0.5, 1)
-    assert not in_initial_band(-0.5, 1)
-    assert in_initial_band(0.0, 1)
-    assert in_initial_band(-1.4, 3)
+    assert in_initial_band(0.5)
+    assert not in_initial_band(-0.5)
+    assert in_initial_band(0.0)
     nus = np.array([-1.5, -0.5, -0.1, 0.5, 0.7, 1.5])
-    assert np.array_equal(in_initial_band(nus, 1), [False, False, True, True, False, False])
-    assert np.array_equal(in_initial_band(nus, 3), [False, True, True, True, True, True])
+    assert np.array_equal(in_initial_band(nus), [False, False, True, True, False, False])
 
 
 def test_map_objective_reduces_to_misfit_for_constant_track():
@@ -90,9 +88,8 @@ def test_map_objective_reduces_to_misfit_for_constant_track():
     samples = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     hyper = Hyperparameters(1.0, 0.5, 1e-2)
     track = np.zeros(4)
-    obj = map_objective(DataSet(samples), track, hyper)
-    assert obj.value == pytest.approx(data_misfit(samples, track))
-    assert obj.weight == pytest.approx(smoothing_weight(hyper, 4))
+    value = map_objective(DataSet(samples), track, hyper)
+    assert value == pytest.approx(data_misfit(samples, track))
 
 
 def test_map_objective_global_integer_shift_invariance():
@@ -101,14 +98,15 @@ def test_map_objective_global_integer_shift_invariance():
     hyper = Hyperparameters(1.0, 0.5, 1e-2)
     track = rng.uniform(-0.4, 0.4, 4)
     shifted = track + 1.0
-    # wide band keeps both first frequencies admissible
     ds = DataSet(samples)
-    a = map_objective(ds, track, hyper, band_width=3)
-    b = map_objective(ds, shifted, hyper, band_width=3)
-    assert a.value == pytest.approx(b.value, rel=1e-10)
-    # narrow band: shifting the first frequency outside breaks the invariance
-    c = map_objective(ds, shifted, hyper, band_width=1)
-    assert c.value == np.inf
+    a = map_objective(ds, track, hyper)
+    # the criterion without its start-band constraint, at the shifted track
+    lam = smoothing_weight(hyper, 4)
+    b = data_misfit(samples, shifted) + lam * float(np.sum(np.diff(shifted) ** 2))
+    assert a == pytest.approx(b, rel=1e-10)
+    # shifting the first frequency out of the band breaks the invariance
+    c = map_objective(ds, shifted, hyper)
+    assert c == np.inf
 
 
 def test_map_objective_componentwise():
@@ -116,9 +114,9 @@ def test_map_objective_componentwise():
     samples = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     hyper = Hyperparameters(2.0, 0.3, 5e-3)
     track = np.array([0.2, 0.35])
-    obj = map_objective(DataSet(samples), track, hyper)
+    value = map_objective(DataSet(samples), track, hyper)
     lam = smoothing_weight(hyper, 4)
-    assert obj.value == pytest.approx(data_misfit(samples, track) + lam * 0.15**2)
+    assert value == pytest.approx(data_misfit(samples, track) + lam * 0.15**2)
 
 
 def test_weight_monotone_in_r_nu_and_alpha():

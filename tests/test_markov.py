@@ -71,7 +71,7 @@ def test_transition_depends_only_on_squared_distance():
 
 def test_initial_distribution_band():
     grid = FrequencyGrid(-2.5, 2.5, 128)
-    init = initial_distribution(grid, 1)
+    init = initial_distribution(grid)
     inside = (grid.states > -0.5) & (grid.states <= 0.5)
     assert init.sum() == pytest.approx(1.0)
     assert np.all(init[~inside] == 0)
@@ -80,15 +80,10 @@ def test_initial_distribution_band():
 
 def test_initial_distribution_excludes_open_left_endpoint():
     grid = FrequencyGrid(-0.5, 0.5, 3)
-    assert np.allclose(initial_distribution(grid, 1), [0, 0.5, 0.5])
-
-
-def test_initial_distribution_wide_band_is_uniform():
-    grid = FrequencyGrid(-1, 1, 8)
-    assert np.allclose(initial_distribution(grid, 5), 1 / 8)
+    assert np.allclose(initial_distribution(grid), [0, 0.5, 0.5])
 
 
 def test_initial_distribution_empty_band_raises():
     grid = FrequencyGrid(2.0, 3.0, 4)
     with pytest.raises(ValueError):
-        initial_distribution(grid, 1)
+        initial_distribution(grid)

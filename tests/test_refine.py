@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freqtrack import refine
 from freqtrack.hmm import observation_table, viterbi
 from freqtrack.likelihood import map_objective, smoothing_weight
 from freqtrack.markov import FrequencyGrid
@@ -45,7 +46,7 @@ def test_gradient_matches_finite_differences():
         up[t] += h
         down[t] -= h
         fd = (
-            map_objective(ds, up, hyper).value - map_objective(ds, down, hyper).value
+            map_objective(ds, up, hyper) - map_objective(ds, down, hyper)
         ) / (2 * h)
         assert grad[t] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
@@ -57,7 +58,7 @@ def test_refinement_decreases_objective_and_zeroes_gradient():
     result = refine_map(ds, init, hyper)
     trace = result.objective_trace
     assert all(b <= a + 1e-10 for a, b in zip(trace, trace[1:]))
-    assert trace[-1] <= map_objective(ds, init, hyper).value + 1e-10
+    assert trace[-1] <= map_objective(ds, init, hyper) + 1e-10
     assert result.converged
     grad = objective_gradient(ds, result.track, hyper)
     assert np.max(np.abs(grad)) < 1e-7
@@ -84,21 +85,23 @@ def test_stop_reason_gradient():
     assert result.stop_reason == "gradient" and result.converged
 
 
-def test_stop_reason_max_iter():
+def test_stop_reason_max_iter(monkeypatch):
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
-    result = refine_map(ds, init, hyper, max_iter=1)
+    monkeypatch.setattr(refine, "MAX_ITER", 1)
+    result = refine_map(ds, init, hyper)
     assert result.stop_reason == "max_iter" and not result.converged
     assert result.iterations == 1
 
 
-def test_stop_reason_no_decrease():
+def test_stop_reason_no_decrease(monkeypatch):
     # at a Newton minimum a gradient step only meets rounding noise, and a
     # zero tolerance never accepts the gradient as small enough
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
     minimum = refine_map(ds, init, hyper).track
-    result = refine_map(ds, minimum, hyper, method="gradient", grad_tol=0.0)
+    monkeypatch.setattr(refine, "GRAD_TOL", 0.0)
+    result = refine_map(ds, minimum, hyper, method="gradient")
     assert result.stop_reason == "no_decrease" and not result.converged
     assert np.array_equal(result.track, minimum)
 
@@ -106,19 +109,21 @@ def test_stop_reason_no_decrease():
 def test_refinement_is_local_minimum():
     ds, track, hyper = tracking_problem(seed=5)
     result = refine_map(ds, track, hyper)
-    value = map_objective(ds, result.track, hyper).value
+    value = map_objective(ds, result.track, hyper)
     rng = np.random.default_rng(6)
     for _ in range(50):
         perturbed = result.track + rng.normal(0, 1e-4, track.size)
-        assert map_objective(ds, perturbed, hyper).value >= value - 1e-12
+        assert map_objective(ds, perturbed, hyper) >= value - 1e-12
 
 
-def test_gradient_method_agrees_with_newton():
+def test_gradient_method_agrees_with_newton(monkeypatch):
     ds, track, hyper = tracking_problem(seed=7, n_bins=12)
     rng = np.random.default_rng(8)
     init = track + rng.normal(0, 0.01, track.size)
     newton = refine_map(ds, init, hyper, method="newton")
-    grad = refine_map(ds, init, hyper, method="gradient", max_iter=3000, grad_tol=1e-9)
+    monkeypatch.setattr(refine, "MAX_ITER", 3000)
+    monkeypatch.setattr(refine, "GRAD_TOL", 1e-9)
+    grad = refine_map(ds, init, hyper, method="gradient")
     assert np.max(np.abs(newton.track - grad.track)) < 1e-4
 
 

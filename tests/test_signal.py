@@ -89,8 +89,6 @@ def test_dataset_metadata_and_shape_checks():
     hyper = Hyperparameters(1.0, 0.5, 1e-3)
     ds = synthesize_dataset(track, hyper, 4, seed=0)
     assert ds.n_bins == 2 and ds.n_samples == 4
-    assert np.allclose(ds.true_track, track)
-    assert ds.true_hyper == hyper
     with pytest.raises(ValueError):
         DataSet(samples=np.ones((3,)))
     with pytest.raises(ValueError):
