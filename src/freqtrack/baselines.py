@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from freqtrack.refine import decimal_part
 from freqtrack.signal import DataSet
 from freqtrack.spectral import periodogram_deriv_many, periodogram_table
+
+
+def decimal_part(x):
+    """Wrap to [-0.5, +0.5); 1-periodic, with decimal_part(0.5) == -0.5."""
+    x = np.asarray(x, dtype=float)
+    out = x - np.floor(x + 0.5)
+    return out if out.ndim else float(out)
 
 
 def wrap_to_band(x):

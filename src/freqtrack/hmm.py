@@ -4,15 +4,13 @@ Observation rows live in the log domain and are max-shifted before
 exponentiation; the shifts are reinstated when the data log-likelihood is
 reconstructed, so very peaked likelihoods (hundreds of nats) stay exact.
 
-Each stage of Viterbi's min-sum loop searches only the predecessors
-within BAND_HALF_WIDTH states of each target, which holds the argmin
-whenever the pair cost grows away from the diagonal, as the quadratic
-lam * (nu^p - nu^q)^2 does.  A row's band minimum is kept only if it is
-strictly below min(cost) plus the cheapest pair cost outside the band,
-which proves that no outside state can reach or tie it; the band is
-scanned in ascending order, so ties still go to the lowest index.  Rows
-without that certificate are searched densely, so the result is exact
-for any pair cost, at worst the dense O(T P^2) plus the band.
+Viterbi's pair cost lam * (lag * spacing)^2 depends only on the lag
+|p - q| between states and never decreases with it.  Each stage searches
+the predecessors within BAND_HALF_WIDTH states of each target, keeps a
+row's band minimum only where lag_cost[W + 1] proves that no state
+outside the band reaches or ties it, and searches the other rows densely,
+so path and cost match a dense search on that cost bit for bit, at worst
+at the dense O(T P^2) cost plus the band.
 
 Forward and backward apply the Gaussian transition T[q, p] =
 k[|p - q|] / z[q] as a convolution with the kernel cut after lag h, the
@@ -29,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
 from freqtrack.markov import FrequencyGrid, GaussianTransition, initial_distribution
@@ -249,17 +248,27 @@ def posterior_marginals(fb: ForwardBackwardResult, obs: ObservationTable,
 def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.ndarray, float]:
     """Minimum-cost state path for the regularized tracking criterion.
 
-    Local cost is -P_t(nu^p), pair cost lam * (nu^p - nu^q)^2, and the
-    first state is constrained to the initial band.  Ties break toward the
-    lowest state index at every stage and at termination.
+    Local cost is -P_t(nu^p), pair cost lam * (lag * spacing)^2 for states
+    lag = |p - q| apart, and the first state is constrained to the initial
+    band.  Ties break toward the lowest state index at every stage and at
+    termination.
 
-    Each stage searches the predecessors within BAND_HALF_WIDTH states of
-    each target and keeps that answer only where a certificate proves that
-    no state outside the band reaches or ties it; the other rows are
-    searched densely (see _min_cost_path).  The cost is O(T P W) plus O(P)
+    Each stage min-sums cost_{t-1}[q] + lag_cost[|p - q|] over the
+    predecessors q within W = BAND_HALF_WIDTH states of each target p.
+    Rounding is monotone and lag_cost never decreases with the lag, so a
+    row's band minimum m[p] is certified when m[p] < min(cost_{t-1}) +
+    lag_cost[W + 1] (or the row has no state beyond the band): no state
+    outside the band can then reach or tie it.  The band is scanned in
+    ascending order, so ties still go to the lowest index; rows without
+    the certificate are searched densely.  The cost is O(T P W) plus O(P)
     per fallback row: at worst, when every row falls back (lam so small
     that the pair cost cannot separate states), the dense O(T P^2) search
-    plus the band.  Path and cost equal the dense search's bit for bit.
+    plus the band.  Every sum is the same IEEE addition as in a dense
+    search on lag_cost, so path and cost equal its result bit for bit.
+
+    A lag cost or a sum that overflows saturates to +inf without a
+    warning: the constant path always has a finite cost, so no such pair
+    can be on the minimum path.
 
     Raises ValueError naming the first bin whose row of the observation
     table is not finite: the local cost is then unusable, either itself
@@ -271,55 +280,35 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     finite = np.isfinite(obs.periodograms).all(axis=1) & np.isfinite(obs.log_prob).all(axis=1)
     if not finite.all():
         raise ValueError(f"local cost is not finite at bin {int(np.argmin(finite))}")
-    states = grid.states
     local = -obs.periodograms
-    admissible = initial_distribution(grid) > 0
-    pair_cost = lam * (states[None, :] - states[:, None]) ** 2  # [q, p]
-    return _min_cost_path(local, pair_cost, np.where(admissible, 0.0, np.inf))
-
-
-def _min_cost_path(local: np.ndarray, pair_cost: np.ndarray,
-                   init_cost: np.ndarray) -> tuple[np.ndarray, float]:
-    """Min-sum recursion cost_t[p] = min_q cost_{t-1}[q] + pair_cost[q, p] + local[t, p].
-
-    The band minimum m[p] over |q - p| <= W is certified when
-    m[p] < min(cost) + min_{|q-p|>W} pair_cost[q, p]: rounded addition is
-    monotone, so no q outside the band reaches or ties m[p].  Every sum is
-    the same IEEE addition cost[q] + pair_cost[q, p] as in a dense search,
-    so path and cost are identical to it for any pair cost.
-    """
     n_bins, n_states = local.shape
-    cost = local[0] + init_cost
-    if not np.isfinite(cost).any():
-        raise ValueError("no admissible initial state")
-    into = np.ascontiguousarray(pair_cost.T)  # [p, q]
     half = min(BAND_HALF_WIDTH, n_states - 1)
     rows = np.arange(n_states)
-    band_cols = rows[:, None] + np.arange(-half, half + 1)  # q, (P, 2W+1)
-    on_grid = (band_cols >= 0) & (band_cols < n_states)
-    band_cols = band_cols.clip(0, n_states - 1)  # off-grid columns land inside the band
-    band_pair = np.where(on_grid, into[rows[:, None], band_cols], np.inf)
-    outside = into.copy()
-    outside[rows[:, None], band_cols] = np.inf
-    out_min = outside.min(axis=1)
-    del outside  # the loop below allocates no P x P array unless rows fall back
-    padded = np.full(n_states + 2 * half, np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
-    total = np.empty_like(band_pair)
-    back = np.empty((n_bins, n_states), dtype=np.min_scalar_type(n_states - 1))
-    for t in range(1, n_bins):
-        padded[half:half + n_states] = cost
-        np.add(windows, band_pair, out=total)
-        best = total.argmin(axis=1)
-        low = total[rows, best]
-        best += rows - half
-        bad = np.flatnonzero(~(low < cost.min() + out_min))  # NaN rows fall back too
-        if bad.size:
-            dense = into[bad] + cost
-            best[bad] = dense.argmin(axis=1)
-            low[bad] = dense[np.arange(bad.size), best[bad]]
-        back[t] = best
-        cost = low + local[t]
+    with np.errstate(over="ignore"):
+        lag_cost = lam * (rows * grid.spacing) ** 2
+        # dense[p, q] = lag_cost[|p - q|], a zero-copy Toeplitz view of the 2P - 1 lags
+        dense = sliding_window_view(np.concatenate([lag_cost[:0:-1], lag_cost]), n_states)[::-1]
+        band_pair = np.tile(lag_cost[np.abs(np.arange(-half, half + 1))], (n_states, 1))
+        beyond = np.where((rows > half) | (rows < n_states - 1 - half),
+                          lag_cost[min(half + 1, n_states - 1)], np.inf)
+        padded = np.full(n_states + 2 * half, np.inf)  # off-grid predecessors cost +inf
+        windows = sliding_window_view(padded, 2 * half + 1)
+        total = np.empty_like(band_pair)
+        back = np.empty((n_bins, n_states), dtype=np.min_scalar_type(n_states - 1))
+        cost = local[0] + np.where(initial_distribution(grid) > 0, 0.0, np.inf)
+        for t in range(1, n_bins):
+            padded[half:half + n_states] = cost
+            np.add(windows, band_pair, out=total)
+            best = total.argmin(axis=1)
+            low = total[rows, best]
+            best += rows - half
+            bad = np.flatnonzero(~(low < cost.min() + beyond))  # NaN rows fall back too
+            if bad.size:
+                fallback = dense[bad] + cost
+                best[bad] = fallback.argmin(axis=1)
+                low[bad] = fallback[np.arange(bad.size), best[bad]]
+            back[t] = best
+            cost = low + local[t]
     path = np.empty(n_bins, dtype=int)
     path[-1] = int(np.argmin(cost))
     best_cost = float(cost[path[-1]])

@@ -42,30 +42,33 @@ def hyper_nll(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid) -> 
 
 
 def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid) -> np.ndarray:
-    """Exact gradient [d/dr_a, d/dr_b, d/dr_nu] of hyper_nll via the EM identity."""
+    """Exact gradient [d/dlog r_a, d/dlog r_b, d/dlog r_nu] of hyper_nll via
+    the EM identity.
+
+    With s = N r_a + r_b the observation log-probability is
+    (1 - N) log r_b - log s - E / r_b + (1 / r_b - 1 / s) P, up to a
+    constant, so posterior rows summing to one leave a single reduction
+    S = sum singles * P for both variances.  No term squares a variance, so
+    the gradient is finite wherever hyper_nll is.
+    """
     obs = observation_table(dataset, grid, hyper)
     trans = transition_matrix(grid, hyper.r_nu)
     init = initial_distribution(grid)
     fb = forward_backward(obs, gaussian_transition(grid, hyper.r_nu), init)
     post = posterior_marginals(fb, obs, trans)
 
-    n = dataset.n_samples
+    n, n_bins = dataset.n_samples, dataset.n_bins
     r_a, r_b, r_nu = hyper.r_a, hyper.r_b, hyper.r_nu
     s = n * r_a + r_b
-    p_table = obs.periodograms
-    singles = post.singles
-
-    d_ra = np.sum(singles * (-n / s + n * p_table / s**2))
-
-    d_rb = np.sum(
-        singles * ((1 - n) / r_b - 1 / s + (dataset.energy / r_b**2)[:, None]
-                   - n * r_a * (n * r_a + 2 * r_b) / (r_b**2 * s**2) * p_table)
-    )
+    spectral_mass = float(np.vdot(post.singles, obs.periodograms))  # S
+    d_ra = n * r_a / s * (spectral_mass / s - n_bins)
+    d_rb = (n_bins * (1 - n - r_b / s) + (float(dataset.energy.sum()) - spectral_mass) / r_b
+            + r_b / s * (spectral_mass / s))
 
     states = grid.states
     dist2 = (states[None, :] - states[:, None]) ** 2  # [q, p]
     expected = np.sum(trans * dist2, axis=1)          # per source state q
-    term = (dist2 - expected[:, None]) / (2.0 * r_nu**2)
+    term = (dist2 - expected[:, None]) / (2.0 * r_nu)
     d_rnu = np.sum(post.pair_sum * term)
 
     return -np.array([d_ra, d_rb, d_rnu])
@@ -253,9 +256,7 @@ def estimate_ml(
 
     fun = _Counted(lambda x: hyper_nll(dataset, Hyperparameters.from_array(np.exp(x)), grid))
     grad = _Counted(
-        lambda x: hyper_nll_gradient(dataset, Hyperparameters.from_array(np.exp(x)), grid)
-        * np.exp(x)
-    )
+        lambda x: hyper_nll_gradient(dataset, Hyperparameters.from_array(np.exp(x)), grid))
 
     x = np.log(init.as_array())
     fx = fun(x)

@@ -2,10 +2,7 @@
 
 The tracking criterion is smooth away from the band constraint, with a
 cheap gradient (periodogram derivatives) and a tridiagonal Hessian, so
-Newton steps solve in linear time.  The decimal-part function serves the
-rewrapping recursion, baselines.unwrap_track, which turns any track into
-one whose successive steps stay within half a cycle without increasing
-the criterion.
+Newton steps solve in linear time.
 """
 
 from __future__ import annotations
@@ -23,13 +20,6 @@ from freqtrack.spectral import periodogram_deriv_many
 # the gradient is below GRAD_TOL in magnitude.
 MAX_ITER = 100
 GRAD_TOL = 1e-8
-
-
-def decimal_part(x):
-    """Wrap to [-0.5, +0.5); 1-periodic, with decimal_part(0.5) == -0.5."""
-    x = np.asarray(x, dtype=float)
-    out = x - np.floor(x + 0.5)
-    return out if out.ndim else float(out)
 
 
 def objective_gradient(dataset: DataSet, track, hyper: Hyperparameters) -> np.ndarray:
@@ -67,7 +57,6 @@ class RefinementResult:
     track: np.ndarray
     objective_trace: list
     iterations: int
-    converged: bool
     stop_reason: str  # "gradient", "no_decrease" or "max_iter"
 
 
@@ -91,7 +80,6 @@ def refine_map(
     if not np.isfinite(value):
         raise ValueError("infeasible starting track")
     trace = [value]
-    converged = False
     stop_reason = "max_iter"
     iterations = 0
 
@@ -101,7 +89,6 @@ def refine_map(
     for iterations in range(1, MAX_ITER + 1):
         grad = objective_gradient(dataset, track, hyper)
         if np.max(np.abs(grad)) < GRAD_TOL:
-            converged = True
             stop_reason = "gradient"
             iterations -= 1
             break
@@ -131,8 +118,6 @@ def refine_map(
             scale *= 0.5
             new_value = objective(track + scale * step)
         if not below_rounding and new_value >= value:
-            # no decrease in the step direction: treat as converged
-            converged = np.max(np.abs(grad)) < GRAD_TOL
             stop_reason = "no_decrease"
             iterations -= 1
             break
@@ -141,4 +126,4 @@ def refine_map(
         trace.append(value)
 
     return RefinementResult(track=track, objective_trace=trace, iterations=iterations,
-                            converged=converged, stop_reason=stop_reason)
+                            stop_reason=stop_reason)

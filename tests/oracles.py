@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against.
 
-Exhaustive path enumeration, the generic min-sum MAP path of a discrete
-chain, the half-step test of a track and the dense complex Gaussian
-density of one record: slow or general forms the pipeline never runs.
+Exhaustive enumeration of the chain's paths and of the tracking
+criterion's grid paths, the half-step test of a track and the dense
+complex Gaussian density of one record: slow forms the pipeline never
+runs.
 log_likelihood_entry reads the package's own value for one record at one
 frequency, for comparison with the dense density.
 """
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freqtrack.hmm import NumericalError, ObservationTable, _min_cost_path, observation_table
+from freqtrack.hmm import NumericalError, ObservationTable, observation_table
+from freqtrack.likelihood import in_initial_band
 from freqtrack.markov import FrequencyGrid
 from freqtrack.signal import DataSet, Hyperparameters, steering_vector
 
@@ -34,13 +36,21 @@ def log_likelihood_entry(y, nu: float, hyper: Hyperparameters) -> float:
     return float(observation_table(dataset, FrequencyGrid(nu, nu + 1, 2), hyper).log_prob[0, 0])
 
 
-def map_path(obs: ObservationTable, trans: np.ndarray, init: np.ndarray) -> tuple[np.ndarray, float]:
-    """Most probable state path of the discrete chain; returns (path, log joint)."""
-    with np.errstate(divide="ignore"):
-        init_cost = -np.log(init)
-        pair_cost = -np.log(trans)
-    path, cost = _min_cost_path(-obs.log_prob, pair_cost, init_cost)
-    return path, -cost
+def exhaustive_min_cost(local, grid: FrequencyGrid, lam: float) -> tuple[np.ndarray, float]:
+    """Minimizer of sum_t local[t, p_t] + lam * (|p_{t+1} - p_t| * spacing)^2
+    over every path that starts in the initial band; first one on ties."""
+    n_bins, n_states = local.shape
+    admissible = in_initial_band(grid.states)
+    best, best_cost = None, np.inf
+    for path in itertools.product(range(n_states), repeat=n_bins):
+        if not admissible[path[0]]:
+            continue
+        cost = sum(local[t, path[t]] for t in range(n_bins))
+        cost += sum(lam * (abs(path[t + 1] - path[t]) * grid.spacing) ** 2
+                    for t in range(n_bins - 1))
+        if cost < best_cost:
+            best, best_cost = np.array(path), cost
+    return best, best_cost
 
 
 def steps_within_half(track) -> bool:
@@ -54,8 +64,6 @@ class BruteForceResult:
     log_likelihood: float
     singles: np.ndarray
     pairs: np.ndarray
-    best_path: np.ndarray
-    best_log_joint: float
 
 
 def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray,
@@ -68,8 +76,6 @@ def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray
     singles = np.zeros((n_bins, n_states))
     pairs = np.zeros((n_bins - 1, n_states, n_states))
     total = 0.0
-    best_path = None
-    best_weight = -np.inf
     for path in itertools.product(range(n_states), repeat=n_bins):
         weight = init[path[0]] * scaled[0, path[0]]
         for t in range(1, n_bins):
@@ -81,16 +87,10 @@ def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray
             singles[t, path[t]] += weight
         for t in range(n_bins - 1):
             pairs[t, path[t], path[t + 1]] += weight
-        if weight > best_weight:
-            best_weight = weight
-            best_path = np.array(path)
     if total == 0.0:
         raise NumericalError("all joint path probabilities are zero")
-    shift_total = float(np.sum(obs.row_shift))
     return BruteForceResult(
-        log_likelihood=float(np.log(total)) + shift_total,
+        log_likelihood=float(np.log(total)) + float(np.sum(obs.row_shift)),
         singles=singles / total,
         pairs=pairs / total,
-        best_path=best_path,
-        best_log_joint=float(np.log(best_weight)) + shift_total,
     )

@@ -11,7 +11,8 @@ import pytest
 
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.cli import compute_tracks, rmse
-from freqtrack.hmm import ObservationTable, forward_backward, observation_table, posterior_marginals
+from freqtrack.hmm import (ObservationTable, forward_backward, observation_table,
+                           posterior_marginals, viterbi)
 from freqtrack.hyperopt import (
     STRATEGIES,
     empirical_init,
@@ -24,8 +25,8 @@ from freqtrack.markov import FrequencyGrid, gaussian_transition, initial_distrib
 from freqtrack.refine import _hessian_bands, objective_gradient, refine_map
 from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
 from freqtrack.spectral import periodogram, periodogram_deriv_many
-from oracles import (brute_force_joint, dense_gaussian_log_density, log_likelihood_entry, map_path,
-                     steps_within_half)
+from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
+                     log_likelihood_entry, steps_within_half)
 
 GRID = FrequencyGrid(-2.5, 2.5, 128)
 TRUE_HYPER = Hyperparameters(1.0, 0.1, 1e-3)
@@ -49,7 +50,8 @@ def test_criterion_1_hmm_oracle_equivalence():
         n_bins = int(rng.integers(1, 6))
         n_states = int(rng.integers(3, 7))
         grid = FrequencyGrid(-1.0, 1.0, n_states)
-        transition = gaussian_transition(grid, float(rng.uniform(0.01, 1.0)))
+        r_nu = float(rng.uniform(0.01, 1.0))
+        transition = gaussian_transition(grid, r_nu)
         trans = transition.matrix
         init = initial_distribution(grid)
         log_prob = rng.normal(0, 5, (n_bins, n_states))
@@ -57,14 +59,17 @@ def test_criterion_1_hmm_oracle_equivalence():
         bf = brute_force_joint(obs, trans, init)
         fb = forward_backward(obs, transition, init)
         post = posterior_marginals(fb, obs, trans)
-        path, log_joint = map_path(obs, trans, init)
+        lam = 1.0 / (2.0 * r_nu)  # the chain's own smoothing weight
+        path, cost = viterbi(obs, grid, lam)
+        best, best_cost = exhaustive_min_cost(-obs.periodograms, grid, lam)
         ok &= abs(fb.log_likelihood - bf.log_likelihood) < 1e-10 * max(
             1.0, abs(bf.log_likelihood)
         )
         ok &= np.max(np.abs(post.singles - bf.singles)) < 1e-10
         if n_bins > 1:
             ok &= np.max(np.abs(post.pairs - bf.pairs)) < 1e-10
-        ok &= np.array_equal(path, bf.best_path)
+        ok &= np.array_equal(path, best)
+        ok &= abs(cost - best_cost) < 1e-12 * max(1.0, abs(best_cost))
     elapsed = time.perf_counter() - start
     ok &= elapsed < 10.0
     report(1, f"HMM oracle equivalence, {elapsed:.2f} s", ok)
@@ -101,15 +106,15 @@ def test_criterion_3_gradient_suites():
         )
         ds = synthesize_dataset(track - track[0], hyper, 4, seed=300 + seed)
         grid = FrequencyGrid(-1.5, 1.5, 5)
-        grad = hyper_nll_gradient(ds, hyper, grid)
-        r = hyper.as_array()
+        grad = hyper_nll_gradient(ds, hyper, grid)  # in log r
+        x = np.log(hyper.as_array())
         for i in range(3):
-            h = 1e-5 * r[i]
-            up, down = r.copy(), r.copy()
+            h = 1e-5
+            up, down = x.copy(), x.copy()
             up[i] += h
             down[i] -= h
-            fd = (hyper_nll(ds, Hyperparameters.from_array(up), grid)
-                  - hyper_nll(ds, Hyperparameters.from_array(down), grid)) / (2 * h)
+            fd = (hyper_nll(ds, Hyperparameters.from_array(np.exp(up)), grid)
+                  - hyper_nll(ds, Hyperparameters.from_array(np.exp(down)), grid)) / (2 * h)
             ok &= abs(grad[i] - fd) < 1e-4 * max(1.0, abs(fd))
 
     # (b) tracking criterion gradient and banded Hessian vs finite differences

@@ -230,6 +230,17 @@ def test_track_rejects_hyperparameters_with_non_finite_coefficients(tmp_path, ca
     assert not (tmp_path / "viterbi_map.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_track_with_saturated_pair_cost(tmp_path):
+    # r_nu = 1e-306 puts lam at 5.1e304, so Viterbi's pair cost overflows to
+    # +inf from lag 152 of the wide grid on: the exact saturated value, not an error
+    assert run(["simulate", "--seed", "1", "--bins", "32", "--out", str(tmp_path)]) == 0
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "0.1", "r_nu": "1e-306"})
+    assert run(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
+                "--grid=-100,100,512", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "viterbi_map.csv").exists()
+
+
 def _extreme_dataset(tmp_path):
     """The default simulation, 16 bins, with one sample set to 1.34e154:
     its record energy, about 1.8e308, is just below the float maximum."""
@@ -252,8 +263,8 @@ def test_extreme_sample_fails_before_writing_tracks(tmp_path):
 
 
 def test_extreme_sample_fails_estimate_with_data_error(tmp_path, capsys):
-    # unchecked, the fit drives n r_a + r_b past 1.34e154, where the
-    # gradient's square of it raises OverflowError and the CLI crashes
+    # the record energy is rejected before the fit starts, not met by an
+    # overflow somewhere inside it
     dataset = _extreme_dataset(tmp_path)
     assert run(["estimate", str(dataset), "--out", str(tmp_path)]) == 3
     assert "bin 1 has record energy" in capsys.readouterr().err

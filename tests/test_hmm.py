@@ -1,4 +1,4 @@
-import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from freqtrack.hmm import (
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import Hyperparameters, synthesize_dataset
-from oracles import brute_force_joint, dense_gaussian_log_density, map_path
+from oracles import brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost
 
 
 def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
@@ -32,31 +32,19 @@ def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
     return grid, obs, trans, init
 
 
-def exhaustive_min_cost(local, states, lam, admissible):
-    """Brute-force minimizer of the regularized path cost."""
+def dense_min_cost_path(local, grid, lam):
+    """Reference min-sum search over every predecessor for the pair cost
+    lam * (|p - q| * spacing)^2, the first state in the initial band."""
     n_bins, n_states = local.shape
-    best, best_cost = None, np.inf
-    for path in itertools.product(range(n_states), repeat=n_bins):
-        if not admissible[path[0]]:
-            continue
-        cost = sum(local[t, path[t]] for t in range(n_bins))
-        cost += sum(
-            lam * (states[path[t + 1]] - states[path[t]]) ** 2 for t in range(n_bins - 1)
-        )
-        if cost < best_cost:
-            best, best_cost = np.array(path), cost
-    return best, best_cost
-
-
-def dense_min_cost_path(local, pair_cost, init_cost):
-    """Reference min-sum search over every predecessor; pair_cost is [q, p]."""
-    n_bins, n_states = local.shape
-    cost = local[0] + init_cost
-    back = np.zeros((n_bins, n_states), dtype=int)
-    for t in range(1, n_bins):
-        total = cost[:, None] + pair_cost
-        back[t] = np.argmin(total, axis=0)
-        cost = total[back[t], np.arange(n_states)] + local[t]
+    lags = np.abs(np.subtract.outer(np.arange(n_states), np.arange(n_states)))
+    with np.errstate(over="ignore"):
+        pair_cost = lam * (lags * grid.spacing) ** 2
+        cost = local[0] + np.where(initial_distribution(grid) > 0, 0.0, np.inf)
+        back = np.zeros((n_bins, n_states), dtype=int)
+        for t in range(1, n_bins):
+            total = cost[:, None] + pair_cost
+            back[t] = np.argmin(total, axis=0)
+            cost = total[back[t], np.arange(n_states)] + local[t]
     path = [int(np.argmin(cost))]
     for t in range(n_bins - 1, 0, -1):
         path.append(int(back[t, path[-1]]))
@@ -65,13 +53,17 @@ def dense_min_cost_path(local, pair_cost, init_cost):
 
 def band_instance(n_states, costs, seed=0):
     """Grid over [-4, 4] and (12, P) observation rows: random, or flat but
-    for the last bin, which favours the top state."""
+    for the last bin, which favours the top state; tied rows are flat at
+    1e20, where a pair cost below half an ulp (8192) leaves every sum tied."""
     grid = FrequencyGrid(-4.0, 4.0, n_states)
     if costs == "random":
         rows = np.random.default_rng(seed).normal(0, 2, (12, n_states))
-    else:
+    elif costs == "flat":
         rows = np.zeros((12, n_states))
         rows[-1, -1] = 1.0
+    else:
+        rows = np.full((12, n_states), 1e20)
+        rows[-1, -1] += 1e6
     return grid, ObservationTable(rows, rows)
 
 
@@ -278,8 +270,7 @@ def test_viterbi_matches_exhaustive_search():
         costs = rng.normal(0, 2, (3, 4))
         obs = ObservationTable(costs, costs)
         path, cost = viterbi(obs, grid, lam)
-        admissible = (grid.states > -0.5) & (grid.states <= 0.5)
-        best, best_cost = exhaustive_min_cost(-costs, grid.states, lam, admissible)
+        best, best_cost = exhaustive_min_cost(-costs, grid, lam)
         assert np.array_equal(path, best)
         assert cost == pytest.approx(best_cost, rel=1e-12)
 
@@ -289,10 +280,13 @@ def test_viterbi_large_lambda_gives_best_constant_path():
     grid = FrequencyGrid(-1.0, 1.0, 5)
     pg = rng.normal(0, 1, (4, 5))
     obs = ObservationTable(pg, pg)
-    path, _ = viterbi(obs, grid, 1e9)
     admissible = np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))
     best_const = admissible[np.argmax(pg.sum(axis=0)[admissible])]
-    assert np.all(path == best_const)
+    # at 1e308 every pair cost but the zero lag overflows to +inf
+    for lam in (1e9, 1e308):
+        path, cost = viterbi(obs, grid, lam)
+        assert np.all(path == best_const)
+        assert np.isfinite(cost)
 
 
 def test_viterbi_flat_costs_tie_breaks_to_lowest_admissible_state():
@@ -308,16 +302,6 @@ def test_viterbi_no_admissible_start_raises():
     obs = ObservationTable(np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         viterbi(obs, grid, 1.0)
-
-
-def test_map_path_matches_brute_force():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        grid, obs, trans, init = random_instance(rng)
-        bf = brute_force_joint(obs, trans.matrix, init)
-        path, log_joint = map_path(obs, trans.matrix, init)
-        assert np.array_equal(path, bf.best_path)
-        assert log_joint == pytest.approx(bf.best_log_joint, rel=1e-9)
 
 
 def test_viterbi_optimality_certificate():
@@ -338,44 +322,54 @@ def test_viterbi_optimality_certificate():
         assert cost <= rand_cost + 1e-12
 
 
-@pytest.mark.parametrize("costs", ["random", "flat"])
-@pytest.mark.parametrize("lam", [1e-6, 1e-2, 1.0, 1e2, 1e6])
+@pytest.mark.parametrize("costs", ["random", "flat", "tied"])
+@pytest.mark.parametrize("lam", [1e-6, 1e-2, 1.0, 1e2, 1e6, 1e308])
 @pytest.mark.parametrize("n_states", [129, 300, 512])
 def test_viterbi_band_equals_dense_search(n_states, lam, costs):
     grid, obs = band_instance(n_states, costs, seed=n_states)
     path, cost = viterbi(obs, grid, lam)
-    init_cost = np.where(initial_distribution(grid) > 0, 0.0, np.inf)
-    pair_cost = lam * (grid.states[None, :] - grid.states[:, None]) ** 2
-    ref_path, ref_cost = dense_min_cost_path(-obs.periodograms, pair_cost, init_cost)
+    ref_path, ref_cost = dense_min_cost_path(-obs.periodograms, grid, lam)
     assert np.array_equal(path, ref_path)
     assert cost == ref_cost
     if lam == 1e-6 and costs == "random" and n_states >= 300:
         # the optimum leaves the band, so the dense fallback is exercised
         assert np.max(np.abs(np.diff(ref_path))) > BAND_HALF_WIDTH
+    if lam == 1e-2 and costs == "tied":
+        # every stage must pick state 0, outside the band of most rows; the
+        # top state at the last bin carries that choice into the path
+        assert np.all(path[1:-1] == 0) and path[-1] == n_states - 1
 
 
-@pytest.mark.parametrize("trans_kind", ["r_nu=1e-2", "r_nu=1", "underflow", "uniform"])
-@pytest.mark.parametrize("n_states", [129, 300, 512])
-def test_map_path_band_equals_dense_search(n_states, trans_kind):
-    if trans_kind == "uniform":
-        # every pair cost ties, so after the first bin each stage must pick
-        # state 0, outside the band of most rows; the top state at the last
-        # bin carries that choice into the path
-        grid, obs = band_instance(n_states, "flat")
-        trans = np.full((n_states, n_states), 1.0 / n_states)
-    else:
-        grid, obs = band_instance(n_states, "random", seed=n_states)
-        # r_nu = 1e-12: off-diagonal transitions underflow to 0, pair cost +inf
-        r_nu = {"r_nu=1e-2": 1e-2, "r_nu=1": 1.0, "underflow": 1e-12}[trans_kind]
-        trans = transition_matrix(grid, r_nu)
-    init = initial_distribution(grid)
-    path, log_joint = map_path(obs, trans, init)
-    with np.errstate(divide="ignore"):
-        ref_path, ref_cost = dense_min_cost_path(-obs.log_prob, -np.log(trans), -np.log(init))
-    assert np.array_equal(path, ref_path)
-    assert log_joint == -ref_cost
-    if trans_kind == "uniform":
-        assert np.all(ref_path[1:-1] == 0) and ref_path[-1] == n_states - 1
+def test_viterbi_band_falls_back_on_a_jump_just_past_the_band():
+    # the best predecessor of p lies W + 1 states below it, and p's band
+    # minimum sits between the paths through it at lag W + 1 and W + 2, so
+    # only a certificate on lag_cost[W + 1] sends row p to the dense search
+    grid, lam, half = FrequencyGrid(-4.0, 4.0, 300), 1.0, BAND_HALF_WIDTH
+    lag_cost = lam * (np.arange(300) * grid.spacing) ** 2
+    start = int(np.flatnonzero(initial_distribution(grid))[-1])
+    source, target = start - 18, start - 18 + half + 1
+    rows = np.zeros((3, 300))
+    rows[1, source] = 10.0
+    # cost at bin 1: -10 at source, lag_cost[target - start] - rows[1, target] at target
+    rows[1, target] = lag_cost[target - start] + 10.0 - (lag_cost[half + 1] + lag_cost[half + 2]) / 2
+    rows[2, target] = 100.0
+    path, cost = viterbi(ObservationTable(rows, rows), grid, lam)
+    ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+    assert np.array_equal(path, ref_path) and cost == ref_cost
+    assert list(path[1:]) == [source, target]
+
+
+def test_viterbi_memory_is_below_a_dense_stage():
+    # a certified band needs O(P W) memory, not the P x P pair cost
+    grid = FrequencyGrid(-0.5, 0.5, 4096)
+    rows = np.random.default_rng(0).normal(0, 2, (2, 4096))
+    tracemalloc.start()
+    try:
+        viterbi(ObservationTable(rows, rows), grid, 1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_viterbi_rejects_non_finite_observations():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,21 +66,38 @@ def test_hyper_nll_flat_transition_limit():
     assert value == pytest.approx(independent, rel=1e-3)
 
 
+def log_central_difference(ds, hyper, grid, i, h=1e-5):
+    """Central difference of hyper_nll in log r_i with step h."""
+    up, down = np.log(hyper.as_array()), np.log(hyper.as_array())
+    up[i] += h
+    down[i] -= h
+    return (hyper_nll(ds, Hyperparameters.from_array(np.exp(up)), grid)
+            - hyper_nll(ds, Hyperparameters.from_array(np.exp(down)), grid)) / (2 * h)
+
+
 def test_gradient_matches_finite_differences():
     for seed in range(20):
         ds, hyper, grid = small_problem(seed)
         grad = hyper_nll_gradient(ds, hyper, grid)
-        r = hyper.as_array()
         for i in range(3):
-            h = 1e-5 * r[i]
-            up, down = r.copy(), r.copy()
-            up[i] += h
-            down[i] -= h
-            fd = (
-                hyper_nll(ds, Hyperparameters.from_array(up), grid)
-                - hyper_nll(ds, Hyperparameters.from_array(down), grid)
-            ) / (2 * h)
+            fd = log_central_difference(ds, hyper, grid, i)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extreme", [{"r_b": 1e-160}, {"r_a": 1e160}],
+                         ids=["r_b=1e-160", "r_a=1e160"])
+def test_gradient_finite_where_criterion_is(extreme):
+    # energy / r_b^2 and s^2 once overflowed here, though hyper_nll is finite
+    ds, hyper, grid = small_problem(0, n_bins=3, n_states=16)
+    hyper = replace(hyper, **extreme)
+    grad = hyper_nll_gradient(ds, hyper, grid)
+    assert np.isfinite(grad).all()
+    for i in range(3):
+        fd = log_central_difference(ds, hyper, grid, i)
+        # 0 where the change is below the rounding of hyper_nll, about 1e160 at r_b = 1e-160
+        if fd != 0.0:
+            assert grad[i] == pytest.approx(fd, rel=1e-4)
 
 
 def test_gradient_memory_is_below_pair_tensor():
@@ -114,8 +132,7 @@ def test_gradient_small_at_minimizer():
     ds = synthesize_dataset(track, hyper, 4, seed=9)
     grid = FrequencyGrid(-2.0, 2.0, 64)
     report = estimate_ml(ds, grid, strategy="coordinate_wise")
-    r = report.minimizer.as_array()
-    grad_log = hyper_nll_gradient(ds, report.minimizer, grid) * r
+    grad_log = hyper_nll_gradient(ds, report.minimizer, grid)
     assert np.linalg.norm(grad_log) < 1e-3 * max(1.0, abs(report.reached_minimum))
 
 

@@ -4,8 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqtrack.baselines import unwrap_track, wrap_to_band
-from freqtrack.refine import decimal_part
+from freqtrack.baselines import decimal_part, unwrap_track, wrap_to_band
 from freqtrack.signal import steering_vector
 from freqtrack.spectral import empirical_correlation, periodogram
 from oracles import steps_within_half

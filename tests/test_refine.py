@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from freqtrack import refine
+from freqtrack.baselines import decimal_part
 from freqtrack.hmm import observation_table, viterbi
 from freqtrack.likelihood import map_objective, smoothing_weight
 from freqtrack.markov import FrequencyGrid
-from freqtrack.refine import decimal_part, objective_gradient, refine_map
+from freqtrack.refine import objective_gradient, refine_map
 from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
 from oracles import steps_within_half
 
@@ -59,7 +60,7 @@ def test_refinement_decreases_objective_and_zeroes_gradient():
     trace = result.objective_trace
     assert all(b <= a + 1e-10 for a, b in zip(trace, trace[1:]))
     assert trace[-1] <= map_objective(ds, init, hyper) + 1e-10
-    assert result.converged
+    assert result.stop_reason == "gradient"
     grad = objective_gradient(ds, result.track, hyper)
     assert np.max(np.abs(grad)) < 1e-7
 
@@ -74,7 +75,7 @@ def test_refinement_converges_below_rounding_level(seed):
     grid = FrequencyGrid(-2.5, 2.5, 128)
     path, _ = viterbi(observation_table(ds, grid, hyper), grid, smoothing_weight(hyper, 4))
     result = refine_map(ds, grid.states[path], hyper)
-    assert result.converged
+    assert result.stop_reason == "gradient"
     assert np.max(np.abs(objective_gradient(ds, result.track, hyper))) < 1e-9
 
 
@@ -82,7 +83,7 @@ def test_stop_reason_gradient():
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
     result = refine_map(ds, init, hyper)
-    assert result.stop_reason == "gradient" and result.converged
+    assert result.stop_reason == "gradient"
 
 
 def test_stop_reason_max_iter(monkeypatch):
@@ -90,7 +91,7 @@ def test_stop_reason_max_iter(monkeypatch):
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
     monkeypatch.setattr(refine, "MAX_ITER", 1)
     result = refine_map(ds, init, hyper)
-    assert result.stop_reason == "max_iter" and not result.converged
+    assert result.stop_reason == "max_iter"
     assert result.iterations == 1
 
 
@@ -102,7 +103,7 @@ def test_stop_reason_no_decrease(monkeypatch):
     minimum = refine_map(ds, init, hyper).track
     monkeypatch.setattr(refine, "GRAD_TOL", 0.0)
     result = refine_map(ds, minimum, hyper, method="gradient")
-    assert result.stop_reason == "no_decrease" and not result.converged
+    assert result.stop_reason == "no_decrease"
     assert np.array_equal(result.track, minimum)
 
 
