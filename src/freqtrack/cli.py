@@ -50,7 +50,7 @@ class RunConfig:
     track_hi: float = 1.5
     r_a: float = 1.0
     r_b: float = 0.1
-    r_nu: float = 1e-3
+    r_nu: float = 1e-3  # sqrt(r_nu) = 0.0316 is below the default grid spacing 0.0394
     strategy: str = "polak_ribiere"
     line_search: str = "golden_section"
     replicates: int = 20
@@ -123,7 +123,7 @@ def compute_tracks(dataset: DataSet, grid: FrequencyGrid,
     lam = smoothing_weight(hyper, dataset.n_samples)
     path, _ = viterbi(obs, grid, lam)
     viterbi_track = grid.states[path]
-    refined = refine_map(dataset, viterbi_track, hyper, method="newton")
+    refined = refine_map(dataset, viterbi_track, hyper)
     return {
         "ml_aliased": aliased,
         "ml_unwrapped": unwrapped,
@@ -307,46 +307,55 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file; flags win over file")
-    parser.add_argument("--out", help="output directory (must exist)")
+_GRID_HELP = 'grid spec "min,max,P"'
+
+
+def _add_command(sub, name: str, summary: str) -> _Parser:
+    """A subcommand with the two options every command reads."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--config", help="key=value config file; flags win over file")
+    p.add_argument("--out", help="output directory (must exist)")
+    return p
+
+
+def _add_simulation(parser) -> None:
+    """The options that define a simulated dataset, read by simulate and eval."""
     parser.add_argument("--seed", type=int, dest="seed")
-    parser.add_argument("--grid", help='grid spec "min,max,P"')
     parser.add_argument("--bins", type=int, dest="n_bins")
     parser.add_argument("--samples", type=int, dest="n_samples")
     parser.add_argument("--r-a", type=float, dest="r_a")
     parser.add_argument("--r-b", type=float, dest="r_b")
     parser.add_argument("--r-nu", type=float, dest="r_nu")
+    parser.add_argument("--profile", choices=TRACK_PROFILES, dest="profile")
+    parser.add_argument("--track-range", help='truth span "lo,hi"')
 
 
 def make_parser() -> _Parser:
+    """Each subcommand accepts exactly the options its cmd_* function reads."""
     parser = _Parser(prog="freqtrack",
                      description="Frequency tracking beyond the Nyquist limit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="write a simulated dataset and its truth track")
-    _add_common(p)
-    p.add_argument("--profile", choices=TRACK_PROFILES, dest="profile")
-    p.add_argument("--track-range", help='truth span "lo,hi"')
+    p = _add_command(sub, "simulate", "write a simulated dataset and its truth track")
+    _add_simulation(p)
 
-    p = sub.add_parser("estimate", help="estimate hyperparameters by maximum likelihood")
-    _add_common(p)
+    p = _add_command(sub, "estimate", "estimate hyperparameters by maximum likelihood")
     p.add_argument("dataset", help="dataset CSV (t,n,re,im)")
+    p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--strategy", choices=STRATEGIES + ("all",), dest="strategy")
     p.add_argument("--line-search", choices=LINE_SEARCHES, dest="line_search")
     p.add_argument("--levelsets", action="store_true",
                    help="also sample the criterion on a log-spaced box")
 
-    p = sub.add_parser("track", help="run all four frequency estimators")
-    _add_common(p)
+    p = _add_command(sub, "track", "run all four frequency estimators")
     p.add_argument("dataset", help="dataset CSV (t,n,re,im)")
     p.add_argument("hyper", help="hyperparameter key-value file")
+    p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--truth", help="truth track CSV for RMSE reporting")
 
-    p = sub.add_parser("eval", help="Monte-Carlo sweep of simulate -> estimate -> track")
-    _add_common(p)
-    p.add_argument("--profile", choices=TRACK_PROFILES, dest="profile")
-    p.add_argument("--track-range", help='truth span "lo,hi"')
+    p = _add_command(sub, "eval", "Monte-Carlo sweep of simulate -> estimate -> track")
+    _add_simulation(p)
+    p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--replicates", type=int, dest="replicates")
     p.add_argument("--strategy", choices=STRATEGIES, dest="strategy")
     return parser
@@ -378,9 +387,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, ZeroDivisionError) as exc:
-        # ZeroDivisionError: hyperparameters so small that a model coefficient,
-        # such as lam = 1 / (2 alpha r_nu), divides by an underflowed zero
+    except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

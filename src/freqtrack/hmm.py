@@ -86,16 +86,17 @@ class ObservationTable:
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters) -> ObservationTable:
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
 
-    Raises ValueError naming r_a and r_b when alpha, log beta or the
-    largest record energy over r_b is not finite: the entries would then
-    be infinite or NaN.
+    Raises ValueError naming r_a and r_b when alpha is not positive and
+    finite (see alpha_coefficient), or when log beta or the largest record
+    energy over r_b is not finite: the entries would then be constant,
+    infinite or NaN.
     """
     n = dataset.n_samples
     alpha = alpha_coefficient(hyper, n)
     log_beta = log_beta_coefficient(hyper, n)
-    if not np.isfinite([alpha, log_beta, float(dataset.energy.max()) / hyper.r_b]).all():
+    if not np.isfinite([log_beta, float(dataset.energy.max()) / hyper.r_b]).all():
         raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make the "
-                         "likelihood coefficients alpha, log beta or energy / r_b non-finite")
+                         "likelihood coefficient log beta or energy / r_b non-finite")
     p_table = periodogram_table(dataset.samples, grid.states)
     log_prob = log_beta + alpha * p_table - (dataset.energy / hyper.r_b)[:, None]
     return ObservationTable(log_prob=log_prob, periodograms=p_table)

@@ -224,14 +224,13 @@ LINE_SEARCHES = tuple(_REFINERS)
 
 
 def _line_search(phi, f0, step, method):
+    """(s, phi(s)) with phi(s) < f0, or None when _bracket finds no decrease:
+    each refiner returns a value at most the bracket's phi(b) < f0."""
     bracket = _bracket(phi, f0, step)
     if bracket is None:
         return None
     a, b, c, fb = bracket
-    s, fs = _REFINERS[method](phi, a, b, c, fb)
-    if fs >= f0:
-        return None
-    return s, fs
+    return _REFINERS[method](phi, a, b, c, fb)
 
 
 def estimate_ml(

@@ -23,8 +23,20 @@ from freqtrack.spectral import periodogram
 
 
 def alpha_coefficient(hyper: Hyperparameters, n_samples: int) -> float:
+    """alpha = N r_a / (r_b (N r_a + r_b)).
+
+    Raises ValueError naming r_a and r_b when alpha is not positive and
+    finite: the denominator underflows to zero at r_a = r_b = 1e-170 and
+    overflows at r_a = r_b = 1e155, where alpha = 0 would make every
+    observation row constant.
+    """
     n = n_samples
-    return n * hyper.r_a / (hyper.r_b * (n * hyper.r_a + hyper.r_b))
+    denominator = hyper.r_b * (n * hyper.r_a + hyper.r_b)
+    alpha = n * hyper.r_a / denominator if denominator > 0 else np.inf
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make the "
+                         f"likelihood coefficient alpha {alpha!r}, not positive and finite")
+    return alpha
 
 
 def log_beta_coefficient(hyper: Hyperparameters, n_samples: int) -> float:
@@ -33,8 +45,18 @@ def log_beta_coefficient(hyper: Hyperparameters, n_samples: int) -> float:
 
 
 def smoothing_weight(hyper: Hyperparameters, n_samples: int) -> float:
-    """Regularization weight lam = 1 / (2 alpha r_nu)."""
-    return 1.0 / (2.0 * alpha_coefficient(hyper, n_samples) * hyper.r_nu)
+    """Regularization weight lam = 1 / (2 alpha r_nu).
+
+    Raises ValueError naming the hyperparameters when lam is not positive
+    and finite, as when 2 alpha r_nu underflows to zero.
+    """
+    denominator = 2.0 * alpha_coefficient(hyper, n_samples) * hyper.r_nu
+    lam = 1.0 / denominator if denominator > 0 else np.inf
+    if not 0 < lam < np.inf:
+        raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r}, "
+                         f"r_nu={hyper.r_nu!r} make the smoothing weight lam {lam!r}, "
+                         "not positive and finite")
+    return lam
 
 
 def in_initial_band(nu):

@@ -60,12 +60,7 @@ class RefinementResult:
     stop_reason: str  # "gradient", "no_decrease" or "max_iter"
 
 
-def refine_map(
-    dataset: DataSet,
-    init_track,
-    hyper: Hyperparameters,
-    method: str = "newton",
-) -> RefinementResult:
+def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> RefinementResult:
     """Locally minimize the tracking criterion from a feasible starting track.
 
     Newton solves the tridiagonal system directly, with step halving and a
@@ -73,8 +68,6 @@ def refine_map(
     to decrease the criterion.  Steps that push the first frequency out of
     the band are rejected by the same decrease test (infinite criterion).
     """
-    if method not in ("gradient", "newton"):
-        raise ValueError(f"unknown method {method!r}")
     track = np.asarray(init_track, dtype=float).copy()
     value = map_objective(dataset, track, hyper)
     if not np.isfinite(value):
@@ -92,18 +85,16 @@ def refine_map(
             stop_reason = "gradient"
             iterations -= 1
             break
-        step = None
-        if method == "newton":
-            bands = _hessian_bands(dataset, track, hyper)
-            if track.size == 1:
-                step = -grad / bands[1] if bands[1, 0] > 0 else None
-            else:
-                try:
-                    step = scipy.linalg.solveh_banded(bands, -grad)
-                except scipy.linalg.LinAlgError:
-                    step = None
-            if step is not None and float(step @ grad) >= 0.0:
+        bands = _hessian_bands(dataset, track, hyper)
+        if track.size == 1:
+            step = -grad / bands[1] if bands[1, 0] > 0 else None
+        else:
+            try:
+                step = scipy.linalg.solveh_banded(bands, -grad)
+            except scipy.linalg.LinAlgError:
                 step = None
+        if step is not None and float(step @ grad) >= 0.0:
+            step = None
         # A Newton step whose predicted decrease -g.step/2 is below the
         # rounding level of the criterion is taken in full: the decrease
         # test would only compare rounding noise.

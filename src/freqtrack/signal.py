@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Largest record energy sum_n |y(n)|^2 accepted: the likelihood's gradient
-# takes fourth powers of variances of this order.
+# Largest record energy sum_n |y(n)|^2 accepted.  alpha's denominator
+# r_b (N r_a + r_b) multiplies two variances of the order of the record
+# energy, so it overflows for energies near the square root of the float
+# maximum; the fourth root keeps a wide margin below that.
 MAX_RECORD_ENERGY = float(np.finfo(float).max) ** 0.25
 
 
@@ -67,8 +69,8 @@ class DataSet:
         if too_large.any():
             t = int(np.argmax(too_large))
             raise ValueError(f"bin {t} has record energy {energy[t]:.3g}, above "
-                             f"{MAX_RECORD_ENERGY:.3g}: the likelihood's powers of the "
-                             "variances would overflow")
+                             f"{MAX_RECORD_ENERGY:.3g}: the product of two variances in "
+                             "the likelihood coefficient alpha would overflow")
         self.samples = samples
         self.energy = energy
 
@@ -126,18 +128,8 @@ def _circular_gaussian(rng: np.random.Generator, variance: float, shape) -> np.n
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def synthesize_dataset(
-    track,
-    hyper: Hyperparameters,
-    n_samples: int,
-    seed: int,
-    fixed_amplitude: complex | None = None,
-) -> DataSet:
-    """Simulate the per-bin cisoid-plus-noise records, deterministically.
-
-    With fixed_amplitude set, every a_t equals that constant instead of
-    being drawn (useful for noiseless oracle checks).
-    """
+def synthesize_dataset(track, hyper: Hyperparameters, n_samples: int, seed: int) -> DataSet:
+    """Simulate the per-bin cisoid-plus-noise records, deterministically."""
     track = np.asarray(track, dtype=float)
     if track.ndim != 1 or track.size < 1:
         raise ValueError("track must be a nonempty 1-D sequence")
@@ -145,10 +137,7 @@ def synthesize_dataset(
         raise ValueError("need n_samples >= 2")
     rng = np.random.default_rng(seed)
     n_bins = track.size
-    if fixed_amplitude is None:
-        amps = _circular_gaussian(rng, hyper.r_a, n_bins)
-    else:
-        amps = np.full(n_bins, complex(fixed_amplitude))
+    amps = _circular_gaussian(rng, hyper.r_a, n_bins)
     noise = _circular_gaussian(rng, hyper.r_b, (n_bins, n_samples))
     samples = amps[:, None] * steering_vector(track, n_samples) + noise
     return DataSet(samples=samples)

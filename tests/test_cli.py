@@ -100,14 +100,20 @@ def test_malformed_truth_exit_code(tmp_path):
 
 @pytest.mark.parametrize("form", ["space", "equals"])
 def test_negative_ranges_accepted(tmp_path, form):
-    options = [("--grid", "-4,4,64"), ("--track-range", "-.5,0.5")]
-    argv = ["simulate", "--out", str(tmp_path)]
-    for option, value in options:
-        argv += [option, value] if form == "space" else [f"{option}={value}"]
-    cfg = build_config(make_parser().parse_args(argv))
-    assert (cfg.nu_min, cfg.nu_max, cfg.grid_size) == (-4.0, 4.0, 64)
+    def with_range(argv, option, value):
+        return argv + ([option, value] if form == "space" else [f"{option}={value}"])
+
+    simulate = with_range(["simulate", "--out", str(tmp_path), "--bins", "8"],
+                          "--track-range", "-.5,0.5")
+    cfg = build_config(make_parser().parse_args(simulate))
     assert (cfg.track_lo, cfg.track_hi) == (-0.5, 0.5)
-    assert run(argv + ["--bins", "8"]) == 0
+    assert run(simulate) == 0
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "0.1", "r_nu": "1e-3"})
+    track = with_range(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
+                        "--out", str(tmp_path)], "--grid", "-4,4,64")
+    cfg = build_config(make_parser().parse_args(track))
+    assert (cfg.nu_min, cfg.nu_max, cfg.grid_size) == (-4.0, 4.0, 64)
+    assert run(track) == 0
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -130,8 +136,8 @@ def test_rmse_helper():
 
 
 def small_args(tmp_path):
-    return ["--out", str(tmp_path), "--bins", "24", "--grid=-2.5,2.5,48",
-            "--r-nu", "2e-3", "--track-range=-0.8,0.8"]
+    return ["--out", str(tmp_path), "--bins", "24", "--r-nu", "2e-3",
+            "--track-range=-0.8,0.8"]
 
 
 def test_full_pipeline(tmp_path):
@@ -155,7 +161,7 @@ def test_full_pipeline(tmp_path):
 
 
 def test_eval_command(tmp_path):
-    code = run(["eval", "--replicates", "2", "--strategy", "vignes"]
+    code = run(["eval", "--replicates", "2", "--strategy", "vignes", "--grid=-2.5,2.5,48"]
                + small_args(tmp_path))
     assert code == 0
     summary = ftio.read_key_values(tmp_path / "eval_summary.txt")
@@ -202,12 +208,6 @@ def test_exit_code_data(tmp_path):
     bad.write_text("t,n,re,im\n1,1,not_a_number,0\n")
     code = run(["estimate", str(bad), "--out", str(tmp_path)])
     assert code == 3
-    # valid values whose smoothing weight 1 / (2 alpha r_nu) divides by zero
-    good = tmp_path / "good.csv"
-    good.write_text("t,n,re,im\n1,1,1.0,0.0\n1,2,0.0,1.0\n")
-    hyper = tmp_path / "hyper.txt"
-    hyper.write_text("r_a=1e-300\nr_b=1.0\nr_nu=1e-300\n")
-    assert run(["track", str(good), str(hyper), "--out", str(tmp_path)]) == 3
 
 
 @pytest.mark.parametrize("r_b", ["1e-4", "1e-6", "1e-10"])
@@ -227,6 +227,24 @@ def test_track_rejects_hyperparameters_with_non_finite_coefficients(tmp_path, ca
     ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "1e-310", "r_nu": "0.01"})
     assert _track_exit_code(tmp_path) == 3
     assert "r_a=1.0, r_b=1e-310" in capsys.readouterr().err
+    assert not (tmp_path / "viterbi_map.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r_a, r_b, r_nu, named", [
+    # r_b (N r_a + r_b) underflows to 0 ...
+    ("1e-170", "1e-170", "0.01", "r_a=1e-170, r_b=1e-170"),
+    # ... or overflows, so alpha = 0 and every observation row is constant
+    ("1e155", "1e155", "0.01", "r_a=1e+155, r_b=1e+155"),
+    # 2 alpha r_nu underflows to 0
+    ("1e-300", "1.0", "1e-300", "r_a=1e-300, r_b=1.0, r_nu=1e-300"),
+], ids=["alpha_underflow", "alpha_overflow", "lam_underflow"])
+def test_track_rejects_hyperparameters_with_degenerate_coefficients(tmp_path, capsys, r_a, r_b,
+                                                                    r_nu, named):
+    _valid_inputs(tmp_path)
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": r_a, "r_b": r_b, "r_nu": r_nu})
+    assert _track_exit_code(tmp_path) == 3
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "viterbi_map.csv").exists()
 
 
@@ -269,6 +287,26 @@ def test_extreme_sample_fails_estimate_with_data_error(tmp_path, capsys):
     assert run(["estimate", str(dataset), "--out", str(tmp_path)]) == 3
     assert "bin 1 has record energy" in capsys.readouterr().err
     assert not (tmp_path / "hyper.txt").exists()
+
+
+# The flags a command accepts are exactly those its cmd_* function reads.
+_UNREAD_FLAGS = [pytest.param("simulate", "--grid", "-1,1,8", id="simulate--grid")] + [
+    pytest.param(command, flag, value, id=command + flag)
+    for command in ("estimate", "track")
+    for flag, value in [("--seed", "3"), ("--bins", "8"), ("--samples", "2"),
+                        ("--r-a", "99"), ("--r-b", "1"), ("--r-nu", "1e-9")]]
+
+
+@pytest.mark.parametrize("command, flag, value", _UNREAD_FLAGS)
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, flag, value):
+    _valid_inputs(tmp_path)
+    inputs = {"simulate": [], "estimate": ["dataset.csv"], "track": ["dataset.csv", "hyper.txt"]}
+    argv = [command, *(str(tmp_path / name) for name in inputs[command]), flag, value,
+            "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_exit_code_bad_config(tmp_path):

@@ -17,7 +17,7 @@ from freqtrack.hmm import (
 )
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
-from freqtrack.signal import Hyperparameters, synthesize_dataset
+from freqtrack.signal import DataSet, Hyperparameters, steering_vector, synthesize_dataset
 from oracles import brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost
 
 
@@ -83,7 +83,7 @@ def test_observation_table_matches_per_entry_likelihood():
 def test_observation_table_argmax_at_true_state():
     hyper = Hyperparameters(1.0, 1e-6, 1e-2)
     grid = FrequencyGrid(-0.5, 0.5, 11)  # contains 0.2 exactly
-    ds = synthesize_dataset([0.2], hyper, 4, seed=0, fixed_amplitude=1.0)
+    ds = DataSet(steering_vector([0.2], 4))
     obs = observation_table(ds, grid, hyper)
     assert grid.states[np.argmax(obs.log_prob[0])] == pytest.approx(0.2)
 

@@ -14,7 +14,8 @@ from freqtrack.hyperopt import (
     hyper_nll_gradient,
 )
 from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
-from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
+from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
+                              synthesize_dataset)
 from oracles import brute_force_joint
 
 
@@ -100,6 +101,14 @@ def test_gradient_finite_where_criterion_is(extreme):
             assert grad[i] == pytest.approx(fd, rel=1e-4)
 
 
+def test_criterion_rejects_hyperparameters_whose_alpha_overflows():
+    # r_b (N r_a + r_b) overflows to inf: alpha would be 0, every observation
+    # row constant and the criterion a finite value that says nothing
+    ds, _, grid = small_problem(0)
+    with pytest.raises(ValueError, match=r"r_a=1e\+155, r_b=1e\+155"):
+        hyper_nll(ds, Hyperparameters(1e155, 1e155, 1e-2), grid)
+
+
 def test_gradient_memory_is_below_pair_tensor():
     # the EM gradient needs only the bin-summed pair marginals, never the
     # (T-1, P, P) tensor
@@ -137,9 +146,7 @@ def test_gradient_small_at_minimizer():
 
 
 def test_empirical_init_noiseless_cisoids():
-    track = np.full(16, 0.2)
-    hyper = Hyperparameters(1.0, 1e-300, 1e-3)
-    ds = synthesize_dataset(track, hyper, 4, seed=0, fixed_amplitude=1.0)
+    ds = DataSet(steering_vector(np.full(16, 0.2), 4))
     grid = FrequencyGrid(-2.5, 2.5, 128)
     est = empirical_init(ds, grid)
     assert est.r_a == pytest.approx(3 / 4, rel=1e-10)
@@ -149,7 +156,7 @@ def test_empirical_init_noiseless_cisoids():
 def test_empirical_init_pure_noise():
     hyper = Hyperparameters(1e-12, 1.0, 1e-3)
     track = np.zeros(2048)
-    ds = synthesize_dataset(track, hyper, 4, seed=4, fixed_amplitude=0.0)
+    ds = synthesize_dataset(track, hyper, 4, seed=4)
     grid = FrequencyGrid(-2.5, 2.5, 128)
     est = empirical_init(ds, grid)
     assert est.r_b == pytest.approx(1.0, rel=0.1)

@@ -7,7 +7,8 @@ from freqtrack.hmm import observation_table, viterbi
 from freqtrack.likelihood import map_objective, smoothing_weight
 from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import objective_gradient, refine_map
-from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
+from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
+                              synthesize_dataset)
 from oracles import steps_within_half
 
 
@@ -97,12 +98,15 @@ def test_stop_reason_max_iter(monkeypatch):
 
 def test_stop_reason_no_decrease(monkeypatch):
     # at a Newton minimum a gradient step only meets rounding noise, and a
-    # zero tolerance never accepts the gradient as small enough
+    # zero tolerance never accepts the gradient as small enough; a negated
+    # Hessian is indefinite, so every step is the gradient fallback
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
     minimum = refine_map(ds, init, hyper).track
     monkeypatch.setattr(refine, "GRAD_TOL", 0.0)
-    result = refine_map(ds, minimum, hyper, method="gradient")
+    hessian_bands = refine._hessian_bands
+    monkeypatch.setattr(refine, "_hessian_bands", lambda *args: -hessian_bands(*args))
+    result = refine_map(ds, minimum, hyper)
     assert result.stop_reason == "no_decrease"
     assert np.array_equal(result.track, minimum)
 
@@ -117,20 +121,9 @@ def test_refinement_is_local_minimum():
         assert map_objective(ds, perturbed, hyper) >= value - 1e-12
 
 
-def test_gradient_method_agrees_with_newton(monkeypatch):
-    ds, track, hyper = tracking_problem(seed=7, n_bins=12)
-    rng = np.random.default_rng(8)
-    init = track + rng.normal(0, 0.01, track.size)
-    newton = refine_map(ds, init, hyper, method="newton")
-    monkeypatch.setattr(refine, "MAX_ITER", 3000)
-    monkeypatch.setattr(refine, "GRAD_TOL", 1e-9)
-    grad = refine_map(ds, init, hyper, method="gradient")
-    assert np.max(np.abs(newton.track - grad.track)) < 1e-4
-
-
 def test_refinement_single_bin_reaches_periodogram_peak():
     hyper = Hyperparameters(1.0, 1e-6, 1e-2)
-    ds = synthesize_dataset([0.21], hyper, 4, seed=9, fixed_amplitude=1.0)
+    ds = DataSet(steering_vector([0.21], 4))
     result = refine_map(ds, np.array([0.15]), hyper)
     from freqtrack.spectral import periodogram_deriv_many
 
@@ -147,9 +140,3 @@ def test_strong_smoothing_flattens_track():
     flat_prior = Hyperparameters(1.0, 0.1, 1e-9)  # near-zero step variance
     result = refine_map(ds, np.full(4, 0.1), flat_prior)
     assert np.max(np.abs(np.diff(result.track))) < 1e-3
-
-
-def test_unknown_method_rejected():
-    ds, track, hyper = tracking_problem()
-    with pytest.raises(ValueError):
-        refine_map(ds, track, hyper, method="bfgs")
