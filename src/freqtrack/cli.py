@@ -13,6 +13,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,10 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+# estimate --levelsets samples the criterion on this many points per axis.
+LEVELSET_SIZE = 25
 
 
 class UsageError(Exception):
@@ -54,9 +59,9 @@ class RunConfig:
     strategy: str = "polak_ribiere"
     line_search: str = "golden_section"
     replicates: int = 20
-    levelset_size: int = 25
     out: str = "."
 
+    @cached_property
     def grid(self) -> FrequencyGrid:
         return FrequencyGrid(self.nu_min, self.nu_max, self.grid_size)
 
@@ -105,7 +110,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             overrides["track_hi"] = float(hi)
         except ValueError as exc:
             raise UsageError(f'bad --track-range value {args.track_range!r}') from exc
-    return replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
+    try:
+        cfg.grid  # built once, here, so that a bad grid is a usage error
+    except ValueError as exc:
+        raise UsageError(f"bad grid: {exc}") from exc
+    return cfg
 
 
 def rmse(estimate, truth) -> float:
@@ -146,7 +156,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_estimate(cfg: RunConfig, dataset_path: str, levelsets: bool) -> int:
     dataset = ftio.read_dataset_csv(dataset_path)
-    grid = cfg.grid()
+    grid = cfg.grid
     out = Path(cfg.out)
     strategies = list(STRATEGIES) if cfg.strategy == "all" else [cfg.strategy]
     reports = {}
@@ -176,16 +186,17 @@ def cmd_estimate(cfg: RunConfig, dataset_path: str, levelsets: bool) -> int:
         "function_evals": best.function_evals,
         "iterations": best.iterations,
         "converged": best.converged,
+        "stop_reason": best.stop_reason,
     })
     if levelsets:
-        _write_levelsets(out / "levelsets.csv", dataset, grid, r, cfg)
+        _write_levelsets(out / "levelsets.csv", dataset, grid, r)
     print(f"wrote {out / 'hyper.txt'} (best: {best_name})")
     return 0
 
 
-def _write_levelsets(path, dataset, grid, center: Hyperparameters, cfg: RunConfig) -> None:
+def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
     """Sample the hyperparameter criterion on a log-spaced box around center."""
-    m = cfg.levelset_size
+    m = LEVELSET_SIZE
     axes = [np.logspace(np.log10(v) - 1.0, np.log10(v) + 1.0, m)
             for v in (center.r_a, center.r_b, center.r_nu)]
     with open(path, "w") as fh:
@@ -213,7 +224,7 @@ def cmd_track(cfg: RunConfig, dataset_path: str, hyper_path: str, truth_path: st
     if truth is not None and truth.size != dataset.n_bins:
         raise ftio.DataFormatError(
             f"truth has {truth.size} bins but dataset has {dataset.n_bins}")
-    grid = cfg.grid()
+    grid = cfg.grid
     out = Path(cfg.out)
     start = time.perf_counter()
     tracks = compute_tracks(dataset, grid, hyper)
@@ -239,7 +250,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     truth = make_test_track(cfg.profile, cfg.n_bins, (cfg.track_lo, cfg.track_hi))
     results: dict[str, list[float]] = {}
     hyper_errors = []
-    grid = cfg.grid()
+    grid = cfg.grid
     out = Path(cfg.out)
     with open(out / "eval_replicates.csv", "w") as fh:
         for rep in range(cfg.replicates):
@@ -312,7 +323,7 @@ _GRID_HELP = 'grid spec "min,max,P"'
 
 def _add_command(sub, name: str, summary: str) -> _Parser:
     """A subcommand with the two options every command reads."""
-    p = sub.add_parser(name, help=summary)
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.add_argument("--config", help="key=value config file; flags win over file")
     p.add_argument("--out", help="output directory (must exist)")
     return p
@@ -331,8 +342,9 @@ def _add_simulation(parser) -> None:
 
 
 def make_parser() -> _Parser:
-    """Each subcommand accepts exactly the options its cmd_* function reads."""
-    parser = _Parser(prog="freqtrack",
+    """Each subcommand accepts exactly the options its cmd_* function reads,
+    spelled out in full."""
+    parser = _Parser(prog="freqtrack", allow_abbrev=False,
                      description="Frequency tracking beyond the Nyquist limit")
     sub = parser.add_subparsers(dest="command", required=True)
 

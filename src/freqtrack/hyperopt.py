@@ -107,8 +107,12 @@ class OptimizerReport:
     gradient_evals: int
     function_evals: int
     iterations: int
-    converged: bool
+    stop_reason: str  # "relative_decrease", "no_decrease", "zero_gradient" or "max_iter"
     trajectory: list = field(default_factory=list)  # log-parameter iterates
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iter"
 
 
 class _Counted:
@@ -238,110 +242,90 @@ def estimate_ml(
     grid: FrequencyGrid,
     strategy: str = "polak_ribiere",
     line_search: str = "golden_section",
-    init: Hyperparameters | None = None,
 ) -> OptimizerReport:
     """Minimize hyper_nll over log(r) starting from the empirical estimates.
 
-    Stops when the relative decrease of the criterion falls below REL_TOL
-    or after MAX_ITER iterations.  Every accepted step decreases the
+    One descent loop serves every strategy; they differ only in the searches
+    an iteration makes, each a step slot and the unit directions to try in
+    order.  coordinate_wise searches three slots, +e_i then -e_i; the
+    gradient strategies search one slot, their direction d then the steepest
+    one (skipped when equal to d).  Each slot takes the first candidate whose
+    line search lowers the criterion and reuses the accepted step as its
+    next hint; a slot where none does shrinks its hint.  stop_reason names
+    the exit: "zero_gradient", "no_decrease" (no slot moved),
+    "relative_decrease" (an iteration lowered the criterion by less than
+    REL_TOL * max(1, |f|)) or "max_iter".  Every accepted step decreases the
     criterion, so the trajectory is monotone.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if line_search not in LINE_SEARCHES:
         raise ValueError(f"unknown line search {line_search!r}")
-    if init is None:
-        init = empirical_init(dataset, grid)
 
     fun = _Counted(lambda x: hyper_nll(dataset, Hyperparameters.from_array(np.exp(x)), grid))
     grad = _Counted(
         lambda x: hyper_nll_gradient(dataset, Hyperparameters.from_array(np.exp(x)), grid))
 
-    x = np.log(init.as_array())
+    x = np.log(empirical_init(dataset, grid).as_array())
     fx = fun(x)
     if not np.isfinite(fx):
         raise ValueError("non-finite criterion at the starting point")
     trajectory = [x.copy()]
-    converged = False
-
-    if strategy == "coordinate_wise":
-        steps = np.full(3, 0.1)
-        iterations = 0
-        for iterations in range(1, MAX_ITER + 1):
-            f_before = fx
-            for axis in range(3):
-                direction = np.zeros(3)
-                direction[axis] = 1.0
-                moved = False
-                for sign in (+1.0, -1.0):
-                    phi = lambda s: fun(x + sign * s * direction)
-                    result = _line_search(phi, fx, steps[axis], line_search)
-                    if result is not None:
-                        s, fs = result
-                        x = x + sign * s * direction
-                        fx = fs
-                        steps[axis] = max(s, 1e-6)
-                        moved = True
-                        break
-                if not moved:
-                    steps[axis] = max(steps[axis] * 0.25, 1e-8)
-            trajectory.append(x.copy())
-            if f_before - fx < REL_TOL * max(1.0, abs(fx)):
-                converged = True
-                break
-    else:
-        prev_g = None
-        prev_d = None
-        weights = None
-        step_hint = 0.1
-        iterations = 0
-        for iterations in range(1, MAX_ITER + 1):
+    steps = np.full(3 if strategy == "coordinate_wise" else 1, 0.1)
+    g = prev_g = prev_d = None
+    weights = np.ones(3)  # vignes: per-component step correction
+    stop_reason = "max_iter"
+    iterations = 0
+    for iterations in range(1, MAX_ITER + 1):
+        if strategy == "coordinate_wise":
+            searches = [(axis, (e, -e)) for axis, e in enumerate(np.eye(3))]
+        else:
             g = grad(x)
             gnorm = float(np.linalg.norm(g))
             if gnorm == 0.0:
-                converged = True
+                stop_reason = "zero_gradient"
                 break
-            if strategy == "gradient":
+            restart = strategy == "polak_ribiere" and (iterations - 1) % 3 == 0
+            if strategy == "gradient" or prev_g is None or restart:
                 d = -g
             elif strategy == "polak_ribiere":
-                if prev_g is None or (iterations - 1) % 3 == 0:
-                    d = -g
-                else:
-                    beta = max(0.0, float(g @ (g - prev_g)) / float(prev_g @ prev_g))
-                    d = -g + beta * prev_d
+                beta = max(0.0, float(g @ (g - prev_g)) / float(prev_g @ prev_g))
+                d = -g + beta * prev_d
             elif strategy == "bisector":
-                if prev_d is None:
-                    d = -g
-                else:
-                    d = -g / gnorm + prev_d / np.linalg.norm(prev_d)
-            else:  # vignes: per-component sign-adaptive step correction
-                if weights is None:
-                    weights = np.full(3, 1.0)
-                else:
-                    same = np.sign(g) == np.sign(prev_g)
-                    weights = np.where(same, weights * 1.5, weights * 0.5)
+                d = -g / gnorm + prev_d / np.linalg.norm(prev_d)
+            else:  # vignes: grow the weight of a component whose sign holds
+                same = np.sign(g) == np.sign(prev_g)
+                weights = np.where(same, weights * 1.5, weights * 0.5)
                 d = -np.sign(g) * weights * np.abs(g)
             if float(d @ g) >= 0.0:
                 d = -g
             d = d / np.linalg.norm(d)
-            phi = lambda s: fun(x + s * d)
-            result = _line_search(phi, fx, step_hint, line_search)
-            if result is None and strategy != "gradient":
-                d = -g / gnorm
-                result = _line_search(lambda s: fun(x + s * d), fx, step_hint, line_search)
-            if result is None:
-                converged = True
-                break
-            s, fs = result
-            f_before = fx
-            x = x + s * d
-            fx = fs
-            step_hint = max(s, 1e-6)
-            prev_g, prev_d = g, d
-            trajectory.append(x.copy())
-            if f_before - fx < REL_TOL * max(1.0, abs(fx)):
-                converged = True
-                break
+            steepest = -g / gnorm
+            searches = [(0, (d,) if np.array_equal(d, steepest) else (d, steepest))]
+
+        f_before = fx
+        moved = False
+        for slot, candidates in searches:
+            for direction in candidates:
+                result = _line_search(lambda s: fun(x + s * direction), fx, steps[slot],
+                                      line_search)
+                if result is not None:
+                    s, fx = result
+                    x = x + s * direction
+                    steps[slot] = max(s, 1e-6)
+                    prev_d = direction
+                    moved = True
+                    break
+            else:
+                steps[slot] = max(steps[slot] * 0.25, 1e-8)
+        if not moved:
+            stop_reason = "no_decrease"
+            break
+        prev_g = g
+        trajectory.append(x.copy())
+        if f_before - fx < REL_TOL * max(1.0, abs(fx)):
+            stop_reason = "relative_decrease"
+            break
 
     return OptimizerReport(
         minimizer=Hyperparameters.from_array(np.exp(x)),
@@ -349,6 +333,6 @@ def estimate_ml(
         gradient_evals=grad.count,
         function_evals=fun.count,
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
         trajectory=trajectory,
     )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from freqtrack import cli
 from freqtrack import io as ftio
 from freqtrack.cli import RunConfig, build_config, main, make_parser, rmse
 from freqtrack.hyperopt import hyper_nll
@@ -145,7 +146,8 @@ def test_full_pipeline(tmp_path):
     ds_path = str(tmp_path / "dataset.csv")
     assert run(["estimate", ds_path, "--strategy", "vignes",
                 "--out", str(tmp_path), "--grid=-2.5,2.5,48"]) == 0
-    assert (tmp_path / "hyper.txt").exists()
+    fit = ftio.read_key_values(tmp_path / "hyper.txt")
+    assert fit["stop_reason"] == "relative_decrease" and fit["converged"] == "True"
     # track with the generating hyperparameters: 24 bins are too few for a
     # reliable estimate, and this test is about the pipeline, not recovery
     hyper = tmp_path / "hyper_true.txt"
@@ -171,12 +173,15 @@ def test_eval_command(tmp_path):
     assert run(["eval", "--replicates", "0"] + small_args(tmp_path)) == 1
 
 
-def test_estimate_levelsets(tmp_path):
+def test_estimate_levelsets(tmp_path, monkeypatch):
     assert run(["simulate", "--seed", "3"] + small_args(tmp_path)) == 0
+    estimate = ["estimate", str(tmp_path / "dataset.csv"), "--levelsets",
+                "--out", str(tmp_path), "--grid=-2.5,2.5,48"]
     config = tmp_path / "run.cfg"
     config.write_text("levelset_size=2\n")
-    assert run(["estimate", str(tmp_path / "dataset.csv"), "--levelsets", "--config", str(config),
-                "--out", str(tmp_path), "--grid=-2.5,2.5,48"]) == 0
+    assert run(estimate + ["--config", str(config)]) == 1  # not a setting
+    monkeypatch.setattr(cli, "LEVELSET_SIZE", 2)
+    assert run(estimate) == 0
     lines = (tmp_path / "levelsets.csv").read_text().splitlines()
     assert lines[0] == "r_a,r_b,r_nu,value"
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
@@ -307,6 +312,28 @@ def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, f
         run(argv)
     assert err.value.code == 1
     assert flag in capsys.readouterr().err
+
+
+def test_flag_prefix_is_rejected(tmp_path, capsys):
+    _valid_inputs(tmp_path)
+    argv = ["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
+            "--tr", str(tmp_path / "truth.csv"), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 1
+    assert "--tr" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.txt").exists()
+
+
+@pytest.mark.parametrize("spec", ["-1,1,1", "1,-1,8"])
+@pytest.mark.parametrize("command", ["estimate", "track"])
+def test_invalid_grid_is_a_usage_error(tmp_path, capsys, command, spec):
+    _valid_inputs(tmp_path)
+    inputs = {"estimate": ["dataset.csv"], "track": ["dataset.csv", "hyper.txt"]}[command]
+    argv = [command, *(str(tmp_path / name) for name in inputs), f"--grid={spec}",
+            "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert "bad grid" in capsys.readouterr().err
 
 
 def test_exit_code_bad_config(tmp_path):

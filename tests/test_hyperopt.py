@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from freqtrack import hyperopt
 from freqtrack.hmm import ObservationTable, observation_table
 from freqtrack.hyperopt import (
     LINE_SEARCHES,
@@ -198,10 +200,11 @@ def test_estimate_monotone_descent():
     assert report.reached_minimum == pytest.approx(values[-1])
 
 
-def test_estimate_fixed_point():
+def test_estimate_fixed_point(monkeypatch):
     ds, grid = standard_dataset()
     first = estimate_ml(ds, grid, strategy="vignes")
-    again = estimate_ml(ds, grid, strategy="vignes", init=first.minimizer)
+    monkeypatch.setattr(hyperopt, "empirical_init", lambda *args: first.minimizer)
+    again = estimate_ml(ds, grid, strategy="vignes")
     assert again.iterations <= 2
     drift = np.abs(np.log10(again.minimizer.as_array())
                    - np.log10(first.minimizer.as_array()))
@@ -223,3 +226,59 @@ def test_unknown_strategy_rejected():
         estimate_ml(ds, grid, strategy="sgd")
     with pytest.raises(ValueError):
         estimate_ml(ds, grid, line_search="exact")
+
+
+def test_gradient_strategies_part_after_the_shared_first_step(monkeypatch):
+    # every gradient strategy starts along -g, so the first iterate is shared;
+    # from the second on each follows its own direction rule
+    monkeypatch.setattr(hyperopt, "MAX_ITER", 2)
+    ds, grid = standard_dataset()
+    trajectories = [estimate_ml(ds, grid, strategy=strategy).trajectory
+                    for strategy in STRATEGIES if strategy != "coordinate_wise"]
+    assert all(np.array_equal(t[1], trajectories[0][1]) for t in trajectories)
+    for a, b in itertools.combinations([t[2] for t in trajectories], 2):
+        assert not np.array_equal(a, b)
+
+
+def small_fit_problem():
+    track = make_test_track("sine", 32, (-0.5, 0.5))
+    ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=5)
+    return ds, FrequencyGrid(-1.0, 1.0, 32)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_stop_reason_relative_decrease(monkeypatch, strategy):
+    monkeypatch.setattr(hyperopt, "REL_TOL", np.inf)
+    report = estimate_ml(*small_fit_problem(), strategy=strategy)
+    assert report.stop_reason == "relative_decrease" and report.converged
+    assert report.iterations == 1 and len(report.trajectory) == 2
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_stop_reason_max_iter(monkeypatch, strategy):
+    monkeypatch.setattr(hyperopt, "MAX_ITER", 1)
+    monkeypatch.setattr(hyperopt, "REL_TOL", 0.0)
+    report = estimate_ml(*small_fit_problem(), strategy=strategy)
+    assert report.stop_reason == "max_iter" and not report.converged
+    assert report.iterations == 1 and len(report.trajectory) == 2
+
+
+def test_stop_reason_zero_gradient(monkeypatch):
+    monkeypatch.setattr(hyperopt, "hyper_nll_gradient", lambda *args: np.zeros(3))
+    report = estimate_ml(*small_fit_problem(), strategy="vignes")
+    assert report.stop_reason == "zero_gradient" and report.converged
+    assert (report.iterations, report.gradient_evals, report.function_evals) == (1, 1, 1)
+    assert len(report.trajectory) == 1
+
+
+@pytest.mark.parametrize("strategy", ["coordinate_wise", "polak_ribiere"])
+def test_stop_reason_no_decrease(monkeypatch, strategy):
+    # a negated gradient points uphill, so the gradient strategies find no
+    # decrease; a zero tolerance keeps coordinate_wise going until none of
+    # its six directions lowers the criterion
+    monkeypatch.setattr(hyperopt, "REL_TOL", 0.0)
+    gradient = hyperopt.hyper_nll_gradient
+    monkeypatch.setattr(hyperopt, "hyper_nll_gradient", lambda *args: -gradient(*args))
+    report = estimate_ml(*small_fit_problem(), strategy=strategy)
+    assert report.stop_reason == "no_decrease" and report.converged
+    assert report.iterations == len(report.trajectory)
