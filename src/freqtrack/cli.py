@@ -21,12 +21,13 @@ import numpy as np
 from freqtrack import io as ftio
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.hmm import NumericalError, observation_table, viterbi
-from freqtrack.hyperopt import LINE_SEARCHES, STRATEGIES, estimate_ml, hyper_nll
+from freqtrack.hyperopt import (DEFAULT_STRATEGY, LINE_SEARCHES, STRATEGIES, estimate_ml,
+                                hyper_nll)
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import refine_map
-from freqtrack.signal import (TRACK_PROFILES, DataSet, Hyperparameters, make_test_track,
-                              synthesize_dataset)
+from freqtrack.signal import (MIN_SAMPLES, TRACK_PROFILES, DataSet, Hyperparameters,
+                              make_test_track, synthesize_dataset)
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -56,7 +57,7 @@ class RunConfig:
     r_a: float = 1.0
     r_b: float = 0.1
     r_nu: float = 1e-3  # sqrt(r_nu) = 0.0316 is below the default grid spacing 0.0394
-    strategy: str = "polak_ribiere"
+    strategy: str = DEFAULT_STRATEGY
     line_search: str = "golden_section"
     replicates: int = 20
     out: str = "."
@@ -111,6 +112,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise UsageError(f'bad --track-range value {args.track_range!r}') from exc
     cfg = replace(cfg, **overrides)
+    # flag values passed the parser's choices already; config-file values are checked here
+    for name, allowed in getattr(args, "choices", {}).items():
+        value = getattr(cfg, name)
+        if value not in allowed:
+            raise UsageError(f"bad value for {name!r}: {value!r}, "
+                             f"expected one of {', '.join(allowed)}")
+    if cfg.n_samples < MIN_SAMPLES:
+        raise UsageError(f"need at least {MIN_SAMPLES} samples per bin, got {cfg.n_samples}")
     try:
         cfg.grid  # built once, here, so that a bad grid is a usage error
     except ValueError as exc:
@@ -308,6 +317,17 @@ def _join_range_values(argv: list[str]) -> list[str]:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Records each option's allowed values by dest as the `choices`
+    default, which make_parser completes and build_config checks config-file
+    values against."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.choices is not None:
+            known = self.get_default("choices") or {}
+            self.set_defaults(choices={**known, action.dest: action.choices})
+        return action
+
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(_join_range_values(args), namespace)
@@ -370,6 +390,17 @@ def make_parser() -> _Parser:
     p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--replicates", type=int, dest="replicates")
     p.add_argument("--strategy", choices=STRATEGIES, dest="strategy")
+
+    # A config file may set a key its command has no flag for (eval reads
+    # line_search), so each command checks config values against its own
+    # choices first, then against the first command's that has the key.
+    commands = list(sub.choices.values())
+    for command in commands:
+        merged: dict = {}
+        for other in [command, *commands]:
+            for dest, allowed in (other.get_default("choices") or {}).items():
+                merged.setdefault(dest, allowed)
+        command.set_defaults(choices=merged)
     return parser
 
 

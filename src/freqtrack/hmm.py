@@ -13,12 +13,12 @@ so path and cost match a dense search on that cost bit for bit, at worst
 at the dense O(T P^2) cost plus the band.
 
 Forward and backward apply the Gaussian transition T[q, p] =
-k[|p - q|] / z[q] as a convolution with the kernel cut after lag h, the
-last lag where k exceeds KERNEL_CUTOFF = 2^-106.  Each bin bounds how much
-the dropped entries could have moved its result and is recomputed with the
-dense product unless that bound is within eps of it; a kernel whose 2h+1
-taps leave fewer than BAND_MIN_SKIPPED states out runs the whole pass
-densely.  The cost is O(T P h), at worst the dense O(T P^2).
+k[|p - q|] / z[q] as a correlation with the kernel cut after lag h, the
+last lag where k exceeds KERNEL_CUTOFF = 2^-106, and never build the P x P
+matrix.  Each bin bounds how much the dropped entries could have moved its
+result and is recomputed with all 2P - 1 kernel taps unless that bound is
+within eps of it; a kernel whose 2h+1 taps would outnumber the P states
+keeps all 2P - 1 from the start.  The cost is O(T P h), at worst O(T P^2).
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ BAND_HALF_WIDTH = 64
 # forward-backward band: next to the diagonal entry 1 they lie below the
 # rounding of its rounding error.
 KERNEL_CUTOFF = 2.0**-106
-# The band is applied only while its 2h+1 taps leave at least this many of
-# the P states out; a wider kernel runs the pass with the dense product.
-# Forward passes over T=128 simulated bins: at P=128 the two tie at 2h+1
-# near 64 (band 1.0 against dense 1.4 ms at 65 taps, 2.1 against 1.8 ms at
-# 77); at P=384 and P=512 the band is still faster at 0.95 P taps.
-BAND_MIN_SKIPPED = 64
 _EPS = float(np.finfo(float).eps)
 
 
@@ -107,21 +101,28 @@ class ForwardBackwardResult:
     forward: np.ndarray       # (T, P), rows sum to 1
     normalizers: np.ndarray   # (T,), computed on shifted observation rows
     log_likelihood: float
-    half_width: int           # kernel lags kept on each side; P - 1 for the dense product
+    half_width: int           # kernel lags kept on each side; P - 1 for all of them
     truncation_bound: float   # largest dropped kernel value k[h+1]; 0 when none is dropped
-    fallback_bins: int        # bins recomputed with the dense product, both passes
+    fallback_bins: int        # bins recomputed with all 2P - 1 taps, both passes
     backward: np.ndarray | None = None
 
 
-def _kernel_band(trans: GaussianTransition) -> tuple[int, np.ndarray | None, float]:
-    """(h, taps, k[h+1]) of the kernel cut after its last value above
-    KERNEL_CUTOFF; taps is None, h = P - 1 and the bound 0 when the 2h+1
-    taps would leave fewer than BAND_MIN_SKIPPED states out."""
+def _kernel_band(trans: GaussianTransition) -> tuple[int, np.ndarray, float]:
+    """(h, taps, k[h+1]): the 2h+1 kernel taps at lags -h ... h, h the last
+    lag whose value exceeds KERNEL_CUTOFF.  When 2h+1 > P all 2P - 1 taps
+    are kept, with h = P - 1 and bound 0."""
     kernel = trans.kernel
+    size = kernel.size
     half = int(np.count_nonzero(kernel > KERNEL_CUTOFF)) - 1
-    if 2 * half + 1 > kernel.size - BAND_MIN_SKIPPED:
-        return kernel.size - 1, None, 0.0
-    return half, np.concatenate([kernel[half:0:-1], kernel[:half + 1]]), float(kernel[half + 1])
+    if 2 * half + 1 > size:
+        return size - 1, trans.taps, 0.0
+    return half, trans.taps[size - 1 - half:size + half], float(kernel[half + 1])
+
+
+def _correlate(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """out[p] = sum_j values[p + j] taps[h + j] over the 2h+1 symmetric taps
+    (off-grid values are zero): P outputs for h <= P - 1."""
+    return np.correlate(values, taps, "same" if taps.size <= values.size else "valid")
 
 
 def forward(obs: ObservationTable, trans: GaussianTransition,
@@ -132,41 +133,40 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     a peak on an inadmissible alias would scale all of them to zero.  Only
     the log-likelihood reads that shift, not backward or the posteriors.
 
-    Each step f @ T is the convolution of f / norm with the 2h+1 kernel
-    taps kept by _kernel_band, O(P h) instead of O(P^2) (a correlation,
-    as the taps are symmetric).  The dropped entries are at most k[h+1]
-    and the scaled observation row at most 1, so they move the bin's
-    normalizer by at most P k[h+1] sum(f / norm); a bin where that is not
-    within eps of the normalizer is recomputed with the dense product.  A
-    kernel too wide for the band runs the whole pass densely, so the cost
-    is O(T P h), O(T P^2) at worst.
+    Each step f @ T is the correlation of f / norm with the 2h+1 kernel
+    taps kept by _kernel_band, O(P h) instead of O(P^2).  The dropped
+    entries are at most k[h+1], the scaled observation row at most 1 and
+    sum(f / norm) at most sum(f) = 1, as every norm is at least 1, so they
+    move the bin's normalizer by at most P k[h+1]; a bin where that is not
+    within eps of the normalizer is recomputed with all 2P - 1 taps.  The
+    cost is O(T P h), O(T P^2) at worst.
     """
     scaled = obs.scaled()
     n_bins, n_states = scaled.shape
     half, taps, bound = _kernel_band(trans)
+    dropped = n_states * bound
     fwd = np.empty((n_bins, n_states))
     norms = np.empty(n_bins)
+    source = np.empty(n_states)
     fallbacks = 0
     head = np.where(init > 0, obs.log_prob[0], -np.inf)
     shifts = np.append(head.max(), obs.row_shift[1:])
-    probe = np.exp(head - shifts[0]) * init
-    norm = probe.sum()
+    np.multiply(np.exp(head - shifts[0]), init, out=fwd[0])
+    norm = fwd[0].sum()
     for t in range(n_bins):
+        row = fwd[t]
         if t > 0:
-            certified = False
-            if taps is not None:
-                source = fwd[t - 1] / trans.norm
-                probe = scaled[t] * np.correlate(source, taps, "same")
-                norm = probe.sum()
-                certified = n_states * bound * source.sum() <= _EPS * norm  # NaN fails
-                fallbacks += not certified
-            if not certified:
-                probe = scaled[t] * (fwd[t - 1] @ trans.matrix)
-                norm = probe.sum()
+            np.divide(fwd[t - 1], trans.norm, out=source)
+            np.multiply(scaled[t], _correlate(source, taps), out=row)
+            norm = row.sum()
+            if not dropped <= _EPS * norm:  # NaN fails
+                fallbacks += 1
+                np.multiply(scaled[t], _correlate(source, trans.taps), out=row)
+                norm = row.sum()
         if norm == 0.0:
             raise NumericalError(f"forward probability underflowed to zero at bin {t}")
         norms[t] = norm
-        fwd[t] = probe / norm
+        row /= norm
     log_likelihood = float(np.sum(np.log(norms)) + np.sum(shifts))
     return ForwardBackwardResult(forward=fwd, normalizers=norms, log_likelihood=log_likelihood,
                                  half_width=half, truncation_bound=bound, fallback_bins=fallbacks)
@@ -178,30 +178,29 @@ def backward(obs: ObservationTable, trans: GaussianTransition,
 
     Returns a copy of fwd with the backward table set and the backward
     pass's fallbacks added to fallback_bins.  Each step T @ v is the
-    convolution of v with the same taps as the forward pass, divided by
+    correlation of v with the same taps as the forward pass, divided by
     norm.  The dropped terms move the posterior mass of bin t,
-    sum_q f_t[q] b_t[q], by at most k[h+1] sum(v) sum(f_t / norm) / c_{t+1},
-    c the forward normalizers; a bin where that is not within eps of the
-    mass is recomputed with the dense product.
+    sum_q f_t[q] b_t[q], by at most k[h+1] sum(v) sum(f_t / norm) / c_{t+1}
+    <= k[h+1] sum(v) / c_{t+1}, c the forward normalizers; a bin where that
+    is not within eps of the mass is recomputed with all 2P - 1 taps.
     """
     scaled = obs.scaled()
     n_bins, n_states = scaled.shape
     _, taps, bound = _kernel_band(trans)
-    source_mass = (fwd.forward / trans.norm).sum(axis=1)
     bwd = np.empty((n_bins, n_states))
     bwd[-1] = 1.0
+    weights = np.empty(n_states)
     fallbacks = 0
     for t in range(n_bins - 2, -1, -1):
-        weights = scaled[t + 1] * bwd[t + 1]
-        certified = False
-        if taps is not None:
-            spread = np.correlate(weights, taps, "same") / trans.norm
-            mass = fwd.forward[t] @ spread
-            certified = bound * weights.sum() * source_mass[t] <= _EPS * mass  # NaN fails
-            fallbacks += not certified
-        if not certified:
-            spread = trans.matrix @ weights
-        bwd[t] = spread / fwd.normalizers[t + 1]
+        np.multiply(scaled[t + 1], bwd[t + 1], out=weights)
+        spread = _correlate(weights, taps)
+        spread /= trans.norm
+        mass = fwd.forward[t] @ spread
+        if not bound * weights.sum() <= _EPS * mass:  # NaN fails
+            fallbacks += 1
+            spread = _correlate(weights, trans.taps)
+            spread /= trans.norm
+        np.divide(spread, fwd.normalizers[t + 1], out=bwd[t])
     return replace(fwd, backward=bwd, fallback_bins=fwd.fallback_bins + fallbacks)
 
 

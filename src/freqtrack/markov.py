@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from freqtrack.likelihood import in_initial_band
 
@@ -45,11 +45,16 @@ class GaussianTransition:
     norm: np.ndarray    # (P,): row sums of the kernel, each at least 1
 
     @cached_property
+    def taps(self) -> np.ndarray:
+        """(2P - 1,): the kernel at lags -(P - 1) ... P - 1, so that
+        norm[q] * T[q] is taps[P - 1 - q : 2P - 1 - q]."""
+        return np.concatenate([self.kernel[:0:-1], self.kernel])
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The dense (P, P) row-stochastic matrix."""
-        matrix = toeplitz(self.kernel)
-        matrix /= self.norm[:, None]  # in place: a second P x P array costs 4x the division
-        return matrix
+        # divides a zero-copy Toeplitz view of the taps, so one P x P array is built
+        return sliding_window_view(self.taps, self.kernel.size)[::-1] / self.norm[:, None]
 
 
 def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:

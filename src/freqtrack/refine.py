@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from freqtrack.likelihood import in_initial_band, map_objective, smoothing_weight
 from freqtrack.signal import DataSet, Hyperparameters
@@ -89,6 +88,8 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
         if track.size == 1:
             step = -grad / bands[1] if bands[1, 0] > 0 else None
         else:
+            import scipy.linalg  # here: at the top it is most of the package's import time
+
             try:
                 step = scipy.linalg.solveh_banded(bands, -grad)
             except scipy.linalg.LinAlgError:

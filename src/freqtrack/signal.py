@@ -20,6 +20,8 @@ import numpy as np
 # energy, so it overflows for energies near the square root of the float
 # maximum; the fourth root keeps a wide margin below that.
 MAX_RECORD_ENERGY = float(np.finfo(float).max) ** 0.25
+# Fewest samples per record: the periodogram of one sample is flat in nu.
+MIN_SAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class DataSet:
         samples = np.asarray(self.samples, dtype=complex)
         if samples.ndim != 2:
             raise ValueError("samples must be a (T, N) array")
-        if samples.shape[0] < 1 or samples.shape[1] < 2:
-            raise ValueError("need T >= 1 bins of N >= 2 samples")
+        if samples.shape[0] < 1 or samples.shape[1] < MIN_SAMPLES:
+            raise ValueError(f"need T >= 1 bins of N >= {MIN_SAMPLES} samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         with np.errstate(over="ignore"):
@@ -133,8 +135,6 @@ def synthesize_dataset(track, hyper: Hyperparameters, n_samples: int, seed: int)
     track = np.asarray(track, dtype=float)
     if track.ndim != 1 or track.size < 1:
         raise ValueError("track must be a nonempty 1-D sequence")
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
     rng = np.random.default_rng(seed)
     n_bins = track.size
     amps = _circular_gaussian(rng, hyper.r_a, n_bins)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,7 +13,7 @@ from freqtrack import io as ftio
 from freqtrack.cli import RunConfig, build_config, main, make_parser, rmse
 from freqtrack.hyperopt import hyper_nll
 from freqtrack.markov import FrequencyGrid
-from freqtrack.signal import Hyperparameters, synthesize_dataset
+from freqtrack.signal import MIN_SAMPLES, Hyperparameters, synthesize_dataset
 
 
 def run(argv):
@@ -341,6 +346,58 @@ def test_exit_code_bad_config(tmp_path):
     cfg.write_text("no_such_key=1\n")
     code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("line", ["strategy=sgd", "strategy=all", "line_search=exact",
+                                  "profile=zigzag"])
+def test_config_value_outside_the_choices_is_a_usage_error(tmp_path, capsys, line):
+    # eval has no --line-search flag, so that value is checked against estimate's
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["eval", "--config", str(cfg), "--replicates", "1", "--bins", "8",
+            "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert line.split("=")[1] in capsys.readouterr().err
+    assert not (tmp_path / "eval_replicates.csv").exists()
+
+
+def test_config_strategy_all_is_accepted_where_a_command_accepts_it(tmp_path):
+    _valid_inputs(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("strategy=all\n")
+    for command in (["estimate", "dataset.csv"], ["track", "dataset.csv", "hyper.txt"]):
+        argv = [command[0], *(str(tmp_path / name) for name in command[1:]),
+                "--config", str(cfg), "--grid=-1,1,8", "--out", str(tmp_path)]
+        assert run(argv) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_too_few_samples_is_a_usage_error(tmp_path, capsys, source):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_samples=1\n")
+    extra = ["--samples", "1"] if source == "flag" else ["--config", str(cfg)]
+    assert run(["simulate", *extra, "--out", str(tmp_path)]) == 1
+    assert f"at least {MIN_SAMPLES} samples" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.csv").exists()
+
+
+def test_estimate_never_imports_scipy_linalg(tmp_path):
+    # the banded solver of refine_map is the package's only use of scipy.linalg,
+    # whose import would otherwise be most of the CLI's start-up time
+    _valid_inputs(tmp_path)
+    script = (
+        "import sys\n"
+        "import freqtrack.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, 'loaded by the import'\n"
+        f"assert freqtrack.cli.main(['estimate', {str(tmp_path / 'dataset.csv')!r}, "
+        f"'--grid=-1,1,8', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'loaded by estimate'\n")
+    src = str(Path(cli.__file__).parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # Reader fuzzing: whatever text sits in an input file, the CLI exits with 0

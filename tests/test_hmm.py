@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import logsumexp
 
 from freqtrack.hmm import (
@@ -15,8 +16,8 @@ from freqtrack.hmm import (
     posterior_marginals,
     viterbi,
 )
-from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
-                              transition_matrix)
+from freqtrack.markov import (FrequencyGrid, GaussianTransition, gaussian_transition,
+                              initial_distribution, transition_matrix)
 from freqtrack.signal import DataSet, Hyperparameters, steering_vector, synthesize_dataset
 from oracles import brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost
 
@@ -172,8 +173,13 @@ def dense_forward_backward(obs, trans, init):
 
 
 def assert_matches_dense(obs, transition, init):
-    fb = forward_backward(obs, transition, init)
-    log_likelihood, fwd, bwd = dense_forward_backward(obs, transition.matrix, init)
+    """forward_backward, run with GaussianTransition.matrix raising, equals
+    the dense reference on the same transition."""
+    dense = toeplitz(transition.kernel) / transition.norm[:, None]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GaussianTransition, "matrix", property(_refuse_dense))
+        fb = forward_backward(obs, transition, init)
+    log_likelihood, fwd, bwd = dense_forward_backward(obs, dense, init)
     assert fb.log_likelihood == pytest.approx(log_likelihood, rel=1e-12)
     # entries reached only through dropped kernel values (<= 2^-106) differ
     # by about that much relative to their row, whose scale is 1 but for
@@ -181,9 +187,13 @@ def assert_matches_dense(obs, transition, init):
     np.testing.assert_allclose(fb.forward, fwd, rtol=1e-12, atol=1e-15)
     scale = bwd.max(axis=1, keepdims=True)
     np.testing.assert_allclose(fb.backward / scale, bwd / scale, rtol=1e-12, atol=1e-15)
-    singles = posterior_marginals(fb, obs, transition.matrix).singles
+    singles = posterior_marginals(fb, obs, dense).singles
     np.testing.assert_allclose(singles, fwd * bwd, rtol=1e-12, atol=1e-15)
     return fb
+
+
+def _refuse_dense(transition):
+    raise AssertionError("forward-backward built the dense transition matrix")
 
 
 @pytest.mark.parametrize("r_nu", [1e-12, 1e-4, 1e-2, 1.0, 1e6])
@@ -198,7 +208,8 @@ def test_forward_backward_band_equals_dense(n_states, r_nu):
     if fb.half_width < n_states - 1:
         assert np.all(kernel[:fb.half_width + 1] > KERNEL_CUTOFF)
         assert fb.truncation_bound == kernel[fb.half_width + 1] <= KERNEL_CUTOFF
-    else:
+    else:  # 2h+1 > P: all 2P - 1 taps
+        assert 2 * np.count_nonzero(kernel > KERNEL_CUTOFF) - 1 > n_states
         assert fb.truncation_bound == 0.0 and fb.fallback_bins == 0
 
 

@@ -211,6 +211,18 @@ def test_estimate_fixed_point(monkeypatch):
     assert np.all(drift < 0.05)
 
 
+def test_default_strategy_reaches_the_minimum():
+    # 16 sine bins on a wide P=384 grid: the fit drifts to r_nu near e^13.7,
+    # where polak_ribiere stopped 0.07 nats above coordinate_wise's 75.497882
+    track = make_test_track("sine", 16, (-1.5, 1.5))
+    ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=0)
+    grid = FrequencyGrid(-3.5, 3.5, 384)
+    baseline = estimate_ml(ds, grid, strategy="coordinate_wise")
+    assert baseline.reached_minimum == pytest.approx(75.497882, abs=1e-6)
+    assert estimate_ml(ds, grid).reached_minimum == pytest.approx(baseline.reached_minimum,
+                                                                   abs=1e-6)
+
+
 @pytest.mark.parametrize("line_search", LINE_SEARCHES)
 def test_line_searches_all_reach_same_minimum(line_search):
     ds, grid = standard_dataset()
