@@ -54,7 +54,7 @@ class NumericalError(RuntimeError):
 class ObservationTable:
     """Per-bin state log-likelihoods log O_t(p), for forward-backward, and
     the periodograms that generated them, whose negation is Viterbi's local
-    cost."""
+    cost (read in place, never copied)."""
 
     log_prob: np.ndarray      # (T, P)
     periodograms: np.ndarray  # (T, P)
@@ -80,6 +80,10 @@ class ObservationTable:
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters) -> ObservationTable:
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
 
+    log_prob is built in place on alpha * periodograms, so the table holds
+    two (T, P) float arrays; the sums are the same IEEE additions, and so
+    the same bits, as log_beta + alpha * periodograms - energy / r_b.
+
     Raises ValueError naming r_a and r_b when alpha is not positive and
     finite (see alpha_coefficient), or when log beta or the largest record
     energy over r_b is not finite: the entries would then be constant,
@@ -92,7 +96,9 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
         raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make the "
                          "likelihood coefficient log beta or energy / r_b non-finite")
     p_table = periodogram_table(dataset.samples, grid.states)
-    log_prob = log_beta + alpha * p_table - (dataset.energy / hyper.r_b)[:, None]
+    log_prob = alpha * p_table
+    log_prob += log_beta
+    log_prob -= (dataset.energy / hyper.r_b)[:, None]
     return ObservationTable(log_prob=log_prob, periodograms=p_table)
 
 
@@ -251,7 +257,9 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     Local cost is -P_t(nu^p), pair cost lam * (lag * spacing)^2 for states
     lag = |p - q| apart, and the first state is constrained to the initial
     band.  Ties break toward the lowest state index at every stage and at
-    termination.
+    termination.  Each stage subtracts its row of obs.periodograms, read in
+    place with no negated (T, P) copy: x - P is the same IEEE result as
+    x + (-P).
 
     Each stage min-sums cost_{t-1}[q] + lag_cost[|p - q|] over the
     predecessors q within W = BAND_HALF_WIDTH states of each target p.
@@ -280,8 +288,8 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     finite = np.isfinite(obs.periodograms).all(axis=1) & np.isfinite(obs.log_prob).all(axis=1)
     if not finite.all():
         raise ValueError(f"local cost is not finite at bin {int(np.argmin(finite))}")
-    local = -obs.periodograms
-    n_bins, n_states = local.shape
+    periodograms = obs.periodograms
+    n_bins, n_states = periodograms.shape
     half = min(BAND_HALF_WIDTH, n_states - 1)
     rows = np.arange(n_states)
     with np.errstate(over="ignore"):
@@ -295,7 +303,7 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
         windows = sliding_window_view(padded, 2 * half + 1)
         total = np.empty_like(band_pair)
         back = np.empty((n_bins, n_states), dtype=np.min_scalar_type(n_states - 1))
-        cost = local[0] + np.where(initial_distribution(grid) > 0, 0.0, np.inf)
+        cost = np.where(initial_distribution(grid) > 0, 0.0, np.inf) - periodograms[0]
         for t in range(1, n_bins):
             padded[half:half + n_states] = cost
             np.add(windows, band_pair, out=total)
@@ -308,7 +316,7 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
                 best[bad] = fallback.argmin(axis=1)
                 low[bad] = fallback[np.arange(bad.size), best[bad]]
             back[t] = best
-            cost = low + local[t]
+            cost = low - periodograms[t]
     path = np.empty(n_bins, dtype=int)
     path[-1] = int(np.argmin(cost))
     best_cost = float(cost[path[-1]])

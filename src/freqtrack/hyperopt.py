@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from freqtrack.hmm import forward, forward_backward, observation_table, posterior_marginals
+from freqtrack.hmm import (KERNEL_CUTOFF, forward, forward_backward, observation_table,
+                           posterior_marginals)
 from freqtrack.likelihood import in_initial_band
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
@@ -110,12 +111,14 @@ class OptimizerReport:
     gradient_evals: int
     function_evals: int
     iterations: int
-    stop_reason: str  # "relative_decrease", "no_decrease", "zero_gradient" or "max_iter"
+    # "relative_decrease", "no_decrease", "zero_gradient", "max_iter" or
+    # "r_nu_below_resolution"; the last two are not convergence
+    stop_reason: str
     trajectory: list = field(default_factory=list)  # log-parameter iterates
 
     @property
     def converged(self) -> bool:
-        return self.stop_reason != "max_iter"
+        return self.stop_reason not in ("max_iter", "r_nu_below_resolution")
 
 
 class _Counted:
@@ -259,6 +262,11 @@ def estimate_ml(
     "relative_decrease" (an iteration lowered the criterion by less than
     REL_TOL * max(1, |f|)) or "max_iter".  Every accepted step decreases the
     criterion, so the trajectory is monotone.
+
+    Whatever the exit, a minimizer whose kernel value at lag 1 is at or
+    below KERNEL_CUTOFF is reported as "r_nu_below_resolution": the grid
+    cannot resolve that r_nu, the transition is the identity there and the
+    criterion flat in r_nu, so the fit has not converged.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -330,8 +338,11 @@ def estimate_ml(
             stop_reason = "relative_decrease"
             break
 
+    minimizer = Hyperparameters.from_array(np.exp(x))
+    if gaussian_transition(grid, minimizer.r_nu).kernel[1] <= KERNEL_CUTOFF:
+        stop_reason = "r_nu_below_resolution"
     return OptimizerReport(
-        minimizer=Hyperparameters.from_array(np.exp(x)),
+        minimizer=minimizer,
         reached_minimum=fx,
         gradient_evals=grad.count,
         function_evals=fun.count,

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# periodogram_table computes its complex products in row blocks of at most
+# this many entries, so the only (T, P) array it allocates is its result.
+_BLOCK_ENTRIES = 2**16
+
 
 def periodogram(samples, nu):
     """P(nu) = (1/N) |sum_n y(n) e^{-2j pi nu n}|^2, nonnegative and 1-periodic.
@@ -49,9 +53,20 @@ def periodogram_table(samples2d, nus) -> np.ndarray:
     """(T, P) table of per-bin periodograms over the frequencies nus.
 
     The same values as periodogram(samples2d[:, None, :], nus), as one
-    matmul that never allocates the (T, P, N) phase products.
+    matmul per block of rows that never allocates the (T, P, N) phase
+    products.  Each block's magnitudes go straight into the float result,
+    which is then squared and divided by N in place: the same per-element
+    operations, and so the same bits, as np.abs(samples2d @ phase) ** 2 / N,
+    with no (T, P) complex table.
     """
     samples2d = np.asarray(samples2d, dtype=complex)
     n = samples2d.shape[1]
     phase = np.exp(-2j * np.pi * np.outer(np.arange(n), np.asarray(nus, dtype=float)))
-    return np.abs(samples2d @ phase) ** 2 / n
+    out = np.empty((samples2d.shape[0], phase.shape[1]))
+    step = max(1, _BLOCK_ENTRIES // max(1, phase.shape[1]))
+    for start in range(0, out.shape[0], step):
+        rows = slice(start, start + step)
+        np.abs(samples2d[rows] @ phase, out=out[rows])
+    out **= 2
+    out /= n
+    return out

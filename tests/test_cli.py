@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  (loaded before any traced allocation)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from freqtrack import io as ftio
 from freqtrack.cli import RunConfig, build_config, main, make_parser, rmse
 from freqtrack.hyperopt import hyper_nll
 from freqtrack.markov import FrequencyGrid
-from freqtrack.signal import MIN_SAMPLES, Hyperparameters, synthesize_dataset
+from freqtrack.signal import MIN_SAMPLES, Hyperparameters, make_test_track, synthesize_dataset
 
 
 def run(argv):
@@ -471,3 +473,29 @@ def test_fuzzed_hyper_exit_code(tmp_path, text):
     _valid_inputs(tmp_path)
     (tmp_path / "hyper.txt").write_text(text, encoding="utf-8")
     assert _track_exit_code(tmp_path) in (0, 3)
+
+
+def test_track_memory_is_below_three_tables():
+    # periodograms and log-likelihoods are the only (T, P) float tables: the
+    # periodogram table is filled in row blocks and Viterbi reads it in place
+    n_bins, n_states = 4096, 512
+    hyper = Hyperparameters(1.0, 0.1, 1e-4)
+    ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)), hyper, 4, seed=0)
+    grid = FrequencyGrid(-4.0, 4.0, n_states)
+    tracemalloc.start()
+    try:
+        cli.compute_tracks(ds, grid, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_bins * n_states * 8
+
+
+def test_estimate_reports_an_unresolvable_r_nu(tmp_path):
+    # a constant track: the fit drives r_nu to the 1e-8 floor of its start,
+    # where the P=128 grid's kernel is the identity and the criterion flat
+    ds = synthesize_dataset(np.full(32, 0.2), Hyperparameters(1.0, 1e-6, 1e-3), 4, seed=0)
+    ftio.write_dataset_csv(tmp_path / "dataset.csv", ds)
+    assert run(["estimate", str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]) == 0
+    fit = ftio.read_key_values(tmp_path / "hyper.txt")
+    assert fit["stop_reason"] == "r_nu_below_resolution" and fit["converged"] == "False"

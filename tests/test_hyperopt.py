@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from freqtrack import hyperopt
-from freqtrack.hmm import ObservationTable, observation_table
+from freqtrack.hmm import KERNEL_CUTOFF, ObservationTable, observation_table
 from freqtrack.hyperopt import (
     LINE_SEARCHES,
     STRATEGIES,
@@ -15,7 +15,8 @@ from freqtrack.hyperopt import (
     hyper_nll,
     hyper_nll_gradient,
 )
-from freqtrack.markov import FrequencyGrid, initial_distribution, transition_matrix
+from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
+                              transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
 from oracles import brute_force_joint
@@ -294,3 +295,13 @@ def test_stop_reason_no_decrease(monkeypatch, strategy):
     report = estimate_ml(*small_fit_problem(), strategy=strategy)
     assert report.stop_reason == "no_decrease" and report.converged
     assert report.iterations == len(report.trajectory)
+
+
+def test_unresolvable_r_nu_is_not_converged():
+    # a constant track on the default grid: empirical_init floors r_nu at
+    # 1e-8, where kernel[1] is 0 and hyper_nll is flat in r_nu
+    ds = synthesize_dataset(np.full(32, 0.2), Hyperparameters(1.0, 1e-6, 1e-3), 4, seed=0)
+    grid = FrequencyGrid(-2.5, 2.5, 128)
+    report = estimate_ml(ds, grid)
+    assert gaussian_transition(grid, report.minimizer.r_nu).kernel[1] <= KERNEL_CUTOFF
+    assert report.stop_reason == "r_nu_below_resolution" and not report.converged

@@ -1,6 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  (loaded before any traced allocation)
 
+from freqtrack import spectral
+from freqtrack.hmm import observation_table
+from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
+from freqtrack.markov import FrequencyGrid
+from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import (
     empirical_correlation,
     periodogram,
@@ -107,3 +115,38 @@ def test_vectorized_helpers_match_scalar():
         assert seconds[t] == pytest.approx(s)
         assert table[t, t] == pytest.approx(periodogram(samples[t], nus[t]))
         assert per_row[t] == pytest.approx(table[t, t])
+
+    # row blocks: several full ones plus a remainder, and fewer rows than one
+    # block, give the bits of the one-matmul table
+    n_states = 96
+    per_block = spectral._BLOCK_ENTRIES // n_states
+    nus = np.linspace(-2.0, 2.0, n_states)
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(4), nus))
+    for n_bins in (1, per_block - 1, 3 * per_block + 5):
+        samples = rng.standard_normal((n_bins, 4)) + 1j * rng.standard_normal((n_bins, 4))
+        table = periodogram_table(samples, nus)
+        assert np.array_equal(table, np.abs(samples @ phase) ** 2 / 4)
+    # the observation table built in place on it has the bits of the
+    # out-of-place expression
+    ds = DataSet(samples=samples)
+    grid = FrequencyGrid(-2.0, 2.0, n_states)
+    hyper = Hyperparameters(1.3, 0.2, 1e-3)
+    obs = observation_table(ds, grid, hyper)
+    alpha, log_beta = alpha_coefficient(hyper, 4), log_beta_coefficient(hyper, 4)
+    expected = log_beta + alpha * obs.periodograms - (ds.energy / hyper.r_b)[:, None]
+    assert np.array_equal(obs.log_prob, expected)
+
+
+def test_periodogram_table_memory_is_its_result():
+    # the complex products are made block by block, so the (T, P) result is
+    # the only table-sized allocation
+    rng = np.random.default_rng(5)
+    samples = rng.standard_normal((4096, 4)) + 1j * rng.standard_normal((4096, 4))
+    nus = np.linspace(-2.0, 2.0, 1024)
+    tracemalloc.start()
+    try:
+        table = periodogram_table(samples, nus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
