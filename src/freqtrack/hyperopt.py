@@ -134,8 +134,9 @@ class _Counted:
 def _bracket(phi, f0: float, step: float):
     """Bracket a minimum of phi along s >= 0 given phi(0) = f0.
 
-    Returns (a, b, c, fb) with a < b < c and phi(b) < min(f0, phi(c)),
-    or None when no decrease is found down to a tiny step.
+    Returns (a, b, c, fa, fb, fc), the points a < b < c and their values,
+    with fb < min(fa, fc) unless the search stopped at the cap c > 1e6, or
+    None when no decrease is found down to a tiny step.
     """
     s = step
     fs = phi(s)
@@ -144,19 +145,19 @@ def _bracket(phi, f0: float, step: float):
         if s < 1e-14:
             return None
         fs = phi(s)
-    a, b, fb = 0.0, s, fs
+    a, b, fa, fb = 0.0, s, f0, fs
     c = 2.0 * s
     fc = phi(c)
     while fc < fb:
-        a, b, fb = b, c, fc
+        a, b, fa, fb = b, c, fb, fc
         c *= 2.0
+        fc = phi(c)
         if c > 1e6:
             break
-        fc = phi(c)
-    return a, b, c, fb
+    return a, b, c, fa, fb, fc
 
 
-def _golden_section(phi, a, b, c, fb):
+def _golden_section(phi, a, b, c, fa, fb, fc):
     while c - a > LINE_SEARCH_TOL * max(1.0, c):
         if c - b > b - a:
             u = b + (1 - _GOLDEN) * (c - b)
@@ -175,7 +176,7 @@ def _golden_section(phi, a, b, c, fb):
     return b, fb
 
 
-def _dichotomy(phi, a, b, c, fb):
+def _dichotomy(phi, a, b, c, fa, fb, fc):
     best, fbest = b, fb
     while c - a > LINE_SEARCH_TOL * max(1.0, c):
         mid = 0.5 * (a + c)
@@ -193,8 +194,7 @@ def _dichotomy(phi, a, b, c, fb):
     return best, fbest
 
 
-def _quadratic_interp(phi, a, b, c, fb):
-    fa, fc = phi(a), phi(c)
+def _quadratic_interp(phi, a, b, c, fa, fb, fc):
     best, fbest = b, fb
     for _ in range(60):
         if c - a <= LINE_SEARCH_TOL * max(1.0, c):
@@ -239,8 +239,7 @@ def _line_search(phi, f0, step, method):
     bracket = _bracket(phi, f0, step)
     if bracket is None:
         return None
-    a, b, c, fb = bracket
-    return _REFINERS[method](phi, a, b, c, fb)
+    return _REFINERS[method](phi, *bracket)
 
 
 def estimate_ml(

@@ -51,6 +51,42 @@ def _hessian_bands(dataset: DataSet, track, hyper: Hyperparameters) -> np.ndarra
     return bands
 
 
+def _solve_tridiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve H x = rhs for the symmetric tridiagonal H in the upper banded
+    (2, T) storage of _hessian_bands, by an LDL^T sweep in O(T).
+
+    Returns None when H is not positive definite (a pivot not > 0), and
+    raises ValueError on a non-finite entry, so a NaN system never yields a
+    step.  The sweep runs on Python floats: per element they are cheaper
+    than numpy scalars.
+    """
+    if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
+        raise ValueError("non-finite entry in the Newton system")
+    off, diag, rhs = bands[0].tolist(), bands[1].tolist(), rhs.tolist()
+    # forward: H = L D L^T with unit lower bidiagonal L (ratios below the
+    # diagonal) and D = diag(pivots); ys = L^-1 rhs
+    pivot, y = diag[0], rhs[0]
+    if not pivot > 0.0:
+        return None
+    pivots, ratios, ys = [pivot], [], [y]
+    for e, d, b in zip(off[1:], diag[1:], rhs[1:]):
+        ratio = e / pivot
+        pivot = d - ratio * e
+        if not pivot > 0.0:
+            return None
+        y = b - ratio * y
+        pivots.append(pivot)
+        ratios.append(ratio)
+        ys.append(y)
+    # backward: x = L^-T D^-1 ys
+    x = y / pivot
+    xs = [x]
+    for y, pivot, ratio in zip(ys[-2::-1], pivots[-2::-1], ratios[::-1]):
+        x = y / pivot - ratio * x
+        xs.append(x)
+    return np.array(xs[::-1])
+
+
 @dataclass
 class RefinementResult:
     track: np.ndarray
@@ -62,10 +98,11 @@ class RefinementResult:
 def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> RefinementResult:
     """Locally minimize the tracking criterion from a feasible starting track.
 
-    Newton solves the tridiagonal system directly, with step halving and a
-    gradient fallback whenever the system is indefinite or the step fails
-    to decrease the criterion.  Steps that push the first frequency out of
-    the band are rejected by the same decrease test (infinite criterion).
+    Each Newton step solves the tridiagonal system in O(T), with step
+    halving and a gradient fallback whenever the system is indefinite or the
+    step fails to decrease the criterion; a non-finite system raises
+    ValueError.  Steps that push the first frequency out of the band are
+    rejected by the same decrease test (infinite criterion).
     """
     track = np.asarray(init_track, dtype=float).copy()
     value = map_objective(dataset, track, hyper)
@@ -84,16 +121,7 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
             stop_reason = "gradient"
             iterations -= 1
             break
-        bands = _hessian_bands(dataset, track, hyper)
-        if track.size == 1:
-            step = -grad / bands[1] if bands[1, 0] > 0 else None
-        else:
-            import scipy.linalg  # here: at the top it is most of the package's import time
-
-            try:
-                step = scipy.linalg.solveh_banded(bands, -grad)
-            except scipy.linalg.LinAlgError:
-                step = None
+        step = _solve_tridiagonal(_hessian_bands(dataset, track, hyper), -grad)
         if step is not None and float(step @ grad) >= 0.0:
             step = None
         # A Newton step whose predicted decrease -g.step/2 is below the

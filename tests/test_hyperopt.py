@@ -233,6 +233,27 @@ def test_line_searches_all_reach_same_minimum(line_search):
     assert spread < 0.005 * abs(baseline.reached_minimum)
 
 
+@pytest.mark.parametrize("line_search", LINE_SEARCHES)
+def test_line_search_evaluates_each_point_once(line_search):
+    # phi(0) is the f0 the search is given, and the bracket's values travel
+    # with its points: no point is evaluated twice
+    points = []
+
+    def phi(s):
+        points.append(s)
+        return (s - 0.7) ** 2 + 0.1 * np.sin(3.0 * s)
+
+    f0 = phi(0.0)
+    s, fs = hyperopt._line_search(phi, f0, 0.1, line_search)
+    assert len(set(points)) == len(points)
+    assert fs < f0 and abs(s - 0.815) < 0.01  # the minimizer, s = 0.8151
+
+
+def test_bracket_stopped_at_its_cap_returns_the_value_at_c():
+    a, b, c, fa, fb, fc = hyperopt._bracket(lambda s: -s, 0.0, 0.1)
+    assert c > 1e6 and (fa, fb, fc) == (-a, -b, -c)
+
+
 def test_unknown_strategy_rejected():
     ds, grid = standard_dataset()
     with pytest.raises(ValueError):

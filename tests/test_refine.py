@@ -140,3 +140,59 @@ def test_strong_smoothing_flattens_track():
     flat_prior = Hyperparameters(1.0, 0.1, 1e-9)  # near-zero step variance
     result = refine_map(ds, np.full(4, 0.1), flat_prior)
     assert np.max(np.abs(np.diff(result.track))) < 1e-3
+
+
+def _bands(diag, off):
+    """Upper banded (2, T) storage of the symmetric tridiagonal (diag, off)."""
+    bands = np.zeros((2, len(diag)))
+    bands[1] = diag
+    bands[0, 1:] = off
+    return bands
+
+
+def _dense(bands):
+    return np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[0, 1:], -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_solve_tridiagonal_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    off = rng.normal(size=n - 1)
+    # diagonally dominant with a positive diagonal, hence positive definite
+    dominance = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
+    bands = _bands(dominance + rng.uniform(0.1, 1.0, n), off)
+    rhs = rng.normal(size=n)
+    x = refine._solve_tridiagonal(bands, rhs)
+    assert x.shape == (n,)
+    assert np.allclose(x, np.linalg.solve(_dense(bands), rhs), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([-1.0], []),
+    ([0.0], []),
+    ([1.0, 1.0], [1.0]),               # singular: the second pivot is 0
+    ([2.0, -1.0, 2.0], [0.5, 0.5]),
+    ([2.0, 2.0, 0.5], [1.0, 1.0]),     # only the last pivot, 0.5 - 2/3, is negative
+], ids=["negative", "zero", "singular", "middle_pivot", "last_pivot"])
+def test_solve_tridiagonal_rejects_an_indefinite_matrix(diag, off):
+    bands = _bands(diag, off)
+    assert np.linalg.eigvalsh(_dense(bands))[0] <= 0.0
+    assert refine._solve_tridiagonal(bands, np.ones(len(diag))) is None
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal", "rhs"])
+def test_solve_tridiagonal_rejects_a_nan(where):
+    bands = _bands([2.0, 2.0, 2.0], [1.0, 1.0])
+    rhs = np.ones(3)
+    {"diagonal": bands[1], "off_diagonal": bands[0], "rhs": rhs}[where][2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        refine._solve_tridiagonal(bands, rhs)
+
+
+def test_nan_hessian_raises_instead_of_returning_a_track(monkeypatch):
+    ds, track, hyper = tracking_problem(seed=3)
+    init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
+    hessian_bands = refine._hessian_bands
+    monkeypatch.setattr(refine, "_hessian_bands", lambda *args: hessian_bands(*args) * np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        refine_map(ds, init, hyper)

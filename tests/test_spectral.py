@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401  (loaded before any traced allocation)
 
 from freqtrack import spectral
 from freqtrack.hmm import observation_table
