@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
 from freqtrack.markov import FrequencyGrid, GaussianTransition, initial_distribution
-from freqtrack.signal import DataSet, Hyperparameters
+from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
 from freqtrack.spectral import periodogram_table
 
 # Predecessors searched per state before the dense fallback, on each side.
@@ -93,8 +93,8 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     alpha = alpha_coefficient(hyper, n)
     log_beta = log_beta_coefficient(hyper, n)
     if not np.isfinite([log_beta, float(dataset.energy.max()) / hyper.r_b]).all():
-        raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make the "
-                         "likelihood coefficient log beta or energy / r_b non-finite")
+        raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
+                                  "the likelihood coefficient log beta or energy / r_b non-finite")
     p_table = periodogram_table(dataset.samples, grid.states)
     log_prob = alpha * p_table
     log_prob += log_beta

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from freqtrack.hmm import (KERNEL_CUTOFF, forward, forward_backward, observation_table,
-                           posterior_marginals)
+from freqtrack.hmm import (KERNEL_CUTOFF, NumericalError, forward, forward_backward,
+                           observation_table, posterior_marginals)
 from freqtrack.likelihood import in_initial_band
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
-from freqtrack.signal import DataSet, Hyperparameters
+from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
 from freqtrack.spectral import empirical_correlation, periodogram_table
 
 STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribiere")
@@ -29,11 +29,14 @@ STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribier
 DEFAULT_STRATEGY = "vignes"
 
 # estimate_ml stops after MAX_ITER iterations or once one lowers the
-# criterion by less than REL_TOL * max(1, |f|); a line search once its
-# bracket [a, c] is narrower than LINE_SEARCH_TOL * max(1, c).
+# criterion by less than REL_TOL * max(1, |f|).  A line search stops once
+# the parabola through its bracket predicts a further decrease of at most
+# SETTLE_RATIO times the decrease it has made, or once the bracket [a, c]
+# is narrower than LINE_SEARCH_TOL * max(1, c).
 MAX_ITER = 200
 REL_TOL = 1e-8
 LINE_SEARCH_TOL = 1e-3
+SETTLE_RATIO = 1e-3
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -131,16 +134,34 @@ class _Counted:
         return self.fn(x)
 
 
+def _total(fn):
+    """fn(hyper) over log-parameters x, +inf where exp(x) is not positive
+    and finite, where fn rejects the hyperparameters, or where the forward
+    probability underflows to zero: a line search can then probe any x, and
+    such a point is merely uphill."""
+    def total(x):
+        with np.errstate(over="ignore"):
+            values = np.exp(x)
+        try:
+            return fn(Hyperparameters.from_array(values))
+        except (HyperparameterError, NumericalError):
+            return np.inf
+    return total
+
+
 def _bracket(phi, f0: float, step: float):
     """Bracket a minimum of phi along s >= 0 given phi(0) = f0.
 
     Returns (a, b, c, fa, fb, fc), the points a < b < c and their values,
     with fb < min(fa, fc) unless the search stopped at the cap c > 1e6, or
-    None when no decrease is found down to a tiny step.
+    None when no step down to a tiny one lowers phi below f0 by more than
+    the rounding level of f0: a decrease at that level is noise, not a
+    direction of descent.
     """
+    rounding = 16 * np.finfo(float).eps * max(1.0, abs(f0))
     s = step
     fs = phi(s)
-    while fs >= f0:
+    while not f0 - fs > rounding:
         s *= 0.25
         if s < 1e-14:
             return None
@@ -157,47 +178,67 @@ def _bracket(phi, f0: float, step: float):
     return a, b, c, fa, fb, fc
 
 
-def _golden_section(phi, a, b, c, fa, fb, fc):
-    while c - a > LINE_SEARCH_TOL * max(1.0, c):
+def _settled(f0, a, b, c, fa, fb, fc) -> bool:
+    """Whether the parabola through the bracket predicts a further decrease
+    below phi(b) of at most SETTLE_RATIO times the decrease f0 - fb already
+    made.  A settled search has made at least 1 - SETTLE_RATIO of the
+    decrease its parabola predicts; a bracket with an infinite end, or whose
+    middle is not its lowest point, never settles."""
+    if not (np.isfinite(fa) and np.isfinite(fc) and fb < min(fa, fc)):
+        return False
+    s1 = (fb - fa) / (b - a)
+    s2 = (fc - fb) / (c - b)
+    k = (s2 - s1) / (c - a)  # half the parabola's curvature
+    return k > 0 and (s1 + k * (b - a)) ** 2 / (4.0 * k) <= SETTLE_RATIO * (f0 - fb)
+
+
+def _open(f0, a, b, c, fa, fb, fc) -> bool:
+    """Whether a refiner probes again: the bracket is wider than
+    LINE_SEARCH_TOL and has not settled."""
+    return c - a > LINE_SEARCH_TOL * max(1.0, c) and not _settled(f0, a, b, c, fa, fb, fc)
+
+
+def _golden_section(phi, f0, a, b, c, fa, fb, fc):
+    while _open(f0, a, b, c, fa, fb, fc):
         if c - b > b - a:
             u = b + (1 - _GOLDEN) * (c - b)
             fu = phi(u)
             if fu < fb:
-                a, b, fb = b, u, fu
+                a, b, fa, fb = b, u, fb, fu
             else:
-                c = u
+                c, fc = u, fu
         else:
             u = b - (1 - _GOLDEN) * (b - a)
             fu = phi(u)
             if fu < fb:
-                c, b, fb = b, u, fu
+                c, b, fc, fb = b, u, fb, fu
             else:
-                a = u
+                a, fa = u, fu
     return b, fb
 
 
-def _dichotomy(phi, a, b, c, fa, fb, fc):
+def _dichotomy(phi, f0, a, b, c, fa, fb, fc):
+    # each pass probes a pair around the middle and keeps the side of the
+    # lower probe, which becomes the bracket's middle point
     best, fbest = b, fb
-    while c - a > LINE_SEARCH_TOL * max(1.0, c):
+    while _open(f0, a, b, c, fa, fb, fc):
         mid = 0.5 * (a + c)
         delta = 0.125 * (c - a)
         f1 = phi(mid - delta)
         f2 = phi(mid + delta)
         if f1 < f2:
-            c = mid + delta
-            if f1 < fbest:
-                best, fbest = mid - delta, f1
+            b, c, fb, fc = mid - delta, mid + delta, f1, f2
         else:
-            a = mid - delta
-            if f2 < fbest:
-                best, fbest = mid + delta, f2
+            a, b, fa, fb = mid - delta, mid + delta, f1, f2
+        if fb < fbest:
+            best, fbest = b, fb
     return best, fbest
 
 
-def _quadratic_interp(phi, a, b, c, fa, fb, fc):
+def _quadratic_interp(phi, f0, a, b, c, fa, fb, fc):
     best, fbest = b, fb
     for _ in range(60):
-        if c - a <= LINE_SEARCH_TOL * max(1.0, c):
+        if not _open(f0, a, b, c, fa, fb, fc):
             break
         denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
         if abs(denom) < 1e-300:
@@ -239,7 +280,7 @@ def _line_search(phi, f0, step, method):
     bracket = _bracket(phi, f0, step)
     if bracket is None:
         return None
-    return _REFINERS[method](phi, *bracket)
+    return _REFINERS[method](phi, f0, *bracket)
 
 
 def estimate_ml(
@@ -260,7 +301,10 @@ def estimate_ml(
     the exit: "zero_gradient", "no_decrease" (no slot moved),
     "relative_decrease" (an iteration lowered the criterion by less than
     REL_TOL * max(1, |f|)) or "max_iter".  Every accepted step decreases the
-    criterion, so the trajectory is monotone.
+    criterion, so the trajectory is monotone.  A line search may probe any
+    x: where exp(x) overflows or underflows, hyper_nll rejects the
+    hyperparameters or its forward pass underflows, the criterion is +inf
+    (the starting point alone fails loudly).
 
     Whatever the exit, a minimizer whose kernel value at lag 1 is at or
     below KERNEL_CUTOFF is reported as "r_nu_below_resolution": the grid
@@ -272,12 +316,14 @@ def estimate_ml(
     if line_search not in LINE_SEARCHES:
         raise ValueError(f"unknown line search {line_search!r}")
 
-    fun = _Counted(lambda x: hyper_nll(dataset, Hyperparameters.from_array(np.exp(x)), grid))
+    nll = _Counted(lambda hyper: hyper_nll(dataset, hyper, grid))
+    fun = _total(nll)
     grad = _Counted(
         lambda x: hyper_nll_gradient(dataset, Hyperparameters.from_array(np.exp(x)), grid))
 
-    x = np.log(empirical_init(dataset, grid).as_array())
-    fx = fun(x)
+    start = empirical_init(dataset, grid)
+    x = np.log(start.as_array())
+    fx = nll(start)
     if not np.isfinite(fx):
         raise ValueError("non-finite criterion at the starting point")
     trajectory = [x.copy()]
@@ -344,7 +390,7 @@ def estimate_ml(
         minimizer=minimizer,
         reached_minimum=fx,
         gradient_evals=grad.count,
-        function_evals=fun.count,
+        function_evals=nll.count,
         iterations=iterations,
         stop_reason=stop_reason,
         trajectory=trajectory,

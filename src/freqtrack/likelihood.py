@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from freqtrack.signal import DataSet, Hyperparameters
+from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
 from freqtrack.spectral import periodogram
 
 
@@ -34,8 +34,9 @@ def alpha_coefficient(hyper: Hyperparameters, n_samples: int) -> float:
     denominator = hyper.r_b * (n * hyper.r_a + hyper.r_b)
     alpha = n * hyper.r_a / denominator if denominator > 0 else np.inf
     if not 0 < alpha < np.inf:
-        raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make the "
-                         f"likelihood coefficient alpha {alpha!r}, not positive and finite")
+        raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
+                                  f"the likelihood coefficient alpha {alpha!r}, not positive "
+                                  "and finite")
     return alpha
 
 
@@ -53,9 +54,9 @@ def smoothing_weight(hyper: Hyperparameters, n_samples: int) -> float:
     denominator = 2.0 * alpha_coefficient(hyper, n_samples) * hyper.r_nu
     lam = 1.0 / denominator if denominator > 0 else np.inf
     if not 0 < lam < np.inf:
-        raise ValueError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r}, "
-                         f"r_nu={hyper.r_nu!r} make the smoothing weight lam {lam!r}, "
-                         "not positive and finite")
+        raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r}, "
+                                  f"r_nu={hyper.r_nu!r} make the smoothing weight lam {lam!r}, "
+                                  "not positive and finite")
     return lam
 
 

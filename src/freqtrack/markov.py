@@ -68,7 +68,8 @@ def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:
     """
     if r_nu <= 0:
         raise ValueError("r_nu must be positive")
-    kernel = np.exp(-((np.arange(grid.size) * grid.spacing) ** 2) / (2.0 * r_nu))
+    with np.errstate(over="ignore"):  # a tiny r_nu: exp(-inf) = 0 is the kernel's limit
+        kernel = np.exp(-((np.arange(grid.size) * grid.spacing) ** 2) / (2.0 * r_nu))
     cum = np.cumsum(kernel)
     return GaussianTransition(kernel=kernel, norm=cum + cum[::-1] - kernel[0])
 

@@ -24,6 +24,12 @@ MAX_RECORD_ENERGY = float(np.finfo(float).max) ** 0.25
 MIN_SAMPLES = 2
 
 
+class HyperparameterError(ValueError):
+    """Hyperparameters for which the model's likelihood is not defined in
+    floating point: not positive and finite, or making one of its
+    coefficients so."""
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     """The three model variances: amplitude, noise, frequency increment."""
@@ -36,7 +42,8 @@ class Hyperparameters:
         for name in ("r_a", "r_b", "r_nu"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+                raise HyperparameterError(
+                    f"{name} must be strictly positive and finite, got {value!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r_a, self.r_b, self.r_nu], dtype=float)

@@ -224,6 +224,26 @@ def test_default_strategy_reaches_the_minimum():
                                                                    abs=1e-6)
 
 
+def test_default_fit_evaluation_budget():
+    # the line searches stop on the criterion; shrinking every bracket to
+    # LINE_SEARCH_TOL in the step takes 109 evaluations here
+    report = estimate_ml(*standard_dataset())
+    assert report.function_evals <= 70
+
+
+@pytest.mark.parametrize("line_search", LINE_SEARCHES)
+def test_coordinate_wise_reaches_the_vignes_minimum_on_a_wide_grid(line_search):
+    # coordinate_wise stops each search early too, so it must not take a
+    # rounding-level decrease as a step: with that, dichotomy stops 0.016
+    # nats high here
+    track = make_test_track("sine", 128, (-1.5, 1.5))
+    ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=201)
+    grid = FrequencyGrid(-3.5, 3.5, 384)
+    vignes = estimate_ml(ds, grid).reached_minimum
+    report = estimate_ml(ds, grid, strategy="coordinate_wise", line_search=line_search)
+    assert report.reached_minimum <= vignes + 1e-7 * abs(vignes)
+
+
 @pytest.mark.parametrize("line_search", LINE_SEARCHES)
 def test_line_searches_all_reach_same_minimum(line_search):
     ds, grid = standard_dataset()
@@ -239,19 +259,89 @@ def test_line_search_evaluates_each_point_once(line_search):
     # with its points: no point is evaluated twice
     points = []
 
+    def curve(s):
+        return (s - 0.7) ** 2 + 0.1 * np.sin(3.0 * s)
+
     def phi(s):
         points.append(s)
-        return (s - 0.7) ** 2 + 0.1 * np.sin(3.0 * s)
+        return curve(s)
 
     f0 = phi(0.0)
     s, fs = hyperopt._line_search(phi, f0, 0.1, line_search)
     assert len(set(points)) == len(points)
-    assert fs < f0 and abs(s - 0.815) < 0.01  # the minimizer, s = 0.8151
+    # the search stops on the criterion, not on the step: it is within
+    # SETTLE_RATIO of its own decrease of the minimum at s = 0.8151
+    assert fs < f0 and fs - curve(0.8151) <= hyperopt.SETTLE_RATIO * (f0 - fs)
+
+
+@pytest.mark.parametrize("line_search", LINE_SEARCHES)
+@pytest.mark.parametrize("minimizer", [0.37, 2.9, 150.0])
+def test_line_search_on_a_parabola_stops_within_settle_ratio(line_search, minimizer):
+    def phi(s):
+        return 2910.0 + 3.0 * (s - minimizer) ** 2
+
+    f0 = phi(0.0)
+    s, fs = hyperopt._line_search(phi, f0, 0.1, line_search)
+    assert 0.0 <= fs - 2910.0 <= hyperopt.SETTLE_RATIO * (f0 - fs)
+
+
+def test_settled_needs_finite_ends_and_a_lowest_middle():
+    assert hyperopt._settled(10.0, 0.0, 1.0, 2.0, 10.0, 1.0, 10.0)
+    assert not hyperopt._settled(10.0, 0.0, 1.0, 2.0, 10.0, 1.0, np.inf)
+    assert not hyperopt._settled(10.0, 0.0, 1.0, 2.0, np.nan, 1.0, 10.0)
+    assert not hyperopt._settled(10.0, 0.0, 1.0, 2.0, 10.0, 1.0, 1.0)
+    # the parabola through (0, 10), (1, 1), (3, 2) bottoms out 2.7 below
+    # phi(b), more than SETTLE_RATIO of the decrease 9
+    assert not hyperopt._settled(10.0, 0.0, 1.0, 3.0, 10.0, 1.0, 2.0)
+
+
+def test_bracket_rejects_a_decrease_at_rounding_level():
+    # 1e-13 below f0 = 1000 is below 16 eps |f0|: noise, not descent
+    def phi(s):
+        return 1000.0 - 1e-13 if s <= 1e-6 else 1000.0 + s
+
+    assert hyperopt._bracket(phi, 1000.0, 0.1) is None
 
 
 def test_bracket_stopped_at_its_cap_returns_the_value_at_c():
     a, b, c, fa, fb, fc = hyperopt._bracket(lambda s: -s, 0.0, 0.1)
     assert c > 1e6 and (fa, fb, fc) == (-a, -b, -c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_criterion_is_inf_where_the_hyperparameters_are_rejected():
+    ds, grid = standard_dataset()
+    nll = hyperopt._Counted(lambda hyper: hyper_nll(ds, hyper, grid))
+    fun = hyperopt._total(nll)
+    # alpha overflows: hyper_nll is called and rejects the point
+    assert fun(np.log([1e155, 1e155, 1e-2])) == np.inf and nll.count == 1
+    # exp overflows, or underflows to 0: no hyper_nll call
+    assert fun(np.array([800.0, 0.0, 0.0])) == np.inf and nll.count == 1
+    assert fun(np.array([0.0, -800.0, 0.0])) == np.inf and nll.count == 1
+    # r_nu = 1e-316 and r_b = 1e-300: the forward probability underflows
+    assert fun(np.array([0.0, -690.0, -727.0])) == np.inf and nll.count == 2
+    assert np.isfinite(fun(np.log([1.0, 0.1, 1e-2]))) and nll.count == 3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("unbounded", [
+    lambda hyper: -np.log(hyper.r_a),   # toward r_a = inf, where exp overflows
+    lambda hyper: np.log(hyper.r_b),    # toward r_b = 0, where exp underflows
+], ids=["r_a_up", "r_b_down"])
+def test_fit_of_an_unbounded_criterion_stays_total(monkeypatch, unbounded):
+    # _bracket expands toward its 1e6 cap: the probes past the float range
+    # are +inf, so the fit ends instead of raising on the overflowed point,
+    # and function_evals still counts the hyper_nll calls
+    calls = []
+
+    def criterion(dataset, hyper, grid):
+        calls.append(hyper)
+        return unbounded(hyper)
+
+    monkeypatch.setattr(hyperopt, "hyper_nll", criterion)
+    report = estimate_ml(*small_fit_problem(), strategy="coordinate_wise")
+    assert np.isfinite(report.reached_minimum) and report.reached_minimum < -600.0
+    assert report.function_evals == len(calls)
 
 
 def test_unknown_strategy_rejected():
