@@ -26,8 +26,8 @@ from freqtrack.hyperopt import (DEFAULT_STRATEGY, LINE_SEARCHES, STRATEGIES, est
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import refine_map
-from freqtrack.signal import (MIN_SAMPLES, TRACK_PROFILES, DataSet, Hyperparameters,
-                              make_test_track, synthesize_dataset)
+from freqtrack.signal import (MIN_SAMPLES, TRACK_PROFILES, DataSet, HyperparameterError,
+                              Hyperparameters, make_test_track, synthesize_dataset)
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -221,9 +221,13 @@ def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
 def _read_hyper(path) -> Hyperparameters:
     raw = ftio.read_key_values(path)
     try:
-        return Hyperparameters(float(raw["r_a"]), float(raw["r_b"]), float(raw["r_nu"]))
+        values = float(raw["r_a"]), float(raw["r_b"]), float(raw["r_nu"])
     except (KeyError, ValueError) as exc:
         raise ftio.DataFormatError(f"{path}: need r_a, r_b, r_nu entries") from exc
+    try:
+        return Hyperparameters(*values)
+    except HyperparameterError as exc:
+        raise ftio.DataFormatError(f"{path}: {exc}") from exc
 
 
 def cmd_track(cfg: RunConfig, dataset_path: str, hyper_path: str, truth_path: str | None) -> int:

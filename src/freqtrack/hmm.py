@@ -1,6 +1,6 @@
 """Viterbi, scaled forward/backward recursions, and posterior marginals.
 
-Observation rows live in the log domain and are max-shifted before
+Observation rows log O = alpha P + log beta - gamma are max-shifted before
 exponentiation; the shifts are reinstated when the data log-likelihood is
 reconstructed, so very peaked likelihoods (hundreds of nats) stay exact.
 
@@ -52,37 +52,45 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """Per-bin state log-likelihoods log O_t(p), for forward-backward, and
-    the periodograms that generated them, whose negation is Viterbi's local
-    cost (read in place, never copied)."""
+    """The periodograms P_t(p), whose negation is Viterbi's local cost (read
+    in place, never copied), and the coefficients of the per-bin state
+    log-likelihoods log O_t(p) = alpha P_t(p) + log beta - gamma_t that
+    forward-backward reads as the rescaled table ``scaled``."""
 
-    log_prob: np.ndarray      # (T, P)
     periodograms: np.ndarray  # (T, P)
+    alpha: float              # > 0
+    log_beta: float
+    gamma: np.ndarray         # (T,): record energy / r_b
+
+    def _log_prob(self, periodograms, gamma):
+        """log O at the given periodograms of bins with the given gamma."""
+        return self.alpha * periodograms + self.log_beta - gamma
 
     @cached_property
     def row_shift(self) -> np.ndarray:
-        """(T,) per-row max of log_prob, the shift used for rescaling."""
-        return self.log_prob.max(axis=1)
+        """(T,) per-row max of log O, the shift used for rescaling.  alpha > 0
+        and rounding is monotone, so it is log O at each row's largest
+        periodogram, bit for bit."""
+        return self._log_prob(self.periodograms.max(axis=1), self.gamma)
 
+    @cached_property
     def scaled(self) -> np.ndarray:
         """exp(log O) with each row divided by its max; entries in (0, 1]."""
-        return np.exp(self.log_prob - self.row_shift[:, None])
+        scaled = self._log_prob(self.periodograms, self.gamma[:, None])
+        scaled -= self.row_shift[:, None]
+        return np.exp(scaled, out=scaled)
 
     @property
     def n_bins(self) -> int:
-        return self.log_prob.shape[0]
+        return self.periodograms.shape[0]
 
     @property
     def n_states(self) -> int:
-        return self.log_prob.shape[1]
+        return self.periodograms.shape[1]
 
 
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters) -> ObservationTable:
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
-
-    log_prob is built in place on alpha * periodograms, so the table holds
-    two (T, P) float arrays; the sums are the same IEEE additions, and so
-    the same bits, as log_beta + alpha * periodograms - energy / r_b.
 
     Raises ValueError naming r_a and r_b when alpha is not positive and
     finite (see alpha_coefficient), or when log beta or the largest record
@@ -92,14 +100,11 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     n = dataset.n_samples
     alpha = alpha_coefficient(hyper, n)
     log_beta = log_beta_coefficient(hyper, n)
-    if not np.isfinite([log_beta, float(dataset.energy.max()) / hyper.r_b]).all():
+    gamma = dataset.energy / hyper.r_b
+    if not np.isfinite([log_beta, gamma.max()]).all():
         raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
                                   "the likelihood coefficient log beta or energy / r_b non-finite")
-    p_table = periodogram_table(dataset.samples, grid.states)
-    log_prob = alpha * p_table
-    log_prob += log_beta
-    log_prob -= (dataset.energy / hyper.r_b)[:, None]
-    return ObservationTable(log_prob=log_prob, periodograms=p_table)
+    return ObservationTable(periodogram_table(dataset.samples, grid.states), alpha, log_beta, gamma)
 
 
 @dataclass
@@ -147,7 +152,7 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     within eps of the normalizer is recomputed with all 2P - 1 taps.  The
     cost is O(T P h), O(T P^2) at worst.
     """
-    scaled = obs.scaled()
+    scaled = obs.scaled
     n_bins, n_states = scaled.shape
     half, taps, bound = _kernel_band(trans)
     dropped = n_states * bound
@@ -155,7 +160,7 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     norms = np.empty(n_bins)
     source = np.empty(n_states)
     fallbacks = 0
-    head = np.where(init > 0, obs.log_prob[0], -np.inf)
+    head = np.where(init > 0, obs._log_prob(obs.periodograms[0], obs.gamma[0]), -np.inf)
     shifts = np.append(head.max(), obs.row_shift[1:])
     np.multiply(np.exp(head - shifts[0]), init, out=fwd[0])
     norm = fwd[0].sum()
@@ -190,7 +195,7 @@ def backward(obs: ObservationTable, trans: GaussianTransition,
     <= k[h+1] sum(v) / c_{t+1}, c the forward normalizers; a bin where that
     is not within eps of the mass is recomputed with all 2P - 1 taps.
     """
-    scaled = obs.scaled()
+    scaled = obs.scaled
     n_bins, n_states = scaled.shape
     _, taps, bound = _kernel_band(trans)
     bwd = np.empty((n_bins, n_states))
@@ -245,7 +250,7 @@ def posterior_marginals(fb: ForwardBackwardResult, obs: ObservationTable,
     if fb.backward is None:
         raise ValueError("run the backward pass before computing posteriors")
     head = fb.forward[:-1]
-    weighted = obs.scaled()[1:] * fb.backward[1:] / fb.normalizers[1:, None]
+    weighted = obs.scaled[1:] * fb.backward[1:] / fb.normalizers[1:, None]
     return PosteriorMarginals(singles=fb.forward * fb.backward,
                               pair_sum=trans * (head.T @ weighted),
                               trans=trans, head=head, weighted=weighted)
@@ -278,14 +283,14 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     warning: the constant path always has a finite cost, so no such pair
     can be on the minimum path.
 
-    Raises ValueError naming the first bin whose row of the observation
-    table is not finite: the local cost is then unusable, either itself
-    or because a periodogram that large absorbs every pair cost in the
-    sums and the path collapses onto the lowest-index tie.
+    Raises ValueError naming the first bin whose row of periodograms is
+    not finite: the local cost is then unusable, either itself or because
+    a periodogram that large absorbs every pair cost in the sums and the
+    path collapses onto the lowest-index tie.
     """
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    finite = np.isfinite(obs.periodograms).all(axis=1) & np.isfinite(obs.log_prob).all(axis=1)
+    finite = np.isfinite(obs.periodograms).all(axis=1)
     if not finite.all():
         raise ValueError(f"local cost is not finite at bin {int(np.argmin(finite))}")
     periodograms = obs.periodograms

@@ -12,12 +12,12 @@ positivity never needs explicit constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from freqtrack.hmm import (KERNEL_CUTOFF, NumericalError, forward, forward_backward,
                            observation_table, posterior_marginals)
-from freqtrack.likelihood import in_initial_band
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
@@ -100,7 +100,7 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid) -> Hyperparameters:
     r_a = max(r1, 1e-6 * r0)
     r_b = max(r0 - r1, 1e-6 * r0)
 
-    band = grid.states[in_initial_band(grid.states)]
+    band = grid.states[initial_distribution(grid) > 0]
     p_table = periodogram_table(dataset.samples, band)
     ml_freqs = band[np.argmax(p_table, axis=1)]
     r_nu = max(float(np.var(np.diff(ml_freqs))), 1e-8)
@@ -198,22 +198,40 @@ def _open(f0, a, b, c, fa, fb, fc) -> bool:
     return c - a > LINE_SEARCH_TOL * max(1.0, c) and not _settled(f0, a, b, c, fa, fb, fc)
 
 
-def _golden_section(phi, f0, a, b, c, fa, fb, fc):
-    while _open(f0, a, b, c, fa, fb, fc):
-        if c - b > b - a:
-            u = b + (1 - _GOLDEN) * (c - b)
-            fu = phi(u)
+def _golden_point(a, b, c, fa, fb, fc):
+    """The golden-section point of the larger sub-interval."""
+    return b + (1 - _GOLDEN) * (c - b) if c - b > b - a else b - (1 - _GOLDEN) * (b - a)
+
+
+def _parabola_vertex(a, b, c, fa, fb, fc):
+    """The vertex of the parabola through the bracket, or the golden point
+    when it leaves (a, c) or lies within 1e-3 (c - a) of b."""
+    denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
+    if abs(denom) < 1e-300:
+        return 0.5 * (a + c)
+    u = b - 0.5 * ((b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)) / denom
+    if not (a < u < c) or abs(u - b) < 1e-3 * (c - a):
+        return _golden_point(a, b, c, fa, fb, fc)
+    return u
+
+
+def _three_point(probe, phi, f0, a, b, c, fa, fb, fc):
+    """Probe at most 60 points proposed by probe(a, b, c, fa, fb, fc),
+    keeping the lowest as the bracket's middle point b."""
+    for _ in range(60):
+        if not _open(f0, a, b, c, fa, fb, fc):
+            break
+        u = probe(a, b, c, fa, fb, fc)
+        fu = phi(u)
+        if u < b:
             if fu < fb:
-                a, b, fa, fb = b, u, fb, fu
-            else:
-                c, fc = u, fu
-        else:
-            u = b - (1 - _GOLDEN) * (b - a)
-            fu = phi(u)
-            if fu < fb:
-                c, b, fc, fb = b, u, fb, fu
+                b, c, fb, fc = u, b, fu, fb
             else:
                 a, fa = u, fu
+        elif fu < fb:
+            a, b, fa, fb = b, u, fb, fu
+        else:
+            c, fc = u, fu
     return b, fb
 
 
@@ -235,41 +253,10 @@ def _dichotomy(phi, f0, a, b, c, fa, fb, fc):
     return best, fbest
 
 
-def _quadratic_interp(phi, f0, a, b, c, fa, fb, fc):
-    best, fbest = b, fb
-    for _ in range(60):
-        if not _open(f0, a, b, c, fa, fb, fc):
-            break
-        denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-        if abs(denom) < 1e-300:
-            u = 0.5 * (a + c)
-        else:
-            u = b - 0.5 * ((b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)) / denom
-            if not (a < u < c) or abs(u - b) < 1e-3 * (c - a):
-                # fall back to a golden step in the larger sub-interval
-                u = b + (1 - _GOLDEN) * (c - b) if c - b > b - a else b - (1 - _GOLDEN) * (b - a)
-        fu = phi(u)
-        if fu < fbest:
-            best, fbest = u, fu
-        if u < b:
-            if fu < fb:
-                c, fc = b, fb
-                b, fb = u, fu
-            else:
-                a, fa = u, fu
-        else:
-            if fu < fb:
-                a, fa = b, fb
-                b, fb = u, fu
-            else:
-                c, fc = u, fu
-    return best, fbest
-
-
 _REFINERS = {
-    "golden_section": _golden_section,
+    "golden_section": partial(_three_point, _golden_point),
     "dichotomy": _dichotomy,
-    "quadratic_interp": _quadratic_interp,
+    "quadratic_interp": partial(_three_point, _parabola_vertex),
 }
 LINE_SEARCHES = tuple(_REFINERS)
 

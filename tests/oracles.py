@@ -5,7 +5,8 @@ criterion's grid paths, the half-step test of a track and the dense
 complex Gaussian density of one record: slow forms the pipeline never
 runs.
 log_likelihood_entry reads the package's own value for one record at one
-frequency, for comparison with the dense density.
+frequency, for comparison with the dense density; table and log_prob build
+observation tables from log-likelihood rows and read them back.
 """
 
 import itertools
@@ -33,7 +34,19 @@ def log_likelihood_entry(y, nu: float, hyper: Hyperparameters) -> float:
     """observation_table's entry for the single record y at frequency nu,
     read from a two-state grid whose first state is nu exactly."""
     dataset = DataSet(samples=np.asarray(y, dtype=complex)[None, :])
-    return float(observation_table(dataset, FrequencyGrid(nu, nu + 1, 2), hyper).log_prob[0, 0])
+    return float(log_prob(observation_table(dataset, FrequencyGrid(nu, nu + 1, 2), hyper))[0, 0])
+
+
+def table(rows) -> ObservationTable:
+    """The observation table whose log-likelihoods, and periodograms, are
+    rows: alpha 1, log beta 0 and gamma 0 leave every entry's value."""
+    rows = np.asarray(rows, dtype=float)
+    return ObservationTable(rows, 1.0, 0.0, np.zeros(rows.shape[0]))
+
+
+def log_prob(obs: ObservationTable) -> np.ndarray:
+    """The (T, P) log-likelihoods alpha P + log beta - gamma of obs."""
+    return obs.alpha * obs.periodograms + obs.log_beta - obs.gamma[:, None]
 
 
 def exhaustive_min_cost(local, grid: FrequencyGrid, lam: float) -> tuple[np.ndarray, float]:
@@ -69,7 +82,7 @@ class BruteForceResult:
 def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray,
                       max_paths: int = 10**6) -> BruteForceResult:
     """Exact P^T enumeration of the chain, for oracle comparisons only."""
-    scaled = obs.scaled()
+    scaled = obs.scaled
     n_bins, n_states = scaled.shape
     if n_states**n_bins > max_paths:
         raise ValueError(f"instance too large: {n_states}^{n_bins} paths")

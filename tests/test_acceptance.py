@@ -11,8 +11,7 @@ import pytest
 
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.cli import compute_tracks, rmse
-from freqtrack.hmm import (ObservationTable, forward_backward, observation_table,
-                           posterior_marginals, viterbi)
+from freqtrack.hmm import forward_backward, observation_table, posterior_marginals, viterbi
 from freqtrack.hyperopt import (
     STRATEGIES,
     empirical_init,
@@ -26,7 +25,7 @@ from freqtrack.refine import _hessian_bands, objective_gradient, refine_map
 from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
 from freqtrack.spectral import periodogram, periodogram_deriv_many
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
-                     log_likelihood_entry, steps_within_half)
+                     log_likelihood_entry, steps_within_half, table)
 
 GRID = FrequencyGrid(-2.5, 2.5, 128)
 TRUE_HYPER = Hyperparameters(1.0, 0.1, 1e-3)
@@ -54,8 +53,7 @@ def test_criterion_1_hmm_oracle_equivalence():
         transition = gaussian_transition(grid, r_nu)
         trans = transition.matrix
         init = initial_distribution(grid)
-        log_prob = rng.normal(0, 5, (n_bins, n_states))
-        obs = ObservationTable(log_prob, log_prob)
+        obs = table(rng.normal(0, 5, (n_bins, n_states)))
         bf = brute_force_joint(obs, trans, init)
         fb = forward_backward(obs, transition, init)
         post = posterior_marginals(fb, obs, trans)

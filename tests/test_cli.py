@@ -259,6 +259,28 @@ def test_track_rejects_hyperparameters_with_degenerate_coefficients(tmp_path, ca
     assert not (tmp_path / "viterbi_map.csv").exists()
 
 
+@pytest.mark.parametrize("r_a, r_b, r_nu, message", [
+    ("0", "0.1", "0.01", "r_a must be strictly positive and finite, got 0.0"),
+    ("1.0", "-0.1", "0.01", "r_b must be strictly positive and finite, got -0.1"),
+    ("1.0", "0.1", "nan", "r_nu must be strictly positive and finite, got nan"),
+], ids=["r_a", "r_b", "r_nu"])
+def test_track_reports_an_invalid_hyper_value(tmp_path, capsys, r_a, r_b, r_nu, message):
+    # a present but invalid value is named as such, not as a missing entry
+    _valid_inputs(tmp_path)
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": r_a, "r_b": r_b, "r_nu": r_nu})
+    assert _track_exit_code(tmp_path) == 3
+    assert f"{tmp_path / 'hyper.txt'}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "eval"])
+def test_grid_without_a_start_state_is_a_data_error(tmp_path, capsys, command):
+    # the start band (-1/2, +1/2] holds no state of a grid on [0.6, 3]
+    assert run(["simulate", "--bins", "16", "--out", str(tmp_path)]) == 0
+    inputs = {"estimate": [str(tmp_path / "dataset.csv")], "eval": ["--replicates", "1"]}
+    assert run([command, *inputs[command], "--grid=0.6,3,16", "--out", str(tmp_path)]) == 3
+    assert "no grid state falls inside the initial band" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error")
 def test_track_with_saturated_pair_cost(tmp_path):
     # r_nu = 1e-306 puts lam at 5.1e304, so Viterbi's pair cost overflows to
@@ -489,8 +511,8 @@ def test_fuzzed_hyper_exit_code(tmp_path, text):
 
 
 def test_track_memory_is_below_three_tables():
-    # periodograms and log-likelihoods are the only (T, P) float tables: the
-    # periodogram table is filled in row blocks and Viterbi reads it in place
+    # the periodograms are the one stored (T, P) float table: it is filled in
+    # row blocks, Viterbi reads it in place and no log-likelihood table is built
     n_bins, n_states = 4096, 512
     hyper = Hyperparameters(1.0, 0.1, 1e-4)
     ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)), hyper, 4, seed=0)

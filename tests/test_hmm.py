@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.special import logsumexp
 from freqtrack.hmm import (
     BAND_HALF_WIDTH,
     KERNEL_CUTOFF,
-    ObservationTable,
     backward,
     forward,
     forward_backward,
@@ -16,10 +16,13 @@ from freqtrack.hmm import (
     posterior_marginals,
     viterbi,
 )
+from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
 from freqtrack.markov import (FrequencyGrid, GaussianTransition, gaussian_transition,
                               initial_distribution, transition_matrix)
-from freqtrack.signal import DataSet, Hyperparameters, steering_vector, synthesize_dataset
-from oracles import brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost
+from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
+                              synthesize_dataset)
+from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
+                     log_prob, table)
 
 
 def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
@@ -28,8 +31,7 @@ def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
     grid = FrequencyGrid(-1.0, 1.0, n_states)
     trans = gaussian_transition(grid, float(rng.uniform(0.01, 1.0)))
     init = initial_distribution(grid)
-    log_prob = rng.normal(0, scale, (n_bins, n_states))
-    obs = ObservationTable(log_prob, log_prob)
+    obs = table(rng.normal(0, scale, (n_bins, n_states)))
     return grid, obs, trans, init
 
 
@@ -65,7 +67,7 @@ def band_instance(n_states, costs, seed=0):
     else:
         rows = np.full((12, n_states), 1e20)
         rows[-1, -1] += 1e6
-    return grid, ObservationTable(rows, rows)
+    return grid, table(rows)
 
 
 def test_observation_table_matches_per_entry_likelihood():
@@ -73,10 +75,10 @@ def test_observation_table_matches_per_entry_likelihood():
     hyper = Hyperparameters(1.0, 0.3, 1e-2)
     ds = synthesize_dataset(rng.uniform(-1, 1, 4), hyper, 4, seed=5)
     grid = FrequencyGrid(-1.5, 1.5, 10)
-    obs = observation_table(ds, grid, hyper)
+    rows = log_prob(observation_table(ds, grid, hyper))
     for t in range(4):
         for p, nu in enumerate(grid.states):
-            assert obs.log_prob[t, p] == pytest.approx(
+            assert rows[t, p] == pytest.approx(
                 dense_gaussian_log_density(ds.samples[t], nu, hyper), rel=1e-10
             )
 
@@ -85,26 +87,55 @@ def test_observation_table_argmax_at_true_state():
     hyper = Hyperparameters(1.0, 1e-6, 1e-2)
     grid = FrequencyGrid(-0.5, 0.5, 11)  # contains 0.2 exactly
     ds = DataSet(steering_vector([0.2], 4))
-    obs = observation_table(ds, grid, hyper)
-    assert grid.states[np.argmax(obs.log_prob[0])] == pytest.approx(0.2)
+    rows = log_prob(observation_table(ds, grid, hyper))
+    assert grid.states[np.argmax(rows[0])] == pytest.approx(0.2)
 
 
 def test_observation_table_periodic_states_equal():
     hyper = Hyperparameters(1.0, 0.5, 1e-2)
     grid = FrequencyGrid(-1.0, 1.0, 5)  # contains both -1, 0 and 1
     ds = synthesize_dataset([0.3], hyper, 4, seed=1)
-    obs = observation_table(ds, grid, hyper)
+    rows = log_prob(observation_table(ds, grid, hyper))
     states = list(grid.states)
-    assert obs.log_prob[0, states.index(0.0)] == pytest.approx(
-        obs.log_prob[0, states.index(1.0)], rel=1e-12
-    )
+    assert rows[0, states.index(0.0)] == pytest.approx(rows[0, states.index(1.0)], rel=1e-12)
+
+
+@pytest.mark.parametrize("r_b, n_bins", [(0.1, 128), (1e-4, 16)], ids=["default", "high_snr"])
+def test_observation_table_rescaled_rows_have_the_bits_of_the_log_table(r_b, n_bins):
+    # row_shift and scaled are derived from the periodograms without a (T, P)
+    # log-likelihood table, and equal the rescaling of that table built in
+    # place, bit for bit: on the default simulation and at high SNR, where
+    # rows peak thousands of nats above their other states
+    hyper = Hyperparameters(1.0, r_b, 1e-3)
+    ds = synthesize_dataset(make_test_track("sine", n_bins, (-1.5, 1.5)), hyper, 4, seed=0)
+    obs = observation_table(ds, FrequencyGrid(-2.5, 2.5, 128), hyper)
+    lp = alpha_coefficient(hyper, 4) * obs.periodograms
+    lp += log_beta_coefficient(hyper, 4)
+    lp -= (ds.energy / hyper.r_b)[:, None]
+    assert np.array_equal(obs.row_shift, lp.max(axis=1))
+    assert np.array_equal(obs.scaled, np.exp(lp - lp.max(axis=1)[:, None]))
+
+
+def test_observation_table_memory_is_one_table():
+    # at T=4096, P=512 the periodograms are the only (T, P) table it builds
+    n_bins, n_states = 4096, 512
+    hyper = Hyperparameters(1.0, 0.1, 1e-4)
+    ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)), hyper, 4, seed=0)
+    grid = FrequencyGrid(-4.0, 4.0, n_states)
+    tracemalloc.start()
+    try:
+        observation_table(ds, grid, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n_bins * n_states * 8
 
 
 def test_forward_single_bin():
     rng = np.random.default_rng(2)
     grid, obs, trans, init = random_instance(rng, n_bins=1, n_states=5)
     result = forward(obs, trans, init)
-    expected = np.log(np.sum(np.exp(obs.log_prob[0]) * init))
+    expected = np.log(np.sum(np.exp(log_prob(obs)[0]) * init))
     assert result.log_likelihood == pytest.approx(expected, rel=1e-12)
 
 
@@ -126,7 +157,7 @@ def test_forward_scaling_identity():
     rng = np.random.default_rng(4)
     grid, obs, trans, init = random_instance(rng, n_bins=4, n_states=5)
     shift = 7.3
-    shifted = ObservationTable(obs.log_prob + shift, obs.periodograms + shift)
+    shifted = replace(obs, log_beta=obs.log_beta + shift)
     a = forward(obs, trans, init)
     b = forward(shifted, trans, init)
     assert b.log_likelihood == pytest.approx(a.log_likelihood + 4 * shift, rel=1e-12)
@@ -146,10 +177,9 @@ def test_backward_two_bin_hand_computation():
     grid = FrequencyGrid(-0.25, 0.25, 2)
     trans = gaussian_transition(grid, 0.1)
     init = initial_distribution(grid)
-    log_prob = np.log([[0.4, 0.6], [0.9, 0.1]])
-    obs = ObservationTable(log_prob, log_prob)
+    obs = table(np.log([[0.4, 0.6], [0.9, 0.1]]))
     fb = forward_backward(obs, trans, init)
-    scaled = obs.scaled()
+    scaled = obs.scaled
     for p in range(2):
         expected = np.sum(scaled[1] * trans.matrix[p]) / fb.normalizers[1]
         assert fb.backward[0, p] == pytest.approx(expected, rel=1e-12)
@@ -158,7 +188,7 @@ def test_backward_two_bin_hand_computation():
 def dense_forward_backward(obs, trans, init):
     """Reference scaled forward-backward on the dense matrix:
     (log-likelihood, forward, backward)."""
-    scaled = obs.scaled()
+    scaled = obs.scaled
     fwd, norms = np.empty_like(scaled), np.empty(obs.n_bins)
     probe = scaled[0] * init
     for t in range(obs.n_bins):
@@ -203,7 +233,7 @@ def test_forward_backward_band_equals_dense(n_states, r_nu):
     transition = gaussian_transition(grid, r_nu)
     rows = np.random.default_rng(n_states).normal(0, 5, (12, n_states))
     init = initial_distribution(grid)
-    fb = assert_matches_dense(ObservationTable(rows, rows), transition, init)
+    fb = assert_matches_dense(table(rows), transition, init)
     kernel = transition.kernel
     if fb.half_width < n_states - 1:
         assert np.all(kernel[:fb.half_width + 1] > KERNEL_CUTOFF)
@@ -222,7 +252,7 @@ def test_forward_backward_band_falls_back_on_a_forced_jump():
     rows[0, 64] = rows[1, 84] = 0.0
     rows[2] = np.random.default_rng(1).normal(0, 5, 128)
     init = initial_distribution(grid)
-    fb = assert_matches_dense(ObservationTable(rows, rows), transition, init)
+    fb = assert_matches_dense(table(rows), transition, init)
     assert fb.half_width == 12
     assert fb.fallback_bins >= 1
 
@@ -236,7 +266,7 @@ def test_forward_bin_zero_peak_outside_initial_band():
     rows = np.random.default_rng(7).normal(0, 5, (6, 24))
     rows[0, 0] = rows[0].max() + 800.0
     assert init[0] == 0.0
-    result = forward(ObservationTable(rows, rows), transition, init)
+    result = forward(table(rows), transition, init)
     with np.errstate(divide="ignore"):
         log_alpha = np.log(init) + rows[0]
         log_trans = np.log(transition.matrix)
@@ -265,7 +295,7 @@ def test_degenerate_chain_gives_one_hot_posteriors():
     trans = gaussian_transition(grid, 1e-10)
     init = np.zeros(5)
     init[2] = 1.0
-    obs = ObservationTable(np.zeros((4, 5)), np.zeros((4, 5)))
+    obs = table(np.zeros((4, 5)))
     fb = forward_backward(obs, trans, init)
     post = posterior_marginals(fb, obs, trans.matrix)
     expected = np.zeros((4, 5))
@@ -279,7 +309,7 @@ def test_viterbi_matches_exhaustive_search():
         grid = FrequencyGrid(-1.0, 1.0, 4)
         lam = float(rng.uniform(0.1, 5.0))
         costs = rng.normal(0, 2, (3, 4))
-        obs = ObservationTable(costs, costs)
+        obs = table(costs)
         path, cost = viterbi(obs, grid, lam)
         best, best_cost = exhaustive_min_cost(-costs, grid, lam)
         assert np.array_equal(path, best)
@@ -290,7 +320,7 @@ def test_viterbi_large_lambda_gives_best_constant_path():
     rng = np.random.default_rng(8)
     grid = FrequencyGrid(-1.0, 1.0, 5)
     pg = rng.normal(0, 1, (4, 5))
-    obs = ObservationTable(pg, pg)
+    obs = table(pg)
     admissible = np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))
     best_const = admissible[np.argmax(pg.sum(axis=0)[admissible])]
     # at 1e308 every pair cost but the zero lag overflows to +inf
@@ -302,7 +332,7 @@ def test_viterbi_large_lambda_gives_best_constant_path():
 
 def test_viterbi_flat_costs_tie_breaks_to_lowest_admissible_state():
     grid = FrequencyGrid(-1.0, 1.0, 5)
-    obs = ObservationTable(np.zeros((3, 5)), np.zeros((3, 5)))
+    obs = table(np.zeros((3, 5)))
     path, _ = viterbi(obs, grid, 1.0)
     lowest = int(np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))[0])
     assert np.all(path == lowest)
@@ -310,7 +340,7 @@ def test_viterbi_flat_costs_tie_breaks_to_lowest_admissible_state():
 
 def test_viterbi_no_admissible_start_raises():
     grid = FrequencyGrid(2.0, 3.0, 4)
-    obs = ObservationTable(np.zeros((2, 4)), np.zeros((2, 4)))
+    obs = table(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         viterbi(obs, grid, 1.0)
 
@@ -319,7 +349,7 @@ def test_viterbi_optimality_certificate():
     rng = np.random.default_rng(10)
     grid = FrequencyGrid(-1.0, 1.0, 8)
     pg = rng.normal(0, 2, (6, 8))
-    obs = ObservationTable(pg, pg)
+    obs = table(pg)
     lam = 0.7
     path, cost = viterbi(obs, grid, lam)
     admissible = np.flatnonzero((grid.states > -0.5) & (grid.states <= 0.5))
@@ -364,7 +394,7 @@ def test_viterbi_band_falls_back_on_a_jump_just_past_the_band():
     # cost at bin 1: -10 at source, lag_cost[target - start] - rows[1, target] at target
     rows[1, target] = lag_cost[target - start] + 10.0 - (lag_cost[half + 1] + lag_cost[half + 2]) / 2
     rows[2, target] = 100.0
-    path, cost = viterbi(ObservationTable(rows, rows), grid, lam)
+    path, cost = viterbi(table(rows), grid, lam)
     ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
     assert np.array_equal(path, ref_path) and cost == ref_cost
     assert list(path[1:]) == [source, target]
@@ -376,7 +406,7 @@ def test_viterbi_memory_is_below_a_dense_stage():
     rows = np.random.default_rng(0).normal(0, 2, (2, 4096))
     tracemalloc.start()
     try:
-        viterbi(ObservationTable(rows, rows), grid, 1e6)
+        viterbi(table(rows), grid, 1e6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -388,20 +418,18 @@ def test_viterbi_rejects_non_finite_observations():
     rows = np.zeros((4, 5))
     rows[2, 3] = np.nan
     with pytest.raises(ValueError, match="not finite at bin 2"):
-        viterbi(ObservationTable(rows, np.zeros((4, 5))), grid, 1.0)
-    with pytest.raises(ValueError, match="not finite at bin 2"):
-        viterbi(ObservationTable(np.zeros((4, 5)), rows), grid, 1.0)
+        viterbi(table(rows), grid, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        viterbi(ObservationTable(np.zeros((4, 5)), np.zeros((4, 5))), grid, np.inf)
+        viterbi(table(np.zeros((4, 5))), grid, np.inf)
 
 
 def test_brute_force_trivial_cases():
     grid = FrequencyGrid(-1.0, 1.0, 5)
     trans = transition_matrix(grid, 0.1)
     init = np.full(5, 0.2)  # uniform
-    obs = ObservationTable(np.zeros((1, 5)), np.zeros((1, 5)))
+    obs = table(np.zeros((1, 5)))
     bf = brute_force_joint(obs, trans, init)
     assert np.allclose(bf.singles[0], 0.2)
     assert bf.log_likelihood == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        brute_force_joint(ObservationTable(np.zeros((30, 5)), np.zeros((30, 5))), trans, init)
+        brute_force_joint(table(np.zeros((30, 5))), trans, init)

@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from freqtrack import spectral
-from freqtrack.hmm import observation_table
-from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
-from freqtrack.markov import FrequencyGrid
-from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import (
     empirical_correlation,
     periodogram,
@@ -125,15 +121,6 @@ def test_vectorized_helpers_match_scalar():
         samples = rng.standard_normal((n_bins, 4)) + 1j * rng.standard_normal((n_bins, 4))
         table = periodogram_table(samples, nus)
         assert np.array_equal(table, np.abs(samples @ phase) ** 2 / 4)
-    # the observation table built in place on it has the bits of the
-    # out-of-place expression
-    ds = DataSet(samples=samples)
-    grid = FrequencyGrid(-2.0, 2.0, n_states)
-    hyper = Hyperparameters(1.3, 0.2, 1e-3)
-    obs = observation_table(ds, grid, hyper)
-    alpha, log_beta = alpha_coefficient(hyper, 4), log_beta_coefficient(hyper, 4)
-    expected = log_beta + alpha * obs.periodograms - (ds.energy / hyper.r_b)[:, None]
-    assert np.array_equal(obs.log_prob, expected)
 
 
 def test_periodogram_table_memory_is_its_result():
