@@ -1,9 +1,10 @@
 """Command line driver: simulate, estimate, track, eval.
 
-Every command is deterministic given its config (seeds included) and only
-emits plain CSV / key-value text so any plotting tool can consume the
-results.  Exit codes: 0 success, 1 usage error, 2 I/O error, 3 data or
-shape error, 4 numerical failure.
+Every command is deterministic given its flags (seeds included), read from
+the command line and from `@FILE` argument files, and only emits plain CSV /
+key-value text so any plotting tool can consume the results.  Exit codes:
+0 success, 1 usage error, 2 I/O error, 3 data or shape error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import numpy as np
 from freqtrack import io as ftio
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.hmm import NumericalError, observation_table, viterbi
-from freqtrack.hyperopt import (DEFAULT_STRATEGY, LINE_SEARCHES, STRATEGIES, estimate_ml,
-                                hyper_nll)
+from freqtrack.hyperopt import (DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, LINE_SEARCHES,
+                                STRATEGIES, estimate_ml, hyper_nll)
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import refine_map
@@ -58,7 +59,7 @@ class RunConfig:
     r_b: float = 0.1
     r_nu: float = 1e-3  # sqrt(r_nu) = 0.0316 is below the default grid spacing 0.0394
     strategy: str = DEFAULT_STRATEGY
-    line_search: str = "golden_section"
+    line_search: str = DEFAULT_LINE_SEARCH
     replicates: int = 20
     out: str = "."
 
@@ -70,32 +71,14 @@ class RunConfig:
         return Hyperparameters(self.r_a, self.r_b, self.r_nu)
 
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-
-
-def load_config(path) -> dict:
-    """Config-file overrides, each converted by the type of its field's default."""
-    raw = ftio.read_key_values(path)
-    overrides = {}
-    for key, value in raw.items():
-        if key not in _DEFAULTS:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            overrides[key] = type(_DEFAULTS[key])(value)
-        except ValueError as exc:
-            raise UsageError(f"bad value for config key {key!r}: {value!r}") from exc
-    return overrides
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **load_config(args.config))
-    overrides = {}
-    for name in _DEFAULTS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    """RunConfig from the parsed flags, each unset one at its default.
+
+    Every setting is checked here, so that a bad value is a usage error
+    whether it came from the command line or from an argument file.
+    """
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     if getattr(args, "grid", None):
         try:
             lo, hi, size = args.grid.split(",")
@@ -111,17 +94,24 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             overrides["track_hi"] = float(hi)
         except ValueError as exc:
             raise UsageError(f'bad --track-range value {args.track_range!r}') from exc
-    cfg = replace(cfg, **overrides)
-    # flag values passed the parser's choices already; config-file values are checked here
-    for name, allowed in getattr(args, "choices", {}).items():
-        value = getattr(cfg, name)
-        if value not in allowed:
-            raise UsageError(f"bad value for {name!r}: {value!r}, "
-                             f"expected one of {', '.join(allowed)}")
-    if cfg.n_samples < MIN_SAMPLES:
-        raise UsageError(f"need at least {MIN_SAMPLES} samples per bin, got {cfg.n_samples}")
+    cfg = RunConfig(**overrides)
+    lo, hi = cfg.track_lo, cfg.track_hi
+    for bad, message in [
+        (cfg.n_bins < 1, f"need at least one bin, got {cfg.n_bins}"),
+        (cfg.n_samples < MIN_SAMPLES,
+         f"need at least {MIN_SAMPLES} samples per bin, got {cfg.n_samples}"),
+        (not (np.isfinite([lo, hi]).all() and lo <= hi),
+         f"bad --track-range: need finite lo <= hi, got lo={lo}, hi={hi}"),
+        (cfg.seed < 0, f"need a non-negative seed, got {cfg.seed}"),
+        (cfg.replicates < 1, f"need at least one replicate, got {cfg.replicates}"),
+    ]:
+        if bad:
+            raise UsageError(message)
     try:
+        cfg.hyper()
         cfg.grid  # built once, here, so that a bad grid is a usage error
+    except HyperparameterError as exc:
+        raise UsageError(f"bad simulation setting: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"bad grid: {exc}") from exc
     return cfg
@@ -258,8 +248,6 @@ def cmd_track(cfg: RunConfig, dataset_path: str, hyper_path: str, truth_path: st
 
 def cmd_eval(cfg: RunConfig) -> int:
     """Seeded replicates of simulate -> estimate -> track, summarized."""
-    if cfg.replicates < 1:
-        raise UsageError("eval needs at least one replicate")
     truth = make_test_track(cfg.profile, cfg.n_bins, (cfg.track_lo, cfg.track_hi))
     results: dict[str, list[float]] = {}
     hyper_errors = []
@@ -321,17 +309,6 @@ def _join_range_values(argv: list[str]) -> list[str]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Records each option's allowed values by dest as the `choices`
-    default, which make_parser completes and build_config checks config-file
-    values against."""
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.choices is not None:
-            known = self.get_default("choices") or {}
-            self.set_defaults(choices={**known, action.dest: action.choices})
-        return action
-
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(_join_range_values(args), namespace)
@@ -348,7 +325,6 @@ _GRID_HELP = 'grid spec "min,max,P"'
 def _add_command(sub, name: str, summary: str) -> _Parser:
     """A subcommand with the two options every command reads."""
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
-    p.add_argument("--config", help="key=value config file; flags win over file")
     p.add_argument("--out", help="output directory (must exist)")
     return p
 
@@ -367,8 +343,9 @@ def _add_simulation(parser) -> None:
 
 def make_parser() -> _Parser:
     """Each subcommand accepts exactly the options its cmd_* function reads,
-    spelled out in full."""
-    parser = _Parser(prog="freqtrack", allow_abbrev=False,
+    spelled out in full.  `@FILE` reads one argument per line from FILE, in
+    its place on the command line, so a later flag overrides it."""
+    parser = _Parser(prog="freqtrack", allow_abbrev=False, fromfile_prefix_chars="@",
                      description="Frequency tracking beyond the Nyquist limit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -394,17 +371,7 @@ def make_parser() -> _Parser:
     p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--replicates", type=int, dest="replicates")
     p.add_argument("--strategy", choices=STRATEGIES, dest="strategy")
-
-    # A config file may set a key its command has no flag for (eval reads
-    # line_search), so each command checks config values against its own
-    # choices first, then against the first command's that has the key.
-    commands = list(sub.choices.values())
-    for command in commands:
-        merged: dict = {}
-        for other in [command, *commands]:
-            for dest, allowed in (other.get_default("choices") or {}).items():
-                merged.setdefault(dest, allowed)
-        command.set_defaults(choices=merged)
+    p.add_argument("--line-search", choices=LINE_SEARCHES, dest="line_search")
     return parser
 
 
@@ -425,9 +392,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ftio.DataFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -27,6 +27,7 @@ STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribier
 # vignes reaches polak_ribiere's minima, or lower ones, in about a third of
 # the criterion evaluations.
 DEFAULT_STRATEGY = "vignes"
+DEFAULT_LINE_SEARCH = "golden_section"
 
 # estimate_ml stops after MAX_ITER iterations or once one lowers the
 # criterion by less than REL_TOL * max(1, |f|).  A line search stops once
@@ -274,7 +275,7 @@ def estimate_ml(
     dataset: DataSet,
     grid: FrequencyGrid,
     strategy: str = DEFAULT_STRATEGY,
-    line_search: str = "golden_section",
+    line_search: str = DEFAULT_LINE_SEARCH,
 ) -> OptimizerReport:
     """Minimize hyper_nll over log(r) starting from the empirical estimates.
 

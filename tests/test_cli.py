@@ -21,6 +21,14 @@ def run(argv):
     return main(argv)
 
 
+def exit_code(argv) -> int:
+    """main's exit code, whether main returns it or argparse exits with it."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     track = rng.uniform(-1, 1, 6)
@@ -105,9 +113,13 @@ def test_malformed_truth_exit_code(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("form", ["space", "equals"])
+@pytest.mark.parametrize("form", ["space", "equals", "file"])
 def test_negative_ranges_accepted(tmp_path, form):
     def with_range(argv, option, value):
+        if form == "file":  # flag and value on separate lines
+            args_file = tmp_path / f"{option[2:]}.args"
+            args_file.write_text(f"{option}\n{value}\n")
+            return argv + [f"@{args_file}"]
         return argv + ([option, value] if form == "space" else [f"{option}={value}"])
 
     simulate = with_range(["simulate", "--out", str(tmp_path), "--bins", "8"],
@@ -124,17 +136,19 @@ def test_negative_ranges_accepted(tmp_path, form):
 
 
 def test_config_file_with_flag_overrides(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("n_bins=32\nseed=5\nr_b=0.2\n")
-    parser = make_parser()
-    args = parser.parse_args(
-        ["simulate", "--config", str(cfg_file), "--seed", "9", "--out", str(tmp_path)]
-    )
-    cfg = build_config(args)
+    # an argument file holds one argument per line; the last occurrence wins
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--bins=32\n--seed\n5\n--r-b=0.2\n")
+
+    def config(*argv):
+        return build_config(make_parser().parse_args(["simulate", *argv, "--out", str(tmp_path)]))
+
+    cfg = config(f"@{args_file}", "--seed", "9")
     assert cfg.n_bins == 32  # from file
-    assert cfg.seed == 9  # flag wins
+    assert cfg.seed == 9  # a flag after the file wins
     assert cfg.r_b == 0.2
     assert cfg.r_a == RunConfig().r_a  # untouched default
+    assert config("--seed", "9", f"@{args_file}").seed == 5  # the file after the flag wins
 
 
 def test_rmse_helper():
@@ -183,9 +197,9 @@ def test_estimate_levelsets(tmp_path, monkeypatch):
     assert run(["simulate", "--seed", "3"] + small_args(tmp_path)) == 0
     estimate = ["estimate", str(tmp_path / "dataset.csv"), "--levelsets",
                 "--out", str(tmp_path), "--grid=-2.5,2.5,48"]
-    config = tmp_path / "run.cfg"
-    config.write_text("levelset_size=2\n")
-    assert run(estimate + ["--config", str(config)]) == 1  # not a setting
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--levelset-size=2\n")
+    assert exit_code(estimate + [f"@{args_file}"]) == 1  # not a setting
     monkeypatch.setattr(cli, "LEVELSET_SIZE", 2)
     assert run(estimate) == 0
     lines = (tmp_path / "levelsets.csv").read_text().splitlines()
@@ -364,44 +378,72 @@ def test_invalid_grid_is_a_usage_error(tmp_path, capsys, command, spec):
     assert "bad grid" in capsys.readouterr().err
 
 
-def test_exit_code_bad_config(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("no_such_key=1\n")
-    code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 1
+def test_exit_code_bad_config(tmp_path, capsys):
+    # an argument file goes through the command's own parser: a flag that no
+    # command has, or one this command does not read, is a usage error
+    args_file = tmp_path / "run.args"
+    for flag in ("--no-such-flag=1", "--grid=-1,1,8"):
+        args_file.write_text(flag + "\n")
+        assert exit_code(["simulate", f"@{args_file}", "--out", str(tmp_path)]) == 1
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "dataset.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["strategy=sgd", "strategy=all", "line_search=exact",
-                                  "profile=zigzag"])
+def test_missing_argument_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.args"
+    assert exit_code(["simulate", f"@{missing}", "--out", str(tmp_path)]) == 1
+    assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("--strategy=sgd", id="strategy=sgd"),
+    pytest.param("--strategy=all", id="strategy=all"),
+    pytest.param("--line-search=exact", id="line_search=exact"),
+    pytest.param("--profile=zigzag", id="profile=zigzag"),
+])
 def test_config_value_outside_the_choices_is_a_usage_error(tmp_path, capsys, line):
-    # eval has no --line-search flag, so that value is checked against estimate's
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(line + "\n")
-    argv = ["eval", "--config", str(cfg), "--replicates", "1", "--bins", "8",
+    args_file = tmp_path / "run.args"
+    args_file.write_text(line + "\n")
+    argv = ["eval", f"@{args_file}", "--replicates", "1", "--bins", "8",
             "--out", str(tmp_path)]
-    assert run(argv) == 1
+    assert exit_code(argv) == 1
     assert line.split("=")[1] in capsys.readouterr().err
     assert not (tmp_path / "eval_replicates.csv").exists()
 
 
-def test_config_strategy_all_is_accepted_where_a_command_accepts_it(tmp_path):
+def test_config_strategy_all_is_accepted_where_a_command_accepts_it(tmp_path, capsys):
+    # estimate reads --strategy and accepts "all"; track reads no --strategy
     _valid_inputs(tmp_path)
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("strategy=all\n")
-    for command in (["estimate", "dataset.csv"], ["track", "dataset.csv", "hyper.txt"]):
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--strategy=all\n")
+    for command, code in ((["estimate", "dataset.csv"], 0),
+                          (["track", "dataset.csv", "hyper.txt"], 1)):
         argv = [command[0], *(str(tmp_path / name) for name in command[1:]),
-                "--config", str(cfg), "--grid=-1,1,8", "--out", str(tmp_path)]
-        assert run(argv) == 0
+                f"@{args_file}", "--grid=-1,1,8", "--out", str(tmp_path)]
+        assert exit_code(argv) == code
+    assert "--strategy=all" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_too_few_samples_is_a_usage_error(tmp_path, capsys, source):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("n_samples=1\n")
-    extra = ["--samples", "1"] if source == "flag" else ["--config", str(cfg)]
-    assert run(["simulate", *extra, "--out", str(tmp_path)]) == 1
-    assert f"at least {MIN_SAMPLES} samples" in capsys.readouterr().err
-    assert not (tmp_path / "dataset.csv").exists()
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--samples", "1", f"at least {MIN_SAMPLES} samples", id="samples=1"),
+    pytest.param("--bins", "0", "at least one bin", id="bins=0"),
+    pytest.param("--track-range", "1,-1", "lo=1.0, hi=-1.0", id="track_range=1,-1"),
+    pytest.param("--r-a", "-1", "r_a must be strictly positive", id="r_a=-1"),
+    pytest.param("--r-nu", "0", "r_nu must be strictly positive", id="r_nu=0"),
+    pytest.param("--seed", "-1", "non-negative seed", id="seed=-1"),
+    pytest.param("--replicates", "0", "at least one replicate", id="replicates=0"),
+])
+def test_bad_setting_is_a_usage_error(tmp_path, capsys, flag, value, message, source):
+    # checked once, before any command runs, whichever source set the value
+    args_file = tmp_path / "run.args"
+    args_file.write_text(f"{flag}={value}\n")
+    setting = [f"{flag}={value}"] if source == "flag" else [f"@{args_file}"]
+    # the setting follows the small run's flags, so it wins over them
+    small = ["--replicates", "1", "--bins", "8"]
+    assert exit_code(["eval", *small, *setting, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval_replicates.csv").exists()
 
 
 def _run_without_scipy(tmp_path, argv):
@@ -534,3 +576,19 @@ def test_estimate_reports_an_unresolvable_r_nu(tmp_path):
     assert run(["estimate", str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]) == 0
     fit = ftio.read_key_values(tmp_path / "hyper.txt")
     assert fit["stop_reason"] == "r_nu_below_resolution" and fit["converged"] == "False"
+
+
+RMSE_LIMIT = 0.05  # acceptance criterion 6
+
+
+@pytest.mark.parametrize("grid", [
+    # the default 128-state grid fits r_nu = 4.87e-3 on this seed and the
+    # track slips a whole cycle (RMSE 0.98); ROADMAP item 3 raises the default
+    pytest.param([], id="default_grid",
+                 marks=pytest.mark.xfail(strict=True, reason="cycle slip at P=128")),
+    pytest.param(["--grid=-2.5,2.5,192"], id="P=192"),
+])
+def test_eval_seed_5015_tracks_within_the_acceptance_rmse(tmp_path, grid):
+    assert run(["eval", "--replicates", "1", "--seed", "5015", *grid, "--out", str(tmp_path)]) == 0
+    summary = ftio.read_key_values(tmp_path / "eval_summary.txt")
+    assert float(summary["mean_rmse_hessian_map"]) < RMSE_LIMIT
