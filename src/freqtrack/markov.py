@@ -22,8 +22,13 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("grid needs at least 2 states")
+        if not np.isfinite([self.nu_min, self.nu_max]).all():
+            raise ValueError(f"range [{self.nu_min}, {self.nu_max}] is not finite")
         if not self.nu_min < self.nu_max:
             raise ValueError(f"degenerate range [{self.nu_min}, {self.nu_max}]")
+        with np.errstate(over="ignore"):  # numpy float bounds would warn
+            if not np.isfinite(self.spacing):
+                raise ValueError(f"the spacing of [{self.nu_min}, {self.nu_max}] overflows")
 
     @cached_property
     def states(self) -> np.ndarray:

@@ -30,6 +30,13 @@ class HyperparameterError(ValueError):
     coefficients so."""
 
 
+def check_variance(name: str, value: float) -> float:
+    """value, if it is strictly positive and finite; else HyperparameterError."""
+    if not np.isfinite(value) or value <= 0:
+        raise HyperparameterError(f"{name} must be strictly positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     """The three model variances: amplitude, noise, frequency increment."""
@@ -40,10 +47,7 @@ class Hyperparameters:
 
     def __post_init__(self):
         for name in ("r_a", "r_b", "r_nu"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
-                raise HyperparameterError(
-                    f"{name} must be strictly positive and finite, got {value!r}")
+            check_variance(name, getattr(self, name))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r_a, self.r_b, self.r_nu], dtype=float)

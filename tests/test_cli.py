@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from freqtrack import cli
 from freqtrack import io as ftio
-from freqtrack.cli import RunConfig, build_config, main, make_parser, rmse
-from freqtrack.hyperopt import hyper_nll
+from freqtrack.cli import main, make_parser, rmse
+from freqtrack.hyperopt import DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, hyper_nll
 from freqtrack.markov import FrequencyGrid
 from freqtrack.signal import MIN_SAMPLES, Hyperparameters, make_test_track, synthesize_dataset
 
@@ -124,14 +124,12 @@ def test_negative_ranges_accepted(tmp_path, form):
 
     simulate = with_range(["simulate", "--out", str(tmp_path), "--bins", "8"],
                           "--track-range", "-.5,0.5")
-    cfg = build_config(make_parser().parse_args(simulate))
-    assert (cfg.track_lo, cfg.track_hi) == (-0.5, 0.5)
+    assert make_parser().parse_args(simulate).track_range == (-0.5, 0.5)
     assert run(simulate) == 0
     ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "0.1", "r_nu": "1e-3"})
     track = with_range(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
                         "--out", str(tmp_path)], "--grid", "-4,4,64")
-    cfg = build_config(make_parser().parse_args(track))
-    assert (cfg.nu_min, cfg.nu_max, cfg.grid_size) == (-4.0, 4.0, 64)
+    assert make_parser().parse_args(track).grid == FrequencyGrid(-4.0, 4.0, 64)
     assert run(track) == 0
 
 
@@ -141,14 +139,46 @@ def test_config_file_with_flag_overrides(tmp_path):
     args_file.write_text("--bins=32\n--seed\n5\n--r-b=0.2\n")
 
     def config(*argv):
-        return build_config(make_parser().parse_args(["simulate", *argv, "--out", str(tmp_path)]))
+        return make_parser().parse_args(["simulate", *argv, "--out", str(tmp_path)])
 
-    cfg = config(f"@{args_file}", "--seed", "9")
-    assert cfg.n_bins == 32  # from file
-    assert cfg.seed == 9  # a flag after the file wins
-    assert cfg.r_b == 0.2
-    assert cfg.r_a == RunConfig().r_a  # untouched default
+    args = config(f"@{args_file}", "--seed", "9")
+    assert args.n_bins == 32  # from file
+    assert args.seed == 9  # a flag after the file wins
+    assert args.r_b == 0.2
+    assert args.r_a == config().r_a  # untouched default
     assert config("--seed", "9", f"@{args_file}").seed == 5  # the file after the flag wins
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t"], ids=["empty", "spaces", "tab"])
+def test_blank_lines_in_argument_file_are_skipped(tmp_path, blank):
+    # a line is one argument, and a blank line none, so a trailing or
+    # separating blank line is not an empty, unrecognized argument
+    args_file = tmp_path / "run.args"
+    args_file.write_text(f"{blank}\n--seed=2\n{blank}\n--bins\n8\n{blank}\n")
+    assert run(["simulate", f"@{args_file}", "--out", str(tmp_path)]) == 0
+    args = make_parser().parse_args(["simulate", f"@{args_file}"])
+    assert (args.seed, args.n_bins) == (2, 8)
+    args_file.write_text("--seed 2\n")  # a space does not split a line
+    assert exit_code(["simulate", f"@{args_file}", "--out", str(tmp_path)]) == 1
+
+
+def test_parser_defaults():
+    # the parser is the one place that holds each setting's default
+    simulation = {"n_samples": 4, "n_bins": 128, "seed": 0, "r_a": 1.0, "r_b": 0.1,
+                  "r_nu": 1e-3, "profile": "sine", "track_range": (-1.5, 1.5)}
+    args = vars(make_parser().parse_args(["eval"]))
+    assert args["grid"] == FrequencyGrid(-2.5, 2.5, 128)
+    assert {key: args[key] for key in simulation} == simulation
+    assert (args["replicates"], args["strategy"], args["line_search"]) == (
+        20, DEFAULT_STRATEGY, DEFAULT_LINE_SEARCH)
+    assert args["out"] == Path(".")
+    args = vars(make_parser().parse_args(["simulate"]))
+    assert {key: args[key] for key in simulation} == simulation
+    for command in (["estimate", "d.csv"], ["track", "d.csv", "h.txt"]):
+        args = make_parser().parse_args(command)
+        assert args.grid == FrequencyGrid(-2.5, 2.5, 128)
+    args = make_parser().parse_args(["estimate", "d.csv"])
+    assert (args.strategy, args.line_search) == (DEFAULT_STRATEGY, DEFAULT_LINE_SEARCH)
 
 
 def test_rmse_helper():
@@ -190,7 +220,7 @@ def test_eval_command(tmp_path):
     assert float(summary["mean_rmse_hessian_map"]) >= 0.0
     lines = (tmp_path / "eval_replicates.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 replicates
-    assert run(["eval", "--replicates", "0"] + small_args(tmp_path)) == 1
+    assert exit_code(["eval", "--replicates", "0"] + small_args(tmp_path)) == 1
 
 
 def test_estimate_levelsets(tmp_path, monkeypatch):
@@ -367,15 +397,22 @@ def test_flag_prefix_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "metrics.txt").exists()
 
 
-@pytest.mark.parametrize("spec", ["-1,1,1", "1,-1,8"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, source", [
+    pytest.param(spec, source, id=spec if source == "flag" else f"{spec}-file")
+    # a non-finite bound or spacing used to warn in linspace and exit 3 later
+    for spec in ["-1,1,1", "1,-1,8", "-inf,2.5,128", "-1e308,1e308,128"]
+    for source in ("flag", "file")])
 @pytest.mark.parametrize("command", ["estimate", "track"])
-def test_invalid_grid_is_a_usage_error(tmp_path, capsys, command, spec):
+def test_invalid_grid_is_a_usage_error(tmp_path, capsys, command, spec, source):
     _valid_inputs(tmp_path)
     inputs = {"estimate": ["dataset.csv"], "track": ["dataset.csv", "hyper.txt"]}[command]
-    argv = [command, *(str(tmp_path / name) for name in inputs), f"--grid={spec}",
-            "--out", str(tmp_path)]
-    assert run(argv) == 1
-    assert "bad grid" in capsys.readouterr().err
+    args_file = tmp_path / "grid.args"
+    args_file.write_text(f"--grid={spec}\n")
+    setting = f"--grid={spec}" if source == "flag" else f"@{args_file}"
+    argv = [command, *(str(tmp_path / name) for name in inputs), setting, "--out", str(tmp_path)]
+    assert exit_code(argv) == 1
+    assert f"argument --grid: bad value {spec!r}" in capsys.readouterr().err
 
 
 def test_exit_code_bad_config(tmp_path, capsys):
@@ -442,7 +479,9 @@ def test_bad_setting_is_a_usage_error(tmp_path, capsys, flag, value, message, so
     # the setting follows the small run's flags, so it wins over them
     small = ["--replicates", "1", "--bins", "8"]
     assert exit_code(["eval", *small, *setting, "--out", str(tmp_path)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"argument {flag}: bad value {value!r}" in err
     assert not (tmp_path / "eval_replicates.csv").exists()
 
 

@@ -19,6 +19,19 @@ def test_grid_argument_errors():
         FrequencyGrid(0, 1, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi, message", [
+    (-np.inf, 2.5, "is not finite"),
+    (-1.0, np.nan, "is not finite"),
+    (-1e308, 1e308, "spacing"),
+    (np.float64(-1e308), np.float64(1e308), "spacing"),
+], ids=["inf_bound", "nan_bound", "spacing_overflow", "numpy_spacing_overflow"])
+def test_grid_rejects_a_non_finite_range_or_spacing(lo, hi, message):
+    # unchecked, linspace warns and the chain's costs are inf or nan
+    with pytest.raises(ValueError, match=message):
+        FrequencyGrid(lo, hi, 128)
+
+
 def test_transition_rows_sum_to_one():
     grid = FrequencyGrid(-2.5, 2.5, 64)
     for r_nu in (1e-4, 1e-2, 1.0):
