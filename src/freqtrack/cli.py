@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import time
 from pathlib import Path
@@ -208,18 +207,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # Options whose comma-list value may start with a minus sign.
 _RANGE_OPTIONS = ("--grid", "--track-range")
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _join_range_values(argv: list[str]) -> list[str]:
     """Rewrite `--grid -4,4,64` as `--grid=-4,4,64`.
 
     argparse reads a dash-led token that is not a plain number as an
-    option flag, so a negative range would otherwise lose its value.
+    option flag, so a negative range would otherwise lose its value.  The
+    argument after a range flag is always that flag's value, so a bad one
+    such as `-inf,2.5,128` reaches the flag's check and is named there.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _RANGE_OPTIONS and _NEGATIVE_VALUE.match(arg):
+        if out and out[-1] in _RANGE_OPTIONS:
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -21,55 +21,46 @@ MAX_ITER = 100
 GRAD_TOL = 1e-8
 
 
-def objective_gradient(dataset: DataSet, track, hyper: Hyperparameters) -> np.ndarray:
-    """Gradient of the tracking criterion: -P'_t plus the difference-penalty term."""
+def objective_gradient(dataset: DataSet, track,
+                       hyper: Hyperparameters) -> tuple[np.ndarray, np.ndarray]:
+    """Newton system of the tracking criterion from one derivative evaluation:
+    the gradient, -P'_t plus the difference-penalty term, and the Hessian's
+    diagonal, -P''_t plus 4 lam (2 lam at either end).  The off-diagonal is
+    the constant -2 lam."""
     track = np.asarray(track, dtype=float)
     if not in_initial_band(track[0]):
         raise ValueError("first frequency outside the initial band: criterion is infinite")
     lam = smoothing_weight(hyper, dataset.n_samples)
-    first, _ = periodogram_deriv_many(dataset.samples, track)
+    first, second = periodogram_deriv_many(dataset.samples, track)
     diffs = np.diff(track)
     pen = np.zeros_like(track)
     pen[1:] += 2.0 * diffs
     pen[:-1] -= 2.0 * diffs
-    return -first + lam * pen
+    diag = -second + 4.0 * lam
+    diag[0] -= 2.0 * lam
+    diag[-1] -= 2.0 * lam
+    return -first + lam * pen, diag
 
 
-def _hessian_bands(dataset: DataSet, track, hyper: Hyperparameters) -> np.ndarray:
-    """Upper banded (2, T) storage of diag(-P'') + 2 lam * second-difference matrix."""
-    track = np.asarray(track, dtype=float)
-    lam = smoothing_weight(hyper, dataset.n_samples)
-    _, second = periodogram_deriv_many(dataset.samples, track)
-    n = track.size
-    diag = -second + 2.0 * lam * np.full(n, 2.0)
-    if n >= 1:
-        diag[0] -= 2.0 * lam
-        diag[-1] -= 2.0 * lam
-    bands = np.zeros((2, n))
-    bands[1] = diag
-    bands[0, 1:] = -2.0 * lam
-    return bands
-
-
-def _solve_tridiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Solve H x = rhs for the symmetric tridiagonal H in the upper banded
-    (2, T) storage of _hessian_bands, by an LDL^T sweep in O(T).
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve H x = rhs for the symmetric tridiagonal H with diagonal diag and
+    off-diagonal off (one shorter), by an LDL^T sweep in O(T).
 
     Returns None when H is not positive definite (a pivot not > 0), and
     raises ValueError on a non-finite entry, so a NaN system never yields a
     step.  The sweep runs on Python floats: per element they are cheaper
     than numpy scalars.
     """
-    if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and np.isfinite(rhs).all()):
         raise ValueError("non-finite entry in the Newton system")
-    off, diag, rhs = bands[0].tolist(), bands[1].tolist(), rhs.tolist()
+    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
     # forward: H = L D L^T with unit lower bidiagonal L (ratios below the
     # diagonal) and D = diag(pivots); ys = L^-1 rhs
     pivot, y = diag[0], rhs[0]
     if not pivot > 0.0:
         return None
     pivots, ratios, ys = [pivot], [], [y]
-    for e, d, b in zip(off[1:], diag[1:], rhs[1:]):
+    for e, d, b in zip(off, diag[1:], rhs[1:]):
         ratio = e / pivot
         pivot = d - ratio * e
         if not pivot > 0.0:
@@ -91,8 +82,12 @@ def _solve_tridiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 class RefinementResult:
     track: np.ndarray
     objective_trace: list
-    iterations: int
     stop_reason: str  # "gradient", "no_decrease" or "max_iter"
+
+    @property
+    def iterations(self) -> int:
+        """Accepted Newton steps."""
+        return len(self.objective_trace) - 1
 
 
 def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> RefinementResult:
@@ -110,18 +105,14 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
         raise ValueError("infeasible starting track")
     trace = [value]
     stop_reason = "max_iter"
-    iterations = 0
+    off = np.full(track.size - 1, -2.0 * smoothing_weight(hyper, dataset.n_samples))
 
-    def objective(candidate):
-        return map_objective(dataset, candidate, hyper)
-
-    for iterations in range(1, MAX_ITER + 1):
-        grad = objective_gradient(dataset, track, hyper)
+    for _ in range(MAX_ITER):
+        grad, diag = objective_gradient(dataset, track, hyper)
         if np.max(np.abs(grad)) < GRAD_TOL:
             stop_reason = "gradient"
-            iterations -= 1
             break
-        step = _solve_tridiagonal(_hessian_bands(dataset, track, hyper), -grad)
+        step = _solve_tridiagonal(diag, off, -grad)
         if step is not None and float(step @ grad) >= 0.0:
             step = None
         # A Newton step whose predicted decrease -g.step/2 is below the
@@ -132,18 +123,16 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
         if step is None:
             step = -grad / max(np.max(np.abs(grad)), 1.0)
         scale = 1.0
-        new_value = objective(track + scale * step)
+        new_value = map_objective(dataset, track + scale * step, hyper)
         below_rounding = below_rounding and np.isfinite(new_value)
         while not below_rounding and new_value >= value and scale > 1e-14:
             scale *= 0.5
-            new_value = objective(track + scale * step)
+            new_value = map_objective(dataset, track + scale * step, hyper)
         if not below_rounding and new_value >= value:
             stop_reason = "no_decrease"
-            iterations -= 1
             break
         track = track + scale * step
         value = new_value
         trace.append(value)
 
-    return RefinementResult(track=track, objective_trace=trace, iterations=iterations,
-                            stop_reason=stop_reason)
+    return RefinementResult(track=track, objective_trace=trace, stop_reason=stop_reason)

@@ -21,7 +21,7 @@ from freqtrack.hyperopt import (
 )
 from freqtrack.likelihood import data_misfit, map_objective, smoothing_weight
 from freqtrack.markov import FrequencyGrid, gaussian_transition, initial_distribution
-from freqtrack.refine import _hessian_bands, objective_gradient, refine_map
+from freqtrack.refine import objective_gradient, refine_map
 from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
 from freqtrack.spectral import periodogram, periodogram_deriv_many
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
@@ -115,10 +115,11 @@ def test_criterion_3_gradient_suites():
                   - hyper_nll(ds, Hyperparameters.from_array(np.exp(down)), grid)) / (2 * h)
             ok &= abs(grad[i] - fd) < 1e-4 * max(1.0, abs(fd))
 
-    # (b) tracking criterion gradient and banded Hessian vs finite differences
+    # (b) tracking criterion gradient and tridiagonal Hessian vs finite differences
     track = make_test_track("sine", 12, (-0.4, 0.4))
     ds = synthesize_dataset(track, TRUE_HYPER, 4, seed=4)
-    grad = objective_gradient(ds, track, TRUE_HYPER)
+    grad, diag = objective_gradient(ds, track, TRUE_HYPER)
+    off = -2.0 * smoothing_weight(TRUE_HYPER, ds.n_samples)
     h = 1e-6
     for t in range(12):
         up, down = track.copy(), track.copy()
@@ -127,17 +128,16 @@ def test_criterion_3_gradient_suites():
         fd = (map_objective(ds, up, TRUE_HYPER)
               - map_objective(ds, down, TRUE_HYPER)) / (2 * h)
         ok &= abs(grad[t] - fd) < 1e-6 * max(1.0, abs(fd))
-    bands = _hessian_bands(ds, track, TRUE_HYPER)
     h = 1e-5
     for t in range(12):
         up, down = track.copy(), track.copy()
         up[t] += h
         down[t] -= h
-        col = (objective_gradient(ds, up, TRUE_HYPER)
-               - objective_gradient(ds, down, TRUE_HYPER)) / (2 * h)
-        ok &= abs(bands[1, t] - col[t]) < 1e-4 * max(1.0, abs(col[t]))
+        col = (objective_gradient(ds, up, TRUE_HYPER)[0]
+               - objective_gradient(ds, down, TRUE_HYPER)[0]) / (2 * h)
+        ok &= abs(diag[t] - col[t]) < 1e-4 * max(1.0, abs(col[t]))
         if t + 1 < 12:
-            ok &= abs(bands[0, t + 1] - col[t + 1]) < 1e-4 * max(1.0, abs(col[t + 1]))
+            ok &= abs(off - col[t + 1]) < 1e-4 * max(1.0, abs(col[t + 1]))
 
     # (c) periodogram first and second derivatives vs finite differences
     for _ in range(20):

@@ -399,18 +399,19 @@ def test_flag_prefix_is_rejected(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("spec, source", [
-    pytest.param(spec, source, id=spec if source == "flag" else f"{spec}-file")
+    pytest.param(spec, source, id=spec if source == "flag" else f"{spec}-{source}")
     # a non-finite bound or spacing used to warn in linspace and exit 3 later
     for spec in ["-1,1,1", "1,-1,8", "-inf,2.5,128", "-1e308,1e308,128"]
-    for source in ("flag", "file")])
+    # "space" and "file-lines" give the flag and its value as two arguments
+    for source in ("flag", "file", "space", "file-lines")])
 @pytest.mark.parametrize("command", ["estimate", "track"])
 def test_invalid_grid_is_a_usage_error(tmp_path, capsys, command, spec, source):
     _valid_inputs(tmp_path)
     inputs = {"estimate": ["dataset.csv"], "track": ["dataset.csv", "hyper.txt"]}[command]
     args_file = tmp_path / "grid.args"
-    args_file.write_text(f"--grid={spec}\n")
-    setting = f"--grid={spec}" if source == "flag" else f"@{args_file}"
-    argv = [command, *(str(tmp_path / name) for name in inputs), setting, "--out", str(tmp_path)]
+    args_file.write_text(f"--grid\n{spec}\n" if source == "file-lines" else f"--grid={spec}\n")
+    setting = {"flag": [f"--grid={spec}"], "space": ["--grid", spec]}.get(source, [f"@{args_file}"])
+    argv = [command, *(str(tmp_path / name) for name in inputs), *setting, "--out", str(tmp_path)]
     assert exit_code(argv) == 1
     assert f"argument --grid: bad value {spec!r}" in capsys.readouterr().err
 

@@ -41,7 +41,7 @@ def tracking_problem(seed=0, n_bins=24):
 
 def test_gradient_matches_finite_differences():
     ds, track, hyper = tracking_problem()
-    grad = objective_gradient(ds, track, hyper)
+    grad, _ = objective_gradient(ds, track, hyper)
     h = 1e-6
     for t in range(track.size):
         up, down = track.copy(), track.copy()
@@ -62,7 +62,7 @@ def test_refinement_decreases_objective_and_zeroes_gradient():
     assert all(b <= a + 1e-10 for a, b in zip(trace, trace[1:]))
     assert trace[-1] <= map_objective(ds, init, hyper) + 1e-10
     assert result.stop_reason == "gradient"
-    grad = objective_gradient(ds, result.track, hyper)
+    grad, _ = objective_gradient(ds, result.track, hyper)
     assert np.max(np.abs(grad)) < 1e-7
 
 
@@ -77,14 +77,26 @@ def test_refinement_converges_below_rounding_level(seed):
     path, _ = viterbi(observation_table(ds, grid, hyper), grid, smoothing_weight(hyper, 4))
     result = refine_map(ds, grid.states[path], hyper)
     assert result.stop_reason == "gradient"
-    assert np.max(np.abs(objective_gradient(ds, result.track, hyper))) < 1e-9
+    grad, _ = objective_gradient(ds, result.track, hyper)
+    assert np.max(np.abs(grad)) < 1e-9
 
 
-def test_stop_reason_gradient():
+def test_stop_reason_gradient(monkeypatch):
+    # one periodogram_deriv_many call gives the gradient and the Hessian
+    # diagonal at each iterate, including the one where the gradient test stops
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
+    calls = 0
+    deriv_many = refine.periodogram_deriv_many
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return deriv_many(*args)
+    monkeypatch.setattr(refine, "periodogram_deriv_many", counted)
     result = refine_map(ds, init, hyper)
     assert result.stop_reason == "gradient"
+    assert result.iterations >= 2 and calls == result.iterations + 1
 
 
 def test_stop_reason_max_iter(monkeypatch):
@@ -96,16 +108,26 @@ def test_stop_reason_max_iter(monkeypatch):
     assert result.iterations == 1
 
 
+def _with_diagonal(change):
+    """objective_gradient with change applied to the Hessian diagonal it returns."""
+    objective_gradient = refine.objective_gradient
+
+    def patched(*args):
+        grad, diag = objective_gradient(*args)
+        return grad, change(diag)
+    return patched
+
+
 def test_stop_reason_no_decrease(monkeypatch):
     # at a Newton minimum a gradient step only meets rounding noise, and a
     # zero tolerance never accepts the gradient as small enough; a negated
-    # Hessian is indefinite, so every step is the gradient fallback
+    # Hessian diagonal makes the system indefinite, so every step is the
+    # gradient fallback
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
     minimum = refine_map(ds, init, hyper).track
     monkeypatch.setattr(refine, "GRAD_TOL", 0.0)
-    hessian_bands = refine._hessian_bands
-    monkeypatch.setattr(refine, "_hessian_bands", lambda *args: -hessian_bands(*args))
+    monkeypatch.setattr(refine, "objective_gradient", _with_diagonal(lambda diag: -diag))
     result = refine_map(ds, minimum, hyper)
     assert result.stop_reason == "no_decrease"
     assert np.array_equal(result.track, minimum)
@@ -142,16 +164,8 @@ def test_strong_smoothing_flattens_track():
     assert np.max(np.abs(np.diff(result.track))) < 1e-3
 
 
-def _bands(diag, off):
-    """Upper banded (2, T) storage of the symmetric tridiagonal (diag, off)."""
-    bands = np.zeros((2, len(diag)))
-    bands[1] = diag
-    bands[0, 1:] = off
-    return bands
-
-
-def _dense(bands):
-    return np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[0, 1:], -1)
+def _dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
@@ -160,11 +174,11 @@ def test_solve_tridiagonal_matches_dense_solve(n):
     off = rng.normal(size=n - 1)
     # diagonally dominant with a positive diagonal, hence positive definite
     dominance = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
-    bands = _bands(dominance + rng.uniform(0.1, 1.0, n), off)
+    diag = dominance + rng.uniform(0.1, 1.0, n)
     rhs = rng.normal(size=n)
-    x = refine._solve_tridiagonal(bands, rhs)
+    x = refine._solve_tridiagonal(diag, off, rhs)
     assert x.shape == (n,)
-    assert np.allclose(x, np.linalg.solve(_dense(bands), rhs), rtol=1e-12, atol=1e-12)
+    assert np.allclose(x, np.linalg.solve(_dense(diag, off), rhs), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("diag, off", [
@@ -175,24 +189,22 @@ def test_solve_tridiagonal_matches_dense_solve(n):
     ([2.0, 2.0, 0.5], [1.0, 1.0]),     # only the last pivot, 0.5 - 2/3, is negative
 ], ids=["negative", "zero", "singular", "middle_pivot", "last_pivot"])
 def test_solve_tridiagonal_rejects_an_indefinite_matrix(diag, off):
-    bands = _bands(diag, off)
-    assert np.linalg.eigvalsh(_dense(bands))[0] <= 0.0
-    assert refine._solve_tridiagonal(bands, np.ones(len(diag))) is None
+    diag, off = np.array(diag), np.array(off)
+    assert np.linalg.eigvalsh(_dense(diag, off))[0] <= 0.0
+    assert refine._solve_tridiagonal(diag, off, np.ones(len(diag))) is None
 
 
 @pytest.mark.parametrize("where", ["diagonal", "off_diagonal", "rhs"])
 def test_solve_tridiagonal_rejects_a_nan(where):
-    bands = _bands([2.0, 2.0, 2.0], [1.0, 1.0])
-    rhs = np.ones(3)
-    {"diagonal": bands[1], "off_diagonal": bands[0], "rhs": rhs}[where][2] = np.nan
+    diag, off, rhs = np.full(3, 2.0), np.ones(2), np.ones(3)
+    {"diagonal": diag, "off_diagonal": off, "rhs": rhs}[where][-1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        refine._solve_tridiagonal(bands, rhs)
+        refine._solve_tridiagonal(diag, off, rhs)
 
 
 def test_nan_hessian_raises_instead_of_returning_a_track(monkeypatch):
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
-    hessian_bands = refine._hessian_bands
-    monkeypatch.setattr(refine, "_hessian_bands", lambda *args: hessian_bands(*args) * np.nan)
+    monkeypatch.setattr(refine, "objective_gradient", _with_diagonal(lambda diag: diag * np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         refine_map(ds, init, hyper)
