@@ -23,7 +23,7 @@ from freqtrack.hmm import NumericalError, observation_table, viterbi
 from freqtrack.hyperopt import (DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, LINE_SEARCHES,
                                 STRATEGIES, estimate_ml, hyper_nll)
 from freqtrack.likelihood import smoothing_weight
-from freqtrack.markov import FrequencyGrid
+from freqtrack.markov import FrequencyGrid, initial_distribution
 from freqtrack.refine import refine_map
 from freqtrack.signal import (MIN_SAMPLES, TRACK_PROFILES, DataSet, HyperparameterError,
                               Hyperparameters, check_variance, make_test_track,
@@ -256,7 +256,9 @@ def _setting(parse):
 @_setting
 def _grid(text: str) -> FrequencyGrid:
     lo, hi, size = text.split(",")
-    return FrequencyGrid(float(lo), float(hi), int(size))
+    grid = FrequencyGrid(float(lo), float(hi), int(size))
+    initial_distribution(grid)  # every command starts the chain in (-1/2, 1/2]
+    return grid
 
 
 @_setting
@@ -300,11 +302,12 @@ def _add_fit(parser, strategies) -> None:
     parser.add_argument("--line-search", choices=LINE_SEARCHES, default=DEFAULT_LINE_SEARCH)
 
 
-def _add_simulation(parser) -> None:
-    """The options that define a simulated dataset, read by simulate and eval."""
+def _add_simulation(parser, least_bins: int) -> None:
+    """The options that define a simulated dataset, read by simulate and eval.
+    --bins takes at least least_bins: 1 to simulate, 2 for eval's fit."""
     parser.add_argument("--seed", type=_at_least(0, "a non-negative seed"), default=0)
-    parser.add_argument("--bins", type=_at_least(1, "at least one bin"), default=128,
-                        dest="n_bins")
+    parser.add_argument("--bins", default=128, dest="n_bins",
+                        type=_at_least(least_bins, f"a bin count of at least {least_bins}"))
     parser.add_argument("--samples", default=4, dest="n_samples",
                         type=_at_least(MIN_SAMPLES, f"at least {MIN_SAMPLES} samples per bin"))
     parser.add_argument("--r-a", type=_variance("r_a"), default=1.0)
@@ -327,7 +330,7 @@ def make_parser() -> _Parser:
 
     p = _add_command(sub, "simulate", "write a simulated dataset and its truth track",
                      cmd_simulate)
-    _add_simulation(p)
+    _add_simulation(p, 1)
 
     p = _add_command(sub, "estimate", "estimate hyperparameters by maximum likelihood",
                      cmd_estimate)
@@ -345,7 +348,7 @@ def make_parser() -> _Parser:
 
     p = _add_command(sub, "eval", "Monte-Carlo sweep of simulate -> estimate -> track",
                      cmd_eval)
-    _add_simulation(p)
+    _add_simulation(p, 2)
     _add_grid(p)
     p.add_argument("--replicates", type=_at_least(1, "at least one replicate"), default=20)
     _add_fit(p, STRATEGIES)

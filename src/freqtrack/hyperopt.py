@@ -179,6 +179,15 @@ def _bracket(phi, f0: float, step: float):
     return a, b, c, fa, fb, fc
 
 
+def _parabola(a, b, c, fa, fb, fc):
+    """(g, k) of the parabola fb + g (s - b) + k (s - b)^2 through the bracket:
+    its slope at b and half its curvature."""
+    s1 = (fb - fa) / (b - a)
+    s2 = (fc - fb) / (c - b)
+    k = (s2 - s1) / (c - a)
+    return s1 + k * (b - a), k
+
+
 def _settled(f0, a, b, c, fa, fb, fc) -> bool:
     """Whether the parabola through the bracket predicts a further decrease
     below phi(b) of at most SETTLE_RATIO times the decrease f0 - fb already
@@ -187,40 +196,51 @@ def _settled(f0, a, b, c, fa, fb, fc) -> bool:
     middle is not its lowest point, never settles."""
     if not (np.isfinite(fa) and np.isfinite(fc) and fb < min(fa, fc)):
         return False
-    s1 = (fb - fa) / (b - a)
-    s2 = (fc - fb) / (c - b)
-    k = (s2 - s1) / (c - a)  # half the parabola's curvature
-    return k > 0 and (s1 + k * (b - a)) ** 2 / (4.0 * k) <= SETTLE_RATIO * (f0 - fb)
+    g, k = _parabola(a, b, c, fa, fb, fc)
+    return k > 0 and g ** 2 / (4.0 * k) <= SETTLE_RATIO * (f0 - fb)
 
 
-def _open(f0, a, b, c, fa, fb, fc) -> bool:
-    """Whether a refiner probes again: the bracket is wider than
-    LINE_SEARCH_TOL and has not settled."""
-    return c - a > LINE_SEARCH_TOL * max(1.0, c) and not _settled(f0, a, b, c, fa, fb, fc)
-
-
-def _golden_point(a, b, c, fa, fb, fc):
-    """The golden-section point of the larger sub-interval."""
-    return b + (1 - _GOLDEN) * (c - b) if c - b > b - a else b - (1 - _GOLDEN) * (b - a)
+def _section(fraction, a, b, c, fa, fb, fc):
+    """The point that fraction of the way from b into the larger sub-interval."""
+    return b + fraction * (c - b) if c - b > b - a else b - fraction * (b - a)
 
 
 def _parabola_vertex(a, b, c, fa, fb, fc):
     """The vertex of the parabola through the bracket, or the golden point
-    when it leaves (a, c) or lies within 1e-3 (c - a) of b."""
-    denom = (b - a) * (fb - fc) - (b - c) * (fb - fa)
-    if abs(denom) < 1e-300:
-        return 0.5 * (a + c)
-    u = b - 0.5 * ((b - a) ** 2 * (fb - fc) - (b - c) ** 2 * (fb - fa)) / denom
-    if not (a < u < c) or abs(u - b) < 1e-3 * (c - a):
-        return _golden_point(a, b, c, fa, fb, fc)
-    return u
+    when the parabola has no minimum inside (a, c) or its vertex lies within
+    1e-3 (c - a) of b."""
+    if np.isfinite(fa) and np.isfinite(fc):
+        g, k = _parabola(a, b, c, fa, fb, fc)
+        if k > 0:
+            u = b - g / (2.0 * k)
+            if a < u < c and abs(u - b) >= 1e-3 * (c - a):
+                return u
+    return _section(1 - _GOLDEN, a, b, c, fa, fb, fc)
 
 
-def _three_point(probe, phi, f0, a, b, c, fa, fb, fc):
-    """Probe at most 60 points proposed by probe(a, b, c, fa, fb, fc),
-    keeping the lowest as the bracket's middle point b."""
+# each probe rule proposes a point strictly inside (a, c) other than b
+_PROBES = {
+    "golden_section": partial(_section, 1 - _GOLDEN),
+    "dichotomy": partial(_section, 0.5),
+    "quadratic_interp": _parabola_vertex,
+}
+LINE_SEARCHES = tuple(_PROBES)
+
+
+def _line_search(phi, f0, step, method):
+    """(s, phi(s)) with phi(s) < f0, or None when _bracket finds no decrease.
+
+    While the bracket is wider than LINE_SEARCH_TOL and has not settled, it
+    probes at most 60 points proposed by the method's rule in _PROBES, keeping
+    the lowest as the bracket's middle point b, so the result is at most the
+    bracket's phi(b) < f0."""
+    bracket = _bracket(phi, f0, step)
+    if bracket is None:
+        return None
+    a, b, c, fa, fb, fc = bracket
+    probe = _PROBES[method]
     for _ in range(60):
-        if not _open(f0, a, b, c, fa, fb, fc):
+        if c - a <= LINE_SEARCH_TOL * max(1.0, c) or _settled(f0, a, b, c, fa, fb, fc):
             break
         u = probe(a, b, c, fa, fb, fc)
         fu = phi(u)
@@ -234,41 +254,6 @@ def _three_point(probe, phi, f0, a, b, c, fa, fb, fc):
         else:
             c, fc = u, fu
     return b, fb
-
-
-def _dichotomy(phi, f0, a, b, c, fa, fb, fc):
-    # each pass probes a pair around the middle and keeps the side of the
-    # lower probe, which becomes the bracket's middle point
-    best, fbest = b, fb
-    while _open(f0, a, b, c, fa, fb, fc):
-        mid = 0.5 * (a + c)
-        delta = 0.125 * (c - a)
-        f1 = phi(mid - delta)
-        f2 = phi(mid + delta)
-        if f1 < f2:
-            b, c, fb, fc = mid - delta, mid + delta, f1, f2
-        else:
-            a, b, fa, fb = mid - delta, mid + delta, f1, f2
-        if fb < fbest:
-            best, fbest = b, fb
-    return best, fbest
-
-
-_REFINERS = {
-    "golden_section": partial(_three_point, _golden_point),
-    "dichotomy": _dichotomy,
-    "quadratic_interp": partial(_three_point, _parabola_vertex),
-}
-LINE_SEARCHES = tuple(_REFINERS)
-
-
-def _line_search(phi, f0, step, method):
-    """(s, phi(s)) with phi(s) < f0, or None when _bracket finds no decrease:
-    each refiner returns a value at most the bracket's phi(b) < f0."""
-    bracket = _bracket(phi, f0, step)
-    if bracket is None:
-        return None
-    return _REFINERS[method](phi, f0, *bracket)
 
 
 def estimate_ml(

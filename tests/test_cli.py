@@ -316,13 +316,13 @@ def test_track_reports_an_invalid_hyper_value(tmp_path, capsys, r_a, r_b, r_nu, 
     assert f"{tmp_path / 'hyper.txt'}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["estimate", "eval"])
-def test_grid_without_a_start_state_is_a_data_error(tmp_path, capsys, command):
-    # the start band (-1/2, +1/2] holds no state of a grid on [0.6, 3]
-    assert run(["simulate", "--bins", "16", "--out", str(tmp_path)]) == 0
-    inputs = {"estimate": [str(tmp_path / "dataset.csv")], "eval": ["--replicates", "1"]}
-    assert run([command, *inputs[command], "--grid=0.6,3,16", "--out", str(tmp_path)]) == 3
+def test_grid_without_a_start_state_is_a_usage_error(tmp_path, capsys):
+    # the start band (-1/2, +1/2] holds no state of a grid on [0.6, 3]; eval
+    # stops before it opens eval_replicates.csv
+    argv = ["eval", "--replicates", "1", "--bins", "16", "--grid=0.6,3,16", "--out", str(tmp_path)]
+    assert exit_code(argv) == 1
     assert "no grid state falls inside the initial band" in capsys.readouterr().err
+    assert not (tmp_path / "eval_replicates.csv").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -401,7 +401,8 @@ def test_flag_prefix_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("spec, source", [
     pytest.param(spec, source, id=spec if source == "flag" else f"{spec}-{source}")
     # a non-finite bound or spacing used to warn in linspace and exit 3 later
-    for spec in ["-1,1,1", "1,-1,8", "-inf,2.5,128", "-1e308,1e308,128"]
+    # 0.6,3,16 has no state in the start band (-1/2, 1/2]
+    for spec in ["-1,1,1", "1,-1,8", "-inf,2.5,128", "-1e308,1e308,128", "0.6,3,16"]
     # "space" and "file-lines" give the flag and its value as two arguments
     for source in ("flag", "file", "space", "file-lines")])
 @pytest.mark.parametrize("command", ["estimate", "track"])
@@ -465,7 +466,9 @@ def test_config_strategy_all_is_accepted_where_a_command_accepts_it(tmp_path, ca
 @pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize("flag, value, message", [
     pytest.param("--samples", "1", f"at least {MIN_SAMPLES} samples", id="samples=1"),
-    pytest.param("--bins", "0", "at least one bin", id="bins=0"),
+    pytest.param("--bins", "0", "a bin count of at least 2", id="bins=0"),
+    # the fit needs two bins
+    pytest.param("--bins", "1", "a bin count of at least 2", id="bins=1"),
     pytest.param("--track-range", "1,-1", "lo=1.0, hi=-1.0", id="track_range=1,-1"),
     pytest.param("--r-a", "-1", "r_a must be strictly positive", id="r_a=-1"),
     pytest.param("--r-nu", "0", "r_nu must be strictly positive", id="r_nu=0"),
@@ -484,6 +487,12 @@ def test_bad_setting_is_a_usage_error(tmp_path, capsys, flag, value, message, so
     assert message in err
     assert f"argument {flag}: bad value {value!r}" in err
     assert not (tmp_path / "eval_replicates.csv").exists()
+
+
+def test_simulate_accepts_one_bin(tmp_path):
+    # only eval's fit needs two bins
+    assert run(["simulate", "--bins", "1", "--out", str(tmp_path)]) == 0
+    assert len(ftio.read_track_csv(tmp_path / "truth.csv")) == 1
 
 
 def _run_without_scipy(tmp_path, argv):

@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from freqtrack import hyperopt
 from freqtrack.hmm import KERNEL_CUTOFF, ObservationTable, observation_table
 from freqtrack.hyperopt import (
+    LINE_SEARCH_TOL,
     LINE_SEARCHES,
     STRATEGIES,
     empirical_init,
@@ -283,6 +286,24 @@ def test_line_search_on_a_parabola_stops_within_settle_ratio(line_search, minimi
     f0 = phi(0.0)
     s, fs = hyperopt._line_search(phi, f0, 0.1, line_search)
     assert 0.0 <= fs - 2910.0 <= hyperopt.SETTLE_RATIO * (f0 - fs)
+
+
+_values = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@given(method=st.sampled_from(LINE_SEARCHES),
+       points=st.lists(st.floats(min_value=0.0, max_value=1e7), min_size=3, max_size=3,
+                       unique=True),
+       fb=_values, fa=_values | st.just(np.inf), fc=_values | st.just(np.inf))
+# a symmetric bracket puts the parabola's vertex on b
+@example(method="quadratic_interp", points=[0.0, 1.0, 2.0], fb=0.0, fa=1.0, fc=1.0)
+def test_probe_lies_strictly_inside_the_bracket_and_off_its_middle(method, points, fb, fa, fc):
+    # the contract by which _line_search never evaluates a point twice, on
+    # every bracket it probes; a bracket's end is +inf where the criterion is
+    a, b, c = sorted(points)
+    assume(c - a > LINE_SEARCH_TOL * max(1.0, c) and fb < min(fa, fc))
+    u = hyperopt._PROBES[method](a, b, c, fa, fb, fc)
+    assert a < u < c and u != b
 
 
 def test_settled_needs_finite_ends_and_a_lowest_middle():
