@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from freqtrack.baselines import decimal_part
 from freqtrack.hmm import (KERNEL_CUTOFF, NumericalError, forward, forward_backward,
                            observation_table, posterior_marginals)
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
@@ -27,7 +28,12 @@ STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribier
 # vignes reaches polak_ribiere's minima, or lower ones, in about a third of
 # the criterion evaluations.
 DEFAULT_STRATEGY = "vignes"
-DEFAULT_LINE_SEARCH = "golden_section"
+# Parabolic probes (Brent 1973, ch. 5) reach the vignes minima of four sine
+# datasets, seeds 0 and 1 at P=128 on [-2.5, 2.5] and 201 and 202 at P=384 on
+# [-3.5, 3.5], in 161 criterion evaluations against 224 for golden section.
+# A default fit (T=128, P=128) makes 38.6 function and 7.4 gradient
+# evaluations on average over 162 seeds.
+DEFAULT_LINE_SEARCH = "quadratic_interp"
 
 # estimate_ml stops after MAX_ITER iterations or once one lowers the
 # criterion by less than REL_TOL * max(1, |f|).  A line search stops once
@@ -86,10 +92,11 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid) -> Hyperparameters:
     """Starting point from averaged correlation lags and aliased peak frequencies.
 
     r_a = |r(1)|, r_b = r(0) - |r(1)|, and r_nu is the variance of the
-    successive differences of the per-bin periodogram-argmax frequencies.
-    Floors keep the estimates strictly positive on degenerate data.  The
-    aliased argmax sequence jumps at wraps, so r_nu comes out overestimated
-    on beyond-Nyquist tracks; it is only a starting point.
+    successive differences of the per-bin periodogram-argmax frequencies,
+    each wrapped to [-1/2, 1/2): the same steps as those of the unwrapped
+    argmax track, so a wrap of the aliased sequence adds no jump of a cycle
+    and beyond-Nyquist tracks are not overestimated for it.  Floors keep the
+    estimates strictly positive on degenerate data.
     """
     if dataset.n_bins < 2:
         raise ValueError("need at least two bins")
@@ -104,7 +111,7 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid) -> Hyperparameters:
     band = grid.states[initial_distribution(grid) > 0]
     p_table = periodogram_table(dataset.samples, band)
     ml_freqs = band[np.argmax(p_table, axis=1)]
-    r_nu = max(float(np.var(np.diff(ml_freqs))), 1e-8)
+    r_nu = max(float(np.var(decimal_part(np.diff(ml_freqs)))), 1e-8)
     return Hyperparameters(r_a, r_b, r_nu)
 
 

@@ -181,6 +181,46 @@ def test_parser_defaults():
     assert (args.strategy, args.line_search) == (DEFAULT_STRATEGY, DEFAULT_LINE_SEARCH)
 
 
+@pytest.mark.parametrize("flags, line_search", [
+    ([], "quadratic_interp"),
+    (["--line-search", "golden_section"], "golden_section"),
+])
+def test_estimate_names_its_line_search(tmp_path, flags, line_search):
+    assert run(["simulate", "--seed", "3"] + small_args(tmp_path)) == 0
+    assert run(["estimate", str(tmp_path / "dataset.csv"), "--grid=-2.5,2.5,48", *flags,
+                "--out", str(tmp_path)]) == 0
+    fit = ftio.read_key_values(tmp_path / "hyper.txt")
+    assert (fit["strategy"], fit["line_search"]) == ("vignes", line_search)
+
+
+@pytest.mark.parametrize("size, low, high, warns", [
+    (128, 0.56, 0.63, True),
+    (192, 0.37, 0.42, False),
+])
+def test_grid_resolution_is_reported_and_a_coarse_grid_warned(tmp_path, capsys, size, low,
+                                                               high, warns):
+    # default fits return r_nu near 4e-3, which P=128 does not resolve
+    grid = FrequencyGrid(-2.5, 2.5, size)
+    flag = f"--grid=-2.5,2.5,{size}"
+    assert run(["simulate", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert run(["estimate", str(tmp_path / "dataset.csv"), flag, "--out", str(tmp_path)]) == 0
+    fit = ftio.read_key_values(tmp_path / "hyper.txt")
+    r_nu = float(fit["r_nu"])
+    assert float(fit["grid_resolution"]) == pytest.approx(grid.spacing / np.sqrt(r_nu))
+    assert low <= float(fit["grid_resolution"]) <= high
+    capsys.readouterr()
+    assert run(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"), flag,
+                "--out", str(tmp_path)]) == 0
+    track_err = capsys.readouterr().err
+    assert run(["eval", "--replicates", "1", "--seed", "1", flag, "--out", str(tmp_path)]) == 0
+    eval_err = capsys.readouterr().err
+    # eval's replicate is the same dataset, so its fit is the same r_nu
+    least = f"P >= {grid.resolving_size(r_nu):.0f} on [-2.5, 2.5]"
+    for err in (track_err, eval_err):
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == int(warns) and all(least in w for w in warnings)
+
+
 def test_rmse_helper():
     assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -177,7 +178,39 @@ def test_empirical_init_overestimates_step_variance_on_aliased_track():
     ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, truth_r_nu), 4, seed=13)
     grid = FrequencyGrid(-2.5, 2.5, 128)
     est = empirical_init(ds, grid)
+    # the wraps add nothing to the wrapped steps; the argmax noise does
     assert est.r_nu > truth_r_nu
+
+
+@functools.cache
+def default_fit(seed, profile="sine", span=(-1.5, 1.5), grid=(-2.5, 2.5, 128)):
+    """empirical_init and estimate_ml on 128 bins simulated with the default
+    variances."""
+    track = make_test_track(profile, 128, span)
+    ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed)
+    grid = FrequencyGrid(*grid)
+    return empirical_init(ds, grid), estimate_ml(ds, grid)
+
+
+@pytest.mark.parametrize("profile, span, grid", [
+    ("sine", (-1.5, 1.5), (-2.5, 2.5, 128)),
+    # wider tracks wrap more often; their true steps, at most 0.15 cycles,
+    # stay far from the half cycle at which a wrapped step would fold
+    ("linear_ramp", (-3.0, 3.0), (-4.0, 4.0, 320)),
+    ("sine", (-3.0, 3.0), (-4.0, 4.0, 320)),
+])
+def test_empirical_init_starts_r_nu_within_tenfold_of_the_fit(profile, span, grid):
+    # differencing the aliased argmax track added a cycle-sized jump at every
+    # wrap, and started r_nu 21-32 times the fitted one on default seeds 0-4
+    for seed in range(5):
+        start, report = default_fit(seed, profile, span, grid)
+        assert report.stop_reason == "relative_decrease"
+        assert 0.1 < start.r_nu / report.minimizer.r_nu < 10
+
+
+def test_default_fits_evaluation_budget():
+    # golden-section probes from the aliased start took 315 evaluations here
+    assert sum(default_fit(seed)[1].function_evals for seed in range(5)) <= 225
 
 
 def test_empirical_init_rejects_zero_data():
