@@ -116,8 +116,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
-    """Sample the hyperparameter criterion on a log-spaced box around center."""
+    """Sample the hyperparameter criterion on a log-spaced box around center,
+    computing the data's periodogram table once for all the points."""
     m = LEVELSET_SIZE
+    periodograms = observation_table(dataset, grid, center).periodograms
     axes = [np.logspace(np.log10(v) - 1.0, np.log10(v) + 1.0, m)
             for v in (center.r_a, center.r_b, center.r_nu)]
     with open(path, "w") as fh:
@@ -125,7 +127,8 @@ def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
         for ra in axes[0]:
             for rb in axes[1]:
                 for rnu in axes[2]:
-                    value = hyper_nll(dataset, Hyperparameters(ra, rb, rnu), grid)
+                    value = hyper_nll(dataset, Hyperparameters(ra, rb, rnu), grid,
+                                      periodograms=periodograms)
                     fh.write(f"{float(ra)!r},{float(rb)!r},{float(rnu)!r},{value!r}\n")
     print(f"wrote {path} ({m}x{m}x{m} samples)")
 
@@ -155,6 +158,25 @@ def _warn_unresolved(grid: FrequencyGrid, r_nus: list[float]) -> None:
               f"[{grid.nu_min:g}, {grid.nu_max:g}] resolves it", file=sys.stderr)
 
 
+def _warn_on_edge(grid: FrequencyGrid, viterbi_tracks: list[np.ndarray],
+                  first_seed: int = 0) -> None:
+    """One warning line when a Viterbi track sits on an outer grid state,
+    where the true track may lie beyond the grid, naming that edge and the
+    first such bin; of several replicates, seeded from first_seed on, it
+    names the first such one."""
+    on_edge = [np.flatnonzero((track == grid.states[0]) | (track == grid.states[-1]))
+               for track in viterbi_tracks]
+    hit = [i for i, bins in enumerate(on_edge) if bins.size]
+    if hit:
+        bins = on_edge[hit[0]]
+        edge = viterbi_tracks[hit[0]][bins[0]]
+        share = (f" in {len(hit)} of {len(on_edge)} replicates, first seed "
+                 f"{first_seed + hit[0]}," if len(on_edge) > 1 else "")
+        print(f"warning: the Viterbi track sits on the grid edge {edge:g}{share} at "
+              f"{bins.size} bins, first bin {bins[0]}: the track may leave "
+              f"[{grid.nu_min:g}, {grid.nu_max:g}]; widen --grid", file=sys.stderr)
+
+
 def cmd_track(args: argparse.Namespace) -> int:
     dataset = ftio.read_dataset_csv(args.dataset)
     hyper = _read_hyper(args.hyper)
@@ -166,6 +188,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     tracks = compute_tracks(dataset, args.grid, hyper)
     elapsed = time.perf_counter() - start
+    _warn_on_edge(args.grid, [tracks["viterbi_map"]])
     metrics = {}
     for name, track in tracks.items():
         ftio.write_track_csv(args.out / f"{name}.csv", track)
@@ -187,6 +210,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results: dict[str, list[float]] = {}
     hyper_errors = []
     fitted_r_nu = []
+    viterbi_tracks = []
     with open(args.out / "eval_replicates.csv", "w") as fh:
         for rep in range(args.replicates):
             seed = args.seed + rep
@@ -195,6 +219,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                  line_search=args.line_search)
             fitted_r_nu.append(report.minimizer.r_nu)
             tracks = compute_tracks(dataset, args.grid, report.minimizer)
+            viterbi_tracks.append(tracks["viterbi_map"])
             if rep == 0:
                 fh.write("seed," + ",".join(f"rmse_{n}" for n in tracks) + "\n")
             row = [str(seed)]
@@ -206,6 +231,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             hyper_errors.append(np.abs(np.log10(report.minimizer.as_array())
                                        - np.log10(hyper.as_array())))
     _warn_unresolved(args.grid, fitted_r_nu)
+    _warn_on_edge(args.grid, viterbi_tracks, args.seed)
     summary = {}
     print(f"{'method':<14} {'mean rmse':>10} {'median':>10} {'p90':>10}")
     for name, values in results.items():

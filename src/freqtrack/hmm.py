@@ -89,8 +89,13 @@ class ObservationTable:
         return self.periodograms.shape[1]
 
 
-def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters) -> ObservationTable:
+def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters,
+                      periodograms: np.ndarray | None = None) -> ObservationTable:
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
+
+    periodograms, when given, is periodogram_table(dataset.samples,
+    grid.states), computed once for many hyperparameters and read, not
+    copied or recomputed.
 
     Raises ValueError naming r_a and r_b when alpha is not positive and
     finite (see alpha_coefficient), or when log beta or the largest record
@@ -104,7 +109,9 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     if not np.isfinite([log_beta, gamma.max()]).all():
         raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
                                   "the likelihood coefficient log beta or energy / r_b non-finite")
-    return ObservationTable(periodogram_table(dataset.samples, grid.states), alpha, log_beta, gamma)
+    if periodograms is None:
+        periodograms = periodogram_table(dataset.samples, grid.states)
+    return ObservationTable(periodograms, alpha, log_beta, gamma)
 
 
 @dataclass
@@ -215,9 +222,11 @@ def backward(obs: ObservationTable, trans: GaussianTransition,
     return replace(fwd, backward=bwd, fallback_bins=fwd.fallback_bins + fallbacks)
 
 
-def forward_backward(obs: ObservationTable, trans: GaussianTransition,
-                     init: np.ndarray) -> ForwardBackwardResult:
-    return backward(obs, trans, forward(obs, trans, init))
+def forward_backward(obs: ObservationTable, trans: GaussianTransition, init: np.ndarray,
+                     fwd: ForwardBackwardResult | None = None) -> ForwardBackwardResult:
+    """The backward pass after the forward one; fwd, when given, is a
+    forward pass already run on the same obs, trans and init, and is reused."""
+    return backward(obs, trans, forward(obs, trans, init) if fwd is None else fwd)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from freqtrack.likelihood import data_misfit, map_objective, smoothing_weight
 from freqtrack.markov import FrequencyGrid, gaussian_transition, initial_distribution
 from freqtrack.refine import objective_gradient, refine_map
 from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
-from freqtrack.spectral import periodogram, periodogram_deriv_many
+from freqtrack.spectral import periodogram, periodogram_deriv_many, periodogram_table
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
                      log_likelihood_entry, steps_within_half, table)
 
@@ -234,7 +234,7 @@ def test_criterion_7_optimizer_consensus():
     spread = (minima.max() - minima.min()) / abs(minima.min())
     log_spread = np.max(np.ptp(np.array(minimizers), axis=0))
     ok = spread < 0.005 and log_spread < 0.1
-    report(7, f"five-strategy consensus, minima spread {spread:.2e}, "
+    report(7, f"{len(STRATEGIES)}-strategy consensus, minima spread {spread:.2e}, "
               f"minimizer spread {log_spread:.3f} log10", ok)
 
 
@@ -250,18 +250,22 @@ def test_criterion_8_hyperparameter_recovery():
         est = estimate_ml(ds, GRID, strategy="vignes").minimizer
         err = np.abs(np.log10(est.as_array()) - np.log10(truth.as_array()))
         hits += int(np.all(err < 0.3))
-    # the moment-based initializer adds the argmax noise to the step variance:
-    # 3.2-14.6 times the truth on these drifts through several alias bands
-    overestimates = 0
+    # the initializer's r_nu is the step variance of the unwrapped argmax
+    # track: a wrap of the aliased track on these drifts through several
+    # alias bands adds no cycle-sized jump
+    band = GRID.states[initial_distribution(GRID) > 0]
+    unwrapped = 0
     for rep in range(20):
         rng = np.random.default_rng(4000 + rep)
         track = (np.concatenate([[0.0], np.cumsum(rng.normal(0, np.sqrt(truth.r_nu), 127))])
                  + np.linspace(0, 3.0, 128))
         ds = synthesize_dataset(track, truth, 4, seed=5000 + rep)
-        overestimates += int(empirical_init(ds, GRID).r_nu > truth.r_nu)
-    ok = hits >= 15 and overestimates == 20
+        argmax = band[np.argmax(periodogram_table(ds.samples, band), axis=1)]
+        steps = np.var(np.diff(unwrap_track(argmax)))
+        unwrapped += int(empirical_init(ds, GRID).r_nu == pytest.approx(steps, rel=1e-12))
+    ok = hits >= 15 and unwrapped == 20
     report(8, f"hyperparameter recovery {hits}/20 within 0.3 log10, "
-              f"initializer overestimates step variance {overestimates}/20", ok)
+              f"initializer r_nu the unwrapped argmax step variance {unwrapped}/20", ok)
 
 
 def test_criterion_9_probability_hygiene():

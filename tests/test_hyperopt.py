@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from freqtrack import hyperopt
+from freqtrack import hmm, hyperopt
+from freqtrack.baselines import unwrap_track
 from freqtrack.hmm import KERNEL_CUTOFF, ObservationTable, observation_table
 from freqtrack.hyperopt import (
     LINE_SEARCH_TOL,
     LINE_SEARCHES,
+    REL_TOL,
     STRATEGIES,
     empirical_init,
     estimate_ml,
@@ -23,6 +25,7 @@ from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distri
                               transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
+from freqtrack.spectral import periodogram_table
 from oracles import brute_force_joint
 
 
@@ -133,6 +136,56 @@ def test_gradient_memory_is_below_pair_tensor():
     assert peak < (n_bins - 1) * n_states**2 * 8 / 4
 
 
+@pytest.mark.parametrize("grid, hyper", [
+    ((-2.5, 2.5, 128), Hyperparameters(1.0, 0.1, 1e-3)),
+    ((-2.5, 2.5, 128), Hyperparameters(0.3, 2.0, 0.2)),
+    ((-3.5, 3.5, 384), Hyperparameters(1.0, 0.1, 4e-3)),
+], ids=["P=128", "P=128-broad", "P=384"])
+def test_gradient_reusing_the_criterion_pass_is_bit_identical(monkeypatch, grid, hyper):
+    # the observation table and forward pass hyper_nll held are the ones a
+    # fresh gradient computes, so the gradient runs only the backward pass
+    ds, _ = standard_dataset()
+    grid = FrequencyGrid(*grid)
+    periodograms = periodogram_table(ds.samples, grid.states)
+    held = []
+    value = hyper_nll(ds, hyper, grid, periodograms=periodograms, held=held)
+    assert value == hyper_nll(ds, hyper, grid) and len(held) == 1
+    fresh = hyper_nll_gradient(ds, hyper, grid)
+    monkeypatch.setattr(hmm, "forward", None)
+    monkeypatch.setattr(hmm, "periodogram_table", None)
+    assert np.array_equal(hyper_nll_gradient(ds, hyper, grid, periodograms, held[0]), fresh)
+
+
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "coordinate_wise"])
+def test_fit_gradients_equal_fresh_gradients(monkeypatch, strategy):
+    # a fit hands a gradient the pass of its latest or its lowest evaluation
+    # only where that evaluation's point is the gradient's own
+    gradient = hyper_nll_gradient
+    reused = []
+
+    def checked(dataset, hyper, grid, periodograms, held):
+        out = gradient(dataset, hyper, grid, periodograms, held)
+        assert np.array_equal(out, gradient(dataset, hyper, grid))
+        reused.append(held is not None)
+        return out
+
+    monkeypatch.setattr(hyperopt, "hyper_nll_gradient", checked)
+    estimate_ml(*standard_dataset(), strategy=strategy)
+    # every gradient but the start's, whose point is exp(log r) of the start r
+    assert reused[1:] == [True] * (len(reused) - 1)
+
+
+def test_observation_table_from_a_cached_periodogram_table_is_bit_identical():
+    ds, grid = standard_dataset()
+    hyper = Hyperparameters(1.0, 0.1, 1e-3)
+    periodograms = periodogram_table(ds.samples, grid.states)
+    cached = observation_table(ds, grid, hyper, periodograms)
+    fresh = observation_table(ds, grid, hyper)
+    assert cached.periodograms is periodograms
+    for name in ("periodograms", "alpha", "log_beta", "gamma", "row_shift", "scaled"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+
+
 def test_observation_gradient_zero_crossing():
     # d log O / d r_a = -N/(N r_a + r_b) + N P/(N r_a + r_b)^2 vanishes
     # exactly when the periodogram equals N r_a + r_b
@@ -170,16 +223,22 @@ def test_empirical_init_pure_noise():
     assert est.r_a < 0.1
 
 
-def test_empirical_init_overestimates_step_variance_on_aliased_track():
+def test_empirical_init_r_nu_is_the_unwrapped_argmax_step_variance():
+    # a drift through several alias bands: the start r_nu is the variance of
+    # the steps of the unwrapped argmax track, to which a wrap adds nothing;
+    # differencing the aliased track would add a cycle-sized jump at each
+    # wrap, 7.5 times the variance here
     truth_r_nu = 1e-3
     rng = np.random.default_rng(12)
     steps = rng.normal(0, np.sqrt(truth_r_nu), 127)
     track = np.concatenate([[0.0], np.cumsum(steps)]) + np.linspace(0, 3.0, 128)
     ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, truth_r_nu), 4, seed=13)
     grid = FrequencyGrid(-2.5, 2.5, 128)
-    est = empirical_init(ds, grid)
-    # the wraps add nothing to the wrapped steps; the argmax noise does
-    assert est.r_nu > truth_r_nu
+    band = grid.states[initial_distribution(grid) > 0]
+    argmax = band[np.argmax(periodogram_table(ds.samples, band), axis=1)]
+    unwrapped = np.var(np.diff(unwrap_track(argmax)))
+    assert empirical_init(ds, grid).r_nu == pytest.approx(unwrapped, rel=1e-12)
+    assert np.var(np.diff(argmax)) > 5 * unwrapped
 
 
 @functools.cache
@@ -211,6 +270,39 @@ def test_empirical_init_starts_r_nu_within_tenfold_of_the_fit(profile, span, gri
 def test_default_fits_evaluation_budget():
     # golden-section probes from the aliased start took 315 evaluations here
     assert sum(default_fit(seed)[1].function_evals for seed in range(5)) <= 225
+
+
+def test_default_fits_forward_pass_budget(monkeypatch):
+    # each gradient at an accepted point reuses that point's forward pass:
+    # 74 passes here, 240 when every gradient ran its own; the start point's
+    # x -> Hyperparameters round trip misses on seeds 0-4
+    calls = []
+    forward = hmm.forward
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(hmm, "forward", counted)
+    monkeypatch.setattr(hyperopt, "forward", counted)
+    track = make_test_track("sine", 128, (-1.5, 1.5))
+    grid = FrequencyGrid(-2.5, 2.5, 128)
+    for seed in range(5):
+        estimate_ml(synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed), grid)
+    assert len(calls) <= 80
+
+
+@pytest.mark.parametrize("seed, grid", [
+    *(pytest.param(seed, (-2.5, 2.5, 128), id=f"{seed}-P=128") for seed in range(5)),
+    *(pytest.param(seed, (-3.5, 3.5, 384), id=f"{seed}-P=384") for seed in (201, 202)),
+])
+def test_bfgs_reaches_the_vignes_minimum(seed, grid):
+    _, report = default_fit(seed, grid=grid)
+    assert hyperopt.DEFAULT_STRATEGY == "bfgs" and report.stop_reason == "relative_decrease"
+    track = make_test_track("sine", 128, (-1.5, 1.5))
+    ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed)
+    vignes = estimate_ml(ds, FrequencyGrid(*grid), strategy="vignes").reached_minimum
+    assert report.reached_minimum <= vignes + REL_TOL * max(1.0, abs(vignes))
 
 
 def test_empirical_init_rejects_zero_data():
@@ -388,7 +480,7 @@ def test_fit_of_an_unbounded_criterion_stays_total(monkeypatch, unbounded):
     # and function_evals still counts the hyper_nll calls
     calls = []
 
-    def criterion(dataset, hyper, grid):
+    def criterion(dataset, hyper, grid, **kwargs):
         calls.append(hyper)
         return unbounded(hyper)
 
@@ -407,12 +499,14 @@ def test_unknown_strategy_rejected():
 
 
 def test_gradient_strategies_part_after_the_shared_first_step(monkeypatch):
-    # every gradient strategy starts along -g, so the first iterate is shared;
-    # from the second on each follows its own direction rule
+    # every line-search gradient strategy starts with a line search along -g,
+    # so the first iterate is shared; from the second on each follows its own
+    # direction rule.  bfgs backtracks from a capped full step instead of
+    # searching the line, so its first iterate differs by design.
     monkeypatch.setattr(hyperopt, "MAX_ITER", 2)
     ds, grid = standard_dataset()
     trajectories = [estimate_ml(ds, grid, strategy=strategy).trajectory
-                    for strategy in STRATEGIES if strategy != "coordinate_wise"]
+                    for strategy in STRATEGIES if strategy not in ("coordinate_wise", "bfgs")]
     assert all(np.array_equal(t[1], trajectories[0][1]) for t in trajectories)
     for a, b in itertools.combinations([t[2] for t in trajectories], 2):
         assert not np.array_equal(a, b)
