@@ -102,7 +102,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "grid_resolution": repr(args.grid.resolution(r.r_nu)),
         "reached_minimum": repr(best.reached_minimum),
         "strategy": best_name,
-        "line_search": args.line_search,
+        "line_search": "none" if best_name == "bfgs" else args.line_search,
         "gradient_evals": best.gradient_evals,
         "function_evals": best.function_evals,
         "iterations": best.iterations,

@@ -26,10 +26,10 @@ from freqtrack.spectral import empirical_correlation, periodogram_table
 
 STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribiere", "bfgs")
 # bfgs curves its steps with the inverse Hessian that the exact gradients'
-# differences build up (Nocedal & Wright 2006, ch. 6), and its gradient at an
-# accepted point reuses that point's forward pass.  A default fit (T=128,
-# P=128) makes 13.0 function and 11.4 gradient evaluations on average over 162
-# seeds, against 38.6 and 7.4 for vignes, and ends lower than vignes on 148.
+# differences build up (Nocedal & Wright 2006, ch. 6) from the complete-data
+# metric at the start, and its gradient at an accepted point reuses that
+# point's forward pass.  A default fit (T=128, P=128) makes 5.4 function and
+# 4.4 gradient evaluations on average over 162 seeds, at most 9 and 8.
 DEFAULT_STRATEGY = "bfgs"
 # Parabolic probes (Brent 1973, ch. 5) reach the vignes minima of four sine
 # datasets, seeds 0 and 1 at P=128 on [-2.5, 2.5] and 201 and 202 at P=384 on
@@ -111,31 +111,64 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     return -np.array([d_ra, d_rb, d_rnu])
 
 
-def empirical_init(dataset: DataSet, grid: FrequencyGrid) -> Hyperparameters:
-    """Starting point from averaged correlation lags and aliased peak frequencies.
+def empirical_init(dataset: DataSet, grid: FrequencyGrid,
+                   periodograms: np.ndarray | None = None) -> Hyperparameters:
+    """Starting point from per-bin correlation lags and aliased peak frequencies.
 
-    r_a = |r(1)|, r_b = r(0) - |r(1)|, and r_nu is the variance of the
-    successive differences of the per-bin periodogram-argmax frequencies,
-    each wrapped to [-1/2, 1/2): the same steps as those of the unwrapped
-    argmax track, so a wrap of the aliased sequence adds no jump of a cycle
-    and beyond-Nyquist tracks are not overestimated for it.  Floors keep the
-    estimates strictly positive on degenerate data.
+    r_a = N / (N - 1) mean_t |c_t(1)|, the mean over bins of the lag-1
+    magnitude, which for a cisoid is (N - 1) / N times its power: averaging
+    the magnitudes, not the lags, keeps the phasors of different bins' peaks
+    from cancelling, and a noiseless cisoid gives r_a = 1 exactly.
+    r_b = r(0) - r_a.  r_nu = (1.4826 median_t |d_t|)^2, the scale of the
+    successive differences d_t of the per-bin periodogram-argmax frequencies
+    by their median absolute value (Rousseeuw & Croux 1993), so the few
+    steps to a wrong peak cannot inflate it.  Each d_t is wrapped to
+    [-1/2, 1/2): the steps of the unwrapped argmax track, so a wrap of the
+    aliased sequence adds no jump of a cycle.  r_a and r_b are floored at
+    1e-6 r(0) and r_nu at the grid spacing squared, where the transition
+    still moves mass to the neighbouring states.
+
+    periodograms is periodogram_table(dataset.samples, grid.states), computed
+    here when not given; the argmax reads its start-band columns.
     """
     if dataset.n_bins < 2:
         raise ValueError("need at least two bins")
-    lags = np.mean(empirical_correlation(dataset.samples), axis=0)
-    r0 = float(lags[0].real)
+    lags = empirical_correlation(dataset.samples)
+    r0 = float(np.mean(lags[:, 0].real))
     if r0 <= 0:
         raise ValueError("degenerate all-zero data")
-    r1 = float(np.abs(lags[1]))
+    n = dataset.n_samples
+    r1 = n / (n - 1) * float(np.mean(np.abs(lags[:, 1])))
     r_a = max(r1, 1e-6 * r0)
     r_b = max(r0 - r1, 1e-6 * r0)
 
-    band = grid.states[initial_distribution(grid) > 0]
-    p_table = periodogram_table(dataset.samples, band)
-    ml_freqs = band[np.argmax(p_table, axis=1)]
-    r_nu = max(float(np.var(decimal_part(np.diff(ml_freqs)))), 1e-8)
+    if periodograms is None:
+        periodograms = periodogram_table(dataset.samples, grid.states)
+    band = initial_distribution(grid) > 0
+    ml_freqs = grid.states[band][np.argmax(periodograms[:, band], axis=1)]
+    spread = 1.4826 * float(np.median(np.abs(decimal_part(np.diff(ml_freqs)))))
+    r_nu = max(spread ** 2, grid.spacing ** 2)
     return Hyperparameters(r_a, r_b, r_nu)
+
+
+def _complete_data_metric(dataset: DataSet, hyper: Hyperparameters) -> np.ndarray:
+    """The inverse of the complete-data Fisher information of the
+    hyperparameters in log-parameters, EM's own metric (Jamshidian & Jennrich
+    1997), bfgs's first inverse Hessian.
+
+    Given its frequency a bin's record has covariance r_a e e^H + r_b I: the
+    eigenvalue s = N r_a + r_b along e and r_b on the N - 1 directions
+    orthogonal to it, so its information in (log r_a, log r_b) is
+    [[a^2, a b], [a b, b^2 + N - 1]] with a = N r_a / s and b = r_b / s.  Each of the T - 1 Gaussian steps of
+    the track adds 1/2 to that in log r_nu.
+    """
+    n, n_bins = dataset.n_samples, dataset.n_bins
+    s = n * hyper.r_a + hyper.r_b
+    a, b = n * hyper.r_a / s, hyper.r_b / s
+    info = np.zeros((3, 3))
+    info[:2, :2] = n_bins * np.array([[a * a, a * b], [a * b, b * b + n - 1]])
+    info[2, 2] = (n_bins - 1) / 2.0
+    return np.linalg.inv(info)
 
 
 @dataclass
@@ -305,17 +338,14 @@ def _backtrack(phi, f0: float, slope: float):
     return None
 
 
-def _bfgs_update(inverse, step: np.ndarray, change: np.ndarray):
+def _bfgs_update(inverse: np.ndarray, step: np.ndarray, change: np.ndarray) -> np.ndarray:
     """The BFGS update of the inverse Hessian approximation from a step and
-    the gradient's change along it (Nocedal & Wright 2006, eq. 6.17).  None
-    stands for the identity of the first step, which is first scaled to
-    (s.y) / (y.y) (eq. 6.20).  Without positive curvature, s.y <= 0, the
-    update would lose positive definiteness and is skipped."""
+    the gradient's change along it (Nocedal & Wright 2006, eq. 6.17).
+    Without positive curvature, s.y <= 0, the update would lose positive
+    definiteness and is skipped."""
     sy = float(step @ change)
     if not sy > 0.0:
         return inverse
-    if inverse is None:
-        inverse = sy / float(change @ change) * np.eye(step.size)
     left = np.eye(step.size) - np.outer(step, change) / sy
     return left @ inverse @ left.T + np.outer(step, step) / sy
 
@@ -336,8 +366,9 @@ def estimate_ml(
     search lowers the criterion.  The line-search strategies search unit
     directions by line_search and reuse the accepted step as the slot's next
     hint; a slot where none does shrinks its hint.  bfgs searches
-    d = -H g, H the BFGS inverse Hessian, and -g, each capped at MAX_STEP,
-    by Armijo backtracking from the full step.  stop_reason names
+    d = -H g, H the BFGS inverse Hessian started at the inverse of the
+    complete-data information, and -g, each capped at MAX_STEP, by Armijo
+    backtracking from the full step.  stop_reason names
     the exit: "zero_gradient", "no_decrease" (no slot moved),
     "relative_decrease" (an iteration lowered the criterion by less than
     REL_TOL * max(1, |f|)) or "max_iter".  Every accepted step decreases the
@@ -346,9 +377,10 @@ def estimate_ml(
     hyperparameters or its forward pass underflows, the criterion is +inf
     (the starting point alone fails loudly).
 
-    The periodogram table is computed once.  The fit holds the observation
-    table and forward pass of its latest and of its lowest evaluation, and a
-    gradient at either point reuses them.
+    The periodogram table is computed once, for the start and the
+    criterion.  The fit holds the observation table and forward pass of its
+    latest and of its lowest evaluation, and a gradient at either point
+    reuses them; every gradient is taken at one of them, the start's too.
 
     Whatever the exit, a minimizer whose kernel value at lag 1 is at or
     below KERNEL_CUTOFF is reported as "r_nu_below_resolution": the grid
@@ -383,14 +415,15 @@ def estimate_ml(
     fun = _total(nll)
     grad = _Counted(gradient)
 
-    start = empirical_init(dataset, grid)
-    x = np.log(start.as_array())
+    x = np.log(empirical_init(dataset, grid, periodograms).as_array())
+    start = Hyperparameters.from_array(np.exp(x))  # as the gradient at x sees it
     fx = nll(start)
     if not np.isfinite(fx):
         raise ValueError("non-finite criterion at the starting point")
     trajectory = [x.copy()]
     steps = np.full(3 if strategy == "coordinate_wise" else 1, 0.1)
-    g = prev_g = prev_d = inverse = None
+    g = prev_g = prev_d = None
+    inverse = _complete_data_metric(dataset, start) if strategy == "bfgs" else None
     weights = np.ones(3)  # vignes: per-component step correction
     stop_reason = "max_iter"
     iterations = 0
@@ -407,7 +440,7 @@ def estimate_ml(
             if strategy == "bfgs":
                 if prev_g is not None:
                     inverse = _bfgs_update(inverse, trajectory[-1] - trajectory[-2], g - prev_g)
-                d = -g if inverse is None else -(inverse @ g)
+                d = -(inverse @ g)
             elif strategy == "gradient" or prev_g is None or restart:
                 d = -g
             elif strategy == "polak_ribiere":

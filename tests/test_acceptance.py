@@ -250,9 +250,9 @@ def test_criterion_8_hyperparameter_recovery():
         est = estimate_ml(ds, GRID, strategy="vignes").minimizer
         err = np.abs(np.log10(est.as_array()) - np.log10(truth.as_array()))
         hits += int(np.all(err < 0.3))
-    # the initializer's r_nu is the step variance of the unwrapped argmax
-    # track: a wrap of the aliased track on these drifts through several
-    # alias bands adds no cycle-sized jump
+    # the initializer's r_nu is the robust variance (1.4826 MAD)^2 of the
+    # steps of the unwrapped argmax track: a wrap of the aliased track on
+    # these drifts through several alias bands adds no cycle-sized jump
     band = GRID.states[initial_distribution(GRID) > 0]
     unwrapped = 0
     for rep in range(20):
@@ -261,11 +261,11 @@ def test_criterion_8_hyperparameter_recovery():
                  + np.linspace(0, 3.0, 128))
         ds = synthesize_dataset(track, truth, 4, seed=5000 + rep)
         argmax = band[np.argmax(periodogram_table(ds.samples, band), axis=1)]
-        steps = np.var(np.diff(unwrap_track(argmax)))
+        steps = (1.4826 * np.median(np.abs(np.diff(unwrap_track(argmax))))) ** 2
         unwrapped += int(empirical_init(ds, GRID).r_nu == pytest.approx(steps, rel=1e-12))
     ok = hits >= 15 and unwrapped == 20
     report(8, f"hyperparameter recovery {hits}/20 within 0.3 log10, "
-              f"initializer r_nu the unwrapped argmax step variance {unwrapped}/20", ok)
+              f"initializer r_nu the unwrapped argmax steps' robust variance {unwrapped}/20", ok)
 
 
 def test_criterion_9_probability_hygiene():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from freqtrack import cli
+from freqtrack import cli, hyperopt
 from freqtrack import io as ftio
 from freqtrack.cli import main, make_parser, rmse
 from freqtrack.hyperopt import DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, hyper_nll
@@ -186,11 +186,13 @@ def test_parser_defaults():
     (["--line-search", "golden_section"], "golden_section"),
 ])
 def test_estimate_names_its_line_search(tmp_path, flags, line_search):
+    # vignes searches each line by the setting; bfgs backtracks and names none
     assert run(["simulate", "--seed", "3"] + small_args(tmp_path)) == 0
-    assert run(["estimate", str(tmp_path / "dataset.csv"), "--grid=-2.5,2.5,48", *flags,
-                "--out", str(tmp_path)]) == 0
-    fit = ftio.read_key_values(tmp_path / "hyper.txt")
-    assert (fit["strategy"], fit["line_search"]) == ("bfgs", line_search)
+    for strategy, written in (("bfgs", "none"), ("vignes", line_search)):
+        assert run(["estimate", str(tmp_path / "dataset.csv"), "--grid=-2.5,2.5,48", *flags,
+                    "--strategy", strategy, "--out", str(tmp_path)]) == 0
+        fit = ftio.read_key_values(tmp_path / "hyper.txt")
+        assert (fit["strategy"], fit["line_search"]) == (strategy, written)
 
 
 @pytest.mark.parametrize("size, low, high, warns", [
@@ -657,9 +659,11 @@ def test_track_memory_is_below_three_tables():
     assert peak < 3 * n_bins * n_states * 8
 
 
-def test_estimate_reports_an_unresolvable_r_nu(tmp_path):
-    # a constant track: the fit drives r_nu to the 1e-8 floor of its start,
-    # where the P=128 grid's kernel is the identity and the criterion flat
+def test_estimate_reports_an_unresolvable_r_nu(tmp_path, monkeypatch):
+    # a constant track started at r_nu = 1e-8, where the P=128 grid's kernel
+    # is the identity and the criterion flat, so the fit stays there
+    monkeypatch.setattr(hyperopt, "empirical_init",
+                        lambda *args: Hyperparameters(0.627, 0.209, 1e-8))
     ds = synthesize_dataset(np.full(32, 0.2), Hyperparameters(1.0, 1e-6, 1e-3), 4, seed=0)
     ftio.write_dataset_csv(tmp_path / "dataset.csv", ds)
     assert run(["estimate", str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]) == 0

@@ -25,7 +25,7 @@ from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distri
                               transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
-from freqtrack.spectral import periodogram_table
+from freqtrack.spectral import empirical_correlation, periodogram_table
 from oracles import brute_force_joint
 
 
@@ -206,11 +206,15 @@ def test_gradient_small_at_minimizer():
 
 
 def test_empirical_init_noiseless_cisoids():
+    # the lag-1 magnitude of a unit cisoid is (N - 1) / N: r_a is its power
+    # exactly, r_b is left at its floor and r_nu, with every argmax step 0,
+    # at the grid spacing squared
     ds = DataSet(steering_vector(np.full(16, 0.2), 4))
     grid = FrequencyGrid(-2.5, 2.5, 128)
     est = empirical_init(ds, grid)
-    assert est.r_a == pytest.approx(3 / 4, rel=1e-10)
-    assert est.r_b == pytest.approx(1 / 4, rel=1e-10)
+    assert est.r_a == pytest.approx(1.0, rel=1e-12)
+    assert est.r_b == pytest.approx(1e-6, rel=1e-10)
+    assert est.r_nu == grid.spacing ** 2
 
 
 def test_empirical_init_pure_noise():
@@ -219,15 +223,21 @@ def test_empirical_init_pure_noise():
     ds = synthesize_dataset(track, hyper, 4, seed=4)
     grid = FrequencyGrid(-2.5, 2.5, 128)
     est = empirical_init(ds, grid)
-    assert est.r_b == pytest.approx(1.0, rel=0.1)
-    assert est.r_a < 0.1
+    # r_a = N / (N - 1) mean_t |c_t(1)| and r_a + r_b = r(0).  On noise the
+    # mean lag-1 magnitude is not 0: its mean square is r_b^2 / (N - 1) for
+    # the true r_b = 1, so r_a is below 1 / sqrt(3) at N = 4 (about 0.47 by
+    # simulation)
+    lags = empirical_correlation(ds.samples)
+    assert est.r_a == pytest.approx(4 / 3 * np.mean(np.abs(lags[:, 1])), rel=1e-12)
+    assert est.r_a + est.r_b == pytest.approx(np.mean(lags[:, 0].real), rel=1e-12)
+    assert 0.4 < est.r_a < 1 / np.sqrt(3)
 
 
 def test_empirical_init_r_nu_is_the_unwrapped_argmax_step_variance():
-    # a drift through several alias bands: the start r_nu is the variance of
-    # the steps of the unwrapped argmax track, to which a wrap adds nothing;
-    # differencing the aliased track would add a cycle-sized jump at each
-    # wrap, 7.5 times the variance here
+    # a drift through several alias bands: the start r_nu is the robust
+    # variance (1.4826 MAD)^2 of the steps of the unwrapped argmax track, to
+    # which a wrap adds nothing; differencing the aliased track would add a
+    # cycle-sized jump at each wrap, 7.5 times the plain variance here
     truth_r_nu = 1e-3
     rng = np.random.default_rng(12)
     steps = rng.normal(0, np.sqrt(truth_r_nu), 127)
@@ -236,9 +246,10 @@ def test_empirical_init_r_nu_is_the_unwrapped_argmax_step_variance():
     grid = FrequencyGrid(-2.5, 2.5, 128)
     band = grid.states[initial_distribution(grid) > 0]
     argmax = band[np.argmax(periodogram_table(ds.samples, band), axis=1)]
-    unwrapped = np.var(np.diff(unwrap_track(argmax)))
-    assert empirical_init(ds, grid).r_nu == pytest.approx(unwrapped, rel=1e-12)
-    assert np.var(np.diff(argmax)) > 5 * unwrapped
+    steps = np.diff(unwrap_track(argmax))
+    robust = (1.4826 * np.median(np.abs(steps))) ** 2
+    assert empirical_init(ds, grid).r_nu == pytest.approx(robust, rel=1e-12)
+    assert np.var(np.diff(argmax)) > 5 * np.var(steps)
 
 
 @functools.cache
@@ -273,9 +284,9 @@ def test_default_fits_evaluation_budget():
 
 
 def test_default_fits_forward_pass_budget(monkeypatch):
-    # each gradient at an accepted point reuses that point's forward pass:
-    # 74 passes here, 240 when every gradient ran its own; the start point's
-    # x -> Hyperparameters round trip misses on seeds 0-4
+    # each gradient, the start's included, is taken at an accepted point and
+    # reuses that point's forward pass, so a fit runs one pass per criterion
+    # evaluation: 30 here, 240 when every gradient ran its own
     calls = []
     forward = hmm.forward
 
@@ -287,9 +298,39 @@ def test_default_fits_forward_pass_budget(monkeypatch):
     monkeypatch.setattr(hyperopt, "forward", counted)
     track = make_test_track("sine", 128, (-1.5, 1.5))
     grid = FrequencyGrid(-2.5, 2.5, 128)
+    evals = 0
     for seed in range(5):
-        estimate_ml(synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed), grid)
-    assert len(calls) <= 80
+        ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed)
+        evals += estimate_ml(ds, grid).function_evals
+    assert len(calls) == evals
+
+
+def test_bfgs_first_metric_inverts_the_complete_data_information():
+    # the expected negative log-likelihood of T records whose frequencies
+    # are known and of the T - 1 Gaussian steps between them, over the
+    # log-parameters x with the data drawn at x0: its Hessian at x0, here by
+    # central differences, is the complete-data information
+    n_samples, n_bins = 4, 6
+    x0 = np.log([0.7, 0.2, 3e-3])
+    e = steering_vector(0.3, n_samples)
+
+    def cov(x):
+        return np.exp(x[0]) * np.outer(e, e.conj()) + np.exp(x[1]) * np.eye(n_samples)
+
+    def expected_nll(x):
+        record = np.linalg.slogdet(cov(x))[1] + np.trace(np.linalg.solve(cov(x), cov(x0))).real
+        step = (x[2] + np.exp(x0[2] - x[2])) / 2
+        return n_bins * record + (n_bins - 1) * step
+
+    h, unit = 1e-4, np.eye(3)
+    info = np.array([[(expected_nll(x0 + h * (unit[i] + unit[j]))
+                       - expected_nll(x0 + h * (unit[i] - unit[j]))
+                       - expected_nll(x0 - h * (unit[i] - unit[j]))
+                       + expected_nll(x0 - h * (unit[i] + unit[j]))) / (4 * h * h)
+                      for j in range(3)] for i in range(3)])
+    ds = DataSet(np.ones((n_bins, n_samples), dtype=complex))
+    metric = hyperopt._complete_data_metric(ds, Hyperparameters.from_array(np.exp(x0)))
+    np.testing.assert_allclose(metric @ info, np.eye(3), atol=1e-6)
 
 
 @pytest.mark.parametrize("seed, grid", [
@@ -556,11 +597,34 @@ def test_stop_reason_no_decrease(monkeypatch, strategy):
     assert report.iterations == len(report.trajectory)
 
 
-def test_unresolvable_r_nu_is_not_converged():
-    # a constant track on the default grid: empirical_init floors r_nu at
-    # 1e-8, where kernel[1] is 0 and hyper_nll is flat in r_nu
+def constant_track_problem():
+    """A nearly noiseless constant track on the default grid."""
     ds = synthesize_dataset(np.full(32, 0.2), Hyperparameters(1.0, 1e-6, 1e-3), 4, seed=0)
-    grid = FrequencyGrid(-2.5, 2.5, 128)
+    return ds, FrequencyGrid(-2.5, 2.5, 128)
+
+
+def test_unresolvable_r_nu_is_not_converged(monkeypatch):
+    # started at r_nu = 1e-8, where kernel[1] is 0 and hyper_nll is flat in
+    # r_nu, the fit cannot leave it
+    ds, grid = constant_track_problem()
+    monkeypatch.setattr(hyperopt, "empirical_init",
+                        lambda *args: Hyperparameters(0.627, 0.209, 1e-8))
     report = estimate_ml(ds, grid)
     assert gaussian_transition(grid, report.minimizer.r_nu).kernel[1] <= KERNEL_CUTOFF
     assert report.stop_reason == "r_nu_below_resolution" and not report.converged
+
+
+def test_constant_track_fit_starts_finite_and_leaves_the_flat_start():
+    # every argmax step is 0: a start at r_nu = 1e-8 sat where the criterion
+    # is flat in r_nu and the fit stopped there at -87.53, and with the
+    # accurate r_b its forward pass underflows; the grid-spacing floor keeps
+    # the start's criterion finite and the fit goes on to -549.96
+    ds, grid = constant_track_problem()
+    start = empirical_init(ds, grid)
+    assert start.r_nu == grid.spacing ** 2
+    assert np.isfinite(hyper_nll(ds, start, grid))
+    with pytest.raises(hmm.NumericalError):
+        hyper_nll(ds, replace(start, r_nu=1e-8), grid)
+    report = estimate_ml(ds, grid)
+    assert report.stop_reason == "relative_decrease"
+    assert report.reached_minimum < -87.53
