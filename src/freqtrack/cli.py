@@ -75,6 +75,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fit_settings(strategy: str, line_search: str) -> dict[str, str]:
+    """The strategy and line search a fit ran: bfgs backtracks and runs none."""
+    return {"strategy": strategy, "line_search": "none" if strategy == "bfgs" else line_search}
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     dataset = ftio.read_dataset_csv(args.dataset)
     strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
@@ -101,8 +106,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "log10_r_nu": repr(float(np.log10(r.r_nu))),
         "grid_resolution": repr(args.grid.resolution(r.r_nu)),
         "reached_minimum": repr(best.reached_minimum),
-        "strategy": best_name,
-        "line_search": "none" if best_name == "bfgs" else args.line_search,
+        **_fit_settings(best_name, args.line_search),
         "gradient_evals": best.gradient_evals,
         "function_evals": best.function_evals,
         "iterations": best.iterations,
@@ -232,7 +236,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                        - np.log10(hyper.as_array())))
     _warn_unresolved(args.grid, fitted_r_nu)
     _warn_on_edge(args.grid, viterbi_tracks, args.seed)
-    summary = {}
+    summary = _fit_settings(args.strategy, args.line_search)
     print(f"{'method':<14} {'mean rmse':>10} {'median':>10} {'p90':>10}")
     for name, values in results.items():
         values = np.array(values)

@@ -188,16 +188,6 @@ class OptimizerReport:
         return self.stop_reason not in ("max_iter", "r_nu_below_resolution")
 
 
-class _Counted:
-    def __init__(self, fn):
-        self.fn = fn
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        return self.fn(x)
-
-
 def _total(fn):
     """fn(hyper) over log-parameters x, +inf where exp(x) is not positive
     and finite, where fn rejects the hyperparameters, or where the forward
@@ -213,19 +203,22 @@ def _total(fn):
     return total
 
 
+def _lowers(f0: float, fs: float) -> bool:
+    """Whether fs is below f0 by more than the rounding level of f0,
+    16 eps max(1, |f0|): a decrease at that level is noise, not descent."""
+    return f0 - fs > 16 * np.finfo(float).eps * max(1.0, abs(f0))
+
+
 def _bracket(phi, f0: float, step: float):
     """Bracket a minimum of phi along s >= 0 given phi(0) = f0.
 
     Returns (a, b, c, fa, fb, fc), the points a < b < c and their values,
     with fb < min(fa, fc) unless the search stopped at the cap c > 1e6, or
-    None when no step down to a tiny one lowers phi below f0 by more than
-    the rounding level of f0: a decrease at that level is noise, not a
-    direction of descent.
+    None when no step down to a tiny one _lowers phi below f0.
     """
-    rounding = 16 * np.finfo(float).eps * max(1.0, abs(f0))
     s = step
     fs = phi(s)
-    while not f0 - fs > rounding:
+    while not _lowers(f0, fs):
         s *= 0.25
         if s < 1e-14:
             return None
@@ -321,8 +314,8 @@ def _line_search(phi, f0, step, method):
 
 def _backtrack(phi, f0: float, slope: float):
     """(s, phi(s)) for the first step s of 1, s_1, s_2 ... that passes Armijo's
-    test phi(s) <= f0 + ARMIJO s slope, slope = phi'(0) < 0, or None once a
-    step falls below 1e-14.
+    test phi(s) <= f0 + ARMIJO s slope, slope = phi'(0) < 0, and _lowers phi
+    below f0, or None once a step falls below 1e-14.
 
     Each next step is the vertex of the parabola through phi(0) = f0,
     phi'(0) = slope and phi(s), clamped to [s / 10, s / 2] (Nocedal & Wright
@@ -331,7 +324,7 @@ def _backtrack(phi, f0: float, slope: float):
     s = 1.0
     while s >= 1e-14:  # a NaN step ends the search too
         fs = phi(s)
-        if fs <= f0 + ARMIJO * s * slope:
+        if fs <= f0 + ARMIJO * s * slope and _lowers(f0, fs):
             return s, fs
         vertex = -slope * s * s / (2.0 * (fs - f0 - slope * s))
         s = min(max(vertex, 0.1 * s), 0.5 * s)
@@ -360,16 +353,17 @@ def estimate_ml(
 
     One descent loop serves every strategy; they differ only in the searches
     an iteration makes, each a step slot and the directions to try in
-    order.  coordinate_wise searches three slots, +e_i then -e_i; the
-    gradient strategies search one slot, their direction d then the steepest
-    one (skipped when equal to d).  Each slot takes the first candidate whose
-    search lowers the criterion.  The line-search strategies search unit
-    directions by line_search and reuse the accepted step as the slot's next
-    hint; a slot where none does shrinks its hint.  bfgs searches
-    d = -H g, H the BFGS inverse Hessian started at the inverse of the
-    complete-data information, and -g, each capped at MAX_STEP, by Armijo
-    backtracking from the full step.  stop_reason names
-    the exit: "zero_gradient", "no_decrease" (no slot moved),
+    order.  coordinate_wise searches three slots, +e_i then -e_i, each
+    taking the first that lowers the criterion; the gradient strategies
+    search one slot along one direction d, -g where d does not descend.
+    The line-search strategies search unit directions by line_search and
+    reuse the accepted step as the slot's next hint; a slot that does not
+    move shrinks its hint.  bfgs searches d = -H g, H the BFGS inverse
+    Hessian started at the inverse of the complete-data information, capped
+    at MAX_STEP, by Armijo backtracking from the full step.  Every search
+    accepts only a decrease beyond the rounding level (_lowers).
+    stop_reason names the exit: "zero_gradient", "no_decrease" (no slot
+    moved; for a gradient strategy, d found no decrease),
     "relative_decrease" (an iteration lowered the criterion by less than
     REL_TOL * max(1, |f|)) or "max_iter".  Every accepted step decreases the
     criterion, so the trajectory is monotone.  A search may probe any
@@ -379,8 +373,10 @@ def estimate_ml(
 
     The periodogram table is computed once, for the start and the
     criterion.  The fit holds the observation table and forward pass of its
-    latest and of its lowest evaluation, and a gradient at either point
-    reuses them; every gradient is taken at one of them, the start's too.
+    lowest evaluation; a gradient there reuses them, one elsewhere computes
+    its own, the same bit for bit.  Nearly every gradient is taken there,
+    the start's too: an accepted point is the lowest evaluation unless a
+    rejected probe of its search was lower.
 
     Whatever the exit, a minimizer whose kernel value at lag 1 is at or
     below KERNEL_CUTOFF is reported as "r_nu_below_resolution": the grid
@@ -393,31 +389,31 @@ def estimate_ml(
         raise ValueError(f"unknown line search {line_search!r}")
 
     periodograms = periodogram_table(dataset.samples, grid.states)
-    # (hyperparameters, value, [(observation table, forward pass)])
-    latest = lowest = (None, np.inf, [])
+    # the lowest evaluation: (hyperparameters, value, [(observation table, forward pass)])
+    lowest = (None, np.inf, [])
+    function_evals = gradient_evals = 0
 
     def criterion(hyper):
-        nonlocal latest, lowest
+        nonlocal lowest, function_evals
+        function_evals += 1
         held = []
         value = hyper_nll(dataset, hyper, grid, periodograms=periodograms, held=held)
-        latest = (hyper, value, held)
         if value < lowest[1]:
-            lowest = latest
+            lowest = (hyper, value, held)
         return value
 
     def gradient(x):
+        nonlocal gradient_evals
+        gradient_evals += 1
         hyper = Hyperparameters.from_array(np.exp(x))
-        held = [h[0] for point, _, h in (latest, lowest) if h and point == hyper]
+        point, _, held = lowest
         return hyper_nll_gradient(dataset, hyper, grid, periodograms,
-                                  held[0] if held else None)
+                                  held[0] if held and point == hyper else None)
 
-    nll = _Counted(criterion)
-    fun = _total(nll)
-    grad = _Counted(gradient)
-
+    fun = _total(criterion)
     x = np.log(empirical_init(dataset, grid, periodograms).as_array())
     start = Hyperparameters.from_array(np.exp(x))  # as the gradient at x sees it
-    fx = nll(start)
+    fx = criterion(start)
     if not np.isfinite(fx):
         raise ValueError("non-finite criterion at the starting point")
     trajectory = [x.copy()]
@@ -431,7 +427,7 @@ def estimate_ml(
         if strategy == "coordinate_wise":
             searches = [(axis, (e, -e)) for axis, e in enumerate(np.eye(3))]
         else:
-            g = grad(x)
+            g = gradient(x)
             gnorm = float(np.linalg.norm(g))
             if gnorm == 0.0:
                 stop_reason = "zero_gradient"
@@ -455,10 +451,10 @@ def estimate_ml(
             if float(d @ g) >= 0.0:
                 d = -g
             if strategy == "bfgs":
-                d, steepest = (v * min(1.0, MAX_STEP / float(np.linalg.norm(v))) for v in (d, -g))
+                d = d * min(1.0, MAX_STEP / float(np.linalg.norm(d)))
             else:
-                d, steepest = d / np.linalg.norm(d), -g / gnorm
-            searches = [(0, (d,) if np.array_equal(d, steepest) else (d, steepest))]
+                d = d / np.linalg.norm(d)
+            searches = [(0, (d,))]
 
         f_before = fx
         moved = False
@@ -492,8 +488,8 @@ def estimate_ml(
     return OptimizerReport(
         minimizer=minimizer,
         reached_minimum=fx,
-        gradient_evals=grad.count,
-        function_evals=nll.count,
+        gradient_evals=gradient_evals,
+        function_evals=function_evals,
         iterations=iterations,
         stop_reason=stop_reason,
         trajectory=trajectory,

@@ -195,6 +195,19 @@ def test_estimate_names_its_line_search(tmp_path, flags, line_search):
         assert (fit["strategy"], fit["line_search"]) == (strategy, written)
 
 
+@pytest.mark.parametrize("flags, line_search", [
+    ([], "quadratic_interp"),
+    (["--line-search", "golden_section"], "golden_section"),
+])
+def test_eval_names_its_line_search(tmp_path, flags, line_search):
+    # as hyper.txt does: the setting under vignes, none under bfgs
+    for strategy, written in (("bfgs", "none"), ("vignes", line_search)):
+        assert run(["eval", "--replicates", "1", "--grid=-2.5,2.5,48", *flags,
+                    "--strategy", strategy] + small_args(tmp_path)) == 0
+        summary = ftio.read_key_values(tmp_path / "eval_summary.txt")
+        assert (summary["strategy"], summary["line_search"]) == (strategy, written)
+
+
 @pytest.mark.parametrize("size, low, high, warns", [
     (128, 0.56, 0.63, True),
     (192, 0.37, 0.42, False),

@@ -158,8 +158,8 @@ def test_gradient_reusing_the_criterion_pass_is_bit_identical(monkeypatch, grid,
 
 @pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "coordinate_wise"])
 def test_fit_gradients_equal_fresh_gradients(monkeypatch, strategy):
-    # a fit hands a gradient the pass of its latest or its lowest evaluation
-    # only where that evaluation's point is the gradient's own
+    # a fit hands a gradient the pass of its lowest evaluation only where
+    # that evaluation's point is the gradient's own
     gradient = hyper_nll_gradient
     reused = []
 
@@ -171,8 +171,8 @@ def test_fit_gradients_equal_fresh_gradients(monkeypatch, strategy):
 
     monkeypatch.setattr(hyperopt, "hyper_nll_gradient", checked)
     estimate_ml(*standard_dataset(), strategy=strategy)
-    # every gradient but the start's, whose point is exp(log r) of the start r
-    assert reused[1:] == [True] * (len(reused) - 1)
+    # every gradient, the start's too: each is taken at the lowest evaluation
+    assert reused == [True] * len(reused)
 
 
 def test_observation_table_from_a_cached_periodogram_table_is_bit_identical():
@@ -495,19 +495,74 @@ def test_bracket_stopped_at_its_cap_returns_the_value_at_c():
     assert c > 1e6 and (fa, fb, fc) == (-a, -b, -c)
 
 
+def probed(phi):
+    """phi and the list of the steps it is called at."""
+    steps = []
+
+    def counted(s):
+        steps.append(s)
+        return phi(s)
+    return counted, steps
+
+
+def test_backtrack_accepts_a_full_step_that_passes_armijo_after_one_evaluation():
+    phi, steps = probed(lambda s: 1.0 - 0.5 * s)
+    assert hyperopt._backtrack(phi, 1.0, -1.0) == (1.0, 0.5) and steps == [1.0]
+
+
+@pytest.mark.parametrize("phi, second", [
+    (lambda s: (s - 0.3) ** 2, 0.3),            # the vertex, inside [0.1, 0.5]
+    (lambda s: 100.0 * s * s - 0.6 * s + 0.09, 0.1),  # vertex 0.003, clamped up
+    (lambda s: 0.09 - 0.6 * s + 0.59999 * s * s, 0.5),  # vertex above 1/2, clamped down
+], ids=["vertex", "clamped_to_s/10", "clamped_to_s/2"])
+def test_backtrack_moves_a_failed_full_step_to_the_clamped_parabola_vertex(phi, second):
+    # phi(0) = 0.09 and phi'(0) = -0.6 in each case
+    phi, steps = probed(phi)
+    assert phi(0.0) == pytest.approx(0.09)
+    steps.clear()
+    s, fs = hyperopt._backtrack(phi, 0.09, -0.6)
+    assert steps[:2] == [1.0, pytest.approx(second, rel=1e-12)]
+    assert fs < 0.09 - hyperopt.ARMIJO * 0.6 * s
+
+
+def test_backtrack_steps_to_a_tenth_where_the_full_step_is_inf():
+    phi, steps = probed(lambda s: np.inf if s > 0.5 else 1.0 - s)
+    assert hyperopt._backtrack(phi, 1.0, -1.0) == (0.1, 0.9) and steps == [1.0, 0.1]
+
+
+def test_backtrack_ends_on_nan():
+    phi, steps = probed(lambda s: np.nan)
+    assert hyperopt._backtrack(phi, 1.0, -1.0) is None and steps == [1.0]
+
+
+@pytest.mark.parametrize("phi, f0, slope", [
+    (lambda s: 5.0, 5.0, -1e-30),                    # no decrease at any step
+    (lambda s: 1000.0 + 1e-13 * s, 1000.0, -1e-20),  # phi(0.1) rounds to f0
+], ids=["flat", "rounding_level"])
+def test_backtrack_rejects_a_decrease_at_rounding_level(phi, f0, slope):
+    # such a step passes Armijo's test with a vanishing slope, but moves x
+    # along a direction that does not descend
+    assert hyperopt._backtrack(phi, f0, slope) is None
+
+
 @pytest.mark.filterwarnings("error")
 def test_criterion_is_inf_where_the_hyperparameters_are_rejected():
     ds, grid = standard_dataset()
-    nll = hyperopt._Counted(lambda hyper: hyper_nll(ds, hyper, grid))
+    calls = []
+
+    def nll(hyper):
+        calls.append(hyper)
+        return hyper_nll(ds, hyper, grid)
+
     fun = hyperopt._total(nll)
     # alpha overflows: hyper_nll is called and rejects the point
-    assert fun(np.log([1e155, 1e155, 1e-2])) == np.inf and nll.count == 1
+    assert fun(np.log([1e155, 1e155, 1e-2])) == np.inf and len(calls) == 1
     # exp overflows, or underflows to 0: no hyper_nll call
-    assert fun(np.array([800.0, 0.0, 0.0])) == np.inf and nll.count == 1
-    assert fun(np.array([0.0, -800.0, 0.0])) == np.inf and nll.count == 1
+    assert fun(np.array([800.0, 0.0, 0.0])) == np.inf and len(calls) == 1
+    assert fun(np.array([0.0, -800.0, 0.0])) == np.inf and len(calls) == 1
     # r_nu = 1e-316 and r_b = 1e-300: the forward probability underflows
-    assert fun(np.array([0.0, -690.0, -727.0])) == np.inf and nll.count == 2
-    assert np.isfinite(fun(np.log([1.0, 0.1, 1e-2]))) and nll.count == 3
+    assert fun(np.array([0.0, -690.0, -727.0])) == np.inf and len(calls) == 2
+    assert np.isfinite(fun(np.log([1.0, 0.1, 1e-2]))) and len(calls) == 3
 
 
 @pytest.mark.filterwarnings("error")
