@@ -50,10 +50,15 @@ def unwrap_track(track) -> np.ndarray:
     input by an integer, so all per-bin periodograms are preserved; the
     smoothness penalty can only shrink, strictly so whenever the input
     violates the half-step bound.
+
+    The recursion out[t+1] = out[t] + decimal_part(track[t+1] - out[t]) runs
+    on Python floats, the same IEEE operations as on numpy scalars: float
+    floor division by 1.0 is floor() exactly, and like np.floor it gives
+    NaN, not an error, on a non-finite step.
     """
-    track = np.asarray(track, dtype=float)
-    out = np.empty_like(track)
-    out[0] = track[0]
-    for t in range(track.size - 1):
-        out[t + 1] = out[t] + decimal_part(track[t + 1] - out[t])
-    return out
+    values = np.asarray(track, dtype=float).tolist()
+    out = values[:1]
+    for value in values[1:]:
+        step = value - out[-1]
+        out.append(out[-1] + (step - (step + 0.5) // 1.0))
+    return np.array(out)

@@ -5,12 +5,13 @@ exponentiation; the shifts are reinstated when the data log-likelihood is
 reconstructed, so very peaked likelihoods (hundreds of nats) stay exact.
 
 Viterbi's pair cost lam * (lag * spacing)^2 depends only on the lag
-|p - q| between states and never decreases with it.  Each stage searches
-the predecessors within BAND_HALF_WIDTH states of each target, keeps a
-row's band minimum only where lag_cost[W + 1] proves that no state
-outside the band reaches or ties it, and searches the other rows densely,
-so path and cost match a dense search on that cost bit for bit, at worst
-at the dense O(T P^2) cost plus the band.
+|p - q| between states.  Each stage searches the predecessors within
+W = BAND_HALF_WIDTH = 16 states of each target.  A row keeps its band
+minimum only where a per-row lower bound on every state outside the band,
+built from the tangent of the pair cost at lag W + 1 and two prefix minima
+in O(P), exceeds it by a proven rounding margin; the other rows are
+searched densely.  So path and cost match a dense search on that cost bit
+for bit, in O(T P W), at worst at the dense O(T P^2) cost plus the band.
 
 Forward and backward apply the Gaussian transition T[q, p] =
 k[|p - q|] / z[q] as a correlation with the kernel cut after lag h, the
@@ -35,15 +36,18 @@ from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
 from freqtrack.spectral import periodogram_table
 
 # Predecessors searched per state before the dense fallback, on each side.
-# On T=4096, P=512 tracking (lam = 512.5) 48 and 64 are fastest, 32 makes
-# about 40% of the rows fall back and 96 costs 50% more.
-BAND_HALF_WIDTH = 64
+# On T=4096, P=512 tracking (lam = 512.5) 10 and 12 are fastest; 16, 10-20%
+# slower there, sends 0.13% of the rows to the dense search.  On the
+# default T=128, P=128 grid at lam = 12.8, 10 sends 17% of the rows and
+# 16 sends 1.6%, and 16 to 20 are fastest.
+BAND_HALF_WIDTH = 16
 
 # Kernel values at or below u^2 = 2^-106 (u = 2^-53) are dropped from the
 # forward-backward band: next to the diagonal entry 1 they lie below the
 # rounding of its rounding error.
 KERNEL_CUTOFF = 2.0**-106
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class NumericalError(RuntimeError):
@@ -268,29 +272,69 @@ def posterior_marginals(fb: ForwardBackwardResult, obs: ObservationTable,
 def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.ndarray, float]:
     """Minimum-cost state path for the regularized tracking criterion.
 
-    Local cost is -P_t(nu^p), pair cost lam * (lag * spacing)^2 for states
-    lag = |p - q| apart, and the first state is constrained to the initial
-    band.  Ties break toward the lowest state index at every stage and at
-    termination.  Each stage subtracts its row of obs.periodograms, read in
-    place with no negated (T, P) copy: x - P is the same IEEE result as
-    x + (-P).
+    Local cost is -P_t(nu^p), pair cost lag_cost[d] = lam * (d * spacing)^2
+    for states d = |p - q| apart, and the first state is constrained to the
+    initial band.  Ties break toward the lowest state index at every stage
+    and at termination.  Each stage subtracts its row of obs.periodograms,
+    read in place with no negated (T, P) copy: x - P is the same IEEE
+    result as x + (-P).
 
-    Each stage min-sums cost_{t-1}[q] + lag_cost[|p - q|] over the
-    predecessors q within W = BAND_HALF_WIDTH states of each target p.
-    Rounding is monotone and lag_cost never decreases with the lag, so a
-    row's band minimum m[p] is certified when m[p] < min(cost_{t-1}) +
-    lag_cost[W + 1] (or the row has no state beyond the band): no state
-    outside the band can then reach or tie it.  The band is scanned in
-    ascending order, so ties still go to the lowest index; rows without
-    the certificate are searched densely.  The cost is O(T P W) plus O(P)
-    per fallback row: at worst, when every row falls back (lam so small
-    that the pair cost cannot separate states), the dense O(T P^2) search
-    plus the band.  Every sum is the same IEEE addition as in a dense
-    search on lag_cost, so path and cost equal its result bit for bit.
+    Band.  Each stage min-sums cost[q] + lag_cost[|p - q|] over the
+    predecessors q within W = BAND_HALF_WIDTH states of each target p, as a
+    (2W+1, P) array whose row j holds q = p + j - W.  Its column minimum m
+    is taken by np.minimum.reduce; the back-pointer is the lowest row that
+    equals it, read from the mask [total == m] as one [j; 1] @ mask
+    product.  The mask is float32 and still exact: where a column's count
+    is 1 its index is a single product j * 1, and a column with more (a
+    tie, or +inf) is re-resolved by argmin.  Every sum is the same IEEE
+    addition as in a dense search on lag_cost, so a row whose band holds
+    its dense minimum gets the dense path and cost bit for bit.
 
-    A lag cost or a sum that overflows saturates to +inf without a
-    warning: the constant path always has a finite cost, so no such pair
-    can be on the minimum path.
+    Certificate.  Let k = W + 1 and c = lag_cost[1]; the line 2kc d - ck^2
+    is the tangent of c d^2 at d = k, below it everywhere.  With
+    r_i = fl(2kc * i) and h = max(0, max over d >= k of fl(r_d - lag_cost[d])),
+    r_d - h is a lower bound on lag_cost[d] for every lag d >= k, however
+    lag_cost was rounded.  So a state q beyond the band of p has
+    cost[q] + lag_cost[|p - q|] >= cost[q] -+ r_q +- r_p - h (upper signs
+    for q < p), and
+
+        B(p) = min(min_{q <= p-k} (cost[q] - r_q) + r_p,
+                   min_{q >= p+k} (cost[q] - r'_q) + r'_p) - h,   r'_i = r_{P-1-i},
+
+    bounds every such sum from below.  Both prefix minima come from one
+    np.minimum.accumulate over a (2, P + k) array holding cost - r and
+    cost[::-1] - r behind k entries of +inf.  Row p keeps its band minimum
+    m when m < B(p) - mu, the rounding margin below, and is otherwise
+    searched densely; NaN fails the test and goes to the dense search.
+
+    Margin.  Let u = eps/2, M = 2T(max |P_t(p)| + lag_cost[P-1]),
+    S = M + r_{P-1} + h and mu = 16 eps S + 2^-1022, with the test
+    m < fl(A + fl(r_p - (h + mu))) for the prefix minimum A.  Every cost is
+    +inf or at most M in size: each stage's minima lie between the previous
+    min(cost) and fl(min(cost) + lag_cost[P-1]) before its row of P_t is
+    subtracted, and the two roundings a stage adds grow that bound by a
+    factor below 2 over T < 2^50 stages.  A row is certified only when
+    S <= 2^1021 (mu is +inf otherwise), so no value below exceeds
+    3S < 2^1023 and none overflows.  Take q beyond the band of p.  If
+    cost[q] > m, the rounded sum is at least cost[q] > m, as lag_cost >= 0
+    and rounding is monotone.  Otherwise cost[q] is finite, |cost[q]| <= M,
+    |m| <= 1.01 S, and q's own term bounds B(p) from above.  Between that
+    term and cost[q] + lag_cost[d] lie eight roundings (r_p, r_q, r_d, h's
+    difference, cost[q] - r_q, r_p - (h + mu), their sum and h + mu), each
+    moving its value v by at most u |v| + 2^-1075, where |v| <= 1.01 S but
+    for r_p - (h + mu) (2.01 S) and the sum (3.01 S): at most
+    11.1 u S + 2^-1072 in all, and mu's own rounding takes at most u mu.
+    So cost[q] + lag_cost[d] > m + mu - 11.2 u S - 2^-1072
+    > m + 10 eps S + 2^-1023 > m + eps |m| + 2^-1074, which is above the
+    float next to m: q's rounded sum neither reaches nor ties m, and the
+    dense search would keep the band's answer.
+
+    The cost is O(T P W) plus O(P) per row that fails, W = 16: at worst,
+    when every row fails (lam so small that the pair cost cannot separate
+    states, or so large that S overflows), the dense O(T P^2) search plus
+    the band.  A lag cost or a sum that overflows saturates to +inf
+    without a warning: the constant path always has a finite cost, so no
+    such pair can be on the minimum path.
 
     Raises ValueError naming the first bin whose row of periodograms is
     not finite: the local cost is then unusable, either itself or because
@@ -305,32 +349,53 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     periodograms = obs.periodograms
     n_bins, n_states = periodograms.shape
     half = min(BAND_HALF_WIDTH, n_states - 1)
+    reach = BAND_HALF_WIDTH + 1
     rows = np.arange(n_states)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         lag_cost = lam * (rows * grid.spacing) ** 2
         # dense[p, q] = lag_cost[|p - q|], a zero-copy Toeplitz view of the 2P - 1 lags
         dense = sliding_window_view(np.concatenate([lag_cost[:0:-1], lag_cost]), n_states)[::-1]
-        band_pair = np.tile(lag_cost[np.abs(np.arange(-half, half + 1))], (n_states, 1))
-        beyond = np.where((rows > half) | (rows < n_states - 1 - half),
-                          lag_cost[min(half + 1, n_states - 1)], np.inf)
+        ramp = 2 * reach * lag_cost[1] * rows
+        lift = np.max(ramp[reach:] - lag_cost[reach:], initial=0.0)
+        extent = max(periodograms.max(), -periodograms.min())
+        scale = 2 * n_bins * (extent + lag_cost[-1]) + ramp[-1] + lift
+        margin = 16 * _EPS * scale + _TINY if scale <= 2.0**1021 else np.inf
+        lowered = ramp - (lift + margin)
         padded = np.full(n_states + 2 * half, np.inf)  # off-grid predecessors cost +inf
-        windows = sliding_window_view(padded, 2 * half + 1)
+        windows = sliding_window_view(padded, n_states)  # (2W+1, P): row j holds q = p + j - W
+        cost = padded[half:half + n_states]
+        band_pair = np.repeat(lag_cost[np.abs(np.arange(-half, half + 1)), None], n_states, axis=1)
         total = np.empty_like(band_pair)
+        mask = np.empty(total.shape, dtype=np.float32)
+        counter = np.stack([np.arange(2 * half + 1), np.ones(2 * half + 1)]).astype(np.float32)
+        shift = (rows - half).astype(np.float32)
+        sweep = np.full((2, n_states + reach), np.inf)
+        bound = np.empty((2, n_states))
         back = np.empty((n_bins, n_states), dtype=np.min_scalar_type(n_states - 1))
-        cost = np.where(initial_distribution(grid) > 0, 0.0, np.inf) - periodograms[0]
+        np.subtract(np.where(initial_distribution(grid) > 0, 0.0, np.inf), periodograms[0],
+                    out=cost)
         for t in range(1, n_bins):
-            padded[half:half + n_states] = cost
             np.add(windows, band_pair, out=total)
-            best = total.argmin(axis=1)
-            low = total[rows, best]
-            best += rows - half
-            bad = np.flatnonzero(~(low < cost.min() + beyond))  # NaN rows fall back too
-            if bad.size:
+            low = np.minimum.reduce(total, axis=0)
+            np.equal(total, low, out=mask, casting="unsafe")
+            index, count = counter @ mask
+            if count.max() > 1:  # a NaN column counts 0 and fails the certificate
+                tied = np.flatnonzero(count > 1)
+                index[tied] = total[:, tied].argmin(axis=0)
+            index += shift
+            np.subtract(cost, ramp, out=sweep[0, reach:])
+            np.subtract(cost[::-1], ramp, out=sweep[1, reach:])
+            np.minimum.accumulate(sweep, axis=1, out=sweep)
+            np.add(sweep[:, :n_states], lowered, out=bound)
+            np.minimum(bound[0], bound[1, ::-1], out=bound[0])
+            certified = low < bound[0]
+            if not certified.all():
+                bad = np.flatnonzero(~certified)
                 fallback = dense[bad] + cost
-                best[bad] = fallback.argmin(axis=1)
-                low[bad] = fallback[np.arange(bad.size), best[bad]]
-            back[t] = best
-            cost = low - periodograms[t]
+                index[bad] = fallback.argmin(axis=1)
+                low[bad] = fallback.min(axis=1)
+            back[t] = index
+            np.subtract(low, periodograms[t], out=cost)
     path = np.empty(n_bins, dtype=int)
     path[-1] = int(np.argmin(cost))
     best_cost = float(cost[path[-1]])

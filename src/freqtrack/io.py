@@ -72,13 +72,12 @@ def read_dataset_csv(path) -> DataSet:
 
 
 def write_track_csv(path, track) -> None:
-    """Rows `t,nu` with t in 1..T."""
-    track = np.asarray(track, dtype=float)
+    """Rows `t,nu` with t in 1..T, written at once: the bytes csv.writer
+    gives, with CRLF line ends and repr(nu), which it never quotes."""
+    rows = "".join(f"{t},{nu!r}\r\n"
+                   for t, nu in enumerate(np.asarray(track, dtype=float).tolist(), start=1))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "nu"])
-        for t, nu in enumerate(track, start=1):
-            writer.writerow([t, repr(float(nu))])
+        fh.write("t,nu\r\n" + rows)
 
 
 def read_track_csv(path) -> np.ndarray:

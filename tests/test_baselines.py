@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqtrack.baselines import ml_periodogram_argmax, unwrap_track, wrap_to_band
+from freqtrack.baselines import decimal_part, ml_periodogram_argmax, unwrap_track, wrap_to_band
 from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
 from freqtrack.spectral import periodogram
 from oracles import steps_within_half
@@ -89,3 +89,31 @@ def test_unwrap_track_is_idempotent():
     once = unwrap_track(track)
     assert np.allclose(unwrap_track(once), once)
     assert steps_within_half(once)
+
+
+def _unwrap_on_numpy_scalars(track):
+    """The unwrap recursion on numpy scalars, as the reference."""
+    track = np.asarray(track, dtype=float)
+    out = np.empty_like(track)
+    out[0] = track[0]
+    for t in range(track.size - 1):
+        out[t + 1] = out[t] + decimal_part(track[t + 1] - out[t])
+    return out
+
+
+@pytest.mark.parametrize("track", [
+    [0.3],
+    [0.0, 0.5, 1.0, 0.5, -0.5, 0.0, 1.5],          # exact half-cycle steps: decimal_part(0.5) = -0.5
+    [-0.25, 0.25, 0.75, 0.25, -0.25, -0.75],
+    [1e-300, -0.0, 0.0, 4.5, -7.5, 1e15 + 0.5],
+    [0.1, np.nan, 0.2, np.inf, 0.3],
+    list(np.random.default_rng(5).uniform(-3, 3, 500)),
+    list(np.cumsum(np.random.default_rng(6).choice([-0.5, 0.5, 0.25, 1.0], 200))),
+])
+def test_unwrap_track_equals_the_numpy_scalar_recursion(track):
+    out = unwrap_track(track)
+    ref = _unwrap_on_numpy_scalars(track)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(out), finite)
+    assert out[finite].tobytes() == ref[finite].tobytes()

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -45,6 +47,20 @@ def test_track_csv_round_trip(tmp_path):
     path = tmp_path / "track.csv"
     ftio.write_track_csv(path, track)
     assert np.array_equal(ftio.read_track_csv(path), track)
+
+
+def test_track_csv_bytes_equal_csv_writer_output(tmp_path):
+    track = np.array([0.1, -0.0, 0.0, 1e-300, 1e300, -2.5, 1 / 3, 5e-324, -1.7976931348623157e308])
+    path = tmp_path / "track.csv"
+    ftio.write_track_csv(path, track)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "nu"])
+    for t, nu in enumerate(track, start=1):
+        writer.writerow([t, repr(float(nu))])
+    assert path.read_bytes() == expected.getvalue().encode()
+    back = ftio.read_track_csv(path)
+    assert back.tobytes() == track.tobytes()
 
 
 def test_key_values_round_trip(tmp_path):

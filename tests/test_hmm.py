@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 from scipy.special import logsumexp
 
+from freqtrack import hmm
 from freqtrack.hmm import (
     BAND_HALF_WIDTH,
     KERNEL_CUTOFF,
@@ -55,12 +58,15 @@ def dense_min_cost_path(local, grid, lam):
 
 
 def band_instance(n_states, costs, seed=0):
-    """Grid over [-4, 4] and (12, P) observation rows: random, or flat but
-    for the last bin, which favours the top state; tied rows are flat at
-    1e20, where a pair cost below half an ulp (8192) leaves every sum tied."""
+    """Grid over [-4, 4] and (12, P) observation rows: random, random plus
+    a float offset, where the certificate's rounding margin matters (at
+    1e12 most pair costs are absorbed into ties), or flat but for the last
+    bin, which favours the top state; tied rows are flat at 1e20, where a
+    pair cost below half an ulp (8192) leaves every sum tied."""
     grid = FrequencyGrid(-4.0, 4.0, n_states)
-    if costs == "random":
+    if costs == "random" or isinstance(costs, float):
         rows = np.random.default_rng(seed).normal(0, 2, (12, n_states))
+        rows += 0.0 if costs == "random" else costs
     elif costs == "flat":
         rows = np.zeros((12, n_states))
         rows[-1, -1] = 1.0
@@ -363,8 +369,8 @@ def test_viterbi_optimality_certificate():
         assert cost <= rand_cost + 1e-12
 
 
-@pytest.mark.parametrize("costs", ["random", "flat", "tied"])
-@pytest.mark.parametrize("lam", [1e-6, 1e-2, 1.0, 1e2, 1e6, 1e308])
+@pytest.mark.parametrize("costs", ["random", "flat", "tied", 1e6, -1e6, 1e12, -1e12])
+@pytest.mark.parametrize("lam", [1e-300, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e308])
 @pytest.mark.parametrize("n_states", [129, 300, 512])
 def test_viterbi_band_equals_dense_search(n_states, lam, costs):
     grid, obs = band_instance(n_states, costs, seed=n_states)
@@ -384,11 +390,14 @@ def test_viterbi_band_equals_dense_search(n_states, lam, costs):
 def test_viterbi_band_falls_back_on_a_jump_just_past_the_band():
     # the best predecessor of p lies W + 1 states below it, and p's band
     # minimum sits between the paths through it at lag W + 1 and W + 2, so
-    # only a certificate on lag_cost[W + 1] sends row p to the dense search
+    # only a bound tight at lag W + 1, the tangent there, sends row p to the
+    # dense search; source is in the start band and target beyond it
     grid, lam, half = FrequencyGrid(-4.0, 4.0, 300), 1.0, BAND_HALF_WIDTH
     lag_cost = lam * (np.arange(300) * grid.spacing) ** 2
     start = int(np.flatnonzero(initial_distribution(grid))[-1])
-    source, target = start - 18, start - 18 + half + 1
+    source = start - (half + 1) // 2
+    target = source + half + 1
+    assert initial_distribution(grid)[source] > 0 and target > start
     rows = np.zeros((3, 300))
     rows[1, source] = 10.0
     # cost at bin 1: -10 at source, lag_cost[target - start] - rows[1, target] at target
@@ -398,6 +407,85 @@ def test_viterbi_band_falls_back_on_a_jump_just_past_the_band():
     ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
     assert np.array_equal(path, ref_path) and cost == ref_cost
     assert list(path[1:]) == [source, target]
+
+
+def test_viterbi_exact_tie_just_past_the_band_goes_to_the_lower_state():
+    # spacing 1/32 and lam = 1 make every lag cost and sum below exact, so
+    # the path through source at lag W + 1 ties target's band minimum to the
+    # last bit; the dense search keeps the lower index, source
+    grid, lam, half = FrequencyGrid(-4.0, 4.0, 257), 1.0, BAND_HALF_WIDTH
+    lag_cost = lam * (np.arange(257) * grid.spacing) ** 2
+    start = int(np.flatnonzero(initial_distribution(grid))[-1])
+    source = start - (half + 1) // 2
+    target = source + half + 1
+    rows = np.zeros((3, 257))
+    rows[1, source] = 10.0
+    rows[1, target] = lag_cost[target - start] + 10.0 - lag_cost[half + 1]
+    rows[2, target] = 100.0
+    assert -rows[1, source] + lag_cost[half + 1] == lag_cost[target - start] - rows[1, target]
+    path, cost = viterbi(table(rows), grid, lam)
+    ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+    assert np.array_equal(path, ref_path) and cost == ref_cost
+    assert list(path[1:]) == [source, target]
+
+
+@pytest.mark.parametrize("width, lam", [(2.6589673163834533, 13.326153403956493),
+                                         (3.7755610820564796, 7.448243118159436),
+                                         (4.5935897860775965, 3.6370192366988934)])
+@pytest.mark.parametrize("offset", [0.0, 1.6142014356679537, 1e6, -1e6, 1e12])
+def test_viterbi_margin_covers_sums_within_ulps_of_a_tie_just_past_the_band(width, lam, offset):
+    # target's band minimum is set within 3 ulps of the path through source
+    # at lag W + 1; the rounding of the tangent bound can put it on either
+    # side, and without the margin some of these rows keep the wrong state
+    grid, half = FrequencyGrid(-width / 2, width / 2, 60), BAND_HALF_WIDTH
+    lag_cost = lam * (np.arange(60) * grid.spacing) ** 2
+    start_band = np.flatnonzero(initial_distribution(grid))
+    source = int(start_band[start_band.size // 2])
+    target = source + half + 1
+    distance = int(np.min(np.abs(target - start_band)))
+    tie = lag_cost[0] - (10.0 - offset) + lag_cost[half + 1]
+    for ulps in range(-3, 4):
+        rows = np.full((3, 60), -offset)
+        rows[0] = 0.0
+        rows[1, source] += 10.0
+        rows[1, target] = lag_cost[distance] - (tie + ulps * np.spacing(tie))
+        rows[2, target] = 100.0 + offset
+        path, cost = viterbi(table(rows), grid, lam)
+        ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+        assert np.array_equal(path, ref_path) and cost == ref_cost
+
+
+@pytest.mark.parametrize("n_states", [2, 3, BAND_HALF_WIDTH + 1, BAND_HALF_WIDTH + 2,
+                                      2 * BAND_HALF_WIDTH, 2 * BAND_HALF_WIDTH + 1,
+                                      2 * BAND_HALF_WIDTH + 2])
+@pytest.mark.parametrize("lam", [1e-300, 1e-2, 1.0, 1e2, 1e308])
+def test_viterbi_small_grids_equal_dense_search(n_states, lam):
+    # grids no wider than the band of one or both sides, down to P = 2;
+    # the first state is in the start band
+    grid = FrequencyGrid(-0.25, 2.0, n_states)
+    rows = np.random.default_rng(n_states).normal(0, 2, (8, n_states))
+    path, cost = viterbi(table(rows), grid, lam)
+    ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+    assert np.array_equal(path, ref_path) and cost == ref_cost
+
+
+@given(half=st.integers(1, 3), n_states=st.integers(2, 14), n_bins=st.integers(1, 5),
+       lam=st.sampled_from([1e-300, 1e-3, 0.3, 1.0, 30.0, 1e6, 1e308]),
+       data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_viterbi_narrow_band_equals_dense_search(half, n_states, n_bins, lam, data):
+    # W of 1 to 3 on grids of 2 to 14 states: most rows have states beyond
+    # their band; small integer costs make ties common
+    values = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    rows = np.array(data.draw(st.lists(values, min_size=n_bins * n_states,
+                                       max_size=n_bins * n_states))).reshape(n_bins, n_states)
+    grid = FrequencyGrid(-0.25, 2.0, n_states)
+    ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmm, "BAND_HALF_WIDTH", half)
+        path, cost = viterbi(table(rows), grid, lam)
+    assert np.array_equal(path, ref_path) and cost == ref_cost
 
 
 def test_viterbi_memory_is_below_a_dense_stage():
