@@ -23,7 +23,7 @@ from freqtrack.hmm import NumericalError, observation_table, viterbi
 from freqtrack.hyperopt import (DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, LINE_SEARCHES,
                                 STRATEGIES, estimate_ml, hyper_nll)
 from freqtrack.likelihood import smoothing_weight
-from freqtrack.markov import RESOLUTION_LIMIT, FrequencyGrid, initial_distribution
+from freqtrack.markov import FrequencyGrid, initial_distribution
 from freqtrack.refine import refine_map
 from freqtrack.signal import (MIN_SAMPLES, TRACK_PROFILES, DataSet, HyperparameterError,
                               Hyperparameters, check_variance, make_test_track,
@@ -149,19 +149,6 @@ def _read_hyper(path) -> Hyperparameters:
         raise ftio.DataFormatError(f"{path}: {exc}") from exc
 
 
-def _warn_unresolved(grid: FrequencyGrid, r_nus: list[float]) -> None:
-    """One warning line when the grid is too coarse for any of the r_nu
-    values, naming the least P that would resolve them all on its range."""
-    coarse = [r_nu for r_nu in r_nus if grid.resolution(r_nu) > RESOLUTION_LIMIT]
-    if coarse:
-        r_nu = min(coarse)
-        share = f" ({len(coarse)} of {len(r_nus)} replicates)" if len(r_nus) > 1 else ""
-        print(f"warning: grid spacing {grid.spacing:.4g} is {grid.resolution(r_nu):.3g} "
-              f"sqrt(r_nu) at r_nu={r_nu:.4g}, above {RESOLUTION_LIMIT}{share}: tracks may "
-              f"slip a cycle; P >= {grid.resolving_size(r_nu):.0f} on "
-              f"[{grid.nu_min:g}, {grid.nu_max:g}] resolves it", file=sys.stderr)
-
-
 def _warn_on_edge(grid: FrequencyGrid, viterbi_tracks: list[np.ndarray],
                   first_seed: int = 0) -> None:
     """One warning line when a Viterbi track sits on an outer grid state,
@@ -188,7 +175,6 @@ def cmd_track(args: argparse.Namespace) -> int:
     if truth is not None and truth.size != dataset.n_bins:
         raise ftio.DataFormatError(
             f"truth has {truth.size} bins but dataset has {dataset.n_bins}")
-    _warn_unresolved(args.grid, [hyper.r_nu])
     start = time.perf_counter()
     tracks = compute_tracks(dataset, args.grid, hyper)
     elapsed = time.perf_counter() - start
@@ -213,7 +199,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     hyper = Hyperparameters(args.r_a, args.r_b, args.r_nu)
     results: dict[str, list[float]] = {}
     hyper_errors = []
-    fitted_r_nu = []
     viterbi_tracks = []
     with open(args.out / "eval_replicates.csv", "w") as fh:
         for rep in range(args.replicates):
@@ -221,7 +206,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             dataset = synthesize_dataset(truth, hyper, args.n_samples, seed)
             report = estimate_ml(dataset, args.grid, strategy=args.strategy,
                                  line_search=args.line_search)
-            fitted_r_nu.append(report.minimizer.r_nu)
             tracks = compute_tracks(dataset, args.grid, report.minimizer)
             viterbi_tracks.append(tracks["viterbi_map"])
             if rep == 0:
@@ -234,7 +218,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fh.write(",".join(row) + "\n")
             hyper_errors.append(np.abs(np.log10(report.minimizer.as_array())
                                        - np.log10(hyper.as_array())))
-    _warn_unresolved(args.grid, fitted_r_nu)
     _warn_on_edge(args.grid, viterbi_tracks, args.seed)
     summary = _fit_settings(args.strategy, args.line_search)
     print(f"{'method':<14} {'mean rmse':>10} {'median':>10} {'p90':>10}")

@@ -5,13 +5,18 @@ exponentiation; the shifts are reinstated when the data log-likelihood is
 reconstructed, so very peaked likelihoods (hundreds of nats) stay exact.
 
 Viterbi's pair cost lam * (lag * spacing)^2 depends only on the lag
-|p - q| between states.  Each stage searches the predecessors within
-W = BAND_HALF_WIDTH = 16 states of each target.  A row keeps its band
-minimum only where a per-row lower bound on every state outside the band,
-built from the tangent of the pair cost at lag W + 1 and two prefix minima
-in O(P), exceeds it by a proven rounding margin; the other rows are
-searched densely.  So path and cost match a dense search on that cost bit
-for bit, in O(T P W), at worst at the dense O(T P^2) cost plus the band.
+|p - q| between states.  Each stage searches the predecessors within W
+states of each target, W derived per call from lam, the spacing and the
+median range of a row of periodograms (about 2 sqrt(2 R) chain steps
+sqrt(r_nu), R that range in nats of log-likelihood), folding the two sides
+of the band into one (W + 1, P) array.  A row keeps its band minimum only
+where a per-row lower bound on every state outside the band, built from
+the tangent of the pair cost at lag W + 1 and two prefix minima in O(P),
+exceeds it by a proven rounding margin; the other rows are searched
+densely.  No back-pointers are stored: the path is read back from the
+kept (T, P + 2W) cost rows, one O(P) search per bin.  So path and cost
+match a dense search on that cost bit for bit, in O(T P W), at worst at
+the dense O(T P^2) cost plus the band.
 
 Forward and backward apply the Gaussian transition T[q, p] =
 k[|p - q|] / z[q] as a correlation with the kernel cut after lag h, the
@@ -35,12 +40,9 @@ from freqtrack.markov import FrequencyGrid, GaussianTransition, initial_distribu
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
 from freqtrack.spectral import periodogram_table
 
-# Predecessors searched per state before the dense fallback, on each side.
-# On T=4096, P=512 tracking (lam = 512.5) 10 and 12 are fastest; 16, 10-20%
-# slower there, sends 0.13% of the rows to the dense search.  On the
-# default T=128, P=128 grid at lam = 12.8, 10 sends 17% of the rows and
-# 16 sends 1.6%, and 16 to 20 are fastest.
-BAND_HALF_WIDTH = 16
+# Viterbi folds its band and searches rows densely in blocks of at most
+# this many pair sums (512 KiB of floats).
+_BLOCK = 2**16
 
 # Kernel values at or below u^2 = 2^-106 (u = 2^-53) are dropped from the
 # forward-backward band: next to the diagonal entry 1 they lie below the
@@ -269,6 +271,33 @@ def posterior_marginals(fb: ForwardBackwardResult, obs: ObservationTable,
                               trans=trans, head=head, weighted=weighted)
 
 
+def _band_half_width(spread: float, lam: float, grid: FrequencyGrid) -> int:
+    """Viterbi's band half-width W = ceil(2 sqrt(spread / lam) / spacing),
+    clamped to [1, P - 1]: the least lag whose pair cost lam (W spacing)^2
+    reaches 4 spread, spread the median range of a row of periodograms.  A
+    longer jump costs more than four typical rows of local cost can repay,
+    so it is rare, and a row whose minimum needs one is searched densely."""
+    with np.errstate(over="ignore"):
+        width = np.ceil(2.0 * np.sqrt(spread / lam) / grid.spacing)
+    return int(min(max(width, 1.0), grid.size - 1))
+
+
+def _dense_minima(low: np.ndarray, bad: np.ndarray, cost: np.ndarray,
+                  dense: np.ndarray) -> None:
+    """low[p] = min_q cost[q] + dense[p, q] for each row p in bad, in blocks
+    of at most _BLOCK sums.  Only the columns from the first to the last
+    state whose cost is not +inf are read: a sum on +inf is +inf, the
+    minimum of the others or +inf itself."""
+    reached = np.flatnonzero(cost != np.inf)
+    span = slice(reached[0], reached[-1] + 1) if reached.size else slice(0, cost.size)
+    step = max(1, _BLOCK // (span.stop - span.start))
+    for start in range(0, bad.size, step):
+        rows = bad[start:start + step]
+        sums = dense[rows, span]
+        sums += cost[span]
+        low[rows] = sums.min(axis=1)
+
+
 def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.ndarray, float]:
     """Minimum-cost state path for the regularized tracking criterion.
 
@@ -279,16 +308,19 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     read in place with no negated (T, P) copy: x - P is the same IEEE
     result as x + (-P).
 
-    Band.  Each stage min-sums cost[q] + lag_cost[|p - q|] over the
-    predecessors q within W = BAND_HALF_WIDTH states of each target p, as a
-    (2W+1, P) array whose row j holds q = p + j - W.  Its column minimum m
-    is taken by np.minimum.reduce; the back-pointer is the lowest row that
-    equals it, read from the mask [total == m] as one [j; 1] @ mask
-    product.  The mask is float32 and still exact: where a column's count
-    is 1 its index is a single product j * 1, and a column with more (a
-    tie, or +inf) is re-resolved by argmin.  Every sum is the same IEEE
-    addition as in a dense search on lag_cost, so a row whose band holds
-    its dense minimum gets the dense path and cost bit for bit.
+    Band.  W = _band_half_width(median range of a row of P_t, lam, grid):
+    the band spans 2 sqrt(2 R) steps sqrt(r_nu) of the chain on each side,
+    R the median range of a row of log-likelihoods in nats, as
+    lam = 1 / (2 alpha r_nu).  Each stage takes, for every target p,
+
+        low[p] = min over d <= W of fl(min(cost[p - d], cost[p + d]) + lag_cost[d]),
+
+    off-grid states costing +inf, as one (W + 1, P) array folded from the
+    (2W + 1, P) windows of the previous cost row.  Rounding is monotone, so
+    fl(min(a, b) + c) = min(fl(a + c), fl(b + c)): low[p] is the least of
+    the IEEE sums cost[q] + lag_cost[|p - q|] a dense search forms, over
+    the q in the band, and a row whose band holds its dense minimum gets it
+    bit for bit.
 
     Certificate.  Let k = W + 1 and c = lag_cost[1]; the line 2kc d - ck^2
     is the tangent of c d^2 at d = k, below it everywhere.  With
@@ -302,10 +334,12 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
                    min_{q >= p+k} (cost[q] - r'_q) + r'_p) - h,   r'_i = r_{P-1-i},
 
     bounds every such sum from below.  Both prefix minima come from one
-    np.minimum.accumulate over a (2, P + k) array holding cost - r and
-    cost[::-1] - r behind k entries of +inf.  Row p keeps its band minimum
-    m when m < B(p) - mu, the rounding margin below, and is otherwise
-    searched densely; NaN fails the test and goes to the dense search.
+    np.minimum.accumulate over a (2, P) array holding the first P - k
+    entries of cost - r and cost[::-1] - r behind k entries of +inf.  Row
+    p keeps its band minimum m when m < B(p) - mu, the rounding margin
+    below, and is otherwise searched densely; NaN fails the test and goes
+    to the dense search.
+    When W = P - 1 the band holds every state and no row is tested.
 
     Margin.  Let u = eps/2, M = 2T(max |P_t(p)| + lag_cost[P-1]),
     S = M + r_{P-1} + h and mu = 16 eps S + 2^-1022, with the test
@@ -329,12 +363,38 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     float next to m: q's rounded sum neither reaches nor ties m, and the
     dense search would keep the band's answer.
 
-    The cost is O(T P W) plus O(P) per row that fails, W = 16: at worst,
-    when every row fails (lam so small that the pair cost cannot separate
-    states, or so large that S overflows), the dense O(T P^2) search plus
-    the band.  A lag cost or a sum that overflows saturates to +inf
-    without a warning: the constant path always has a finite cost, so no
-    such pair can be on the minimum path.
+    Path.  No stage records where its minima lie.  Every cost row is kept,
+    in one (T, P + 2W) array whose W entries of +inf on each side are the
+    off-grid predecessors the windows read.  By the above each row equals
+    the dense search's bit for bit.  The path ends at the lowest-index
+    minimum of the last row, and each bin t > 0 then sets path[t - 1] to
+    the lowest-index argmin over all q of cost_{t-1}[q] +
+    lag_cost[|path[t] - q|]: the same IEEE sums over the same row as the
+    dense search's back-pointer of path[t], hence the same state.  Where
+    row path[t] of stage t was certified, every sum beyond its band is
+    strictly above its minimum (Margin), so that state lies in the band
+    and is the one the band's minimum came from.
+
+    Cost.  O(T P W) for the bands and certificates, plus O(P) per row that
+    fails the certificate, searched in blocks of at most _BLOCK sums over
+    the columns whose cost is finite, plus O(T P) to read the path back.
+    The dense search can still dominate.  Where W reaches P - 1 (a grid
+    at most 2 sqrt(2 R) chain steps wide on each side of a state, or lam
+    small against the spread) the band itself is the dense O(T P^2)
+    search.  Where every row fails (lam so large that S overflows, or rows
+    so flat that W = 1 while the path jumps) each stage is dense too.  A
+    row also fails while its cost comes from a jump far longer than W: the
+    tangent bound grows only linearly with the lag.  So on a grid much
+    wider than the start band, whose states alone are finite at stage 0,
+    stage 1 fails on most rows (and searches only the start band's
+    columns), and rows about t W states beyond it at stage t fail until
+    band moves reach them: 0.6% of the rows of a T=4096, P=512 track over
+    (-4, 4) at lam = 512.5, W = 10, but most rows where W = 1 and T is
+    short.  Memory: the kept cost rows, a second (T, P + 2W) float table
+    next to obs.periodograms, plus O(P) and blocks of at most _BLOCK
+    floats.  A lag cost or a sum that overflows saturates to +inf without a
+    warning: the constant path always has a finite cost, so no such pair
+    can be on the minimum path.
 
     Raises ValueError naming the first bin whose row of periodograms is
     not finite: the local cost is then unusable, either itself or because
@@ -343,13 +403,16 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     """
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    finite = np.isfinite(obs.periodograms).all(axis=1)
+    periodograms = obs.periodograms
+    top, bottom = periodograms.max(axis=1), periodograms.min(axis=1)  # NaN propagates
+    finite = np.isfinite(top) & np.isfinite(bottom)
     if not finite.all():
         raise ValueError(f"local cost is not finite at bin {int(np.argmin(finite))}")
-    periodograms = obs.periodograms
     n_bins, n_states = periodograms.shape
-    half = min(BAND_HALF_WIDTH, n_states - 1)
-    reach = BAND_HALF_WIDTH + 1
+    # the upper median of the row ranges (np.median imports numpy.ma on first use, 30 ms)
+    half = _band_half_width(np.partition(top - bottom, n_bins // 2)[n_bins // 2], lam, grid)
+    complete = half == n_states - 1
+    reach = half + 1
     rows = np.arange(n_states)
     with np.errstate(over="ignore", invalid="ignore"):
         lag_cost = lam * (rows * grid.spacing) ** 2
@@ -357,48 +420,55 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
         dense = sliding_window_view(np.concatenate([lag_cost[:0:-1], lag_cost]), n_states)[::-1]
         ramp = 2 * reach * lag_cost[1] * rows
         lift = np.max(ramp[reach:] - lag_cost[reach:], initial=0.0)
-        extent = max(periodograms.max(), -periodograms.min())
+        extent = max(top.max(), -bottom.min())
         scale = 2 * n_bins * (extent + lag_cost[-1]) + ramp[-1] + lift
         margin = 16 * _EPS * scale + _TINY if scale <= 2.0**1021 else np.inf
         lowered = ramp - (lift + margin)
-        padded = np.full(n_states + 2 * half, np.inf)  # off-grid predecessors cost +inf
-        windows = sliding_window_view(padded, n_states)  # (2W+1, P): row j holds q = p + j - W
-        cost = padded[half:half + n_states]
-        band_pair = np.repeat(lag_cost[np.abs(np.arange(-half, half + 1)), None], n_states, axis=1)
-        total = np.empty_like(band_pair)
-        mask = np.empty(total.shape, dtype=np.float32)
-        counter = np.stack([np.arange(2 * half + 1), np.ones(2 * half + 1)]).astype(np.float32)
-        shift = (rows - half).astype(np.float32)
-        sweep = np.full((2, n_states + reach), np.inf)
+        kept = np.full((n_bins, n_states + 2 * half), np.inf)
+        costs = kept[:, half:half + n_states]
+        reversed_costs = kept[:, ::-1][:, half:half + n_states]
+        # windows[t, j] holds bin t's cost at q = p + j - W for each target p;
+        # row d of below and above holds the predecessors d states from p
+        windows = sliding_window_view(kept, n_states, axis=1)
+        below, above = windows[:, half::-1], windows[:, half:]
+        chunk = min(reach, max(1, _BLOCK // n_states))
+        fold = np.empty((chunk, n_states))
+        # the lag costs of each chunk of lags; full rows, which add faster
+        # than a broadcast column, where one chunk holds every lag
+        pairs = [lag_cost[lo:min(lo + chunk, reach), None] for lo in range(0, reach, chunk)]
+        if len(pairs) == 1:
+            pairs = [np.repeat(pairs[0], n_states, axis=1)]
+        # the first P - k entries of cost - r and cost[::-1] - r behind k = W + 1 of +inf
+        head = n_states - reach
+        sweep = np.full((2, n_states), np.inf)
         bound = np.empty((2, n_states))
-        back = np.empty((n_bins, n_states), dtype=np.min_scalar_type(n_states - 1))
+        certified = np.empty(n_states, dtype=bool)
         np.subtract(np.where(initial_distribution(grid) > 0, 0.0, np.inf), periodograms[0],
-                    out=cost)
+                    out=costs[0])
         for t in range(1, n_bins):
-            np.add(windows, band_pair, out=total)
-            low = np.minimum.reduce(total, axis=0)
-            np.equal(total, low, out=mask, casting="unsafe")
-            index, count = counter @ mask
-            if count.max() > 1:  # a NaN column counts 0 and fails the certificate
-                tied = np.flatnonzero(count > 1)
-                index[tied] = total[:, tied].argmin(axis=0)
-            index += shift
-            np.subtract(cost, ramp, out=sweep[0, reach:])
-            np.subtract(cost[::-1], ramp, out=sweep[1, reach:])
-            np.minimum.accumulate(sweep, axis=1, out=sweep)
-            np.add(sweep[:, :n_states], lowered, out=bound)
-            np.minimum(bound[0], bound[1, ::-1], out=bound[0])
-            certified = low < bound[0]
-            if not certified.all():
-                bad = np.flatnonzero(~certified)
-                fallback = dense[bad] + cost
-                index[bad] = fallback.argmin(axis=1)
-                low[bad] = fallback.min(axis=1)
-            back[t] = index
-            np.subtract(low, periodograms[t], out=cost)
-    path = np.empty(n_bins, dtype=int)
-    path[-1] = int(np.argmin(cost))
-    best_cost = float(cost[path[-1]])
-    for t in range(n_bins - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path, best_cost
+            cost, low = costs[t - 1], costs[t]
+            for i, pair in enumerate(pairs):
+                lags = slice(i * chunk, i * chunk + len(pair))
+                part = fold[:len(pair)]
+                np.minimum(below[t - 1, lags], above[t - 1, lags], out=part)
+                part += pair
+                if i:
+                    np.minimum(part[0], low, out=part[0])
+                np.minimum.reduce(part, axis=0, out=low)
+            if not complete:
+                np.subtract(cost[:head], ramp[:head], out=sweep[0, reach:])
+                np.subtract(reversed_costs[t - 1, :head], ramp[:head], out=sweep[1, reach:])
+                np.minimum.accumulate(sweep, axis=1, out=sweep)
+                np.add(sweep, lowered, out=bound)
+                np.minimum(bound[0], bound[1, ::-1], out=bound[0])
+                np.less(low, bound[0], out=certified)
+                if np.count_nonzero(certified) < n_states:
+                    _dense_minima(low, np.flatnonzero(~certified), cost, dense)
+            low -= periodograms[t]
+        path = np.empty(n_bins, dtype=int)
+        path[-1] = int(np.argmin(costs[-1]))
+        sums = np.empty(n_states)
+        for t in range(n_bins - 1, 0, -1):
+            np.add(costs[t - 1], dense[path[t]], out=sums)
+            path[t - 1] = sums.argmin()
+    return path, float(costs[-1, path[-1]])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -24,48 +25,40 @@ def write_dataset_csv(path, dataset: DataSet) -> None:
                 writer.writerow([t + 1, n + 1, repr(float(value.real)), repr(float(value.imag))])
 
 
-def _read_rows(path, header: list[str], parse) -> list:
-    """parse(row) for every non-blank row of a CSV file with this header.
-
-    A wrong header, a row with the wrong column count and any ValueError
-    raised by parse all become DataFormatError.
-    """
-    rows = []
+def _read_rows(path, header: str, dtype: list) -> np.ndarray:
+    """The rows after the header line of a CSV file, parsed by one
+    np.loadtxt call into a structured array of this dtype; blank lines are
+    skipped.  A wrong header, a row with the wrong column count and a field
+    that does not parse (an integer column takes only integer literals)
+    all become DataFormatError."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            found = next(reader, None)
+        with open(path) as fh:
+            found = fh.readline().rstrip("\r\n")
             if found != header:
-                raise ValueError(f"expected header {','.join(header)}, got {found}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"bad row {row}")
-                rows.append(parse(row))
-    except (ValueError, csv.Error) as exc:
+                raise ValueError(f"expected header {header}, got {found!r}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
+    except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    return rows
-
-
-def _parse_sample(row) -> tuple[int, int, complex]:
-    t, n = int(row[0]), int(row[1])
-    if t < 1 or n < 1:
-        raise ValueError(f"indices must be at least 1, got t={t}, n={n}")
-    return t, n, complex(float(row[2]), float(row[3]))
 
 
 def read_dataset_csv(path) -> DataSet:
-    rows = _read_rows(path, ["t", "n", "re", "im"], _parse_sample)
-    if not rows:
+    rows = _read_rows(path, "t,n,re,im",
+                      [("t", np.int64), ("n", np.int64), ("re", float), ("im", float)])
+    if not rows.size:
         raise DataFormatError(f"{path}: no sample rows")
-    n_bins = max(r[0] for r in rows)
-    n_samples = max(r[1] for r in rows)
-    if len(rows) != n_bins * n_samples:
-        raise DataFormatError(f"{path}: expected {n_bins * n_samples} rows, got {len(rows)}")
+    t, n = rows["t"], rows["n"]
+    if t.min() < 1 or n.min() < 1:
+        raise DataFormatError(f"{path}: indices must be at least 1, got t={t.min()}, "
+                              f"n={n.min()}")
+    n_bins, n_samples = int(t.max()), int(n.max())
+    if rows.size != n_bins * n_samples:
+        raise DataFormatError(f"{path}: expected {n_bins * n_samples} rows, got {rows.size}")
     samples = np.full((n_bins, n_samples), np.nan + 0j)
-    for t, n, value in rows:
-        samples[t - 1, n - 1] = value
+    samples.real[t - 1, n - 1] = rows["re"]
+    samples.imag[t - 1, n - 1] = rows["im"]
     if np.any(np.isnan(samples.real)):
         raise DataFormatError(f"{path}: missing (t, n) entries")
     return DataSet(samples=samples)
@@ -81,17 +74,19 @@ def write_track_csv(path, track) -> None:
 
 
 def read_track_csv(path) -> np.ndarray:
-    rows = _read_rows(path, ["t", "nu"], lambda row: (int(row[0]), float(row[1])))
-    values = {}
-    for t, nu in rows:
-        if t in values:
-            raise DataFormatError(f"{path}: duplicate bin index {t}")
-        if not np.isfinite(nu):
-            raise DataFormatError(f"{path}: non-finite nu {nu!r} at bin {t}")
-        values[t] = nu
-    if not values or sorted(values) != list(range(1, len(values) + 1)):
+    rows = _read_rows(path, "t,nu", [("t", np.int64), ("nu", float)])
+    order = np.argsort(rows["t"], kind="stable")
+    t, nu = rows["t"][order], rows["nu"][order]
+    repeated = t[1:][t[1:] == t[:-1]]
+    if repeated.size:
+        raise DataFormatError(f"{path}: duplicate bin index {repeated[0]}")
+    finite = np.isfinite(nu)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataFormatError(f"{path}: non-finite nu {float(nu[bad])!r} at bin {t[bad]}")
+    if not t.size or not np.array_equal(t, np.arange(1, t.size + 1)):
         raise DataFormatError(f"{path}: bin indices must be 1..T")
-    return np.array([values[t] for t in sorted(values)])
+    return nu
 
 
 def write_key_values(path, mapping: dict) -> None:

@@ -11,11 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from freqtrack.likelihood import in_initial_band
 
 
-# A grid resolves a chain of step variance r_nu when its spacing is at most
-# RESOLUTION_LIMIT sqrt(r_nu); coarser grids can slip a whole cycle.
-RESOLUTION_LIMIT = 0.5
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """P equally spaced frequency states on the closed interval [nu_min, nu_max]."""
@@ -46,16 +41,8 @@ class FrequencyGrid:
         return (self.nu_max - self.nu_min) / (self.size - 1)
 
     def resolution(self, r_nu: float) -> float:
-        """The spacing in units of the chain's step deviation sqrt(r_nu);
-        the grid resolves r_nu when this is at most RESOLUTION_LIMIT."""
+        """The spacing in units of the chain's step deviation sqrt(r_nu)."""
         return self.spacing / float(np.sqrt(r_nu))
-
-    def resolving_size(self, r_nu: float) -> float:
-        """The least P that resolves r_nu on [nu_min, nu_max],
-        1 + ceil((nu_max - nu_min) / (RESOLUTION_LIMIT sqrt(r_nu))), as a float
-        that is +inf when the quotient overflows."""
-        width = (self.nu_max - self.nu_min) / (RESOLUTION_LIMIT * float(np.sqrt(r_nu)))
-        return 1.0 + np.ceil(width)
 
 
 @dataclass(frozen=True)

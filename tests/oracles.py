@@ -1,20 +1,22 @@
 """Reference implementations the tests compare the package against.
 
 Exhaustive enumeration of the chain's paths and of the tracking
-criterion's grid paths, the half-step test of a track and the dense
-complex Gaussian density of one record: slow forms the pipeline never
-runs.
+criterion's grid paths, the half-step test of a track, the dense
+complex Gaussian density of one record and row-by-row csv-module readers
+of the dataset and track files: slow forms the pipeline never runs.
 log_likelihood_entry reads the package's own value for one record at one
 frequency, for comparison with the dense density; table and log_prob build
 observation tables from log-likelihood rows and read them back.
 """
 
+import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from freqtrack.hmm import NumericalError, ObservationTable, observation_table
+from freqtrack.io import DataFormatError
 from freqtrack.likelihood import in_initial_band
 from freqtrack.markov import FrequencyGrid
 from freqtrack.signal import DataSet, Hyperparameters, steering_vector
@@ -107,3 +109,66 @@ def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray
         singles=singles / total,
         pairs=pairs / total,
     )
+
+
+def _csv_rows(path, header: list[str], parse) -> list:
+    """parse(row) for every non-blank row of a CSV file with this header.
+
+    A wrong header, a row with the wrong column count and any ValueError
+    raised by parse all become DataFormatError.
+    """
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"expected header {','.join(header)}, got {found}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"bad row {row}")
+                rows.append(parse(row))
+    except (ValueError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return rows
+
+
+def _parse_sample(row) -> tuple[int, int, complex]:
+    t, n = int(row[0]), int(row[1])
+    if t < 1 or n < 1:
+        raise ValueError(f"indices must be at least 1, got t={t}, n={n}")
+    return t, n, complex(float(row[2]), float(row[3]))
+
+
+def csv_read_dataset(path) -> DataSet:
+    """The dataset file read row by row with the csv module."""
+    rows = _csv_rows(path, ["t", "n", "re", "im"], _parse_sample)
+    if not rows:
+        raise DataFormatError(f"{path}: no sample rows")
+    n_bins = max(r[0] for r in rows)
+    n_samples = max(r[1] for r in rows)
+    if len(rows) != n_bins * n_samples:
+        raise DataFormatError(f"{path}: expected {n_bins * n_samples} rows, got {len(rows)}")
+    samples = np.full((n_bins, n_samples), np.nan + 0j)
+    for t, n, value in rows:
+        samples[t - 1, n - 1] = value
+    if np.any(np.isnan(samples.real)):
+        raise DataFormatError(f"{path}: missing (t, n) entries")
+    return DataSet(samples=samples)
+
+
+def csv_read_track(path) -> np.ndarray:
+    """The track file read row by row with the csv module."""
+    rows = _csv_rows(path, ["t", "nu"], lambda row: (int(row[0]), float(row[1])))
+    values = {}
+    for t, nu in rows:
+        if t in values:
+            raise DataFormatError(f"{path}: duplicate bin index {t}")
+        if not np.isfinite(nu):
+            raise DataFormatError(f"{path}: non-finite nu {nu!r} at bin {t}")
+        values[t] = nu
+    if not values or sorted(values) != list(range(1, len(values) + 1)):
+        raise DataFormatError(f"{path}: bin indices must be 1..T")
+    return np.array([values[t] for t in sorted(values)])

@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,6 @@ from scipy.special import logsumexp
 
 from freqtrack import hmm
 from freqtrack.hmm import (
-    BAND_HALF_WIDTH,
     KERNEL_CUTOFF,
     backward,
     forward,
@@ -19,7 +19,7 @@ from freqtrack.hmm import (
     posterior_marginals,
     viterbi,
 )
-from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
+from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient, smoothing_weight
 from freqtrack.markov import (FrequencyGrid, GaussianTransition, gaussian_transition,
                               initial_distribution, transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
@@ -55,6 +55,29 @@ def dense_min_cost_path(local, grid, lam):
     for t in range(n_bins - 1, 0, -1):
         path.append(int(back[t, path[-1]]))
     return np.array(path[::-1]), float(cost[path[0]])
+
+
+# The band half-width the constructed band-edge cases patch in.
+HALF = 16
+
+
+@contextmanager
+def band_half_width(half):
+    """Run viterbi with its band half-width set to half, P - 1 at most."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmm, "_band_half_width", lambda spread, lam, grid: min(half, grid.size - 1))
+        yield
+
+
+def viterbi_and_width(obs, grid, lam):
+    """viterbi's path and cost, and the band half-width it derived."""
+    widths = []
+    derive = hmm._band_half_width
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmm, "_band_half_width",
+                      lambda *args: widths.append(derive(*args)) or widths[-1])
+        path, cost = viterbi(obs, grid, lam)
+    return path, cost, widths[0]
 
 
 def band_instance(n_states, costs, seed=0):
@@ -374,13 +397,17 @@ def test_viterbi_optimality_certificate():
 @pytest.mark.parametrize("n_states", [129, 300, 512])
 def test_viterbi_band_equals_dense_search(n_states, lam, costs):
     grid, obs = band_instance(n_states, costs, seed=n_states)
-    path, cost = viterbi(obs, grid, lam)
+    path, cost, half = viterbi_and_width(obs, grid, lam)
     ref_path, ref_cost = dense_min_cost_path(-obs.periodograms, grid, lam)
     assert np.array_equal(path, ref_path)
     assert cost == ref_cost
-    if lam == 1e-6 and costs == "random" and n_states >= 300:
-        # the optimum leaves the band, so the dense fallback is exercised
-        assert np.max(np.abs(np.diff(ref_path))) > BAND_HALF_WIDTH
+    if lam <= 1e-6 and costs == "random":
+        # a pair cost this small against the rows' range puts every state in the band
+        assert half == n_states - 1
+    if lam <= 1e-2 and costs == "flat":
+        # flat rows derive W = 1 and the optimum jumps further, so the
+        # dense fallback is exercised on the path itself
+        assert half == 1 and np.max(np.abs(np.diff(ref_path))) > half
     if lam == 1e-2 and costs == "tied":
         # every stage must pick state 0, outside the band of most rows; the
         # top state at the last bin carries that choice into the path
@@ -392,41 +419,77 @@ def test_viterbi_band_falls_back_on_a_jump_just_past_the_band():
     # minimum sits between the paths through it at lag W + 1 and W + 2, so
     # only a bound tight at lag W + 1, the tangent there, sends row p to the
     # dense search; source is in the start band and target beyond it
-    grid, lam, half = FrequencyGrid(-4.0, 4.0, 300), 1.0, BAND_HALF_WIDTH
+    grid, lam = FrequencyGrid(-4.0, 4.0, 300), 1.0
     lag_cost = lam * (np.arange(300) * grid.spacing) ** 2
     start = int(np.flatnonzero(initial_distribution(grid))[-1])
-    source = start - (half + 1) // 2
-    target = source + half + 1
-    assert initial_distribution(grid)[source] > 0 and target > start
-    rows = np.zeros((3, 300))
-    rows[1, source] = 10.0
-    # cost at bin 1: -10 at source, lag_cost[target - start] - rows[1, target] at target
-    rows[1, target] = lag_cost[target - start] + 10.0 - (lag_cost[half + 1] + lag_cost[half + 2]) / 2
-    rows[2, target] = 100.0
-    path, cost = viterbi(table(rows), grid, lam)
-    ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
-    assert np.array_equal(path, ref_path) and cost == ref_cost
-    assert list(path[1:]) == [source, target]
+    for half in (2, 8, HALF):
+        source = start - (half + 1) // 2
+        target = source + half + 1
+        assert initial_distribution(grid)[source] > 0 and target > start
+        rows = np.zeros((3, 300))
+        rows[1, source] = 10.0
+        # cost at bin 1: -10 at source, lag_cost[target - start] - rows[1, target] at target
+        rows[1, target] = (lag_cost[target - start] + 10.0
+                           - (lag_cost[half + 1] + lag_cost[half + 2]) / 2)
+        rows[2, target] = 100.0
+        with band_half_width(half):
+            path, cost = viterbi(table(rows), grid, lam)
+        ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+        assert np.array_equal(path, ref_path) and cost == ref_cost
+        assert list(path[1:]) == [source, target]
 
 
 def test_viterbi_exact_tie_just_past_the_band_goes_to_the_lower_state():
     # spacing 1/32 and lam = 1 make every lag cost and sum below exact, so
     # the path through source at lag W + 1 ties target's band minimum to the
     # last bit; the dense search keeps the lower index, source
-    grid, lam, half = FrequencyGrid(-4.0, 4.0, 257), 1.0, BAND_HALF_WIDTH
+    grid, lam = FrequencyGrid(-4.0, 4.0, 257), 1.0
     lag_cost = lam * (np.arange(257) * grid.spacing) ** 2
     start = int(np.flatnonzero(initial_distribution(grid))[-1])
-    source = start - (half + 1) // 2
-    target = source + half + 1
+    for half in (2, 8, HALF):
+        source = start - (half + 1) // 2
+        target = source + half + 1
+        rows = np.zeros((3, 257))
+        rows[1, source] = 10.0
+        rows[1, target] = lag_cost[target - start] + 10.0 - lag_cost[half + 1]
+        rows[2, target] = 100.0
+        assert -rows[1, source] + lag_cost[half + 1] == lag_cost[target - start] - rows[1, target]
+        with band_half_width(half):
+            path, cost = viterbi(table(rows), grid, lam)
+        ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+        assert np.array_equal(path, ref_path) and cost == ref_cost
+        assert list(path[1:]) == [source, target]
+
+
+@pytest.mark.parametrize("outside", ["below", "above"])
+@pytest.mark.parametrize("half", [1, 5, HALF])
+def test_viterbi_back_read_breaks_exact_ties_across_the_band_edge_to_the_lower_state(half,
+                                                                                      outside):
+    # two states of bin 1, one W and one W + 1 states from target on either
+    # side, reach target at bin 2 with exactly equal sums (spacing 1/32 and
+    # lam = 1 keep every lag cost and sum exact) and below every other sum.
+    # The one outside the band ties the band's minimum, so target's row
+    # fails the certificate; the path must take the lower of the two states,
+    # which lies outside the band when it is the one below
+    grid, lam = FrequencyGrid(-4.0, 4.0, 257), 1.0
+    lag_cost = lam * (np.arange(257) * grid.spacing) ** 2
+    start_band = np.flatnonzero(initial_distribution(grid))
+    low_lag, high_lag = (half + 1, half) if outside == "below" else (half, half + 1)
+    lower = int(start_band[2])
+    target = lower + low_lag
+    upper = target + high_lag
+    # bin 1 reaches upper from the start band at this lag cost
+    entry = lag_cost[max(0, upper - start_band[-1])]
     rows = np.zeros((3, 257))
-    rows[1, source] = 10.0
-    rows[1, target] = lag_cost[target - start] + 10.0 - lag_cost[half + 1]
+    rows[1, lower] = 10.0
+    rows[1, upper] = 10.0 + lag_cost[high_lag] - lag_cost[low_lag] + entry
     rows[2, target] = 100.0
-    assert -rows[1, source] + lag_cost[half + 1] == lag_cost[target - start] - rows[1, target]
-    path, cost = viterbi(table(rows), grid, lam)
+    assert -rows[1, lower] + lag_cost[low_lag] == entry - rows[1, upper] + lag_cost[high_lag]
+    with band_half_width(half):
+        path, cost = viterbi(table(rows), grid, lam)
     ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
     assert np.array_equal(path, ref_path) and cost == ref_cost
-    assert list(path[1:]) == [source, target]
+    assert list(path[1:]) == [lower, target]
 
 
 @pytest.mark.parametrize("width, lam", [(2.6589673163834533, 13.326153403956493),
@@ -437,35 +500,38 @@ def test_viterbi_margin_covers_sums_within_ulps_of_a_tie_just_past_the_band(widt
     # target's band minimum is set within 3 ulps of the path through source
     # at lag W + 1; the rounding of the tangent bound can put it on either
     # side, and without the margin some of these rows keep the wrong state
-    grid, half = FrequencyGrid(-width / 2, width / 2, 60), BAND_HALF_WIDTH
+    grid = FrequencyGrid(-width / 2, width / 2, 60)
     lag_cost = lam * (np.arange(60) * grid.spacing) ** 2
     start_band = np.flatnonzero(initial_distribution(grid))
     source = int(start_band[start_band.size // 2])
-    target = source + half + 1
+    target = source + HALF + 1
     distance = int(np.min(np.abs(target - start_band)))
-    tie = lag_cost[0] - (10.0 - offset) + lag_cost[half + 1]
+    tie = lag_cost[0] - (10.0 - offset) + lag_cost[HALF + 1]
     for ulps in range(-3, 4):
         rows = np.full((3, 60), -offset)
         rows[0] = 0.0
         rows[1, source] += 10.0
         rows[1, target] = lag_cost[distance] - (tie + ulps * np.spacing(tie))
         rows[2, target] = 100.0 + offset
-        path, cost = viterbi(table(rows), grid, lam)
+        with band_half_width(HALF):
+            path, cost = viterbi(table(rows), grid, lam)
         ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
         assert np.array_equal(path, ref_path) and cost == ref_cost
 
 
-@pytest.mark.parametrize("n_states", [2, 3, BAND_HALF_WIDTH + 1, BAND_HALF_WIDTH + 2,
-                                      2 * BAND_HALF_WIDTH, 2 * BAND_HALF_WIDTH + 1,
-                                      2 * BAND_HALF_WIDTH + 2])
+@pytest.mark.parametrize("n_states", [2, 3, HALF + 1, HALF + 2, 2 * HALF, 2 * HALF + 1,
+                                      2 * HALF + 2])
 @pytest.mark.parametrize("lam", [1e-300, 1e-2, 1.0, 1e2, 1e308])
 def test_viterbi_small_grids_equal_dense_search(n_states, lam):
-    # grids no wider than the band of one or both sides, down to P = 2;
-    # the first state is in the start band
+    # grids no wider than the band of one or both sides, down to P = 2, with
+    # the derived width and with HALF; the first state is in the start band
     grid = FrequencyGrid(-0.25, 2.0, n_states)
     rows = np.random.default_rng(n_states).normal(0, 2, (8, n_states))
-    path, cost = viterbi(table(rows), grid, lam)
     ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+    path, cost = viterbi(table(rows), grid, lam)
+    assert np.array_equal(path, ref_path) and cost == ref_cost
+    with band_half_width(HALF):
+        path, cost = viterbi(table(rows), grid, lam)
     assert np.array_equal(path, ref_path) and cost == ref_cost
 
 
@@ -482,10 +548,40 @@ def test_viterbi_narrow_band_equals_dense_search(half, n_states, n_bins, lam, da
                                        max_size=n_bins * n_states))).reshape(n_bins, n_states)
     grid = FrequencyGrid(-0.25, 2.0, n_states)
     ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hmm, "BAND_HALF_WIDTH", half)
+    with band_half_width(half):
         path, cost = viterbi(table(rows), grid, lam)
     assert np.array_equal(path, ref_path) and cost == ref_cost
+
+
+@pytest.mark.parametrize("n_states, resolution", [(512, 0.15), (2048, 0.04)])
+def test_viterbi_fine_grids_equal_dense_search(n_states, resolution):
+    # default sine data at the fitted default r_nu = 4e-3 on +-2.5, where
+    # the grid spacing is resolution sqrt(r_nu): the derived band is wider
+    # than a fixed count of states yet leaves most of the grid out of it
+    grid = FrequencyGrid(-2.5, 2.5, n_states)
+    hyper = Hyperparameters(1.0, 0.1, 4e-3)
+    assert grid.resolution(hyper.r_nu) == pytest.approx(resolution, rel=0.04)
+    truth = make_test_track("sine", 128, (-1.5, 1.5))
+    dataset = synthesize_dataset(truth, Hyperparameters(1.0, 0.1, 1e-3), 4, 0)
+    obs = observation_table(DataSet(dataset.samples[:16]), grid, hyper)
+    lam = smoothing_weight(hyper, 4)
+    path, cost, half = viterbi_and_width(obs, grid, lam)
+    ref_path, ref_cost = dense_min_cost_path(-obs.periodograms, grid, lam)
+    assert np.array_equal(path, ref_path) and cost == ref_cost
+    assert 16 < half < n_states // 4
+
+
+@pytest.mark.parametrize("spread, lam, grid, half", [
+    (2.8, 512.5, FrequencyGrid(-4.0, 4.0, 512), 10),
+    (0.0, 1.0, FrequencyGrid(-1.0, 1.0, 9), 1),
+    (1.0, 1e-300, FrequencyGrid(-1.0, 1.0, 9), 8),
+    (1e300, 1e-300, FrequencyGrid(-1.0, 1.0, 9), 8),
+], ids=["track_input", "flat_rows_at_least_1", "at_most_P-1", "overflow_at_most_P-1"])
+def test_band_half_width_is_the_lag_costing_four_spreads(spread, lam, grid, half):
+    assert hmm._band_half_width(spread, lam, grid) == half
+    if 1 < half < grid.size - 1:
+        lag_cost = lam * (np.array([half - 1, half]) * grid.spacing) ** 2
+        assert lag_cost[0] < 4 * spread <= lag_cost[1]
 
 
 def test_viterbi_memory_is_below_a_dense_stage():
@@ -499,6 +595,20 @@ def test_viterbi_memory_is_below_a_dense_stage():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_viterbi_dense_fallback_memory_is_bounded_by_its_blocks():
+    # on (-4, 4) every row beyond the start band fails the certificate at
+    # stage 1; searched at once those rows took a P x P array (348 MB)
+    grid = FrequencyGrid(-4.0, 4.0, 4096)
+    rows = np.random.default_rng(0).normal(0, 2, (3, 4096))
+    tracemalloc.start()
+    try:
+        viterbi(table(rows), grid, 512.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_viterbi_rejects_non_finite_observations():

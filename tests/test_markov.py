@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqtrack.markov import (RESOLUTION_LIMIT, FrequencyGrid, initial_distribution,
+from freqtrack.markov import (FrequencyGrid, initial_distribution,
                               transition_matrix)
 
 
@@ -101,14 +101,3 @@ def test_initial_distribution_empty_band_raises():
     grid = FrequencyGrid(2.0, 3.0, 4)
     with pytest.raises(ValueError):
         initial_distribution(grid)
-
-
-@pytest.mark.parametrize("r_nu", [1e-4, 1e-3, 3.9e-3, 4.87e-3, 0.3])
-def test_resolving_size_is_the_least_size_that_resolves(r_nu):
-    size = FrequencyGrid(-2.5, 2.5, 128).resolving_size(r_nu)
-    assert FrequencyGrid(-2.5, 2.5, int(size)).resolution(r_nu) <= RESOLUTION_LIMIT
-    assert FrequencyGrid(-2.5, 2.5, int(size) - 1).resolution(r_nu) > RESOLUTION_LIMIT
-
-
-def test_resolving_size_is_infinite_where_no_size_resolves():
-    assert FrequencyGrid(-1e300, 1e300, 8).resolving_size(1e-300) == np.inf
