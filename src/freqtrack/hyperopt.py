@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from freqtrack.baselines import decimal_part
-from freqtrack.hmm import (KERNEL_CUTOFF, NumericalError, forward, forward_backward,
-                           observation_table, posterior_marginals)
+# unused, but perfbench's tracing.SITES pins posterior_marginals and transition_matrix here
+from freqtrack.hmm import (KERNEL_CUTOFF, NumericalError, _kernel_band, forward,
+                           forward_backward, observation_table, posterior_marginals)
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
@@ -70,6 +72,23 @@ def hyper_nll(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid, *,
     return -fwd.log_likelihood
 
 
+def _step_moment(head: np.ndarray, weighted: np.ndarray, taps: np.ndarray,
+                 spacing: float) -> float:
+    """sum over t, q and |j| <= h of head[t, q] taps[h + j] (j spacing)^2
+    weighted[t, q + j], off-grid states zero, for the 2h+1 symmetric taps.
+
+    The 2h+1 lag sums c[j] = sum_{t,q} head[t, q] weighted[t, q + j] come
+    from one einsum over the windows of the zero-padded weighted table, a
+    strided view: O(T P h) time and one (T, P + 2h) copy.
+    """
+    half = taps.size // 2
+    n_pairs, n_states = weighted.shape
+    padded = np.zeros((n_pairs, n_states + 2 * half))
+    padded[:, half:half + n_states] = weighted
+    lag_sums = np.einsum("tq,tqj->j", head, sliding_window_view(padded, taps.size, axis=1))
+    return float(lag_sums @ (taps * (np.arange(-half, half + 1) * spacing) ** 2))
+
+
 def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid,
                        periodograms: np.ndarray | None = None, held=None) -> np.ndarray:
     """Exact gradient [d/dlog r_a, d/dlog r_b, d/dlog r_nu] of hyper_nll via
@@ -81,6 +100,30 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     S = sum singles * P for both variances.  No term squares a variance, so
     the gradient is finite wherever hyper_nll is.
 
+    The r_nu term reads only the observation table and the forward and
+    backward passes; it builds no P x P array and costs O(T P h).  With the
+    transition T[q, p] = k[|p - q|] / z[q] the log-transition's derivative
+    in log r_nu is (d^2 - e[q]) / (2 r_nu), d = (p - q) spacing and
+    e[q] = sum_p T[q, p] d^2 the prior mean squared step from q, so
+
+        d_rnu = (sum_{q,p} pair_sum[q, p] d^2 - sum_q e[q] sum_{t<T-1} singles[t, q]) / (2 r_nu),
+
+    the pair marginals summed over destinations being the single marginals
+    of bins 0 ... T-2.  pair_sum[q, p] = sum_t head[t, q] k[|p - q|]
+    weighted[t, p] with head = forward[:-1] / z and weighted =
+    scaled[1:] backward[1:] / c[1:], c the forward normalizers, so the first
+    term is sum_j k[|j|] (j spacing)^2 c[j] over the lag sums
+    c[j] = sum_{t,q} head[t, q] weighted[t, q + j] (_step_moment), taken
+    over the 2h+1 taps _kernel_band keeps.  e[q] z[q] is one convolution of
+    ones with all 2P - 1 taps times d^2, O(P^2) time and O(P) memory.
+
+    Certificate.  Beyond lag h the kernel is below KERNEL_CUTOFF, far past
+    the peak of k[d] d^2 at d^2 spacing^2 = 2 r_nu, so k[d] d^2 falls with
+    d there and the dropped lags add at most
+    k[h+1] ((h+1) spacing)^2 sum_t (sum_q head[t, q]) (sum_p weighted[t, p])
+    to the first term.  Where that is not within eps of the term (NaN
+    fails) the term is recomputed with all 2P - 1 taps.
+
     periodograms is as for hyper_nll.  held, the (observation table, forward
     pass) pair that hyper_nll held at these same hyperparameters, is reused,
     so only the backward pass and the reduction run; the result is the same
@@ -89,26 +132,42 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     if held is None:
         held = observation_table(dataset, grid, hyper, periodograms), None
     obs, fwd = held
-    trans = transition_matrix(grid, hyper.r_nu)
-    init = initial_distribution(grid)
-    fb = forward_backward(obs, gaussian_transition(grid, hyper.r_nu), init, fwd)
-    post = posterior_marginals(fb, obs, trans)
+    trans = gaussian_transition(grid, hyper.r_nu)
+    fb = forward_backward(obs, trans, initial_distribution(grid), fwd)
+    singles = fb.forward * fb.backward
 
     n, n_bins = dataset.n_samples, dataset.n_bins
     r_a, r_b, r_nu = hyper.r_a, hyper.r_b, hyper.r_nu
     s = n * r_a + r_b
-    spectral_mass = float(np.vdot(post.singles, obs.periodograms))  # S
+    spectral_mass = float(np.vdot(singles, obs.periodograms))  # S
     d_ra = n * r_a / s * (spectral_mass / s - n_bins)
     d_rb = (n_bins * (1 - n - r_b / s) + (float(dataset.energy.sum()) - spectral_mass) / r_b
             + r_b / s * (spectral_mass / s))
 
-    states = grid.states
-    dist2 = (states[None, :] - states[:, None]) ** 2  # [q, p]
-    expected = np.sum(trans * dist2, axis=1)          # per source state q
-    term = (dist2 - expected[:, None]) / (2.0 * r_nu)
-    d_rnu = np.sum(post.pair_sum * term)
+    spacing, n_states = grid.spacing, grid.size
+    head = fb.forward[:-1] / trans.norm
+    weighted = obs.scaled[1:] * fb.backward[1:]
+    weighted /= fb.normalizers[1:, None]
+    half, taps, bound = _kernel_band(trans)
+    moment = _step_moment(head, weighted, taps, spacing)
+    dropped = bound * ((half + 1) * spacing) ** 2 * float(head.sum(axis=1) @ weighted.sum(axis=1))
+    if not dropped <= np.finfo(float).eps * moment:  # NaN fails
+        moment = _step_moment(head, weighted, trans.taps, spacing)
+    squared_steps = trans.taps * (np.arange(1 - n_states, n_states) * spacing) ** 2
+    expected = np.convolve(np.ones(n_states), squared_steps, "valid") / trans.norm
+    d_rnu = (moment - float(expected @ singles[:-1].sum(axis=0))) / (2.0 * r_nu)
 
     return -np.array([d_ra, d_rb, d_rnu])
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array of finite values below 2^1023 in
+    size, bit for bit: (lower + upper) / 2 of its two middle order
+    statistics, the same one twice for an odd size, from np.partition.
+    np.median imports numpy.ma on its first call (about 9 ms and 2 MB)."""
+    middle = [(values.size - 1) // 2, values.size // 2]
+    lower, upper = np.partition(values, middle)[middle]
+    return float((lower + upper) / 2)
 
 
 def empirical_init(dataset: DataSet, grid: FrequencyGrid,
@@ -146,7 +205,7 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid,
         periodograms = periodogram_table(dataset.samples, grid.states)
     band = initial_distribution(grid) > 0
     ml_freqs = grid.states[band][np.argmax(periodograms[:, band], axis=1)]
-    spread = 1.4826 * float(np.median(np.abs(decimal_part(np.diff(ml_freqs)))))
+    spread = 1.4826 * _median(np.abs(decimal_part(np.diff(ml_freqs))))
     r_nu = max(spread ** 2, grid.spacing ** 2)
     return Hyperparameters(r_a, r_b, r_nu)
 

@@ -2,8 +2,9 @@
 
 Exhaustive enumeration of the chain's paths and of the tracking
 criterion's grid paths, the half-step test of a track, the dense
-complex Gaussian density of one record and row-by-row csv-module readers
-of the dataset and track files: slow forms the pipeline never runs.
+complex Gaussian density of one record, the r_nu gradient from dense pair
+marginals and row-by-row csv-module readers of the dataset and track
+files: slow forms the pipeline never runs.
 log_likelihood_entry reads the package's own value for one record at one
 frequency, for comparison with the dense density; table and log_prob build
 observation tables from log-likelihood rows and read them back.
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freqtrack.hmm import NumericalError, ObservationTable, observation_table
+from freqtrack.hmm import (NumericalError, ObservationTable, forward_backward,
+                           observation_table, posterior_marginals)
 from freqtrack.io import DataFormatError
 from freqtrack.likelihood import in_initial_band
-from freqtrack.markov import FrequencyGrid
+from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
+                              transition_matrix)
 from freqtrack.signal import DataSet, Hyperparameters, steering_vector
 
 
@@ -109,6 +112,23 @@ def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray
         singles=singles / total,
         pairs=pairs / total,
     )
+
+
+def dense_r_nu_gradient(dataset: DataSet, hyper: Hyperparameters,
+                        grid: FrequencyGrid) -> tuple[float, float]:
+    """(d, scale): d = sum_{q,p} pair_sum[q, p] (d2[q, p] - e[q]) / (2 r_nu),
+    hyper_nll's derivative in log r_nu negated, from the dense (P, P) pair
+    marginals of posterior_marginals on transition_matrix, with
+    d2[q, p] = (nu_p - nu_q)^2 and e[q] = sum_p T[q, p] d2[q, p]; scale is
+    the sum of the two terms' sizes."""
+    obs = observation_table(dataset, grid, hyper)
+    fb = forward_backward(obs, gaussian_transition(grid, hyper.r_nu), initial_distribution(grid))
+    trans = transition_matrix(grid, hyper.r_nu)
+    pair_sum = posterior_marginals(fb, obs, trans).pair_sum
+    d2 = (grid.states[None, :] - grid.states[:, None]) ** 2
+    steps = np.sum(pair_sum * d2) / (2.0 * hyper.r_nu)
+    prior = np.sum(pair_sum * np.sum(trans * d2, axis=1)[:, None]) / (2.0 * hyper.r_nu)
+    return float(steps - prior), float(abs(steps) + abs(prior))
 
 
 def _csv_rows(path, header: list[str], parse) -> list:

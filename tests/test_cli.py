@@ -626,15 +626,18 @@ def test_simulate_accepts_one_bin(tmp_path):
     assert len(ftio.read_track_csv(tmp_path / "truth.csv")) == 1
 
 
-def _run_without_scipy(tmp_path, argv):
+def _run_without_scipy(tmp_path, argv, check="pass"):
     # scipy is a test dependency only: with sys.modules["scipy"] = None any
-    # import of scipy or of one of its submodules raises ImportError
+    # import of scipy or of one of its submodules raises ImportError.  check
+    # runs in the same process after the command
     _valid_inputs(tmp_path)
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "import freqtrack.cli\n"
-        f"sys.exit(freqtrack.cli.main({argv!r} + ['--out', {str(tmp_path)!r}]))\n")
+        f"code = freqtrack.cli.main({argv!r} + ['--out', {str(tmp_path)!r}])\n"
+        f"{check}\n"
+        "sys.exit(code)\n")
     src = str(Path(cli.__file__).parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -645,6 +648,13 @@ def _run_without_scipy(tmp_path, argv):
 
 def test_estimate_never_imports_scipy_linalg(tmp_path):
     _run_without_scipy(tmp_path, ["estimate", str(tmp_path / "dataset.csv"), "--grid=-1,1,8"])
+
+
+def test_estimate_never_imports_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call: about 9 ms and 2 MB of
+    # every estimate process
+    _run_without_scipy(tmp_path, ["estimate", str(tmp_path / "dataset.csv")],
+                       "if 'numpy.ma' in sys.modules: sys.exit('estimate imported numpy.ma')")
 
 
 @pytest.mark.parametrize("command", ["simulate", "track", "eval"])

@@ -21,12 +21,12 @@ from freqtrack.hyperopt import (
     hyper_nll,
     hyper_nll_gradient,
 )
-from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
-                              transition_matrix)
+from freqtrack.markov import (FrequencyGrid, GaussianTransition, gaussian_transition,
+                              initial_distribution, transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
 from freqtrack.spectral import empirical_correlation, periodogram_table
-from oracles import brute_force_joint
+from oracles import brute_force_joint, dense_r_nu_gradient
 
 
 def small_problem(seed, n_bins=4, n_states=5):
@@ -134,6 +134,75 @@ def test_gradient_memory_is_below_pair_tensor():
     finally:
         tracemalloc.stop()
     assert peak < (n_bins - 1) * n_states**2 * 8 / 4
+
+
+def r_nu_problem(n_bins, n_states, r_nu):
+    track = make_test_track("sine", n_bins, (-1.5, 1.5))
+    ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=n_bins)
+    return ds, Hyperparameters(1.0, 0.1, r_nu), FrequencyGrid(-2.5, 2.5, n_states)
+
+
+def test_gradient_at_a_wide_grid_builds_no_state_by_state_array():
+    # one P x P float array is 32 MiB at P = 2048; the gradient built six
+    # of them (172 MiB) when it summed dense pair marginals.  r_nu = 3.9e5
+    # keeps all 2P - 1 kernel taps
+    for r_nu in (4e-3, 3.9e5):
+        ds, hyper, grid = r_nu_problem(128, 2048, r_nu)
+        tracemalloc.start()
+        try:
+            hyper_nll_gradient(ds, hyper, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size**2 * 8, r_nu
+
+
+@pytest.mark.parametrize("r_nu", [4e-3, 3.9e5], ids=["narrow", "all-taps"])
+@pytest.mark.parametrize("n_bins", [2, 16, 128])
+@pytest.mark.parametrize("n_states", [128, 384])
+def test_r_nu_gradient_equals_the_dense_pair_marginals(n_states, n_bins, r_nu):
+    # the lag sums of the pair marginals against the dense (P, P) ones; at
+    # r_nu = 3.9e5, where a T=16 fit ends, the band keeps all 2P - 1 taps
+    ds, hyper, grid = r_nu_problem(n_bins, n_states, r_nu)
+    expected, scale = dense_r_nu_gradient(ds, hyper, grid)
+    assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
+
+
+def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch):
+    # cut after lag 2, the band drops kernel values far above the cutoff:
+    # the dropped lags' bound is not within eps of the term, which is then
+    # recomputed with all 2P - 1 taps and again equals the dense one
+    ds, hyper, grid = r_nu_problem(128, 128, 4e-3)
+    sizes = []
+    step_moment, kernel_band = hyperopt._step_moment, hyperopt._kernel_band
+
+    def recorded(head, weighted, taps, spacing):
+        sizes.append(taps.size)
+        return step_moment(head, weighted, taps, spacing)
+
+    def short(trans):
+        centre = trans.kernel.size - 1
+        return 2, trans.taps[centre - 2:centre + 3], float(trans.kernel[3])
+
+    monkeypatch.setattr(hyperopt, "_step_moment", recorded)
+    expected, scale = dense_r_nu_gradient(ds, hyper, grid)
+    half = kernel_band(gaussian_transition(grid, hyper.r_nu))[0]
+    assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
+    assert sizes == [2 * half + 1] and half < grid.size - 1
+    sizes.clear()
+    monkeypatch.setattr(hyperopt, "_kernel_band", short)
+    assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
+    assert sizes == [5, 2 * grid.size - 1]
+
+
+def test_fit_builds_no_transition_matrix_or_pair_marginals(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fit built a dense transition or pair marginals")
+
+    monkeypatch.setattr(GaussianTransition, "matrix", property(refuse))
+    monkeypatch.setattr(hyperopt, "transition_matrix", refuse)
+    monkeypatch.setattr(hyperopt, "posterior_marginals", refuse)
+    assert estimate_ml(*standard_dataset()).stop_reason == "relative_decrease"
 
 
 @pytest.mark.parametrize("grid, hyper", [
@@ -250,6 +319,14 @@ def test_empirical_init_r_nu_is_the_unwrapped_argmax_step_variance():
     robust = (1.4826 * np.median(np.abs(steps))) ** 2
     assert empirical_init(ds, grid).r_nu == pytest.approx(robust, rel=1e-12)
     assert np.var(np.diff(argmax)) > 5 * np.var(steps)
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+def test_median_equals_numpy_median_bit_for_bit(values):
+    # the absolute values empirical_init takes the median of; np.abs also
+    # turns -0.0, whose place among equal zeros np.partition leaves open, into 0.0
+    values = np.abs(np.array(values))
+    assert hyperopt._median(values).hex() == float(np.median(values)).hex()
 
 
 @functools.cache
