@@ -21,7 +21,7 @@ from freqtrack import io as ftio
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.hmm import NumericalError, observation_table, viterbi
 from freqtrack.hyperopt import (DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, LINE_SEARCHES,
-                                STRATEGIES, estimate_ml, hyper_nll)
+                                STRATEGIES, _median, estimate_ml, hyper_nll)
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid, initial_distribution
 from freqtrack.refine import refine_map
@@ -193,6 +193,22 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
+def _p90(values: np.ndarray) -> float:
+    """np.percentile(values, 90) of a non-empty 1-D array of finite values,
+    bit for bit, from np.partition: numpy's linear rule places it at index
+    i = (n - 1) 0.9 between the order statistics a and b at floor(i) and
+    floor(i) + 1, as a + (b - a) g for g = i - floor(i) below 0.5 and
+    b - (b - a)(1 - g) from there.  np.percentile imports numpy.ma on its
+    first call (about 12 ms and 2 MB)."""
+    index = (values.size - 1) * 0.9
+    lower = int(index)
+    order = [lower, min(lower + 1, values.size - 1)]
+    a, b = np.partition(values, order)[order]
+    fraction = index - lower
+    diff = b - a
+    return float(a + diff * fraction if fraction < 0.5 else b - diff * (1 - fraction))
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     """Seeded replicates of simulate -> estimate -> track, summarized."""
     truth = make_test_track(args.profile, args.n_bins, args.track_range)
@@ -223,11 +239,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"{'method':<14} {'mean rmse':>10} {'median':>10} {'p90':>10}")
     for name, values in results.items():
         values = np.array(values)
-        summary[f"mean_rmse_{name}"] = repr(float(values.mean()))
-        summary[f"median_rmse_{name}"] = repr(float(np.median(values)))
-        summary[f"p90_rmse_{name}"] = repr(float(np.percentile(values, 90)))
-        print(f"{name:<14} {values.mean():>10.5f} {np.median(values):>10.5f} "
-              f"{np.percentile(values, 90):>10.5f}")
+        mean, median, p90 = float(values.mean()), _median(values), _p90(values)
+        summary[f"mean_rmse_{name}"] = repr(mean)
+        summary[f"median_rmse_{name}"] = repr(median)
+        summary[f"p90_rmse_{name}"] = repr(p90)
+        print(f"{name:<14} {mean:>10.5f} {median:>10.5f} {p90:>10.5f}")
     mean_err = np.mean(hyper_errors, axis=0)
     for i, name in enumerate(("r_a", "r_b", "r_nu")):
         summary[f"mean_abs_log10_error_{name}"] = repr(float(mean_err[i]))

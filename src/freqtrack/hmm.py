@@ -19,12 +19,13 @@ match a dense search on that cost bit for bit, in O(T P W), at worst at
 the dense O(T P^2) cost plus the band.
 
 Forward and backward apply the Gaussian transition T[q, p] =
-k[|p - q|] / z[q] as a correlation with the kernel cut after lag h, the
-last lag where k exceeds KERNEL_CUTOFF = 2^-106, and never build the P x P
-matrix.  Each bin bounds how much the dropped entries could have moved its
-result and is recomputed with all 2P - 1 kernel taps unless that bound is
-within eps of it; a kernel whose 2h+1 taps would outnumber the P states
-keeps all 2P - 1 from the start.  The cost is O(T P h), at worst O(T P^2).
+k[|p - q|] / z[q] as a correlation with the transition's band, the kernel
+cut after lag h, the last lag where k exceeds markov.KERNEL_CUTOFF =
+2^-106, and never build the P x P matrix.  Each bin bounds how much the
+dropped entries could have moved its result and is recomputed with all
+2P - 1 kernel taps unless that bound is within eps of it; a kernel whose
+2h+1 taps would outnumber the P states keeps all 2P - 1 from the start.
+The cost is O(T P h), at worst O(T P^2).
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ from freqtrack.spectral import periodogram_table
 # Viterbi folds its band and searches rows densely in blocks of at most
 # this many pair sums (512 KiB of floats).
 _BLOCK = 2**16
-
-# Kernel values at or below u^2 = 2^-106 (u = 2^-53) are dropped from the
-# forward-backward band: next to the diagonal entry 1 they lie below the
-# rounding of its rounding error.
-KERNEL_CUTOFF = 2.0**-106
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -125,22 +121,8 @@ class ForwardBackwardResult:
     forward: np.ndarray       # (T, P), rows sum to 1
     normalizers: np.ndarray   # (T,), computed on shifted observation rows
     log_likelihood: float
-    half_width: int           # kernel lags kept on each side; P - 1 for all of them
-    truncation_bound: float   # largest dropped kernel value k[h+1]; 0 when none is dropped
     fallback_bins: int        # bins recomputed with all 2P - 1 taps, both passes
     backward: np.ndarray | None = None
-
-
-def _kernel_band(trans: GaussianTransition) -> tuple[int, np.ndarray, float]:
-    """(h, taps, k[h+1]): the 2h+1 kernel taps at lags -h ... h, h the last
-    lag whose value exceeds KERNEL_CUTOFF.  When 2h+1 > P all 2P - 1 taps
-    are kept, with h = P - 1 and bound 0."""
-    kernel = trans.kernel
-    size = kernel.size
-    half = int(np.count_nonzero(kernel > KERNEL_CUTOFF)) - 1
-    if 2 * half + 1 > size:
-        return size - 1, trans.taps, 0.0
-    return half, trans.taps[size - 1 - half:size + half], float(kernel[half + 1])
 
 
 def _correlate(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -158,16 +140,16 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     the log-likelihood reads that shift, not backward or the posteriors.
 
     Each step f @ T is the correlation of f / norm with the 2h+1 kernel
-    taps kept by _kernel_band, O(P h) instead of O(P^2).  The dropped
-    entries are at most k[h+1], the scaled observation row at most 1 and
-    sum(f / norm) at most sum(f) = 1, as every norm is at least 1, so they
-    move the bin's normalizer by at most P k[h+1]; a bin where that is not
-    within eps of the normalizer is recomputed with all 2P - 1 taps.  The
-    cost is O(T P h), O(T P^2) at worst.
+    taps of trans.band, O(P h) instead of O(P^2).  The dropped entries are
+    at most k[h+1], the scaled observation row at most 1 and sum(f / norm)
+    at most sum(f) = 1, as every norm is at least 1, so they move the bin's
+    normalizer by at most P k[h+1]; a bin where that is not within eps of
+    the normalizer is recomputed with all 2P - 1 taps.  The cost is
+    O(T P h), O(T P^2) at worst.
     """
     scaled = obs.scaled
     n_bins, n_states = scaled.shape
-    half, taps, bound = _kernel_band(trans)
+    _, taps, bound = trans.band
     dropped = n_states * bound
     fwd = np.empty((n_bins, n_states))
     norms = np.empty(n_bins)
@@ -193,7 +175,7 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
         row /= norm
     log_likelihood = float(np.sum(np.log(norms)) + np.sum(shifts))
     return ForwardBackwardResult(forward=fwd, normalizers=norms, log_likelihood=log_likelihood,
-                                 half_width=half, truncation_bound=bound, fallback_bins=fallbacks)
+                                 fallback_bins=fallbacks)
 
 
 def backward(obs: ObservationTable, trans: GaussianTransition,
@@ -210,7 +192,7 @@ def backward(obs: ObservationTable, trans: GaussianTransition,
     """
     scaled = obs.scaled
     n_bins, n_states = scaled.shape
-    _, taps, bound = _kernel_band(trans)
+    _, taps, bound = trans.band
     bwd = np.empty((n_bins, n_states))
     bwd[-1] = 1.0
     weights = np.empty(n_states)

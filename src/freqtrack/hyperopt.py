@@ -19,8 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from freqtrack.baselines import decimal_part
 # unused, but perfbench's tracing.SITES pins posterior_marginals and transition_matrix here
-from freqtrack.hmm import (KERNEL_CUTOFF, NumericalError, _kernel_band, forward,
-                           forward_backward, observation_table, posterior_marginals)
+from freqtrack.hmm import (NumericalError, forward, forward_backward, observation_table,
+                           posterior_marginals)
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
@@ -114,7 +114,7 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     scaled[1:] backward[1:] / c[1:], c the forward normalizers, so the first
     term is sum_j k[|j|] (j spacing)^2 c[j] over the lag sums
     c[j] = sum_{t,q} head[t, q] weighted[t, q + j] (_step_moment), taken
-    over the 2h+1 taps _kernel_band keeps.  e[q] z[q] is one convolution of
+    over the 2h+1 taps of trans.band.  e[q] z[q] is one convolution of
     ones with all 2P - 1 taps times d^2, O(P^2) time and O(P) memory.
 
     Certificate.  Beyond lag h the kernel is below KERNEL_CUTOFF, far past
@@ -148,7 +148,7 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     head = fb.forward[:-1] / trans.norm
     weighted = obs.scaled[1:] * fb.backward[1:]
     weighted /= fb.normalizers[1:, None]
-    half, taps, bound = _kernel_band(trans)
+    half, taps, bound = trans.band
     moment = _step_moment(head, weighted, taps, spacing)
     dropped = bound * ((half + 1) * spacing) ** 2 * float(head.sum(axis=1) @ weighted.sum(axis=1))
     if not dropped <= np.finfo(float).eps * moment:  # NaN fails
@@ -437,10 +437,10 @@ def estimate_ml(
     the start's too: an accepted point is the lowest evaluation unless a
     rejected probe of its search was lower.
 
-    Whatever the exit, a minimizer whose kernel value at lag 1 is at or
-    below KERNEL_CUTOFF is reported as "r_nu_below_resolution": the grid
-    cannot resolve that r_nu, the transition is the identity there and the
-    criterion flat in r_nu, so the fit has not converged.
+    Whatever the exit, a minimizer whose transition band keeps lag 0 alone
+    is reported as "r_nu_below_resolution": the grid cannot resolve that
+    r_nu, the transition is the identity there and the criterion flat in
+    r_nu, so the fit has not converged.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -542,7 +542,7 @@ def estimate_ml(
             break
 
     minimizer = Hyperparameters.from_array(np.exp(x))
-    if gaussian_transition(grid, minimizer.r_nu).kernel[1] <= KERNEL_CUTOFF:
+    if gaussian_transition(grid, minimizer.r_nu).band[0] == 0:
         stop_reason = "r_nu_below_resolution"
     return OptimizerReport(
         minimizer=minimizer,

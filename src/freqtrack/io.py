@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import warnings
 
 import numpy as np
@@ -15,14 +14,13 @@ class DataFormatError(ValueError):
 
 
 def write_dataset_csv(path, dataset: DataSet) -> None:
-    """Rows `t,n,re,im` with t in 1..T and n in 1..N, full precision."""
+    """Rows `t,n,re,im` with t in 1..T and n in 1..N, full precision,
+    written at once as write_track_csv writes its rows."""
+    rows = "".join(f"{t},{n},{value.real!r},{value.imag!r}\r\n"
+                   for t, record in enumerate(dataset.samples.tolist(), start=1)
+                   for n, value in enumerate(record, start=1))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n", "re", "im"])
-        for t in range(dataset.n_bins):
-            for n in range(dataset.n_samples):
-                value = dataset.samples[t, n]
-                writer.writerow([t + 1, n + 1, repr(float(value.real)), repr(float(value.imag))])
+        fh.write("t,n,re,im\r\n" + rows)
 
 
 def _read_rows(path, header: str, dtype: list) -> np.ndarray:

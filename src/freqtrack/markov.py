@@ -10,6 +10,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from freqtrack.likelihood import in_initial_band
 
+# Kernel values at or below u^2 = 2^-106 (u = 2^-53) are cut from the
+# transition's band: next to the diagonal entry 1 they lie below the
+# rounding of its rounding error.
+KERNEL_CUTOFF = 2.0**-106
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -60,10 +65,17 @@ class GaussianTransition:
         return np.concatenate([self.kernel[:0:-1], self.kernel])
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense (P, P) row-stochastic matrix."""
-        # divides a zero-copy Toeplitz view of the taps, so one P x P array is built
-        return sliding_window_view(self.taps, self.kernel.size)[::-1] / self.norm[:, None]
+    def band(self) -> tuple[int, np.ndarray, float]:
+        """(h, taps, k[h+1]): the 2h+1 kernel taps at lags -h ... h, h the last
+        lag whose value exceeds KERNEL_CUTOFF, and the largest value cut.  As
+        kernel[0] = 1 and the kernel does not increase, h = 0 exactly when
+        kernel[1] <= KERNEL_CUTOFF.  When 2h+1 > P all 2P - 1 taps are kept,
+        with h = P - 1 and bound 0."""
+        size = self.kernel.size
+        half = int(np.count_nonzero(self.kernel > KERNEL_CUTOFF)) - 1
+        if 2 * half + 1 > size:
+            return size - 1, self.taps, 0.0
+        return half, self.taps[size - 1 - half:size + half], float(self.kernel[half + 1])
 
 
 def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:
@@ -85,7 +97,9 @@ def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:
 
 def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:
     """Dense row-stochastic (P, P) matrix of gaussian_transition(grid, r_nu)."""
-    return gaussian_transition(grid, r_nu).matrix
+    trans = gaussian_transition(grid, r_nu)
+    # divides a zero-copy Toeplitz view of the taps, so one P x P array is built
+    return sliding_window_view(trans.taps, grid.size)[::-1] / trans.norm[:, None]
 
 
 def initial_distribution(grid: FrequencyGrid) -> np.ndarray:

@@ -20,7 +20,8 @@ from freqtrack.hyperopt import (
     hyper_nll_gradient,
 )
 from freqtrack.likelihood import data_misfit, map_objective, smoothing_weight
-from freqtrack.markov import FrequencyGrid, gaussian_transition, initial_distribution
+from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
+                              transition_matrix)
 from freqtrack.refine import objective_gradient, refine_map
 from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
 from freqtrack.spectral import periodogram, periodogram_deriv_many, periodogram_table
@@ -51,7 +52,7 @@ def test_criterion_1_hmm_oracle_equivalence():
         grid = FrequencyGrid(-1.0, 1.0, n_states)
         r_nu = float(rng.uniform(0.01, 1.0))
         transition = gaussian_transition(grid, r_nu)
-        trans = transition.matrix
+        trans = transition_matrix(grid, r_nu)
         init = initial_distribution(grid)
         obs = table(rng.normal(0, 5, (n_bins, n_states)))
         bf = brute_force_joint(obs, trans, init)
@@ -271,7 +272,7 @@ def test_criterion_8_hyperparameter_recovery():
 def test_criterion_9_probability_hygiene():
     ds, _ = standard_dataset()
     transition = gaussian_transition(GRID, TRUE_HYPER.r_nu)
-    trans = transition.matrix
+    trans = transition_matrix(GRID, TRUE_HYPER.r_nu)
     init = initial_distribution(GRID)
     obs = observation_table(ds, GRID, TRUE_HYPER)
     fb = forward_backward(obs, transition, init)

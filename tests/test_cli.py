@@ -17,7 +17,8 @@ from freqtrack import io as ftio
 from freqtrack.cli import main, make_parser, rmse
 from freqtrack.hyperopt import DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, hyper_nll
 from freqtrack.markov import FrequencyGrid
-from freqtrack.signal import MIN_SAMPLES, Hyperparameters, make_test_track, synthesize_dataset
+from freqtrack.signal import (MIN_SAMPLES, DataSet, Hyperparameters, make_test_track,
+                              synthesize_dataset)
 from oracles import csv_read_dataset, csv_read_track
 
 
@@ -63,6 +64,23 @@ def test_track_csv_bytes_equal_csv_writer_output(tmp_path):
     assert path.read_bytes() == expected.getvalue().encode()
     back = ftio.read_track_csv(path)
     assert back.tobytes() == track.tobytes()
+
+
+def test_dataset_csv_bytes_equal_csv_writer_output(tmp_path):
+    # record energies stay below MAX_RECORD_ENERGY, about 1.2e77
+    values = [0.1, -0.0, 0.0, 1e-300, 1e38, -2.5, 1 / 3, 5e-324, -1.5e38]
+    samples = np.array(values[:8]) + 1j * np.array(values[1:])
+    ds = DataSet(samples=samples.reshape(4, 2))
+    path = tmp_path / "ds.csv"
+    ftio.write_dataset_csv(path, ds)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "n", "re", "im"])
+    for t, record in enumerate(ds.samples, start=1):
+        for n, value in enumerate(record, start=1):
+            writer.writerow([t, n, repr(float(value.real)), repr(float(value.imag))])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert ftio.read_dataset_csv(path).samples.tobytes() == ds.samples.tobytes()
 
 
 def test_key_values_round_trip(tmp_path):
@@ -655,6 +673,25 @@ def test_estimate_never_imports_numpy_ma(tmp_path):
     # every estimate process
     _run_without_scipy(tmp_path, ["estimate", str(tmp_path / "dataset.csv")],
                        "if 'numpy.ma' in sys.modules: sys.exit('estimate imported numpy.ma')")
+
+
+def test_eval_never_imports_numpy_ma(tmp_path):
+    # np.median and np.percentile import numpy.ma on their first call: about
+    # 12 ms and 2 MB of every eval process
+    _run_without_scipy(tmp_path, ["eval", "--replicates", "2", "--bins", "16",
+                                  "--grid=-1.5,1.5,32"],
+                       "if 'numpy.ma' in sys.modules: sys.exit('eval imported numpy.ma')")
+
+
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40))
+@example([0.25])
+@example([0.0, 1.0])
+@example([3.0, 1.0, 2.0, 0.5, 7.0, 1.0, 2.0, 9.0, 4.0, 6.0, 5.0])
+def test_eval_p90_equals_numpy_percentile_bit_for_bit(values):
+    # the RMSE values eval summarizes: finite and not negative; its median,
+    # hyperopt._median, has its own test
+    values = np.array(values)
+    assert cli._p90(values).hex() == float(np.percentile(values, 90)).hex()
 
 
 @pytest.mark.parametrize("command", ["simulate", "track", "eval"])

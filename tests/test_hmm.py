@@ -11,7 +11,6 @@ from scipy.special import logsumexp
 
 from freqtrack import hmm
 from freqtrack.hmm import (
-    KERNEL_CUTOFF,
     backward,
     forward,
     forward_backward,
@@ -20,7 +19,7 @@ from freqtrack.hmm import (
     viterbi,
 )
 from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient, smoothing_weight
-from freqtrack.markov import (FrequencyGrid, GaussianTransition, gaussian_transition,
+from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, gaussian_transition,
                               initial_distribution, transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
@@ -36,6 +35,11 @@ def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
     init = initial_distribution(grid)
     obs = table(rng.normal(0, scale, (n_bins, n_states)))
     return grid, obs, trans, init
+
+
+def dense_matrix(transition):
+    """The dense (P, P) matrix T[q, p] = kernel[|p - q|] / norm[q]."""
+    return toeplitz(transition.kernel) / transition.norm[:, None]
 
 
 def dense_min_cost_path(local, grid, lam):
@@ -172,9 +176,9 @@ def test_forward_backward_match_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(20):
         grid, obs, trans, init = random_instance(rng)
-        bf = brute_force_joint(obs, trans.matrix, init)
+        bf = brute_force_joint(obs, dense_matrix(trans), init)
         fb = forward_backward(obs, trans, init)
-        post = posterior_marginals(fb, obs, trans.matrix)
+        post = posterior_marginals(fb, obs, dense_matrix(trans))
         assert fb.log_likelihood == pytest.approx(bf.log_likelihood, rel=1e-10)
         assert np.max(np.abs(post.singles - bf.singles)) < 1e-10
         assert np.max(np.abs(post.pair_sum - bf.pairs.sum(axis=0))) < 1e-10
@@ -210,7 +214,7 @@ def test_backward_two_bin_hand_computation():
     fb = forward_backward(obs, trans, init)
     scaled = obs.scaled
     for p in range(2):
-        expected = np.sum(scaled[1] * trans.matrix[p]) / fb.normalizers[1]
+        expected = np.sum(scaled[1] * transition_matrix(grid, 0.1)[p]) / fb.normalizers[1]
         assert fb.backward[0, p] == pytest.approx(expected, rel=1e-12)
 
 
@@ -232,12 +236,9 @@ def dense_forward_backward(obs, trans, init):
 
 
 def assert_matches_dense(obs, transition, init):
-    """forward_backward, run with GaussianTransition.matrix raising, equals
-    the dense reference on the same transition."""
-    dense = toeplitz(transition.kernel) / transition.norm[:, None]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GaussianTransition, "matrix", property(_refuse_dense))
-        fb = forward_backward(obs, transition, init)
+    """forward_backward equals the dense reference on the same transition."""
+    dense = dense_matrix(transition)
+    fb = forward_backward(obs, transition, init)
     log_likelihood, fwd, bwd = dense_forward_backward(obs, dense, init)
     assert fb.log_likelihood == pytest.approx(log_likelihood, rel=1e-12)
     # entries reached only through dropped kernel values (<= 2^-106) differ
@@ -251,10 +252,6 @@ def assert_matches_dense(obs, transition, init):
     return fb
 
 
-def _refuse_dense(transition):
-    raise AssertionError("forward-backward built the dense transition matrix")
-
-
 @pytest.mark.parametrize("r_nu", [1e-12, 1e-4, 1e-2, 1.0, 1e6])
 @pytest.mark.parametrize("n_states", [17, 128, 384])
 def test_forward_backward_band_equals_dense(n_states, r_nu):
@@ -264,12 +261,15 @@ def test_forward_backward_band_equals_dense(n_states, r_nu):
     init = initial_distribution(grid)
     fb = assert_matches_dense(table(rows), transition, init)
     kernel = transition.kernel
-    if fb.half_width < n_states - 1:
-        assert np.all(kernel[:fb.half_width + 1] > KERNEL_CUTOFF)
-        assert fb.truncation_bound == kernel[fb.half_width + 1] <= KERNEL_CUTOFF
+    half, taps, bound = transition.band
+    if half < n_states - 1:
+        assert np.all(kernel[:half + 1] > KERNEL_CUTOFF)
+        assert bound == kernel[half + 1] <= KERNEL_CUTOFF
+        assert np.array_equal(taps, np.concatenate([kernel[half:0:-1], kernel[:half + 1]]))
     else:  # 2h+1 > P: all 2P - 1 taps
         assert 2 * np.count_nonzero(kernel > KERNEL_CUTOFF) - 1 > n_states
-        assert fb.truncation_bound == 0.0 and fb.fallback_bins == 0
+        assert bound == 0.0 and fb.fallback_bins == 0
+        assert taps is transition.taps
 
 
 def test_forward_backward_band_falls_back_on_a_forced_jump():
@@ -282,8 +282,30 @@ def test_forward_backward_band_falls_back_on_a_forced_jump():
     rows[2] = np.random.default_rng(1).normal(0, 5, 128)
     init = initial_distribution(grid)
     fb = assert_matches_dense(table(rows), transition, init)
-    assert fb.half_width == 12
+    assert transition.band[0] == 12
     assert fb.fallback_bins >= 1
+
+
+@pytest.mark.parametrize("r_nu, jump", [(None, True), (1e6, False)], ids=["band", "all-taps"])
+def test_forward_backward_at_a_wide_grid_builds_no_state_by_state_array(r_nu, jump):
+    # one P x P float array is 32 MiB at P = 2048.  With sigma one state the
+    # band keeps 12 lags, and a row whose mass sits 20 states from the last
+    # one's forces bins onto all 2P - 1 taps; r_nu = 1e6 keeps them throughout
+    grid = FrequencyGrid(-2.5, 2.5, 2048)
+    transition = gaussian_transition(grid, r_nu or grid.spacing**2)
+    rows = np.random.default_rng(2048).normal(0, 5, (4, 2048))
+    if jump:
+        rows[:2] = -1e3
+        rows[0, 1024] = rows[1, 1044] = 0.0
+    obs = table(rows)
+    tracemalloc.start()
+    try:
+        fb = forward_backward(obs, transition, initial_distribution(grid))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.size**2 * 8
+    assert (fb.fallback_bins > 0) == jump
 
 
 def test_forward_bin_zero_peak_outside_initial_band():
@@ -298,7 +320,7 @@ def test_forward_bin_zero_peak_outside_initial_band():
     result = forward(table(rows), transition, init)
     with np.errstate(divide="ignore"):
         log_alpha = np.log(init) + rows[0]
-        log_trans = np.log(transition.matrix)
+        log_trans = np.log(transition_matrix(grid, 0.05))
     expected = [log_alpha]
     for row in rows[1:]:
         expected.append(logsumexp(expected[-1][:, None] + log_trans, axis=0) + row)
@@ -312,7 +334,7 @@ def test_posterior_pair_consistency():
     rng = np.random.default_rng(6)
     grid, obs, trans, init = random_instance(rng, n_bins=4, n_states=5)
     fb = forward_backward(obs, trans, init)
-    post = posterior_marginals(fb, obs, trans.matrix)
+    post = posterior_marginals(fb, obs, dense_matrix(trans))
     assert np.allclose(post.singles.sum(axis=1), 1.0, atol=1e-10)
     for i in range(3):
         assert np.allclose(post.pairs[i].sum(axis=0), post.singles[i + 1], atol=1e-10)
@@ -326,7 +348,7 @@ def test_degenerate_chain_gives_one_hot_posteriors():
     init[2] = 1.0
     obs = table(np.zeros((4, 5)))
     fb = forward_backward(obs, trans, init)
-    post = posterior_marginals(fb, obs, trans.matrix)
+    post = posterior_marginals(fb, obs, dense_matrix(trans))
     expected = np.zeros((4, 5))
     expected[:, 2] = 1.0
     assert np.allclose(post.singles, expected, atol=1e-9)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from freqtrack import hmm, hyperopt
 from freqtrack.baselines import unwrap_track
-from freqtrack.hmm import KERNEL_CUTOFF, ObservationTable, observation_table
+from freqtrack.hmm import ObservationTable, observation_table
 from freqtrack.hyperopt import (
     LINE_SEARCH_TOL,
     LINE_SEARCHES,
@@ -21,8 +21,8 @@ from freqtrack.hyperopt import (
     hyper_nll,
     hyper_nll_gradient,
 )
-from freqtrack.markov import (FrequencyGrid, GaussianTransition, gaussian_transition,
-                              initial_distribution, transition_matrix)
+from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, GaussianTransition,
+                              gaussian_transition, initial_distribution, transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
 from freqtrack.spectral import empirical_correlation, periodogram_table
@@ -174,7 +174,7 @@ def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch)
     # recomputed with all 2P - 1 taps and again equals the dense one
     ds, hyper, grid = r_nu_problem(128, 128, 4e-3)
     sizes = []
-    step_moment, kernel_band = hyperopt._step_moment, hyperopt._kernel_band
+    step_moment = hyperopt._step_moment
 
     def recorded(head, weighted, taps, spacing):
         sizes.append(taps.size)
@@ -186,11 +186,11 @@ def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch)
 
     monkeypatch.setattr(hyperopt, "_step_moment", recorded)
     expected, scale = dense_r_nu_gradient(ds, hyper, grid)
-    half = kernel_band(gaussian_transition(grid, hyper.r_nu))[0]
+    half = gaussian_transition(grid, hyper.r_nu).band[0]
     assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
     assert sizes == [2 * half + 1] and half < grid.size - 1
     sizes.clear()
-    monkeypatch.setattr(hyperopt, "_kernel_band", short)
+    monkeypatch.setattr(GaussianTransition, "band", property(short))
     assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
     assert sizes == [5, 2 * grid.size - 1]
 
@@ -199,7 +199,6 @@ def test_fit_builds_no_transition_matrix_or_pair_marginals(monkeypatch):
     def refuse(*args):
         raise AssertionError("the fit built a dense transition or pair marginals")
 
-    monkeypatch.setattr(GaussianTransition, "matrix", property(refuse))
     monkeypatch.setattr(hyperopt, "transition_matrix", refuse)
     monkeypatch.setattr(hyperopt, "posterior_marginals", refuse)
     assert estimate_ml(*standard_dataset()).stop_reason == "relative_decrease"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from freqtrack.markov import (FrequencyGrid, initial_distribution,
-                              transition_matrix)
+from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, gaussian_transition,
+                              initial_distribution, transition_matrix)
 
 
 def test_grid_states():
@@ -81,6 +81,27 @@ def test_transition_depends_only_on_squared_distance():
                     / (2 * r_nu)
                 )
                 assert trans[q, p1] / trans[q, p2] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", [(-4.0, 4.0, 2), (0.3, 2.7, 17), (-2.5, 2.5, 128),
+                                  (-3.5, 3.5, 384)])
+def test_band_keeps_lag_zero_alone_exactly_when_kernel_1_is_cut(spec):
+    # kernel[1] = 2^-106 near r_nu = spacing^2 / (212 ln 2): the sweep crosses
+    # that point in relative steps of 1e-4, and bisection finds the two
+    # adjacent floats between which kernel[1] <= KERNEL_CUTOFF stops holding
+    grid = FrequencyGrid(*spec)
+
+    def cut(r_nu):
+        return gaussian_transition(grid, r_nu).kernel[1] <= KERNEL_CUTOFF
+
+    sweep = list(grid.spacing**2 / (212 * np.log(2)) * np.geomspace(0.99, 1.01, 201))
+    low, high = next(pair for pair in zip(sweep, sweep[1:]) if cut(pair[0]) != cut(pair[1]))
+    while np.nextafter(low, high) < high:
+        middle = low + (high - low) / 2
+        low, high = (middle, high) if cut(middle) == cut(low) else (low, middle)
+    for r_nu in sweep + [np.nextafter(low, 0.0), low, high, np.nextafter(high, np.inf)]:
+        assert (gaussian_transition(grid, r_nu).band[0] == 0) == cut(r_nu), r_nu
+    assert cut(low) and not cut(high)
 
 
 def test_initial_distribution_band():
