@@ -32,9 +32,9 @@ def ml_periodogram_argmax(dataset: DataSet) -> np.ndarray:
     polish step when the local curvature allows it.
     """
     nus = -0.5 + np.arange(1, ARGMAX_GRID_SIZE + 1) / ARGMAX_GRID_SIZE
-    p_table = periodogram_table(dataset.samples, nus)
+    p_table = periodogram_table(dataset.lags, nus)
     peaks = nus[np.argmax(p_table, axis=1)]
-    first, second = periodogram_deriv_many(dataset.samples, peaks)
+    first, second = periodogram_deriv_many(dataset.lags, peaks)
     spacing = 1.0 / ARGMAX_GRID_SIZE
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(second < 0, -first / second, 0.0)

@@ -95,7 +95,7 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
                       periodograms: np.ndarray | None = None) -> ObservationTable:
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
 
-    periodograms, when given, is periodogram_table(dataset.samples,
+    periodograms, when given, is periodogram_table(dataset.lags,
     grid.states), computed once for many hyperparameters and read, not
     copied or recomputed.
 
@@ -112,7 +112,7 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
         raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
                                   "the likelihood coefficient log beta or energy / r_b non-finite")
     if periodograms is None:
-        periodograms = periodogram_table(dataset.samples, grid.states)
+        periodograms = periodogram_table(dataset.lags, grid.states)
     return ObservationTable(periodograms, alpha, log_beta, gamma)
 
 

@@ -24,7 +24,7 @@ from freqtrack.hmm import (NumericalError, forward, forward_backward, observatio
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
-from freqtrack.spectral import empirical_correlation, periodogram_table
+from freqtrack.spectral import periodogram_table
 
 STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribiere", "bfgs")
 # bfgs curves its steps with the inverse Hessian that the exact gradients'
@@ -60,7 +60,7 @@ def hyper_nll(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid, *,
               periodograms: np.ndarray | None = None, held: list | None = None) -> float:
     """Negative log-likelihood of the hyperparameters (one forward pass).
 
-    periodograms is periodogram_table(dataset.samples, grid.states), computed
+    periodograms is periodogram_table(dataset.lags, grid.states), computed
     here when not given.  When held is a list, the observation table and the
     forward pass are appended to it as one pair, for hyper_nll_gradient at
     the same hyperparameters.
@@ -172,7 +172,7 @@ def _median(values: np.ndarray) -> float:
 
 def empirical_init(dataset: DataSet, grid: FrequencyGrid,
                    periodograms: np.ndarray | None = None) -> Hyperparameters:
-    """Starting point from per-bin correlation lags and aliased peak frequencies.
+    """Starting point from the dataset's lags and aliased peak frequencies.
 
     r_a = N / (N - 1) mean_t |c_t(1)|, the mean over bins of the lag-1
     magnitude, which for a cisoid is (N - 1) / N times its power: averaging
@@ -187,22 +187,21 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid,
     1e-6 r(0) and r_nu at the grid spacing squared, where the transition
     still moves mass to the neighbouring states.
 
-    periodograms is periodogram_table(dataset.samples, grid.states), computed
+    periodograms is periodogram_table(dataset.lags, grid.states), computed
     here when not given; the argmax reads its start-band columns.
     """
     if dataset.n_bins < 2:
         raise ValueError("need at least two bins")
-    lags = empirical_correlation(dataset.samples)
-    r0 = float(np.mean(lags[:, 0].real))
+    r0 = float(np.mean(dataset.lags[:, 0].real))
     if r0 <= 0:
         raise ValueError("degenerate all-zero data")
     n = dataset.n_samples
-    r1 = n / (n - 1) * float(np.mean(np.abs(lags[:, 1])))
+    r1 = n / (n - 1) * float(np.mean(np.abs(dataset.lags[:, 1])))
     r_a = max(r1, 1e-6 * r0)
     r_b = max(r0 - r1, 1e-6 * r0)
 
     if periodograms is None:
-        periodograms = periodogram_table(dataset.samples, grid.states)
+        periodograms = periodogram_table(dataset.lags, grid.states)
     band = initial_distribution(grid) > 0
     ml_freqs = grid.states[band][np.argmax(periodograms[:, band], axis=1)]
     spread = 1.4826 * _median(np.abs(decimal_part(np.diff(ml_freqs))))
@@ -447,7 +446,7 @@ def estimate_ml(
     if line_search not in LINE_SEARCHES:
         raise ValueError(f"unknown line search {line_search!r}")
 
-    periodograms = periodogram_table(dataset.samples, grid.states)
+    periodograms = periodogram_table(dataset.lags, grid.states)
     # the lowest evaluation: (hyperparameters, value, [(observation table, forward pass)])
     lowest = (None, np.inf, [])
     function_evals = gradient_evals = 0

@@ -70,12 +70,12 @@ def in_initial_band(nu):
     return (nu > -0.5) & (nu <= 0.5)
 
 
-def data_misfit(samples: np.ndarray, track) -> float:
-    """Negative sum of per-bin periodograms of the (T, N) samples along the track (SIP)."""
+def data_misfit(lags: np.ndarray, track) -> float:
+    """Negative sum of per-bin periodograms along the track (SIP), from DataSet.lags."""
     track = np.asarray(track, dtype=float)
-    if track.size != samples.shape[0]:
-        raise ValueError(f"track length {track.size} != number of bins {samples.shape[0]}")
-    return -float(np.sum(periodogram(samples, track)))
+    if track.size != lags.shape[0]:
+        raise ValueError(f"track length {track.size} != number of bins {lags.shape[0]}")
+    return -float(np.sum(periodogram(lags, track)))
 
 
 def map_objective(dataset: DataSet, track, hyper: Hyperparameters) -> float:
@@ -84,4 +84,4 @@ def map_objective(dataset: DataSet, track, hyper: Hyperparameters) -> float:
     if not in_initial_band(track[0]):
         return np.inf
     lam = smoothing_weight(hyper, dataset.n_samples)
-    return data_misfit(dataset.samples, track) + lam * float(np.sum(np.diff(track) ** 2))
+    return data_misfit(dataset.lags, track) + lam * float(np.sum(np.diff(track) ** 2))

@@ -31,7 +31,7 @@ def objective_gradient(dataset: DataSet, track,
     if not in_initial_band(track[0]):
         raise ValueError("first frequency outside the initial band: criterion is infinite")
     lam = smoothing_weight(hyper, dataset.n_samples)
-    first, second = periodogram_deriv_many(dataset.samples, track)
+    first, second = periodogram_deriv_many(dataset.lags, track)
     diffs = np.diff(track)
     pen = np.zeros_like(track)
     pen[1:] += 2.0 * diffs
@@ -95,9 +95,10 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
 
     Each Newton step solves the tridiagonal system in O(T), with step
     halving and a gradient fallback whenever the system is indefinite or the
-    step fails to decrease the criterion; a non-finite system raises
-    ValueError.  Steps that push the first frequency out of the band are
-    rejected by the same decrease test (infinite criterion).
+    step lowers the criterion by no more than 16 eps max(1, |f|); a
+    non-finite system raises ValueError.  Steps that push the first
+    frequency out of the band are rejected by the same test (infinite
+    criterion).
     """
     track = np.asarray(init_track, dtype=float).copy()
     value = map_objective(dataset, track, hyper)
@@ -116,8 +117,8 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
         if step is not None and float(step @ grad) >= 0.0:
             step = None
         # A Newton step whose predicted decrease -g.step/2 is below the
-        # rounding level of the criterion is taken in full: the decrease
-        # test would only compare rounding noise.
+        # rounding level of the criterion is taken in full; any other step
+        # must lower the criterion by more than that level.
         rounding = 16 * np.finfo(float).eps * max(1.0, abs(value))
         below_rounding = step is not None and -0.5 * float(grad @ step) < rounding
         if step is None:
@@ -125,10 +126,10 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
         scale = 1.0
         new_value = map_objective(dataset, track + scale * step, hyper)
         below_rounding = below_rounding and np.isfinite(new_value)
-        while not below_rounding and new_value >= value and scale > 1e-14:
+        while not below_rounding and not value - new_value > rounding and scale > 1e-14:
             scale *= 0.5
             new_value = map_objective(dataset, track + scale * step, hyper)
-        if not below_rounding and new_value >= value:
+        if not below_rounding and not value - new_value > rounding:
             stop_reason = "no_decrease"
             break
         track = track + scale * step

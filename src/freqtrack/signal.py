@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from freqtrack.spectral import empirical_correlation
+
 # Largest record energy sum_n |y(n)|^2 accepted.  alpha's denominator
 # r_b (N r_a + r_b) multiplies two variances of the order of the record
 # energy, so it overflows for energies near the square root of the float
@@ -60,13 +62,15 @@ class Hyperparameters:
 
 @dataclass
 class DataSet:
-    """T range bins of N complex samples each.
+    """T range bins of N complex samples each, with their energies and
+    correlation lags (spectral.empirical_correlation), computed once.
 
     Raises ValueError when a record's energy exceeds MAX_RECORD_ENERGY.
     """
 
     samples: np.ndarray
     energy: np.ndarray = field(init=False, repr=False)  # (T,): sum_n |y_t(n)|^2
+    lags: np.ndarray = field(init=False, repr=False)    # (T, N): empirical_correlation
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
@@ -86,6 +90,7 @@ class DataSet:
                              "the likelihood coefficient alpha would overflow")
         self.samples = samples
         self.energy = energy
+        self.lags = empirical_correlation(samples)
 
     @property
     def n_bins(self) -> int:

@@ -24,7 +24,8 @@ from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distri
                               transition_matrix)
 from freqtrack.refine import objective_gradient, refine_map
 from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
-from freqtrack.spectral import periodogram, periodogram_deriv_many, periodogram_table
+from freqtrack.spectral import (empirical_correlation, periodogram, periodogram_deriv_many,
+                                periodogram_table)
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
                      log_likelihood_entry, steps_within_half, table)
 
@@ -142,15 +143,15 @@ def test_criterion_3_gradient_suites():
 
     # (c) periodogram first and second derivatives vs finite differences
     for _ in range(20):
-        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        c = empirical_correlation(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         nu = float(rng.uniform(-1, 1))
-        (first,), (second,) = periodogram_deriv_many([y], [nu])
+        (first,), (second,) = periodogram_deriv_many([c], [nu])
         h = 1e-6
-        fd1 = (periodogram(y, nu + h) - periodogram(y, nu - h)) / (2 * h)
+        fd1 = (periodogram(c, nu + h) - periodogram(c, nu - h)) / (2 * h)
         ok &= abs(first - fd1) < 1e-6 * max(1.0, abs(fd1))
         h = 1e-4
-        fd2 = (periodogram(y, nu + h) - 2 * periodogram(y, nu)
-               + periodogram(y, nu - h)) / h**2
+        fd2 = (periodogram(c, nu + h) - 2 * periodogram(c, nu)
+               + periodogram(c, nu - h)) / h**2
         ok &= abs(second - fd2) < 1e-4 * max(1.0, abs(fd2))
 
     report(3, "gradient suites vs finite differences", ok)
@@ -175,7 +176,7 @@ def test_criterion_4_periodicity_invariants():
     a = map_objective(ds, track, TRUE_HYPER)
     for k in (-2, -1, 1, 3):
         shifted = track + k
-        b = data_misfit(ds.samples, shifted) + lam * float(np.sum(np.diff(shifted) ** 2))
+        b = data_misfit(ds.lags, shifted) + lam * float(np.sum(np.diff(shifted) ** 2))
         ok &= abs(a - b) < 1e-10 * max(1.0, abs(a))
     report(4, "periodicity invariants", ok)
 
@@ -202,8 +203,8 @@ def test_criterion_5_half_step_property_of_minimizers():
     after = map_objective(ds, fixed, TRUE_HYPER)
     ok &= after < before
     for t in range(16):
-        ok &= periodogram(ds.samples[t], fixed[t]) == pytest.approx(
-            periodogram(ds.samples[t], violating[t]), rel=1e-12
+        ok &= periodogram(ds.lags[t], fixed[t]) == pytest.approx(
+            periodogram(ds.lags[t], violating[t]), rel=1e-12
         )
     report(5, "refined tracks keep steps within half a cycle", ok)
 
@@ -261,7 +262,7 @@ def test_criterion_8_hyperparameter_recovery():
         track = (np.concatenate([[0.0], np.cumsum(rng.normal(0, np.sqrt(truth.r_nu), 127))])
                  + np.linspace(0, 3.0, 128))
         ds = synthesize_dataset(track, truth, 4, seed=5000 + rep)
-        argmax = band[np.argmax(periodogram_table(ds.samples, band), axis=1)]
+        argmax = band[np.argmax(periodogram_table(ds.lags, band), axis=1)]
         steps = (1.4826 * np.median(np.abs(np.diff(unwrap_track(argmax))))) ** 2
         unwrapped += int(empirical_init(ds, GRID).r_nu == pytest.approx(steps, rel=1e-12))
     ok = hits >= 15 and unwrapped == 20

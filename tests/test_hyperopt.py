@@ -214,7 +214,7 @@ def test_gradient_reusing_the_criterion_pass_is_bit_identical(monkeypatch, grid,
     # fresh gradient computes, so the gradient runs only the backward pass
     ds, _ = standard_dataset()
     grid = FrequencyGrid(*grid)
-    periodograms = periodogram_table(ds.samples, grid.states)
+    periodograms = periodogram_table(ds.lags, grid.states)
     held = []
     value = hyper_nll(ds, hyper, grid, periodograms=periodograms, held=held)
     assert value == hyper_nll(ds, hyper, grid) and len(held) == 1
@@ -246,7 +246,7 @@ def test_fit_gradients_equal_fresh_gradients(monkeypatch, strategy):
 def test_observation_table_from_a_cached_periodogram_table_is_bit_identical():
     ds, grid = standard_dataset()
     hyper = Hyperparameters(1.0, 0.1, 1e-3)
-    periodograms = periodogram_table(ds.samples, grid.states)
+    periodograms = periodogram_table(ds.lags, grid.states)
     cached = observation_table(ds, grid, hyper, periodograms)
     fresh = observation_table(ds, grid, hyper)
     assert cached.periodograms is periodograms
@@ -313,7 +313,7 @@ def test_empirical_init_r_nu_is_the_unwrapped_argmax_step_variance():
     ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, truth_r_nu), 4, seed=13)
     grid = FrequencyGrid(-2.5, 2.5, 128)
     band = grid.states[initial_distribution(grid) > 0]
-    argmax = band[np.argmax(periodogram_table(ds.samples, band), axis=1)]
+    argmax = band[np.argmax(periodogram_table(ds.lags, band), axis=1)]
     steps = np.diff(unwrap_track(argmax))
     robust = (1.4826 * np.median(np.abs(steps))) ** 2
     assert empirical_init(ds, grid).r_nu == pytest.approx(robust, rel=1e-12)
