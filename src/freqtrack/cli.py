@@ -21,7 +21,7 @@ from freqtrack import io as ftio
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.hmm import NumericalError, observation_table, viterbi
 from freqtrack.hyperopt import (DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, LINE_SEARCHES,
-                                STRATEGIES, _median, estimate_ml, hyper_nll)
+                                STRATEGIES, FitCriterion, _median, estimate_ml, hyper_nll)
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid, initial_distribution
 from freqtrack.refine import refine_map
@@ -121,9 +121,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
     """Sample the hyperparameter criterion on a log-spaced box around center,
-    computing the data's periodogram table once for all the points."""
+    every point reading one FitCriterion."""
     m = LEVELSET_SIZE
-    periodograms = observation_table(dataset, grid, center).periodograms
+    criterion = FitCriterion(dataset, grid)
     axes = [np.logspace(np.log10(v) - 1.0, np.log10(v) + 1.0, m)
             for v in (center.r_a, center.r_b, center.r_nu)]
     with open(path, "w") as fh:
@@ -131,8 +131,7 @@ def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
         for ra in axes[0]:
             for rb in axes[1]:
                 for rnu in axes[2]:
-                    value = hyper_nll(dataset, Hyperparameters(ra, rb, rnu), grid,
-                                      periodograms=periodograms)
+                    value = hyper_nll(criterion, Hyperparameters(ra, rb, rnu))
                     fh.write(f"{float(ra)!r},{float(rb)!r},{float(rnu)!r},{value!r}\n")
     print(f"wrote {path} ({m}x{m}x{m} samples)")
 

@@ -1,8 +1,13 @@
 """Viterbi, scaled forward/backward recursions, and posterior marginals.
 
-Observation rows log O = alpha P + log beta - gamma are max-shifted before
-exponentiation; the shifts are reinstated when the data log-likelihood is
-reconstructed, so very peaked likelihoods (hundreds of nats) stay exact.
+Observation rows enter the recursions as exp(alpha (P_t - m_t)), O_t over
+its largest entry (m_t = max P_t, alpha > 0), so log beta and gamma_t
+cancel; forward adds alpha sum_t m_t + T log beta - sum_t gamma_t back
+once, and rows peaked by thousands of nats stay exact.  The exponent is
+x (1 + theta), x = alpha (P - m) <= 0, |theta| <= 2u + u^2 (u = eps/2), and
+|x| exp(x) <= 1/e, so each entry is within 0.74u + rho of exp(x), rho the
+relative error of np.exp, however large alpha P and gamma_t are, where
+forming log O first would lose u (alpha |P| + |log beta| + gamma_t).
 
 Viterbi's pair cost lam * (lag * spacing)^2 depends only on the lag
 |p - q| between states.  Each stage searches the predecessors within W
@@ -56,7 +61,7 @@ class NumericalError(RuntimeError):
 class ObservationTable:
     """The periodograms P_t(p), whose negation is Viterbi's local cost (read
     in place, never copied), and the coefficients of the per-bin state
-    log-likelihoods log O_t(p) = alpha P_t(p) + log beta - gamma_t that
+    log-likelihoods log O_t(p) = alpha P_t(p) + log beta - gamma_t, which
     forward-backward reads as the rescaled table ``scaled``."""
 
     periodograms: np.ndarray  # (T, P)
@@ -64,22 +69,16 @@ class ObservationTable:
     log_beta: float
     gamma: np.ndarray         # (T,): record energy / r_b
 
-    def _log_prob(self, periodograms, gamma):
-        """log O at the given periodograms of bins with the given gamma."""
-        return self.alpha * periodograms + self.log_beta - gamma
-
     @cached_property
-    def row_shift(self) -> np.ndarray:
-        """(T,) per-row max of log O, the shift used for rescaling.  alpha > 0
-        and rounding is monotone, so it is log O at each row's largest
-        periodogram, bit for bit."""
-        return self._log_prob(self.periodograms.max(axis=1), self.gamma)
+    def row_max(self) -> np.ndarray:
+        """(T,) m_t, the largest periodogram of each bin."""
+        return self.periodograms.max(axis=1)
 
     @cached_property
     def scaled(self) -> np.ndarray:
-        """exp(log O) with each row divided by its max; entries in (0, 1]."""
-        scaled = self._log_prob(self.periodograms, self.gamma[:, None])
-        scaled -= self.row_shift[:, None]
+        """exp(alpha (P_t - m_t)), O_t over its largest entry; entries in (0, 1]."""
+        scaled = self.periodograms - self.row_max[:, None]
+        scaled *= self.alpha
         return np.exp(scaled, out=scaled)
 
     @property
@@ -133,11 +132,11 @@ def _correlate(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def forward(obs: ObservationTable, trans: GaussianTransition,
             init: np.ndarray) -> ForwardBackwardResult:
-    """Scaled forward recursion; log-likelihood includes the row shifts.
-
-    Bin 0 is shifted by its maximum over the admissible states (init > 0):
-    a peak on an inadmissible alias would scale all of them to zero.  Only
-    the log-likelihood reads that shift, not backward or the posteriors.
+    """Scaled forward recursion; the log-likelihood adds back
+    alpha sum_t m_t + T log beta - sum_t gamma_t, with m_0 bin 0's largest
+    periodogram over the admissible states (init > 0): a peak on an
+    inadmissible alias would scale all of them to zero.  Only the
+    log-likelihood reads m_0, not backward or the posteriors.
 
     Each step f @ T is the correlation of f / norm with the 2h+1 kernel
     taps of trans.band, O(P h) instead of O(P^2).  The dropped entries are
@@ -155,9 +154,9 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     norms = np.empty(n_bins)
     source = np.empty(n_states)
     fallbacks = 0
-    head = np.where(init > 0, obs._log_prob(obs.periodograms[0], obs.gamma[0]), -np.inf)
-    shifts = np.append(head.max(), obs.row_shift[1:])
-    np.multiply(np.exp(head - shifts[0]), init, out=fwd[0])
+    head = np.where(init > 0, obs.periodograms[0], -np.inf)
+    top = head.max()
+    np.multiply(np.exp(obs.alpha * (head - top)), init, out=fwd[0])
     norm = fwd[0].sum()
     for t in range(n_bins):
         row = fwd[t]
@@ -173,7 +172,8 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
             raise NumericalError(f"forward probability underflowed to zero at bin {t}")
         norms[t] = norm
         row /= norm
-    log_likelihood = float(np.sum(np.log(norms)) + np.sum(shifts))
+    offset = obs.alpha * (top + obs.row_max[1:].sum()) + n_bins * obs.log_beta - obs.gamma.sum()
+    log_likelihood = float(np.sum(np.log(norms)) + offset)
     return ForwardBackwardResult(forward=fwd, normalizers=norms, log_likelihood=log_likelihood,
                                  fallback_bins=fallbacks)
 

@@ -5,8 +5,10 @@ pass over the discrete chain.  Its exact gradient comes from the EM
 identity: the gradient of the marginal log-likelihood equals the gradient
 of the EM auxiliary function at the current point, which reduces to sums
 of posterior marginals against closed-form derivatives of the observation
-and transition log-probabilities.  Descent runs in log-parameter space so
-positivity never needs explicit constraints.
+and transition log-probabilities.  Both read one FitCriterion per
+(dataset, grid), which holds the periodogram table and the forward pass of
+the lowest evaluation.  Descent runs in log-parameter space so positivity
+never needs explicit constraints.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from freqtrack.baselines import decimal_part
 # unused, but perfbench's tracing.SITES pins posterior_marginals and transition_matrix here
 from freqtrack.hmm import (NumericalError, forward, forward_backward, observation_table,
                            posterior_marginals)
+from freqtrack.likelihood import lowers
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
@@ -56,20 +59,28 @@ ARMIJO = 1e-4
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def hyper_nll(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid, *,
-              periodograms: np.ndarray | None = None, held: list | None = None) -> float:
-    """Negative log-likelihood of the hyperparameters (one forward pass).
+class FitCriterion:
+    """The criterion of one fit, built once per (dataset, grid): the data-only
+    work every evaluation shares, the periodogram table and the initial
+    distribution, and ``lowest``, the (point, value, observation table,
+    forward pass) of the lowest hyper_nll evaluation so far."""
 
-    periodograms is periodogram_table(dataset.lags, grid.states), computed
-    here when not given.  When held is a list, the observation table and the
-    forward pass are appended to it as one pair, for hyper_nll_gradient at
-    the same hyperparameters.
-    """
-    obs = observation_table(dataset, grid, hyper, periodograms)
-    fwd = forward(obs, gaussian_transition(grid, hyper.r_nu), initial_distribution(grid))
-    if held is not None:
-        held.append((obs, fwd))
-    return -fwd.log_likelihood
+    def __init__(self, dataset: DataSet, grid: FrequencyGrid):
+        self.dataset, self.grid = dataset, grid
+        self.periodograms = periodogram_table(dataset.lags, grid.states)
+        self.init = initial_distribution(grid)
+        self.lowest = (None, np.inf, None, None)
+
+
+def hyper_nll(criterion: FitCriterion, hyper: Hyperparameters) -> float:
+    """Negative log-likelihood of the hyperparameters (one forward pass).
+    A value below criterion.lowest's replaces it."""
+    obs = observation_table(criterion.dataset, criterion.grid, hyper, criterion.periodograms)
+    fwd = forward(obs, gaussian_transition(criterion.grid, hyper.r_nu), criterion.init)
+    value = -fwd.log_likelihood
+    if value < criterion.lowest[1]:
+        criterion.lowest = (hyper, value, obs, fwd)
+    return value
 
 
 def _step_moment(head: np.ndarray, weighted: np.ndarray, taps: np.ndarray,
@@ -89,8 +100,7 @@ def _step_moment(head: np.ndarray, weighted: np.ndarray, taps: np.ndarray,
     return float(lag_sums @ (taps * (np.arange(-half, half + 1) * spacing) ** 2))
 
 
-def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: FrequencyGrid,
-                       periodograms: np.ndarray | None = None, held=None) -> np.ndarray:
+def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.ndarray:
     """Exact gradient [d/dlog r_a, d/dlog r_b, d/dlog r_nu] of hyper_nll via
     the EM identity.
 
@@ -114,8 +124,8 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     scaled[1:] backward[1:] / c[1:], c the forward normalizers, so the first
     term is sum_j k[|j|] (j spacing)^2 c[j] over the lag sums
     c[j] = sum_{t,q} head[t, q] weighted[t, q + j] (_step_moment), taken
-    over the 2h+1 taps of trans.band.  e[q] z[q] is one convolution of
-    ones with all 2P - 1 taps times d^2, O(P^2) time and O(P) memory.
+    over the 2h+1 taps of trans.band.  e[q] z[q] = cum[q] + cum[P-1-q],
+    cum the running sum of k[d] (d spacing)^2, as for the norm z: O(P).
 
     Certificate.  Beyond lag h the kernel is below KERNEL_CUTOFF, far past
     the peak of k[d] d^2 at d^2 spacing^2 = 2 r_nu, so k[d] d^2 falls with
@@ -124,16 +134,16 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     to the first term.  Where that is not within eps of the term (NaN
     fails) the term is recomputed with all 2P - 1 taps.
 
-    periodograms is as for hyper_nll.  held, the (observation table, forward
-    pass) pair that hyper_nll held at these same hyperparameters, is reused,
-    so only the backward pass and the reduction run; the result is the same
-    bit for bit.
+    Where hyper is the point of criterion.lowest its observation table and
+    forward pass are reused, so only the backward pass and the reduction
+    run; the result is the same bit for bit.
     """
-    if held is None:
-        held = observation_table(dataset, grid, hyper, periodograms), None
-    obs, fwd = held
+    point, _, obs, fwd = criterion.lowest
+    dataset, grid = criterion.dataset, criterion.grid
+    if point != hyper:
+        obs, fwd = observation_table(dataset, grid, hyper, criterion.periodograms), None
     trans = gaussian_transition(grid, hyper.r_nu)
-    fb = forward_backward(obs, trans, initial_distribution(grid), fwd)
+    fb = forward_backward(obs, trans, criterion.init, fwd)
     singles = fb.forward * fb.backward
 
     n, n_bins = dataset.n_samples, dataset.n_bins
@@ -153,8 +163,8 @@ def hyper_nll_gradient(dataset: DataSet, hyper: Hyperparameters, grid: Frequency
     dropped = bound * ((half + 1) * spacing) ** 2 * float(head.sum(axis=1) @ weighted.sum(axis=1))
     if not dropped <= np.finfo(float).eps * moment:  # NaN fails
         moment = _step_moment(head, weighted, trans.taps, spacing)
-    squared_steps = trans.taps * (np.arange(1 - n_states, n_states) * spacing) ** 2
-    expected = np.convolve(np.ones(n_states), squared_steps, "valid") / trans.norm
+    cum = np.cumsum(trans.kernel * (np.arange(n_states) * spacing) ** 2)
+    expected = (cum + cum[::-1]) / trans.norm
     d_rnu = (moment - float(expected @ singles[:-1].sum(axis=0))) / (2.0 * r_nu)
 
     return -np.array([d_ra, d_rb, d_rnu])
@@ -170,9 +180,9 @@ def _median(values: np.ndarray) -> float:
     return float((lower + upper) / 2)
 
 
-def empirical_init(dataset: DataSet, grid: FrequencyGrid,
-                   periodograms: np.ndarray | None = None) -> Hyperparameters:
-    """Starting point from the dataset's lags and aliased peak frequencies.
+def empirical_init(criterion: FitCriterion) -> Hyperparameters:
+    """Starting point from the dataset's lags and aliased peak frequencies,
+    the argmax read from the start-band columns of criterion.periodograms.
 
     r_a = N / (N - 1) mean_t |c_t(1)|, the mean over bins of the lag-1
     magnitude, which for a cisoid is (N - 1) / N times its power: averaging
@@ -186,10 +196,8 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid,
     aliased sequence adds no jump of a cycle.  r_a and r_b are floored at
     1e-6 r(0) and r_nu at the grid spacing squared, where the transition
     still moves mass to the neighbouring states.
-
-    periodograms is periodogram_table(dataset.lags, grid.states), computed
-    here when not given; the argmax reads its start-band columns.
     """
+    dataset, grid = criterion.dataset, criterion.grid
     if dataset.n_bins < 2:
         raise ValueError("need at least two bins")
     r0 = float(np.mean(dataset.lags[:, 0].real))
@@ -200,10 +208,8 @@ def empirical_init(dataset: DataSet, grid: FrequencyGrid,
     r_a = max(r1, 1e-6 * r0)
     r_b = max(r0 - r1, 1e-6 * r0)
 
-    if periodograms is None:
-        periodograms = periodogram_table(dataset.lags, grid.states)
-    band = initial_distribution(grid) > 0
-    ml_freqs = grid.states[band][np.argmax(periodograms[:, band], axis=1)]
+    band = criterion.init > 0
+    ml_freqs = grid.states[band][np.argmax(criterion.periodograms[:, band], axis=1)]
     spread = 1.4826 * _median(np.abs(decimal_part(np.diff(ml_freqs))))
     r_nu = max(spread ** 2, grid.spacing ** 2)
     return Hyperparameters(r_a, r_b, r_nu)
@@ -261,22 +267,16 @@ def _total(fn):
     return total
 
 
-def _lowers(f0: float, fs: float) -> bool:
-    """Whether fs is below f0 by more than the rounding level of f0,
-    16 eps max(1, |f0|): a decrease at that level is noise, not descent."""
-    return f0 - fs > 16 * np.finfo(float).eps * max(1.0, abs(f0))
-
-
 def _bracket(phi, f0: float, step: float):
     """Bracket a minimum of phi along s >= 0 given phi(0) = f0.
 
     Returns (a, b, c, fa, fb, fc), the points a < b < c and their values,
     with fb < min(fa, fc) unless the search stopped at the cap c > 1e6, or
-    None when no step down to a tiny one _lowers phi below f0.
+    None when no step down to a tiny one lowers phi below f0.
     """
     s = step
     fs = phi(s)
-    while not _lowers(f0, fs):
+    while not lowers(f0, fs):
         s *= 0.25
         if s < 1e-14:
             return None
@@ -372,7 +372,7 @@ def _line_search(phi, f0, step, method):
 
 def _backtrack(phi, f0: float, slope: float):
     """(s, phi(s)) for the first step s of 1, s_1, s_2 ... that passes Armijo's
-    test phi(s) <= f0 + ARMIJO s slope, slope = phi'(0) < 0, and _lowers phi
+    test phi(s) <= f0 + ARMIJO s slope, slope = phi'(0) < 0, and lowers phi
     below f0, or None once a step falls below 1e-14.
 
     Each next step is the vertex of the parabola through phi(0) = f0,
@@ -382,7 +382,7 @@ def _backtrack(phi, f0: float, slope: float):
     s = 1.0
     while s >= 1e-14:  # a NaN step ends the search too
         fs = phi(s)
-        if fs <= f0 + ARMIJO * s * slope and _lowers(f0, fs):
+        if fs <= f0 + ARMIJO * s * slope and lowers(f0, fs):
             return s, fs
         vertex = -slope * s * s / (2.0 * (fs - f0 - slope * s))
         s = min(max(vertex, 0.1 * s), 0.5 * s)
@@ -419,7 +419,7 @@ def estimate_ml(
     move shrinks its hint.  bfgs searches d = -H g, H the BFGS inverse
     Hessian started at the inverse of the complete-data information, capped
     at MAX_STEP, by Armijo backtracking from the full step.  Every search
-    accepts only a decrease beyond the rounding level (_lowers).
+    accepts only a decrease beyond the rounding level (lowers).
     stop_reason names the exit: "zero_gradient", "no_decrease" (no slot
     moved; for a gradient strategy, d found no decrease),
     "relative_decrease" (an iteration lowered the criterion by less than
@@ -429,12 +429,11 @@ def estimate_ml(
     hyperparameters or its forward pass underflows, the criterion is +inf
     (the starting point alone fails loudly).
 
-    The periodogram table is computed once, for the start and the
-    criterion.  The fit holds the observation table and forward pass of its
-    lowest evaluation; a gradient there reuses them, one elsewhere computes
-    its own, the same bit for bit.  Nearly every gradient is taken there,
-    the start's too: an accepted point is the lowest evaluation unless a
-    rejected probe of its search was lower.
+    The start and every evaluation read one FitCriterion, so the
+    periodogram table is computed once, and a gradient reuses the forward
+    pass of the lowest evaluation where it is taken at that point.  Nearly
+    every gradient is, the start's too: an accepted point is the lowest
+    evaluation unless a rejected probe of its search was lower.
 
     Whatever the exit, a minimizer whose transition band keeps lag 0 alone
     is reported as "r_nu_below_resolution": the grid cannot resolve that
@@ -446,30 +445,21 @@ def estimate_ml(
     if line_search not in LINE_SEARCHES:
         raise ValueError(f"unknown line search {line_search!r}")
 
-    periodograms = periodogram_table(dataset.lags, grid.states)
-    # the lowest evaluation: (hyperparameters, value, [(observation table, forward pass)])
-    lowest = (None, np.inf, [])
+    fit = FitCriterion(dataset, grid)
     function_evals = gradient_evals = 0
 
     def criterion(hyper):
-        nonlocal lowest, function_evals
+        nonlocal function_evals
         function_evals += 1
-        held = []
-        value = hyper_nll(dataset, hyper, grid, periodograms=periodograms, held=held)
-        if value < lowest[1]:
-            lowest = (hyper, value, held)
-        return value
+        return hyper_nll(fit, hyper)
 
     def gradient(x):
         nonlocal gradient_evals
         gradient_evals += 1
-        hyper = Hyperparameters.from_array(np.exp(x))
-        point, _, held = lowest
-        return hyper_nll_gradient(dataset, hyper, grid, periodograms,
-                                  held[0] if held and point == hyper else None)
+        return hyper_nll_gradient(fit, Hyperparameters.from_array(np.exp(x)))
 
     fun = _total(criterion)
-    x = np.log(empirical_init(dataset, grid, periodograms).as_array())
+    x = np.log(empirical_init(fit).as_array())
     start = Hyperparameters.from_array(np.exp(x))  # as the gradient at x sees it
     fx = criterion(start)
     if not np.isfinite(fx):

@@ -60,6 +60,17 @@ def smoothing_weight(hyper: Hyperparameters, n_samples: int) -> float:
     return lam
 
 
+def rounding_level(value: float) -> float:
+    """16 eps max(1, |value|): the fit and the track refinement take a
+    decrease of a criterion at value below this level for noise."""
+    return 16 * np.finfo(float).eps * max(1.0, abs(value))
+
+
+def lowers(before: float, after: float) -> bool:
+    """Whether after is below before by more than before's rounding_level."""
+    return before - after > rounding_level(before)
+
+
 def in_initial_band(nu):
     """First-frequency constraint set (-1/2, +1/2], left-open right-closed;
     elementwise.  A wider band admits shifted copies of a track at equal

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freqtrack.likelihood import in_initial_band, map_objective, smoothing_weight
+from freqtrack.likelihood import (in_initial_band, lowers, map_objective, rounding_level,
+                                  smoothing_weight)
 from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import periodogram_deriv_many
 
@@ -95,7 +96,7 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
 
     Each Newton step solves the tridiagonal system in O(T), with step
     halving and a gradient fallback whenever the system is indefinite or the
-    step lowers the criterion by no more than 16 eps max(1, |f|); a
+    step does not lower the criterion beyond its rounding level (lowers); a
     non-finite system raises ValueError.  Steps that push the first
     frequency out of the band are rejected by the same test (infinite
     criterion).
@@ -119,17 +120,16 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
         # A Newton step whose predicted decrease -g.step/2 is below the
         # rounding level of the criterion is taken in full; any other step
         # must lower the criterion by more than that level.
-        rounding = 16 * np.finfo(float).eps * max(1.0, abs(value))
-        below_rounding = step is not None and -0.5 * float(grad @ step) < rounding
+        below_rounding = step is not None and -0.5 * float(grad @ step) < rounding_level(value)
         if step is None:
             step = -grad / max(np.max(np.abs(grad)), 1.0)
         scale = 1.0
         new_value = map_objective(dataset, track + scale * step, hyper)
         below_rounding = below_rounding and np.isfinite(new_value)
-        while not below_rounding and not value - new_value > rounding and scale > 1e-14:
+        while not below_rounding and not lowers(value, new_value) and scale > 1e-14:
             scale *= 0.5
             new_value = map_objective(dataset, track + scale * step, hyper)
-        if not below_rounding and not value - new_value > rounding:
+        if not below_rounding and not lowers(value, new_value):
             stop_reason = "no_decrease"
             break
         track = track + scale * step

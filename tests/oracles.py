@@ -8,7 +8,8 @@ marginals and row-by-row csv-module readers of the dataset and track
 files: slow forms the pipeline never runs.
 log_likelihood_entry reads the package's own value for one record at one
 frequency, for comparison with the dense density; table and log_prob build
-observation tables from log-likelihood rows and read them back.
+observation tables from log-likelihood rows and read them back, and
+scaled_rows rescales the read-back rows in the log-table form.
 """
 
 import csv
@@ -86,6 +87,14 @@ def log_prob(obs: ObservationTable) -> np.ndarray:
     return obs.alpha * obs.periodograms + obs.log_beta - obs.gamma[:, None]
 
 
+def scaled_rows(obs: ObservationTable) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(log O - max log O), max log O): the log table log_prob(obs),
+    each row shifted by its maximum before exponentiation, and the shifts."""
+    rows = log_prob(obs)
+    shifts = rows.max(axis=1)
+    return np.exp(rows - shifts[:, None]), shifts
+
+
 def exhaustive_min_cost(local, grid: FrequencyGrid, lam: float) -> tuple[np.ndarray, float]:
     """Minimizer of sum_t local[t, p_t] + lam * (|p_{t+1} - p_t| * spacing)^2
     over every path that starts in the initial band; first one on ties."""
@@ -118,8 +127,9 @@ class BruteForceResult:
 
 def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray,
                       max_paths: int = 10**6) -> BruteForceResult:
-    """Exact P^T enumeration of the chain, for oracle comparisons only."""
-    scaled = obs.scaled
+    """Exact P^T enumeration of the chain, for oracle comparisons only, on
+    the rescaled rows of the log table, scaled_rows(obs)."""
+    scaled, shifts = scaled_rows(obs)
     n_bins, n_states = scaled.shape
     if n_states**n_bins > max_paths:
         raise ValueError(f"instance too large: {n_states}^{n_bins} paths")
@@ -140,7 +150,7 @@ def brute_force_joint(obs: ObservationTable, trans: np.ndarray, init: np.ndarray
     if total == 0.0:
         raise NumericalError("all joint path probabilities are zero")
     return BruteForceResult(
-        log_likelihood=float(np.log(total)) + float(np.sum(obs.row_shift)),
+        log_likelihood=float(np.log(total)) + float(np.sum(shifts)),
         singles=singles / total,
         pairs=pairs / total,
     )

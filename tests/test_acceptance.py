@@ -14,6 +14,7 @@ from freqtrack.cli import compute_tracks, rmse
 from freqtrack.hmm import forward_backward, observation_table, posterior_marginals, viterbi
 from freqtrack.hyperopt import (
     STRATEGIES,
+    FitCriterion,
     empirical_init,
     estimate_ml,
     hyper_nll,
@@ -106,15 +107,16 @@ def test_criterion_3_gradient_suites():
         )
         ds = synthesize_dataset(track - track[0], hyper, 4, seed=300 + seed)
         grid = FrequencyGrid(-1.5, 1.5, 5)
-        grad = hyper_nll_gradient(ds, hyper, grid)  # in log r
+        criterion = FitCriterion(ds, grid)
+        grad = hyper_nll_gradient(criterion, hyper)  # in log r
         x = np.log(hyper.as_array())
         for i in range(3):
             h = 1e-5
             up, down = x.copy(), x.copy()
             up[i] += h
             down[i] -= h
-            fd = (hyper_nll(ds, Hyperparameters.from_array(np.exp(up)), grid)
-                  - hyper_nll(ds, Hyperparameters.from_array(np.exp(down)), grid)) / (2 * h)
+            fd = (hyper_nll(criterion, Hyperparameters.from_array(np.exp(up)))
+                  - hyper_nll(criterion, Hyperparameters.from_array(np.exp(down)))) / (2 * h)
             ok &= abs(grad[i] - fd) < 1e-4 * max(1.0, abs(fd))
 
     # (b) tracking criterion gradient and tridiagonal Hessian vs finite differences
@@ -264,7 +266,8 @@ def test_criterion_8_hyperparameter_recovery():
         ds = synthesize_dataset(track, truth, 4, seed=5000 + rep)
         argmax = band[np.argmax(periodogram_table(ds.lags, band), axis=1)]
         steps = (1.4826 * np.median(np.abs(np.diff(unwrap_track(argmax))))) ** 2
-        unwrapped += int(empirical_init(ds, GRID).r_nu == pytest.approx(steps, rel=1e-12))
+        start = empirical_init(FitCriterion(ds, GRID))
+        unwrapped += int(start.r_nu == pytest.approx(steps, rel=1e-12))
     ok = hits >= 15 and unwrapped == 20
     report(8, f"hyperparameter recovery {hits}/20 within 0.3 log10, "
               f"initializer r_nu the unwrapped argmax steps' robust variance {unwrapped}/20", ok)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from freqtrack import cli, hyperopt
 from freqtrack import io as ftio
 from freqtrack.cli import main, make_parser, rmse
-from freqtrack.hyperopt import DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, hyper_nll
+from freqtrack.hyperopt import DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, FitCriterion, hyper_nll
 from freqtrack.markov import FrequencyGrid
 from freqtrack.signal import (MIN_SAMPLES, DataSet, Hyperparameters, make_test_track,
                               synthesize_dataset)
@@ -386,9 +386,9 @@ def test_estimate_levelsets(tmp_path, monkeypatch):
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
     assert len(rows) == 8 and len({row[:3] for row in rows}) == 8
     dataset = ftio.read_dataset_csv(tmp_path / "dataset.csv")
-    grid = FrequencyGrid(-2.5, 2.5, 48)
+    criterion = FitCriterion(dataset, FrequencyGrid(-2.5, 2.5, 48))
     for r_a, r_b, r_nu, value in rows:
-        assert value == hyper_nll(dataset, Hyperparameters(r_a, r_b, r_nu), grid)
+        assert value == hyper_nll(criterion, Hyperparameters(r_a, r_b, r_nu))
 
 
 def test_exit_code_usage():

@@ -18,13 +18,13 @@ from freqtrack.hmm import (
     posterior_marginals,
     viterbi,
 )
-from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient, smoothing_weight
+from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, gaussian_transition,
                               initial_distribution, transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
-                     log_prob, table)
+                     log_prob, scaled_rows, table)
 
 
 def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
@@ -134,19 +134,25 @@ def test_observation_table_periodic_states_equal():
 
 
 @pytest.mark.parametrize("r_b, n_bins", [(0.1, 128), (1e-4, 16)], ids=["default", "high_snr"])
-def test_observation_table_rescaled_rows_have_the_bits_of_the_log_table(r_b, n_bins):
-    # row_shift and scaled are derived from the periodograms without a (T, P)
-    # log-likelihood table, and equal the rescaling of that table built in
-    # place, bit for bit: on the default simulation and at high SNR, where
-    # rows peak thousands of nats above their other states
+def test_observation_table_rescaled_rows_are_within_the_bound_of_the_log_table(r_b, n_bins):
+    # scaled is exp(alpha (P - m)), within 0.74u + rho of its exact value
+    # (hmm docstring).  The log table's rows, exp(log O - max log O), are
+    # within exp(y) 6u L_t + u / e + rho of theirs, y their exact exponent:
+    # log O and its row maximum each carry at most 3u L_t,
+    # L_t = alpha max |P_t| + |log beta| + gamma_t, and the shift's
+    # subtraction u |y|.  Checked on the default simulation and at high SNR,
+    # where rows peak thousands of nats above their other states
     hyper = Hyperparameters(1.0, r_b, 1e-3)
     ds = synthesize_dataset(make_test_track("sine", n_bins, (-1.5, 1.5)), hyper, 4, seed=0)
     obs = observation_table(ds, FrequencyGrid(-2.5, 2.5, 128), hyper)
-    lp = alpha_coefficient(hyper, 4) * obs.periodograms
-    lp += log_beta_coefficient(hyper, 4)
-    lp -= (ds.energy / hyper.r_b)[:, None]
-    assert np.array_equal(obs.row_shift, lp.max(axis=1))
-    assert np.array_equal(obs.scaled, np.exp(lp - lp.max(axis=1)[:, None]))
+    oracle, _ = scaled_rows(obs)
+    u, rho = np.finfo(float).eps / 2, 4 * np.finfo(float).eps
+    spread = (obs.alpha * np.abs(obs.periodograms).max(axis=1) + abs(obs.log_beta)
+              + obs.gamma)[:, None]
+    bound = (0.74 * u + rho) + (np.maximum(oracle, obs.scaled) * 6.01 * u * spread
+                                + u / np.e + rho)
+    assert np.all(np.abs(obs.scaled - oracle) <= bound)
+    assert np.array_equal(obs.row_max, obs.periodograms.max(axis=1))
 
 
 def test_observation_table_memory_is_one_table():
@@ -219,9 +225,9 @@ def test_backward_two_bin_hand_computation():
 
 
 def dense_forward_backward(obs, trans, init):
-    """Reference scaled forward-backward on the dense matrix:
-    (log-likelihood, forward, backward)."""
-    scaled = obs.scaled
+    """Reference scaled forward-backward on the dense matrix and the rows of
+    the log table: (log-likelihood, forward, backward)."""
+    scaled, shifts = scaled_rows(obs)
     fwd, norms = np.empty_like(scaled), np.empty(obs.n_bins)
     probe = scaled[0] * init
     for t in range(obs.n_bins):
@@ -232,7 +238,7 @@ def dense_forward_backward(obs, trans, init):
     bwd = np.ones_like(scaled)
     for t in range(obs.n_bins - 2, -1, -1):
         bwd[t] = trans @ (scaled[t + 1] * bwd[t + 1]) / norms[t + 1]
-    return np.sum(np.log(norms)) + np.sum(obs.row_shift), fwd, bwd
+    return np.sum(np.log(norms)) + np.sum(shifts), fwd, bwd
 
 
 def assert_matches_dense(obs, transition, init):

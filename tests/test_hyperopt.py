@@ -16,6 +16,7 @@ from freqtrack.hyperopt import (
     LINE_SEARCHES,
     REL_TOL,
     STRATEGIES,
+    FitCriterion,
     empirical_init,
     estimate_ml,
     hyper_nll,
@@ -26,7 +27,7 @@ from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, GaussianTransition,
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
 from freqtrack.spectral import empirical_correlation, periodogram_table
-from oracles import brute_force_joint, dense_r_nu_gradient
+from oracles import brute_force_joint, dense_r_nu_gradient, scaled_rows
 
 
 def small_problem(seed, n_bins=4, n_states=5):
@@ -48,7 +49,8 @@ def test_hyper_nll_matches_brute_force():
         trans = transition_matrix(grid, hyper.r_nu)
         init = initial_distribution(grid)
         bf = brute_force_joint(obs, trans, init)
-        assert hyper_nll(ds, hyper, grid) == pytest.approx(-bf.log_likelihood, rel=1e-10)
+        value = hyper_nll(FitCriterion(ds, grid), hyper)
+        assert value == pytest.approx(-bf.log_likelihood, rel=1e-10)
 
 
 def test_hyper_nll_sensitive_to_bin_order():
@@ -56,24 +58,23 @@ def test_hyper_nll_sensitive_to_bin_order():
     hyper = Hyperparameters(1.0, 0.1, 1e-3)
     ds = synthesize_dataset(track, hyper, 4, seed=3)
     grid = FrequencyGrid(-1.0, 1.0, 32)
-    value = hyper_nll(ds, hyper, grid)
+    value = hyper_nll(FitCriterion(ds, grid), hyper)
     rng = np.random.default_rng(0)
     shuffled = type(ds)(samples=ds.samples[rng.permutation(32)])
-    assert abs(hyper_nll(shuffled, hyper, grid) - value) > 1e-3
+    assert abs(hyper_nll(FitCriterion(shuffled, grid), hyper) - value) > 1e-3
 
 
 def test_hyper_nll_flat_transition_limit():
     ds, _, _ = small_problem(7, n_bins=4)
     hyper = Hyperparameters(1.0, 0.5, 1e6)
     grid = FrequencyGrid(-1.0, 1.0, 8)
-    value = hyper_nll(ds, hyper, grid)
-    obs = observation_table(ds, grid, hyper)
-    scaled = obs.scaled
+    value = hyper_nll(FitCriterion(ds, grid), hyper)
+    scaled, shifts = scaled_rows(observation_table(ds, grid, hyper))
     # a flat transition forgets the state: bin 0 carries the initial law,
     # every later bin the uniform one
     uniform = np.full((ds.n_bins - 1, grid.size), 1 / grid.size)
     weights = np.vstack([initial_distribution(grid), uniform])
-    independent = -np.sum(np.log(np.sum(scaled * weights, axis=1)) + obs.row_shift)
+    independent = -np.sum(np.log(np.sum(scaled * weights, axis=1)) + shifts)
     assert value == pytest.approx(independent, rel=1e-3)
 
 
@@ -82,14 +83,15 @@ def log_central_difference(ds, hyper, grid, i, h=1e-5):
     up, down = np.log(hyper.as_array()), np.log(hyper.as_array())
     up[i] += h
     down[i] -= h
-    return (hyper_nll(ds, Hyperparameters.from_array(np.exp(up)), grid)
-            - hyper_nll(ds, Hyperparameters.from_array(np.exp(down)), grid)) / (2 * h)
+    criterion = FitCriterion(ds, grid)
+    return (hyper_nll(criterion, Hyperparameters.from_array(np.exp(up)))
+            - hyper_nll(criterion, Hyperparameters.from_array(np.exp(down)))) / (2 * h)
 
 
 def test_gradient_matches_finite_differences():
     for seed in range(20):
         ds, hyper, grid = small_problem(seed)
-        grad = hyper_nll_gradient(ds, hyper, grid)
+        grad = hyper_nll_gradient(FitCriterion(ds, grid), hyper)
         for i in range(3):
             fd = log_central_difference(ds, hyper, grid, i)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
@@ -102,7 +104,7 @@ def test_gradient_finite_where_criterion_is(extreme):
     # energy / r_b^2 and s^2 once overflowed here, though hyper_nll is finite
     ds, hyper, grid = small_problem(0, n_bins=3, n_states=16)
     hyper = replace(hyper, **extreme)
-    grad = hyper_nll_gradient(ds, hyper, grid)
+    grad = hyper_nll_gradient(FitCriterion(ds, grid), hyper)
     assert np.isfinite(grad).all()
     for i in range(3):
         fd = log_central_difference(ds, hyper, grid, i)
@@ -116,7 +118,7 @@ def test_criterion_rejects_hyperparameters_whose_alpha_overflows():
     # row constant and the criterion a finite value that says nothing
     ds, _, grid = small_problem(0)
     with pytest.raises(ValueError, match=r"r_a=1e\+155, r_b=1e\+155"):
-        hyper_nll(ds, Hyperparameters(1e155, 1e155, 1e-2), grid)
+        hyper_nll(FitCriterion(ds, grid), Hyperparameters(1e155, 1e155, 1e-2))
 
 
 def test_gradient_memory_is_below_pair_tensor():
@@ -129,7 +131,7 @@ def test_gradient_memory_is_below_pair_tensor():
     grid = FrequencyGrid(-3.5, 3.5, n_states)
     tracemalloc.start()
     try:
-        hyper_nll_gradient(ds, hyper, grid)
+        hyper_nll_gradient(FitCriterion(ds, grid), hyper)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -150,7 +152,7 @@ def test_gradient_at_a_wide_grid_builds_no_state_by_state_array():
         ds, hyper, grid = r_nu_problem(128, 2048, r_nu)
         tracemalloc.start()
         try:
-            hyper_nll_gradient(ds, hyper, grid)
+            hyper_nll_gradient(FitCriterion(ds, grid), hyper)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -165,7 +167,7 @@ def test_r_nu_gradient_equals_the_dense_pair_marginals(n_states, n_bins, r_nu):
     # r_nu = 3.9e5, where a T=16 fit ends, the band keeps all 2P - 1 taps
     ds, hyper, grid = r_nu_problem(n_bins, n_states, r_nu)
     expected, scale = dense_r_nu_gradient(ds, hyper, grid)
-    assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
+    assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
 
 
 def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch):
@@ -187,11 +189,11 @@ def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch)
     monkeypatch.setattr(hyperopt, "_step_moment", recorded)
     expected, scale = dense_r_nu_gradient(ds, hyper, grid)
     half = gaussian_transition(grid, hyper.r_nu).band[0]
-    assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
+    assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
     assert sizes == [2 * half + 1] and half < grid.size - 1
     sizes.clear()
     monkeypatch.setattr(GaussianTransition, "band", property(short))
-    assert abs(-hyper_nll_gradient(ds, hyper, grid)[2] - expected) <= 1e-12 * scale
+    assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
     assert sizes == [5, 2 * grid.size - 1]
 
 
@@ -210,31 +212,46 @@ def test_fit_builds_no_transition_matrix_or_pair_marginals(monkeypatch):
     ((-3.5, 3.5, 384), Hyperparameters(1.0, 0.1, 4e-3)),
 ], ids=["P=128", "P=128-broad", "P=384"])
 def test_gradient_reusing_the_criterion_pass_is_bit_identical(monkeypatch, grid, hyper):
-    # the observation table and forward pass hyper_nll held are the ones a
+    # the observation table and forward pass hyper_nll holds are the ones a
     # fresh gradient computes, so the gradient runs only the backward pass
     ds, _ = standard_dataset()
-    grid = FrequencyGrid(*grid)
-    periodograms = periodogram_table(ds.lags, grid.states)
-    held = []
-    value = hyper_nll(ds, hyper, grid, periodograms=periodograms, held=held)
-    assert value == hyper_nll(ds, hyper, grid) and len(held) == 1
-    fresh = hyper_nll_gradient(ds, hyper, grid)
+    criterion = FitCriterion(ds, FrequencyGrid(*grid))
+    value = hyper_nll(criterion, hyper)
+    assert criterion.lowest[:2] == (hyper, value)
+    assert value == hyper_nll(FitCriterion(ds, criterion.grid), hyper)
+    fresh = hyper_nll_gradient(FitCriterion(ds, criterion.grid), hyper)
     monkeypatch.setattr(hmm, "forward", None)
     monkeypatch.setattr(hmm, "periodogram_table", None)
-    assert np.array_equal(hyper_nll_gradient(ds, hyper, grid, periodograms, held[0]), fresh)
+    assert np.array_equal(hyper_nll_gradient(criterion, hyper), fresh)
+
+
+def test_gradient_runs_a_forward_pass_only_away_from_the_lowest_evaluation(monkeypatch):
+    # after evaluations at a lower point a and a higher point b the
+    # criterion holds a's pass: the gradient at a reuses it, the one at b
+    # runs its own, and both equal a fresh criterion's bit for bit
+    ds, grid = standard_dataset()
+    a, b = Hyperparameters(1.0, 0.1, 1e-3), Hyperparameters(0.3, 2.0, 0.2)
+    criterion = FitCriterion(ds, grid)
+    assert hyper_nll(criterion, a) < hyper_nll(criterion, b)
+    fresh = [hyper_nll_gradient(FitCriterion(ds, grid), point) for point in (a, b)]
+    passes = []
+    run = hmm.forward
+    monkeypatch.setattr(hmm, "forward", lambda *args: passes.append(args) or run(*args))
+    assert np.array_equal(hyper_nll_gradient(criterion, a), fresh[0]) and len(passes) == 0
+    assert np.array_equal(hyper_nll_gradient(criterion, b), fresh[1]) and len(passes) == 1
 
 
 @pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "coordinate_wise"])
 def test_fit_gradients_equal_fresh_gradients(monkeypatch, strategy):
-    # a fit hands a gradient the pass of its lowest evaluation only where
+    # a fit's gradient reuses the pass of its lowest evaluation only where
     # that evaluation's point is the gradient's own
     gradient = hyper_nll_gradient
     reused = []
 
-    def checked(dataset, hyper, grid, periodograms, held):
-        out = gradient(dataset, hyper, grid, periodograms, held)
-        assert np.array_equal(out, gradient(dataset, hyper, grid))
-        reused.append(held is not None)
+    def checked(criterion, hyper):
+        reused.append(criterion.lowest[0] == hyper)
+        out = gradient(criterion, hyper)
+        assert np.array_equal(out, gradient(FitCriterion(criterion.dataset, criterion.grid), hyper))
         return out
 
     monkeypatch.setattr(hyperopt, "hyper_nll_gradient", checked)
@@ -250,7 +267,7 @@ def test_observation_table_from_a_cached_periodogram_table_is_bit_identical():
     cached = observation_table(ds, grid, hyper, periodograms)
     fresh = observation_table(ds, grid, hyper)
     assert cached.periodograms is periodograms
-    for name in ("periodograms", "alpha", "log_beta", "gamma", "row_shift", "scaled"):
+    for name in ("periodograms", "alpha", "log_beta", "gamma", "row_max", "scaled"):
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
 
 
@@ -269,7 +286,7 @@ def test_gradient_small_at_minimizer():
     ds = synthesize_dataset(track, hyper, 4, seed=9)
     grid = FrequencyGrid(-2.0, 2.0, 64)
     report = estimate_ml(ds, grid, strategy="coordinate_wise")
-    grad_log = hyper_nll_gradient(ds, report.minimizer, grid)
+    grad_log = hyper_nll_gradient(FitCriterion(ds, grid), report.minimizer)
     assert np.linalg.norm(grad_log) < 1e-3 * max(1.0, abs(report.reached_minimum))
 
 
@@ -279,7 +296,7 @@ def test_empirical_init_noiseless_cisoids():
     # at the grid spacing squared
     ds = DataSet(steering_vector(np.full(16, 0.2), 4))
     grid = FrequencyGrid(-2.5, 2.5, 128)
-    est = empirical_init(ds, grid)
+    est = empirical_init(FitCriterion(ds, grid))
     assert est.r_a == pytest.approx(1.0, rel=1e-12)
     assert est.r_b == pytest.approx(1e-6, rel=1e-10)
     assert est.r_nu == grid.spacing ** 2
@@ -290,7 +307,7 @@ def test_empirical_init_pure_noise():
     track = np.zeros(2048)
     ds = synthesize_dataset(track, hyper, 4, seed=4)
     grid = FrequencyGrid(-2.5, 2.5, 128)
-    est = empirical_init(ds, grid)
+    est = empirical_init(FitCriterion(ds, grid))
     # r_a = N / (N - 1) mean_t |c_t(1)| and r_a + r_b = r(0).  On noise the
     # mean lag-1 magnitude is not 0: its mean square is r_b^2 / (N - 1) for
     # the true r_b = 1, so r_a is below 1 / sqrt(3) at N = 4 (about 0.47 by
@@ -316,7 +333,7 @@ def test_empirical_init_r_nu_is_the_unwrapped_argmax_step_variance():
     argmax = band[np.argmax(periodogram_table(ds.lags, band), axis=1)]
     steps = np.diff(unwrap_track(argmax))
     robust = (1.4826 * np.median(np.abs(steps))) ** 2
-    assert empirical_init(ds, grid).r_nu == pytest.approx(robust, rel=1e-12)
+    assert empirical_init(FitCriterion(ds, grid)).r_nu == pytest.approx(robust, rel=1e-12)
     assert np.var(np.diff(argmax)) > 5 * np.var(steps)
 
 
@@ -335,7 +352,7 @@ def default_fit(seed, profile="sine", span=(-1.5, 1.5), grid=(-2.5, 2.5, 128)):
     track = make_test_track(profile, 128, span)
     ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed)
     grid = FrequencyGrid(*grid)
-    return empirical_init(ds, grid), estimate_ml(ds, grid)
+    return empirical_init(FitCriterion(ds, grid)), estimate_ml(ds, grid)
 
 
 @pytest.mark.parametrize("profile, span, grid", [
@@ -428,7 +445,7 @@ def test_empirical_init_rejects_zero_data():
     ds = DataSet(samples=np.zeros((4, 4), dtype=complex))
     grid = FrequencyGrid(-2.5, 2.5, 128)
     with pytest.raises(ValueError):
-        empirical_init(ds, grid)
+        empirical_init(FitCriterion(ds, grid))
 
 
 def standard_dataset():
@@ -440,7 +457,8 @@ def standard_dataset():
 def test_estimate_monotone_descent():
     ds, grid = standard_dataset()
     report = estimate_ml(ds, grid, strategy="polak_ribiere")
-    values = [hyper_nll(ds, Hyperparameters.from_array(np.exp(x)), grid)
+    criterion = FitCriterion(ds, grid)
+    values = [hyper_nll(criterion, Hyperparameters.from_array(np.exp(x)))
               for x in report.trajectory]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert report.reached_minimum == pytest.approx(values[-1])
@@ -623,12 +641,12 @@ def test_backtrack_rejects_a_decrease_at_rounding_level(phi, f0, slope):
 
 @pytest.mark.filterwarnings("error")
 def test_criterion_is_inf_where_the_hyperparameters_are_rejected():
-    ds, grid = standard_dataset()
+    criterion = FitCriterion(*standard_dataset())
     calls = []
 
     def nll(hyper):
         calls.append(hyper)
-        return hyper_nll(ds, hyper, grid)
+        return hyper_nll(criterion, hyper)
 
     fun = hyperopt._total(nll)
     # alpha overflows: hyper_nll is called and rejects the point
@@ -652,7 +670,7 @@ def test_fit_of_an_unbounded_criterion_stays_total(monkeypatch, unbounded):
     # and function_evals still counts the hyper_nll calls
     calls = []
 
-    def criterion(dataset, hyper, grid, **kwargs):
+    def criterion(fit, hyper):
         calls.append(hyper)
         return unbounded(hyper)
 
@@ -751,11 +769,12 @@ def test_constant_track_fit_starts_finite_and_leaves_the_flat_start():
     # accurate r_b its forward pass underflows; the grid-spacing floor keeps
     # the start's criterion finite and the fit goes on to -549.96
     ds, grid = constant_track_problem()
-    start = empirical_init(ds, grid)
+    criterion = FitCriterion(ds, grid)
+    start = empirical_init(criterion)
     assert start.r_nu == grid.spacing ** 2
-    assert np.isfinite(hyper_nll(ds, start, grid))
+    assert np.isfinite(hyper_nll(criterion, start))
     with pytest.raises(hmm.NumericalError):
-        hyper_nll(ds, replace(start, r_nu=1e-8), grid)
+        hyper_nll(criterion, replace(start, r_nu=1e-8))
     report = estimate_ml(ds, grid)
     assert report.stop_reason == "relative_decrease"
     assert report.reached_minimum < -87.53
