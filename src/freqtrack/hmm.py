@@ -9,28 +9,16 @@ x (1 + theta), x = alpha (P - m) <= 0, |theta| <= 2u + u^2 (u = eps/2), and
 relative error of np.exp, however large alpha P and gamma_t are, where
 forming log O first would lose u (alpha |P| + |log beta| + gamma_t).
 
-Viterbi's pair cost lam * (lag * spacing)^2 depends only on the lag
-|p - q| between states.  Each stage searches the predecessors within W
-states of each target, W derived per call from lam, the spacing and the
-median range of a row of periodograms (about 2 sqrt(2 R) chain steps
-sqrt(r_nu), R that range in nats of log-likelihood), folding the two sides
-of the band into one (W + 1, P) array.  A row keeps its band minimum only
-where a per-row lower bound on every state outside the band, built from
-the tangent of the pair cost at lag W + 1 and two prefix minima in O(P),
-exceeds it by a proven rounding margin; the other rows are searched
-densely.  No back-pointers are stored: the path is read back from the
-kept (T, P + 2W) cost rows, one O(P) search per bin.  So path and cost
-match a dense search on that cost bit for bit, in O(T P W), at worst at
-the dense O(T P^2) cost plus the band.
+Viterbi searches the predecessors within W states of each target, W
+derived per call from lam, the spacing and the median range of a row of
+periodograms.  A row keeps its band minimum only where a per-row lower
+bound on every state beyond the band exceeds it by a proven rounding
+margin, and is searched densely otherwise, so path and cost match a dense
+search bit for bit, in O(T P W), at worst O(T P^2).
 
-Forward and backward apply the Gaussian transition T[q, p] =
-k[|p - q|] / z[q] as a correlation with the transition's band, the kernel
-cut after lag h, the last lag where k exceeds markov.KERNEL_CUTOFF =
-2^-106, and never build the P x P matrix.  Each bin bounds how much the
-dropped entries could have moved its result and is recomputed with all
-2P - 1 kernel taps unless that bound is within eps of it; a kernel whose
-2h+1 taps would outnumber the P states keeps all 2P - 1 from the start.
-The cost is O(T P h), at worst O(T P^2).
+Forward and backward apply the Gaussian transition through its band
+(markov.GaussianTransition) and never build the P x P matrix; a bin whose
+truncation bound fails is recomputed with all 2P - 1 kernel taps.
 """
 
 from __future__ import annotations
@@ -124,12 +112,6 @@ class ForwardBackwardResult:
     backward: np.ndarray | None = None
 
 
-def _correlate(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """out[p] = sum_j values[p + j] taps[h + j] over the 2h+1 symmetric taps
-    (off-grid values are zero): P outputs for h <= P - 1."""
-    return np.correlate(values, taps, "same" if taps.size <= values.size else "valid")
-
-
 def forward(obs: ObservationTable, trans: GaussianTransition,
             init: np.ndarray) -> ForwardBackwardResult:
     """Scaled forward recursion; the log-likelihood adds back
@@ -138,18 +120,16 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     inadmissible alias would scale all of them to zero.  Only the
     log-likelihood reads m_0, not backward or the posteriors.
 
-    Each step f @ T is the correlation of f / norm with the 2h+1 kernel
-    taps of trans.band, O(P h) instead of O(P^2).  The dropped entries are
-    at most k[h+1], the scaled observation row at most 1 and sum(f / norm)
-    at most sum(f) = 1, as every norm is at least 1, so they move the bin's
-    normalizer by at most P k[h+1]; a bin where that is not within eps of
-    the normalizer is recomputed with all 2P - 1 taps.  The cost is
-    O(T P h), O(T P^2) at worst.
+    Each step f @ T is trans.spread(f / norm), O(P h) instead of O(P^2).
+    The dropped entries are at most trans.cut, the scaled observation row
+    at most 1 and sum(f / norm) at most sum(f) = 1, as every norm is at
+    least 1, so they move the bin's normalizer by at most P trans.cut; a
+    bin where that is not within eps of the normalizer is recomputed with
+    all 2P - 1 taps.  The cost is O(T P h), O(T P^2) at worst.
     """
     scaled = obs.scaled
     n_bins, n_states = scaled.shape
-    _, taps, bound = trans.band
-    dropped = n_states * bound
+    dropped = n_states * trans.cut
     fwd = np.empty((n_bins, n_states))
     norms = np.empty(n_bins)
     source = np.empty(n_states)
@@ -162,11 +142,11 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
         row = fwd[t]
         if t > 0:
             np.divide(fwd[t - 1], trans.norm, out=source)
-            np.multiply(scaled[t], _correlate(source, taps), out=row)
+            np.multiply(scaled[t], trans.spread(source), out=row)
             norm = row.sum()
             if not dropped <= _EPS * norm:  # NaN fails
                 fallbacks += 1
-                np.multiply(scaled[t], _correlate(source, trans.taps), out=row)
+                np.multiply(scaled[t], trans.spread(source, all_taps=True), out=row)
                 norm = row.sum()
         if norm == 0.0:
             raise NumericalError(f"forward probability underflowed to zero at bin {t}")
@@ -183,28 +163,26 @@ def backward(obs: ObservationTable, trans: GaussianTransition,
     """Scaled backward recursion dividing by the forward normalizers.
 
     Returns a copy of fwd with the backward table set and the backward
-    pass's fallbacks added to fallback_bins.  Each step T @ v is the
-    correlation of v with the same taps as the forward pass, divided by
-    norm.  The dropped terms move the posterior mass of bin t,
-    sum_q f_t[q] b_t[q], by at most k[h+1] sum(v) sum(f_t / norm) / c_{t+1}
-    <= k[h+1] sum(v) / c_{t+1}, c the forward normalizers; a bin where that
-    is not within eps of the mass is recomputed with all 2P - 1 taps.
+    pass's fallbacks added to fallback_bins.  Each step T @ v is
+    trans.spread(v) / norm, whose dropped terms move bin t's posterior mass
+    sum_q f_t[q] b_t[q] by at most trans.cut sum(v) sum(f_t / norm) / c_{t+1}
+    <= trans.cut sum(v) / c_{t+1}, c the forward normalizers; a bin where
+    that is not within eps of the mass is recomputed with all 2P - 1 taps.
     """
     scaled = obs.scaled
     n_bins, n_states = scaled.shape
-    _, taps, bound = trans.band
     bwd = np.empty((n_bins, n_states))
     bwd[-1] = 1.0
     weights = np.empty(n_states)
     fallbacks = 0
     for t in range(n_bins - 2, -1, -1):
         np.multiply(scaled[t + 1], bwd[t + 1], out=weights)
-        spread = _correlate(weights, taps)
+        spread = trans.spread(weights)
         spread /= trans.norm
         mass = fwd.forward[t] @ spread
-        if not bound * weights.sum() <= _EPS * mass:  # NaN fails
+        if not trans.cut * weights.sum() <= _EPS * mass:  # NaN fails
             fallbacks += 1
-            spread = _correlate(weights, trans.taps)
+            spread = trans.spread(weights, all_taps=True)
             spread /= trans.norm
         np.divide(spread, fwd.normalizers[t + 1], out=bwd[t])
     return replace(fwd, backward=bwd, fallback_bins=fwd.fallback_bins + fallbacks)

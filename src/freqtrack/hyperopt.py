@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from freqtrack.baselines import decimal_part
 # unused, but perfbench's tracing.SITES pins posterior_marginals and transition_matrix here
@@ -83,23 +82,6 @@ def hyper_nll(criterion: FitCriterion, hyper: Hyperparameters) -> float:
     return value
 
 
-def _step_moment(head: np.ndarray, weighted: np.ndarray, taps: np.ndarray,
-                 spacing: float) -> float:
-    """sum over t, q and |j| <= h of head[t, q] taps[h + j] (j spacing)^2
-    weighted[t, q + j], off-grid states zero, for the 2h+1 symmetric taps.
-
-    The 2h+1 lag sums c[j] = sum_{t,q} head[t, q] weighted[t, q + j] come
-    from one einsum over the windows of the zero-padded weighted table, a
-    strided view: O(T P h) time and one (T, P + 2h) copy.
-    """
-    half = taps.size // 2
-    n_pairs, n_states = weighted.shape
-    padded = np.zeros((n_pairs, n_states + 2 * half))
-    padded[:, half:half + n_states] = weighted
-    lag_sums = np.einsum("tq,tqj->j", head, sliding_window_view(padded, taps.size, axis=1))
-    return float(lag_sums @ (taps * (np.arange(-half, half + 1) * spacing) ** 2))
-
-
 def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.ndarray:
     """Exact gradient [d/dlog r_a, d/dlog r_b, d/dlog r_nu] of hyper_nll via
     the EM identity.
@@ -110,29 +92,13 @@ def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.nd
     S = sum singles * P for both variances.  No term squares a variance, so
     the gradient is finite wherever hyper_nll is.
 
-    The r_nu term reads only the observation table and the forward and
-    backward passes; it builds no P x P array and costs O(T P h).  With the
-    transition T[q, p] = k[|p - q|] / z[q] the log-transition's derivative
-    in log r_nu is (d^2 - e[q]) / (2 r_nu), d = (p - q) spacing and
-    e[q] = sum_p T[q, p] d^2 the prior mean squared step from q, so
-
-        d_rnu = (sum_{q,p} pair_sum[q, p] d^2 - sum_q e[q] sum_{t<T-1} singles[t, q]) / (2 r_nu),
-
-    the pair marginals summed over destinations being the single marginals
-    of bins 0 ... T-2.  pair_sum[q, p] = sum_t head[t, q] k[|p - q|]
-    weighted[t, p] with head = forward[:-1] / z and weighted =
-    scaled[1:] backward[1:] / c[1:], c the forward normalizers, so the first
-    term is sum_j k[|j|] (j spacing)^2 c[j] over the lag sums
-    c[j] = sum_{t,q} head[t, q] weighted[t, q + j] (_step_moment), taken
-    over the 2h+1 taps of trans.band.  e[q] z[q] = cum[q] + cum[P-1-q],
-    cum the running sum of k[d] (d spacing)^2, as for the norm z: O(P).
-
-    Certificate.  Beyond lag h the kernel is below KERNEL_CUTOFF, far past
-    the peak of k[d] d^2 at d^2 spacing^2 = 2 r_nu, so k[d] d^2 falls with
-    d there and the dropped lags add at most
-    k[h+1] ((h+1) spacing)^2 sum_t (sum_q head[t, q]) (sum_p weighted[t, p])
-    to the first term.  Where that is not within eps of the term (NaN
-    fails) the term is recomputed with all 2P - 1 taps.
+    The r_nu term is the transition's (GaussianTransition.r_nu_score): the
+    log-transition's derivative in log r_nu, (d^2 - e[q]) / (2 r_nu) with
+    d = (p - q) spacing and e[q] the prior mean squared step from q, against
+    the pair marginals head[t, q] k[|p - q|] weighted[t, p] (head =
+    forward[:-1] / z, weighted = scaled[1:] backward[1:] / c[1:], z the row
+    sums, c the forward normalizers) and their sums over destinations, the
+    single marginals of bins 0 ... T-2.  It builds no P x P array.
 
     Where hyper is the point of criterion.lowest its observation table and
     forward pass are reused, so only the backward pass and the reduction
@@ -147,25 +113,17 @@ def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.nd
     singles = fb.forward * fb.backward
 
     n, n_bins = dataset.n_samples, dataset.n_bins
-    r_a, r_b, r_nu = hyper.r_a, hyper.r_b, hyper.r_nu
+    r_a, r_b = hyper.r_a, hyper.r_b
     s = n * r_a + r_b
     spectral_mass = float(np.vdot(singles, obs.periodograms))  # S
     d_ra = n * r_a / s * (spectral_mass / s - n_bins)
     d_rb = (n_bins * (1 - n - r_b / s) + (float(dataset.energy.sum()) - spectral_mass) / r_b
             + r_b / s * (spectral_mass / s))
 
-    spacing, n_states = grid.spacing, grid.size
     head = fb.forward[:-1] / trans.norm
     weighted = obs.scaled[1:] * fb.backward[1:]
     weighted /= fb.normalizers[1:, None]
-    half, taps, bound = trans.band
-    moment = _step_moment(head, weighted, taps, spacing)
-    dropped = bound * ((half + 1) * spacing) ** 2 * float(head.sum(axis=1) @ weighted.sum(axis=1))
-    if not dropped <= np.finfo(float).eps * moment:  # NaN fails
-        moment = _step_moment(head, weighted, trans.taps, spacing)
-    cum = np.cumsum(trans.kernel * (np.arange(n_states) * spacing) ** 2)
-    expected = (cum + cum[::-1]) / trans.norm
-    d_rnu = (moment - float(expected @ singles[:-1].sum(axis=0))) / (2.0 * r_nu)
+    d_rnu = trans.r_nu_score(head, weighted, singles[:-1].sum(axis=0))
 
     return -np.array([d_ra, d_rb, d_rnu])
 
@@ -182,7 +140,8 @@ def _median(values: np.ndarray) -> float:
 
 def empirical_init(criterion: FitCriterion) -> Hyperparameters:
     """Starting point from the dataset's lags and aliased peak frequencies,
-    the argmax read from the start-band columns of criterion.periodograms.
+    the argmax read from the admissible columns (init > 0) of
+    criterion.periodograms.
 
     r_a = N / (N - 1) mean_t |c_t(1)|, the mean over bins of the lag-1
     magnitude, which for a cisoid is (N - 1) / N times its power: averaging
@@ -208,8 +167,8 @@ def empirical_init(criterion: FitCriterion) -> Hyperparameters:
     r_a = max(r1, 1e-6 * r0)
     r_b = max(r0 - r1, 1e-6 * r0)
 
-    band = criterion.init > 0
-    ml_freqs = grid.states[band][np.argmax(criterion.periodograms[:, band], axis=1)]
+    admissible = criterion.init > 0
+    ml_freqs = grid.states[admissible][np.argmax(criterion.periodograms[:, admissible], axis=1)]
     spread = 1.4826 * _median(np.abs(decimal_part(np.diff(ml_freqs))))
     r_nu = max(spread ** 2, grid.spacing ** 2)
     return Hyperparameters(r_a, r_b, r_nu)
@@ -435,10 +394,10 @@ def estimate_ml(
     every gradient is, the start's too: an accepted point is the lowest
     evaluation unless a rejected probe of its search was lower.
 
-    Whatever the exit, a minimizer whose transition band keeps lag 0 alone
-    is reported as "r_nu_below_resolution": the grid cannot resolve that
-    r_nu, the transition is the identity there and the criterion flat in
-    r_nu, so the fit has not converged.
+    Whatever the exit, a minimizer whose transition keeps lag 0 alone
+    (half_width 0) is reported as "r_nu_below_resolution": the grid cannot
+    resolve that r_nu, the transition is the identity there and the
+    criterion flat in r_nu, so the fit has not converged.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -531,7 +490,7 @@ def estimate_ml(
             break
 
     minimizer = Hyperparameters.from_array(np.exp(x))
-    if gaussian_transition(grid, minimizer.r_nu).band[0] == 0:
+    if gaussian_transition(grid, minimizer.r_nu).half_width == 0:
         stop_reason = "r_nu_below_resolution"
     return OptimizerReport(
         minimizer=minimizer,

@@ -13,25 +13,32 @@ class DataFormatError(ValueError):
     """Malformed or inconsistent input file."""
 
 
-def write_dataset_csv(path, dataset: DataSet) -> None:
-    """Rows `t,n,re,im` with t in 1..T and n in 1..N, in write_track_csv's
-    row form, streamed: joined into one string, the rows of a T=4096, N=4
-    dataset peak at 2.5 MB of Python objects, against 0.03 MB streamed."""
+def _write_rows(path, header: str, rows) -> None:
+    """The header, then the rows (each ending CRLF, floats as repr: the bytes
+    csv.writer gives) streamed: joined into one string, the rows of a T=4096,
+    N=4 dataset peak at 2.5 MB of Python objects, against 0.03 MB."""
     with open(path, "w", newline="") as fh:
-        fh.write("t,n,re,im\r\n")
-        fh.writelines(f"{t},{n},{value.real!r},{value.imag!r}\r\n"
-                      for t, record in enumerate(dataset.samples, start=1)
-                      for n, value in enumerate(record.tolist(), start=1))
+        fh.write(header + "\r\n")
+        fh.writelines(rows)
+
+
+def write_dataset_csv(path, dataset: DataSet) -> None:
+    """Rows `t,n,re,im` with t in 1..T and n in 1..N."""
+    _write_rows(path, "t,n,re,im", (f"{t},{n},{value.real!r},{value.imag!r}\r\n"
+                                    for t, record in enumerate(dataset.samples, start=1)
+                                    for n, value in enumerate(record.tolist(), start=1)))
 
 
 def _read_rows(path, header: str, dtype: list) -> np.ndarray:
     """The rows after the header line of a CSV file, parsed by one
     np.loadtxt call into a structured array of this dtype; blank lines are
-    skipped.  A wrong header, a row with the wrong column count and a field
-    that does not parse (an integer column takes only integer literals)
-    all become DataFormatError."""
+    skipped.  A wrong header, a row with the wrong column count, a field
+    that does not parse (an integer column takes only integer literals) and
+    a byte that is not ASCII, before np.loadtxt's parser (which can crash on
+    characters beyond the Basic Multilingual Plane) sees it, all become
+    DataFormatError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="ascii") as fh:
             found = fh.readline().rstrip("\r\n")
             if found != header:
                 raise ValueError(f"expected header {header}, got {found!r}")
@@ -64,12 +71,9 @@ def read_dataset_csv(path) -> DataSet:
 
 
 def write_track_csv(path, track) -> None:
-    """Rows `t,nu` with t in 1..T, written at once: the bytes csv.writer
-    gives, with CRLF line ends and repr(nu), which it never quotes."""
-    rows = "".join(f"{t},{nu!r}\r\n"
-                   for t, nu in enumerate(np.asarray(track, dtype=float).tolist(), start=1))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,nu\r\n" + rows)
+    """Rows `t,nu` with t in 1..T."""
+    _write_rows(path, "t,nu", (f"{t},{nu!r}\r\n" for t, nu
+                               in enumerate(np.asarray(track, dtype=float).tolist(), start=1)))
 
 
 def read_track_csv(path) -> np.ndarray:

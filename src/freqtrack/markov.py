@@ -1,4 +1,5 @@
-"""Discrete frequency grid, Gaussian-kernel transitions, initial law."""
+"""Discrete frequency grid, the Gaussian-kernel transition (the one code
+that cuts its kernel and applies it), initial law."""
 
 from __future__ import annotations
 
@@ -53,10 +54,22 @@ class FrequencyGrid:
 @dataclass(frozen=True)
 class GaussianTransition:
     """The Gaussian-kernel transition of a uniform grid in factored form,
-    T[q, p] = kernel[|p - q|] / norm[q], row index the source state q."""
+    T[q, p] = kernel[|p - q|] / norm[q], row index the source state q: the
+    one code that cuts its kernel and applies it.
+
+    The band keeps lags up to h = half_width, the last whose value exceeds
+    KERNEL_CUTOFF, and drops at most cut = k[h+1]; as kernel[0] = 1 and the
+    kernel does not increase, h = 0 exactly when kernel[1] <= KERNEL_CUTOFF.
+    Where 2h+1 taps would outnumber the P states all 2P - 1 are kept, with
+    h = P - 1 and cut 0.  Each use of the band bounds from cut how far the
+    dropped lags could move its result and redoes it with all 2P - 1 taps
+    where that is not within eps: O(P h) per row, O(P^2) at worst.
+    """
 
     kernel: np.ndarray  # (P,): exp(-(k h)^2 / 2 r_nu) at lag k; kernel[0] = 1
     norm: np.ndarray    # (P,): row sums of the kernel, each at least 1
+    spacing: float
+    r_nu: float
 
     @cached_property
     def taps(self) -> np.ndarray:
@@ -65,22 +78,67 @@ class GaussianTransition:
         return np.concatenate([self.kernel[:0:-1], self.kernel])
 
     @cached_property
-    def band(self) -> tuple[int, np.ndarray, float]:
-        """(h, taps, k[h+1]): the 2h+1 kernel taps at lags -h ... h, h the last
-        lag whose value exceeds KERNEL_CUTOFF, and the largest value cut.  As
-        kernel[0] = 1 and the kernel does not increase, h = 0 exactly when
-        kernel[1] <= KERNEL_CUTOFF.  When 2h+1 > P all 2P - 1 taps are kept,
-        with h = P - 1 and bound 0."""
-        size = self.kernel.size
+    def half_width(self) -> int:
         half = int(np.count_nonzero(self.kernel > KERNEL_CUTOFF)) - 1
-        if 2 * half + 1 > size:
-            return size - 1, self.taps, 0.0
-        return half, self.taps[size - 1 - half:size + half], float(self.kernel[half + 1])
+        return half if 2 * half + 1 <= self.kernel.size else self.kernel.size - 1
+
+    @cached_property
+    def cut(self) -> float:
+        half = self.half_width
+        return float(self.kernel[half + 1]) if half < self.kernel.size - 1 else 0.0
+
+    @cached_property
+    def _band_taps(self) -> np.ndarray:  # the kernel at lags -h ... h, a view of taps
+        size, half = self.kernel.size, self.half_width
+        return self.taps[size - 1 - half:size + half]
+
+    def spread(self, values: np.ndarray, all_taps: bool = False) -> np.ndarray:
+        """out[p] = sum_j values[p + j] k[|j|] over lags |j| <= h, or every lag
+        when all_taps, off-grid values zero: spread(f / norm) is f @ T and
+        spread(v) / norm is T @ v, less the terms of the dropped lags."""
+        taps = self.taps if all_taps else self._band_taps
+        return np.correlate(values, taps, "same" if taps.size <= values.size else "valid")
+
+    def r_nu_score(self, head: np.ndarray, weighted: np.ndarray, visits: np.ndarray) -> float:
+        """(sum_j k[|j|] (j spacing)^2 c[j] - e @ visits) / (2 r_nu), the
+        transition's term of the EM-identity gradient in log r_nu, from the
+        (T - 1, P) tables whose products head[t, q] k[|p - q|] weighted[t, p]
+        are the pair marginals and their sums visits over t and p.  The lag
+        sums c[j] = sum_{t,q} head[t, q] weighted[t, q + j] come from one
+        einsum over a strided view of the zero-padded weighted table,
+        O(T P h); e[q] = sum_p T[q, p] ((p - q) spacing)^2, the prior mean
+        squared step from q, is (cum[q] + cum[P-1-q]) / norm[q], cum the
+        running sum of k[d] (d spacing)^2.
+
+        Certificate.  Beyond lag h the kernel is below KERNEL_CUTOFF, past the
+        peak of k[d] d^2 at d^2 spacing^2 = 2 r_nu, so the dropped lags add at
+        most cut ((h+1) spacing)^2 sum_t (sum head[t]) (sum weighted[t]) to the
+        first sum; where that is not within eps of it (NaN fails) it is
+        recomputed with all 2P - 1 taps.
+        """
+        spacing = self.spacing
+        n_pairs, n_states = weighted.shape
+
+        def moment(taps):  # sum_j taps[h + j] (j spacing)^2 c[j] over lags |j| <= h
+            h = taps.size // 2
+            padded = np.zeros((n_pairs, n_states + 2 * h))
+            padded[:, h:h + n_states] = weighted
+            lag_sums = np.einsum("tq,tqj->j", head, sliding_window_view(padded, taps.size, axis=1))
+            return float(lag_sums @ (taps * (np.arange(-h, h + 1) * spacing) ** 2))
+
+        step = moment(self._band_taps)
+        dropped = (self.cut * ((self.half_width + 1) * spacing) ** 2
+                   * float(head.sum(axis=1) @ weighted.sum(axis=1)))
+        if not dropped <= np.finfo(float).eps * step:  # NaN fails
+            step = moment(self.taps)
+        cum = np.cumsum(self.kernel * (np.arange(n_states) * spacing) ** 2)
+        expected = (cum + cum[::-1]) / self.norm
+        return (step - float(expected @ visits)) / (2.0 * self.r_nu)
 
 
 def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:
     """Transition exp(-(nu^p - nu^q)^2 / 2 r_nu), normalized over destination
-    states p, as P kernel values and P row normalizers.
+    states p, as P kernel values and P row normalizers, with spacing and r_nu.
 
     The grid is uniform, so the kernel depends only on k = |p - q|, and
     row q sums to cum[q] + cum[P-1-q] - kernel[0] with cum the running sum
@@ -92,7 +150,7 @@ def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:
     with np.errstate(over="ignore"):  # a tiny r_nu: exp(-inf) = 0 is the kernel's limit
         kernel = np.exp(-((np.arange(grid.size) * grid.spacing) ** 2) / (2.0 * r_nu))
     cum = np.cumsum(kernel)
-    return GaussianTransition(kernel=kernel, norm=cum + cum[::-1] - kernel[0])
+    return GaussianTransition(kernel, cum + cum[::-1] - kernel[0], grid.spacing, r_nu)
 
 
 def transition_matrix(grid: FrequencyGrid, r_nu: float) -> np.ndarray:

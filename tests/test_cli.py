@@ -118,6 +118,48 @@ def test_malformed_track_rejected(tmp_path, rows, message):
         ftio.read_track_csv(path)
 
 
+def _run_python(script):
+    """script run by a fresh interpreter that imports this freqtrack."""
+    src = str(Path(cli.__file__).parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_non_ascii_field_is_rejected_before_the_parser_reads_it(tmp_path, monkeypatch):
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt was given the file")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    path = tmp_path / "truth.csv"
+    path.write_bytes("t,nu\n\U0001F600,0.1\n2,0.2\n".encode())
+    with pytest.raises(ftio.DataFormatError, match="truth.csv"):
+        ftio.read_track_csv(path)
+
+
+def test_non_bmp_fields_never_crash_the_reader(tmp_path):
+    # np.loadtxt's parser could crash the process (SIGSEGV) on a first field
+    # of characters beyond the Basic Multilingual Plane: this loop died in
+    # 5 of 10 runs while the reader handed such text to it
+    script = (
+        "import random, sys\n"
+        "from freqtrack import io as ftio\n"
+        "rng = random.Random(0)\n"
+        "chars = [chr(c) for c in (0x1F600, 0x10000, 0x1F4A9, 0x2A6D6, 0x10FFFD)]\n"
+        f"path = {str(tmp_path / 'truth.csv')!r}\n"
+        "for _ in range(300):\n"
+        "    field = ''.join(rng.choice(chars) for _ in range(rng.randint(1, 30)))\n"
+        "    open(path, 'wb').write(f't,nu\\n{field},0.1\\n2,0.2\\n'.encode())\n"
+        "    try:\n"
+        "        ftio.read_track_csv(path)\n"
+        "    except ftio.DataFormatError:\n"
+        "        continue\n"
+        "    sys.exit('a non-ASCII field was read')\n")
+    done = _run_python(script)
+    assert done.returncode == 0, (done.returncode, done.stderr)
+
+
 @pytest.mark.parametrize("index", ["0", "-1"])
 def test_nonpositive_dataset_index_rejected(tmp_path, index):
     # index -1 used to land on the last row through negative indexing
@@ -656,11 +698,7 @@ def _run_without_scipy(tmp_path, argv, check="pass"):
         f"code = freqtrack.cli.main({argv!r} + ['--out', {str(tmp_path)!r}])\n"
         f"{check}\n"
         "sys.exit(code)\n")
-    src = str(Path(cli.__file__).parents[1])
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = _run_python(script)
     assert done.returncode == 0, done.stderr
 
 

@@ -267,15 +267,22 @@ def test_forward_backward_band_equals_dense(n_states, r_nu):
     init = initial_distribution(grid)
     fb = assert_matches_dense(table(rows), transition, init)
     kernel = transition.kernel
-    half, taps, bound = transition.band
+    half, cut = transition.half_width, transition.cut
     if half < n_states - 1:
         assert np.all(kernel[:half + 1] > KERNEL_CUTOFF)
-        assert bound == kernel[half + 1] <= KERNEL_CUTOFF
-        assert np.array_equal(taps, np.concatenate([kernel[half:0:-1], kernel[:half + 1]]))
+        assert cut == kernel[half + 1] <= KERNEL_CUTOFF
+        # spreading a unit mass at the centre reads the band's taps back
+        centre = n_states // 2
+        impulse = np.zeros(n_states)
+        impulse[centre] = 1.0
+        taps = np.zeros(n_states)
+        taps[centre - half:centre + half + 1] = np.concatenate([kernel[half:0:-1],
+                                                                kernel[:half + 1]])
+        assert np.array_equal(transition.spread(impulse), taps)
     else:  # 2h+1 > P: all 2P - 1 taps
         assert 2 * np.count_nonzero(kernel > KERNEL_CUTOFF) - 1 > n_states
-        assert bound == 0.0 and fb.fallback_bins == 0
-        assert taps is transition.taps
+        assert cut == 0.0 and fb.fallback_bins == 0
+        assert np.array_equal(transition.spread(rows[0]), transition.spread(rows[0], all_taps=True))
 
 
 def test_forward_backward_band_falls_back_on_a_forced_jump():
@@ -288,7 +295,7 @@ def test_forward_backward_band_falls_back_on_a_forced_jump():
     rows[2] = np.random.default_rng(1).normal(0, 5, 128)
     init = initial_distribution(grid)
     fb = assert_matches_dense(table(rows), transition, init)
-    assert transition.band[0] == 12
+    assert transition.half_width == 12
     assert fb.fallback_bins >= 1
 
 

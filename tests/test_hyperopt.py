@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from freqtrack import hmm, hyperopt
+from freqtrack import hmm, hyperopt, markov
 from freqtrack.baselines import unwrap_track
 from freqtrack.hmm import ObservationTable, observation_table
 from freqtrack.hyperopt import (
@@ -170,31 +170,47 @@ def test_r_nu_gradient_equals_the_dense_pair_marginals(n_states, n_bins, r_nu):
     assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
 
 
+def recorded_windows(monkeypatch):
+    """The window sizes of the gradient's lag sums, one per pass over the
+    weighted table: 2h+1 for the band, 2P - 1 for all taps."""
+    sizes = []
+    window_view = markov.sliding_window_view
+
+    def recorded(table, size, **kwargs):
+        sizes.append(size)
+        return window_view(table, size, **kwargs)
+
+    monkeypatch.setattr(markov, "sliding_window_view", recorded)
+    return sizes
+
+
 def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch):
     # cut after lag 2, the band drops kernel values far above the cutoff:
     # the dropped lags' bound is not within eps of the term, which is then
     # recomputed with all 2P - 1 taps and again equals the dense one
     ds, hyper, grid = r_nu_problem(128, 128, 4e-3)
-    sizes = []
-    step_moment = hyperopt._step_moment
-
-    def recorded(head, weighted, taps, spacing):
-        sizes.append(taps.size)
-        return step_moment(head, weighted, taps, spacing)
-
-    def short(trans):
-        centre = trans.kernel.size - 1
-        return 2, trans.taps[centre - 2:centre + 3], float(trans.kernel[3])
-
-    monkeypatch.setattr(hyperopt, "_step_moment", recorded)
     expected, scale = dense_r_nu_gradient(ds, hyper, grid)
-    half = gaussian_transition(grid, hyper.r_nu).band[0]
+    sizes = recorded_windows(monkeypatch)
+    half = gaussian_transition(grid, hyper.r_nu).half_width
     assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
     assert sizes == [2 * half + 1] and half < grid.size - 1
     sizes.clear()
-    monkeypatch.setattr(GaussianTransition, "band", property(short))
+    monkeypatch.setattr(GaussianTransition, "half_width", property(lambda trans: 2))
+    monkeypatch.setattr(GaussianTransition, "cut", property(lambda trans: float(trans.kernel[3])))
     assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
     assert sizes == [5, 2 * grid.size - 1]
+
+
+@pytest.mark.parametrize("n_states, r_nu", [(128, 5e-6), (384, 1e-6)])
+def test_r_nu_gradient_where_the_band_keeps_lag_zero_alone(monkeypatch, n_states, r_nu):
+    # kernel[1] is below the cutoff, so the band's moment is exactly 0 and
+    # the term is recomputed with all 2P - 1 taps
+    ds, hyper, grid = r_nu_problem(128, n_states, r_nu)
+    assert gaussian_transition(grid, r_nu).half_width == 0
+    expected, scale = dense_r_nu_gradient(ds, hyper, grid)
+    sizes = recorded_windows(monkeypatch)
+    assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
+    assert sizes == [1, 2 * n_states - 1]
 
 
 def test_fit_builds_no_transition_matrix_or_pair_marginals(monkeypatch):

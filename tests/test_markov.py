@@ -100,7 +100,7 @@ def test_band_keeps_lag_zero_alone_exactly_when_kernel_1_is_cut(spec):
         middle = low + (high - low) / 2
         low, high = (middle, high) if cut(middle) == cut(low) else (low, middle)
     for r_nu in sweep + [np.nextafter(low, 0.0), low, high, np.nextafter(high, np.inf)]:
-        assert (gaussian_transition(grid, r_nu).band[0] == 0) == cut(r_nu), r_nu
+        assert (gaussian_transition(grid, r_nu).half_width == 0) == cut(r_nu), r_nu
     assert cut(low) and not cut(high)
 
 
