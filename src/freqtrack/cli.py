@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from freqtrack import io as ftio
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.hmm import NumericalError, observation_table, viterbi
 from freqtrack.hyperopt import (DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, LINE_SEARCHES,
-                                STRATEGIES, FitCriterion, _median, estimate_ml, hyper_nll)
+                                STRATEGIES, FitCriterion, _median, estimate_ml, hyper_nll,
+                                value_or_inf)
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid, initial_distribution
 from freqtrack.refine import refine_map
@@ -121,7 +123,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
     """Sample the hyperparameter criterion on a log-spaced box around center,
-    every point reading one FitCriterion."""
+    every point reading one FitCriterion and scored as the fit scores it."""
     m = LEVELSET_SIZE
     criterion = FitCriterion(dataset, grid)
     axes = [np.logspace(np.log10(v) - 1.0, np.log10(v) + 1.0, m)
@@ -131,7 +133,7 @@ def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
         for ra in axes[0]:
             for rb in axes[1]:
                 for rnu in axes[2]:
-                    value = hyper_nll(criterion, Hyperparameters(ra, rb, rnu))
+                    value = value_or_inf(partial(hyper_nll, criterion), (ra, rb, rnu))
                     fh.write(f"{float(ra)!r},{float(rb)!r},{float(rnu)!r},{value!r}\n")
     print(f"wrote {path} ({m}x{m}x{m} samples)")
 

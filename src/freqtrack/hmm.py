@@ -245,16 +245,12 @@ def _band_half_width(spread: float, lam: float, grid: FrequencyGrid) -> int:
 def _dense_minima(low: np.ndarray, bad: np.ndarray, cost: np.ndarray,
                   dense: np.ndarray) -> None:
     """low[p] = min_q cost[q] + dense[p, q] for each row p in bad, in blocks
-    of at most _BLOCK sums.  Only the columns from the first to the last
-    state whose cost is not +inf are read: a sum on +inf is +inf, the
-    minimum of the others or +inf itself."""
-    reached = np.flatnonzero(cost != np.inf)
-    span = slice(reached[0], reached[-1] + 1) if reached.size else slice(0, cost.size)
-    step = max(1, _BLOCK // (span.stop - span.start))
+    of at most _BLOCK sums."""
+    step = max(1, _BLOCK // cost.size)
     for start in range(0, bad.size, step):
         rows = bad[start:start + step]
-        sums = dense[rows, span]
-        sums += cost[span]
+        sums = dense[rows]
+        sums += cost
         low[rows] = sums.min(axis=1)
 
 
@@ -269,7 +265,7 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     result as x + (-P).
 
     Band.  W = _band_half_width(median range of a row of P_t, lam, grid):
-    the band spans 2 sqrt(2 R) steps sqrt(r_nu) of the chain on each side,
+    the band covers 2 sqrt(2 R) steps sqrt(r_nu) of the chain on each side,
     R the median range of a row of log-likelihoods in nats, as
     lam = 1 / (2 alpha r_nu).  Each stage takes, for every target p,
 
@@ -299,7 +295,6 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     p keeps its band minimum m when m < B(p) - mu, the rounding margin
     below, and is otherwise searched densely; NaN fails the test and goes
     to the dense search.
-    When W = P - 1 the band holds every state and no row is tested.
 
     Margin.  Let u = eps/2, M = 2T(max |P_t(p)| + lag_cost[P-1]),
     S = M + r_{P-1} + h and mu = 16 eps S + 2^-1022, with the test
@@ -336,8 +331,8 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     and is the one the band's minimum came from.
 
     Cost.  O(T P W) for the bands and certificates, plus O(P) per row that
-    fails the certificate, searched in blocks of at most _BLOCK sums over
-    the columns whose cost is finite, plus O(T P) to read the path back.
+    fails the certificate, searched in blocks of at most _BLOCK sums, plus
+    O(T P) to read the path back.
     The dense search can still dominate.  Where W reaches P - 1 (a grid
     at most 2 sqrt(2 R) chain steps wide on each side of a state, or lam
     small against the spread) the band itself is the dense O(T P^2)
@@ -346,15 +341,14 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     row also fails while its cost comes from a jump far longer than W: the
     tangent bound grows only linearly with the lag.  So on a grid much
     wider than the start band, whose states alone are finite at stage 0,
-    stage 1 fails on most rows (and searches only the start band's
-    columns), and rows about t W states beyond it at stage t fail until
-    band moves reach them: 0.6% of the rows of a T=4096, P=512 track over
-    (-4, 4) at lam = 512.5, W = 10, but most rows where W = 1 and T is
-    short.  Memory: the kept cost rows, a second (T, P + 2W) float table
-    next to obs.periodograms, plus O(P) and blocks of at most _BLOCK
-    floats.  A lag cost or a sum that overflows saturates to +inf without a
-    warning: the constant path always has a finite cost, so no such pair
-    can be on the minimum path.
+    stage 1 fails on most rows, and rows about t W states beyond it at
+    stage t fail until band moves reach them: 0.6% of the rows of a
+    T=4096, P=512 track over (-4, 4) at lam = 512.5, W = 10, but most rows
+    where W = 1 and T is short.  Memory: the kept cost rows, a second
+    (T, P + 2W) float table next to obs.periodograms, plus O(P) and blocks
+    of at most _BLOCK floats.  A lag cost or a sum that overflows saturates
+    to +inf without a warning: the constant path always has a finite cost,
+    so no such pair can be on the minimum path.
 
     Raises ValueError naming the first bin whose row of periodograms is
     not finite: the local cost is then unusable, either itself or because
@@ -371,7 +365,6 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     n_bins, n_states = periodograms.shape
     # the upper median of the row ranges (np.median imports numpy.ma on first use, 30 ms)
     half = _band_half_width(np.partition(top - bottom, n_bins // 2)[n_bins // 2], lam, grid)
-    complete = half == n_states - 1
     reach = half + 1
     rows = np.arange(n_states)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,15 +408,14 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
                 if i:
                     np.minimum(part[0], low, out=part[0])
                 np.minimum.reduce(part, axis=0, out=low)
-            if not complete:
-                np.subtract(cost[:head], ramp[:head], out=sweep[0, reach:])
-                np.subtract(reversed_costs[t - 1, :head], ramp[:head], out=sweep[1, reach:])
-                np.minimum.accumulate(sweep, axis=1, out=sweep)
-                np.add(sweep, lowered, out=bound)
-                np.minimum(bound[0], bound[1, ::-1], out=bound[0])
-                np.less(low, bound[0], out=certified)
-                if np.count_nonzero(certified) < n_states:
-                    _dense_minima(low, np.flatnonzero(~certified), cost, dense)
+            np.subtract(cost[:head], ramp[:head], out=sweep[0, reach:])
+            np.subtract(reversed_costs[t - 1, :head], ramp[:head], out=sweep[1, reach:])
+            np.minimum.accumulate(sweep, axis=1, out=sweep)
+            np.add(sweep, lowered, out=bound)
+            np.minimum(bound[0], bound[1, ::-1], out=bound[0])
+            np.less(low, bound[0], out=certified)
+            if np.count_nonzero(certified) < n_states:
+                _dense_minima(low, np.flatnonzero(~certified), cost, dense)
             low -= periodograms[t]
         path = np.empty(n_bins, dtype=int)
         path[-1] = int(np.argmin(costs[-1]))

@@ -211,18 +211,23 @@ class OptimizerReport:
         return self.stop_reason not in ("max_iter", "r_nu_below_resolution")
 
 
+def value_or_inf(fn, values) -> float:
+    """fn(hyper) at values = (r_a, r_b, r_nu), or +inf where the values are
+    not positive and finite, where fn rejects the hyperparameters, or where
+    the forward probability underflows to zero: the fit and estimate
+    --levelsets score such a point alike."""
+    try:
+        return fn(Hyperparameters.from_array(values))
+    except (HyperparameterError, NumericalError):
+        return np.inf
+
+
 def _total(fn):
-    """fn(hyper) over log-parameters x, +inf where exp(x) is not positive
-    and finite, where fn rejects the hyperparameters, or where the forward
-    probability underflows to zero: a line search can then probe any x, and
-    such a point is merely uphill."""
+    """value_or_inf over log-parameters x: a line search may probe any x."""
     def total(x):
         with np.errstate(over="ignore"):
             values = np.exp(x)
-        try:
-            return fn(Hyperparameters.from_array(values))
-        except (HyperparameterError, NumericalError):
-            return np.inf
+        return value_or_inf(fn, values)
     return total
 
 

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from freqtrack import cli, hyperopt
 from freqtrack import io as ftio
 from freqtrack.cli import main, make_parser, rmse
+from freqtrack.hmm import NumericalError
 from freqtrack.hyperopt import DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, FitCriterion, hyper_nll
 from freqtrack.markov import FrequencyGrid
-from freqtrack.signal import (MIN_SAMPLES, DataSet, Hyperparameters, make_test_track,
-                              synthesize_dataset)
+from freqtrack.signal import (MIN_SAMPLES, DataSet, HyperparameterError, Hyperparameters,
+                              make_test_track, synthesize_dataset)
 from oracles import csv_read_dataset, csv_read_track
 
 
@@ -415,22 +416,33 @@ def test_eval_command(tmp_path):
 
 
 def test_estimate_levelsets(tmp_path, monkeypatch):
-    assert run(["simulate", "--seed", "3"] + small_args(tmp_path)) == 0
-    estimate = ["estimate", str(tmp_path / "dataset.csv"), "--levelsets",
-                "--out", str(tmp_path), "--grid=-2.5,2.5,48"]
+    inputs = [
+        (["--bins", "24", "--r-nu", "2e-3", "--track-range=-0.8,0.8"], (-2.5, 2.5, 48)),
+        # SNR 1000: the box's first point (each r / 10) underflows the forward pass
+        (["--r-b", "1e-3"], (-2.5, 2.5, 128)),
+    ]
     args_file = tmp_path / "run.args"
     args_file.write_text("--levelset-size=2\n")
-    assert exit_code(estimate + [f"@{args_file}"]) == 1  # not a setting
+    # not a setting
+    assert exit_code(["estimate", "dataset.csv", "--levelsets", f"@{args_file}"]) == 1
     monkeypatch.setattr(cli, "LEVELSET_SIZE", 2)
-    assert run(estimate) == 0
-    lines = (tmp_path / "levelsets.csv").read_text().splitlines()
-    assert lines[0] == "r_a,r_b,r_nu,value"
-    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
-    assert len(rows) == 8 and len({row[:3] for row in rows}) == 8
-    dataset = ftio.read_dataset_csv(tmp_path / "dataset.csv")
-    criterion = FitCriterion(dataset, FrequencyGrid(-2.5, 2.5, 48))
-    for r_a, r_b, r_nu, value in rows:
-        assert value == hyper_nll(criterion, Hyperparameters(r_a, r_b, r_nu))
+    for i, (simulate, grid) in enumerate(inputs):
+        out = tmp_path / str(i)
+        out.mkdir()
+        assert run(["simulate", "--seed", "3", "--out", str(out)] + simulate) == 0
+        assert run(["estimate", str(out / "dataset.csv"), "--levelsets", "--out", str(out),
+                    "--grid={},{},{}".format(*grid)]) == 0
+        lines = (out / "levelsets.csv").read_text().splitlines()
+        assert lines[0] == "r_a,r_b,r_nu,value"
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 8 and len({row[:3] for row in rows}) == 8
+        criterion = FitCriterion(ftio.read_dataset_csv(out / "dataset.csv"), FrequencyGrid(*grid))
+        for r_a, r_b, r_nu, value in rows:
+            try:
+                expected = hyper_nll(criterion, Hyperparameters(r_a, r_b, r_nu))
+            except (HyperparameterError, NumericalError):
+                expected = np.inf
+            assert value == expected
 
 
 def test_exit_code_usage():

@@ -504,23 +504,23 @@ def test_default_strategy_reaches_the_minimum():
 
 
 def test_default_fit_evaluation_budget():
-    # the line searches stop on the criterion; shrinking every bracket to
-    # LINE_SEARCH_TOL in the step takes 109 evaluations here
+    # the default bfgs fit runs no line search: each step backtracks from
+    # the full step on Armijo's test, 5 evaluations in all here
     report = estimate_ml(*standard_dataset())
     assert report.function_evals <= 70
 
 
 @pytest.mark.parametrize("line_search", LINE_SEARCHES)
-def test_coordinate_wise_reaches_the_vignes_minimum_on_a_wide_grid(line_search):
-    # coordinate_wise stops each search early too, so it must not take a
-    # rounding-level decrease as a step: with that, dichotomy stops 0.016
-    # nats high here
+def test_coordinate_wise_reaches_the_default_fit_on_a_wide_grid(line_search):
+    # coordinate_wise stops each line search on the criterion, so it must
+    # not take a rounding-level decrease as a step: with that, dichotomy
+    # stops 0.016 nats high here
     track = make_test_track("sine", 128, (-1.5, 1.5))
     ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=201)
     grid = FrequencyGrid(-3.5, 3.5, 384)
-    vignes = estimate_ml(ds, grid).reached_minimum
+    default = estimate_ml(ds, grid).reached_minimum
     report = estimate_ml(ds, grid, strategy="coordinate_wise", line_search=line_search)
-    assert report.reached_minimum <= vignes + 1e-7 * abs(vignes)
+    assert report.reached_minimum <= default + 1e-7 * abs(default)
 
 
 @pytest.mark.parametrize("line_search", LINE_SEARCHES)
