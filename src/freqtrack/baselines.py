@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from freqtrack.signal import DataSet
-from freqtrack.spectral import periodogram_deriv_many, periodogram_table
+from freqtrack.spectral import periodogram_deriv_many, periodogram_table, row_blocks
 
 
 def decimal_part(x):
@@ -29,11 +29,13 @@ def ml_periodogram_argmax(dataset: DataSet) -> np.ndarray:
     """Per-bin periodogram maximizer over (-0.5, 0.5], independently per bin.
 
     An argmax over ARGMAX_GRID_SIZE frequencies is followed by one Newton
-    polish step when the local curvature allows it.
+    polish step when the local curvature allows it.  The periodograms are
+    computed in row blocks (spectral.row_blocks) and only each bin's peak is
+    kept, so memory is one block, not a (T, ARGMAX_GRID_SIZE) table.
     """
     nus = -0.5 + np.arange(1, ARGMAX_GRID_SIZE + 1) / ARGMAX_GRID_SIZE
-    p_table = periodogram_table(dataset.lags, nus)
-    peaks = nus[np.argmax(p_table, axis=1)]
+    peaks = np.concatenate([nus[np.argmax(periodogram_table(dataset.lags[rows], nus), axis=1)]
+                            for rows in row_blocks(dataset.n_bins)])
     first, second = periodogram_deriv_many(dataset.lags, peaks)
     spacing = 1.0 / ARGMAX_GRID_SIZE
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,7 +14,10 @@ derived per call from lam, the spacing and the median range of a row of
 periodograms.  A row keeps its band minimum only where a per-row lower
 bound on every state beyond the band exceeds it by a proven rounding
 margin, and is searched densely otherwise, so path and cost match a dense
-search bit for bit, in O(T P W), at worst O(T P^2).
+search bit for bit, in O(T P W), at worst O(T P^2).  Viterbi reads the
+periodograms once, in row blocks computed from the records' lags where
+the observation table holds none, so its kept cost rows are its only
+(T, P) table.
 
 Forward and backward apply the Gaussian transition through its band
 (markov.GaussianTransition) and never build the P x P matrix; a bin whose
@@ -32,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
 from freqtrack.markov import FrequencyGrid, GaussianTransition, initial_distribution
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
-from freqtrack.spectral import periodogram_table
+from freqtrack.spectral import periodogram_table, row_blocks
 
 # Viterbi folds its band and searches rows densely in blocks of at most
 # this many pair sums (512 KiB of floats).
@@ -47,15 +50,39 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """The periodograms P_t(p), whose negation is Viterbi's local cost (read
-    in place, never copied), and the coefficients of the per-bin state
-    log-likelihoods log O_t(p) = alpha P_t(p) + log beta - gamma_t, which
-    forward-backward reads as the rescaled table ``scaled``."""
+    """The periodograms P_t(p), whose negation is Viterbi's local cost, and
+    the coefficients of the per-bin state log-likelihoods
+    log O_t(p) = alpha P_t(p) + log beta - gamma_t, which forward-backward
+    reads as the rescaled table ``scaled``.
 
-    periodograms: np.ndarray  # (T, P)
+    The periodograms are ``table`` where one is given, read in place and
+    never copied; otherwise they come from the records' lags over the
+    states, as a (T, P) table built on first read of ``periodograms`` or in
+    row blocks from ``row_blocks``, which builds none."""
+
+    table: np.ndarray | None  # (T, P) periodograms, or None: computed from lags
     alpha: float              # > 0
     log_beta: float
     gamma: np.ndarray         # (T,): record energy / r_b
+    lags: np.ndarray | None = None    # (T, N), read where table is None
+    states: np.ndarray | None = None  # (P,), read where table is None
+
+    @cached_property
+    def periodograms(self) -> np.ndarray:
+        """(T, P) P_t(p): table, or periodogram_table(lags, states)."""
+        if self.table is not None:
+            return self.table
+        return periodogram_table(self.lags, self.states)
+
+    def row_blocks(self):
+        """The periodograms in row order, as consecutive (rows, P) blocks:
+        table as one block where it is given, and otherwise blocks of
+        spectral.row_blocks computed from lags, the same values bit for bit."""
+        if self.table is not None:
+            yield self.table
+            return
+        for rows in row_blocks(self.n_bins):
+            yield periodogram_table(self.lags[rows], self.states)
 
     @cached_property
     def row_max(self) -> np.ndarray:
@@ -71,11 +98,11 @@ class ObservationTable:
 
     @property
     def n_bins(self) -> int:
-        return self.periodograms.shape[0]
+        return self.gamma.shape[0]
 
     @property
     def n_states(self) -> int:
-        return self.periodograms.shape[1]
+        return self.states.size if self.table is None else self.table.shape[1]
 
 
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters,
@@ -84,7 +111,8 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
 
     periodograms, when given, is periodogram_table(dataset.lags,
     grid.states), computed once for many hyperparameters and read, not
-    copied or recomputed.
+    copied or recomputed.  Without it no table is built here: the result
+    computes the periodograms from dataset.lags when read (ObservationTable).
 
     Raises ValueError naming r_a and r_b when alpha is not positive and
     finite (see alpha_coefficient), or when log beta or the largest record
@@ -98,9 +126,7 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     if not np.isfinite([log_beta, gamma.max()]).all():
         raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
                                   "the likelihood coefficient log beta or energy / r_b non-finite")
-    if periodograms is None:
-        periodograms = periodogram_table(dataset.lags, grid.states)
-    return ObservationTable(periodograms, alpha, log_beta, gamma)
+    return ObservationTable(periodograms, alpha, log_beta, gamma, dataset.lags, grid.states)
 
 
 @dataclass
@@ -260,9 +286,11 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     Local cost is -P_t(nu^p), pair cost lag_cost[d] = lam * (d * spacing)^2
     for states d = |p - q| apart, and the first state is constrained to the
     initial band.  Ties break toward the lowest state index at every stage
-    and at termination.  Each stage subtracts its row of obs.periodograms,
-    read in place with no negated (T, P) copy: x - P is the same IEEE
-    result as x + (-P).
+    and at termination.  One pass over obs.row_blocks copies the
+    periodograms into the (T, P) table of cost rows and takes each row's
+    maximum and minimum; row t holds P_t until stage t subtracts it from
+    its minima, with no negated copy: x - P is the same IEEE result as
+    x + (-P).
 
     Band.  W = _band_half_width(median range of a row of P_t, lam, grid):
     the band covers 2 sqrt(2 R) steps sqrt(r_nu) of the chain on each side,
@@ -319,16 +347,16 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     dense search would keep the band's answer.
 
     Path.  No stage records where its minima lie.  Every cost row is kept,
-    in one (T, P + 2W) array whose W entries of +inf on each side are the
-    off-grid predecessors the windows read.  By the above each row equals
-    the dense search's bit for bit.  The path ends at the lowest-index
-    minimum of the last row, and each bin t > 0 then sets path[t - 1] to
-    the lowest-index argmin over all q of cost_{t-1}[q] +
-    lag_cost[|path[t] - q|]: the same IEEE sums over the same row as the
-    dense search's back-pointer of path[t], hence the same state.  Where
-    row path[t] of stage t was certified, every sum beyond its band is
-    strictly above its minimum (Margin), so that state lies in the band
-    and is the one the band's minimum came from.
+    in one (T, P) array; each stage copies the previous one between W
+    entries of +inf on each side, the off-grid predecessors the windows
+    read.  By the above each row equals the dense search's bit for bit.
+    The path ends at the lowest-index minimum of the last row, and each bin
+    t > 0 then sets path[t - 1] to the lowest-index argmin over all q of
+    cost_{t-1}[q] + lag_cost[|path[t] - q|]: the same IEEE sums over the
+    same row as the dense search's back-pointer of path[t], hence the same
+    state.  Where row path[t] of stage t was certified, every sum beyond
+    its band is strictly above its minimum (Margin), so that state lies in
+    the band and is the one the band's minimum came from.
 
     Cost.  O(T P W) for the bands and certificates, plus O(P) per row that
     fails the certificate, searched in blocks of at most _BLOCK sums, plus
@@ -344,11 +372,13 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     stage 1 fails on most rows, and rows about t W states beyond it at
     stage t fail until band moves reach them: 0.6% of the rows of a
     T=4096, P=512 track over (-4, 4) at lam = 512.5, W = 10, but most rows
-    where W = 1 and T is short.  Memory: the kept cost rows, a second
-    (T, P + 2W) float table next to obs.periodograms, plus O(P) and blocks
-    of at most _BLOCK floats.  A lag cost or a sum that overflows saturates
-    to +inf without a warning: the constant path always has a finite cost,
-    so no such pair can be on the minimum path.
+    where W = 1 and T is short.  Memory: the kept cost rows, one (T, P)
+    float table, and one block of periodograms (obs.table, or
+    spectral.ROW_BLOCK to 2 ROW_BLOCK - 1 rows computed from the lags where
+    obs has no table), plus O(P) and blocks of at most _BLOCK floats.  A
+    lag cost or a sum that overflows saturates to +inf without a warning:
+    the constant path always has a finite cost, so no such pair can be on
+    the minimum path.
 
     Raises ValueError naming the first bin whose row of periodograms is
     not finite: the local cost is then unusable, either itself or because
@@ -357,12 +387,20 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     """
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    periodograms = obs.periodograms
-    top, bottom = periodograms.max(axis=1), periodograms.min(axis=1)  # NaN propagates
+    n_bins, n_states = obs.n_bins, obs.n_states
+    # row t holds P_t until stage t overwrites it with its cost row
+    costs = np.empty((n_bins, n_states))
+    top, bottom = np.empty(n_bins), np.empty(n_bins)
+    start = 0
+    for block in obs.row_blocks():
+        span = slice(start, start + block.shape[0])
+        costs[span] = block
+        block.max(axis=1, out=top[span])  # NaN propagates
+        block.min(axis=1, out=bottom[span])
+        start = span.stop
     finite = np.isfinite(top) & np.isfinite(bottom)
     if not finite.all():
         raise ValueError(f"local cost is not finite at bin {int(np.argmin(finite))}")
-    n_bins, n_states = periodograms.shape
     # the upper median of the row ranges (np.median imports numpy.ma on first use, 30 ms)
     half = _band_half_width(np.partition(top - bottom, n_bins // 2)[n_bins // 2], lam, grid)
     reach = half + 1
@@ -377,13 +415,14 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
         scale = 2 * n_bins * (extent + lag_cost[-1]) + ramp[-1] + lift
         margin = 16 * _EPS * scale + _TINY if scale <= 2.0**1021 else np.inf
         lowered = ramp - (lift + margin)
-        kept = np.full((n_bins, n_states + 2 * half), np.inf)
-        costs = kept[:, half:half + n_states]
-        reversed_costs = kept[:, ::-1][:, half:half + n_states]
-        # windows[t, j] holds bin t's cost at q = p + j - W for each target p;
+        # the previous stage's cost row between W entries of +inf on each side
+        padded = np.full(n_states + 2 * half, np.inf)
+        cost = padded[half:half + n_states]
+        reversed_cost = padded[::-1][half:half + n_states]
+        # windows[j] holds the cost at q = p + j - W for each target p;
         # row d of below and above holds the predecessors d states from p
-        windows = sliding_window_view(kept, n_states, axis=1)
-        below, above = windows[:, half::-1], windows[:, half:]
+        windows = sliding_window_view(padded, n_states)
+        below, above = windows[half::-1], windows[half:]
         chunk = min(reach, max(1, _BLOCK // n_states))
         fold = np.empty((chunk, n_states))
         # the lag costs of each chunk of lags; full rows, which add faster
@@ -396,27 +435,28 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
         sweep = np.full((2, n_states), np.inf)
         bound = np.empty((2, n_states))
         certified = np.empty(n_states, dtype=bool)
-        np.subtract(np.where(initial_distribution(grid) > 0, 0.0, np.inf), periodograms[0],
+        low = np.empty(n_states)
+        np.subtract(np.where(initial_distribution(grid) > 0, 0.0, np.inf), costs[0],
                     out=costs[0])
         for t in range(1, n_bins):
-            cost, low = costs[t - 1], costs[t]
+            cost[:] = costs[t - 1]
             for i, pair in enumerate(pairs):
                 lags = slice(i * chunk, i * chunk + len(pair))
                 part = fold[:len(pair)]
-                np.minimum(below[t - 1, lags], above[t - 1, lags], out=part)
+                np.minimum(below[lags], above[lags], out=part)
                 part += pair
                 if i:
                     np.minimum(part[0], low, out=part[0])
                 np.minimum.reduce(part, axis=0, out=low)
             np.subtract(cost[:head], ramp[:head], out=sweep[0, reach:])
-            np.subtract(reversed_costs[t - 1, :head], ramp[:head], out=sweep[1, reach:])
+            np.subtract(reversed_cost[:head], ramp[:head], out=sweep[1, reach:])
             np.minimum.accumulate(sweep, axis=1, out=sweep)
             np.add(sweep, lowered, out=bound)
             np.minimum(bound[0], bound[1, ::-1], out=bound[0])
             np.less(low, bound[0], out=certified)
             if np.count_nonzero(certified) < n_states:
                 _dense_minima(low, np.flatnonzero(~certified), cost, dense)
-            low -= periodograms[t]
+            np.subtract(low, costs[t], out=costs[t])
         path = np.empty(n_bins, dtype=int)
         path[-1] = int(np.argmin(costs[-1]))
         sums = np.empty(n_states)

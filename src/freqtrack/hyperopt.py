@@ -202,12 +202,15 @@ class OptimizerReport:
     function_evals: int
     iterations: int
     # "relative_decrease", "no_decrease", "zero_gradient", "max_iter" or
-    # "r_nu_below_resolution"; the last two are not convergence
+    # "r_nu_below_resolution"; the last two are not convergence, and neither
+    # is "no_decrease" before any step was accepted: the fit is stuck at its start
     stop_reason: str
     trajectory: list = field(default_factory=list)  # log-parameter iterates
 
     @property
     def converged(self) -> bool:
+        if self.stop_reason == "no_decrease":
+            return len(self.trajectory) > 1
         return self.stop_reason not in ("max_iter", "r_nu_below_resolution")
 
 

@@ -62,3 +62,18 @@ def periodogram_table(lags, nus) -> np.ndarray:
     coefficients = np.concatenate([np.asarray(lags)[:, :1].real, a, b], axis=1)
     out = coefficients @ np.concatenate([np.ones((1, cos.shape[0])), cos.T, sin.T])
     return np.maximum(out, 0.0, out=out)
+
+
+# Rows per periodogram_table call where a T-row table is computed in blocks.
+# A call on at least 64 rows matched the whole table bit for bit (OpenBLAS,
+# T=4096 records at P=512 and 1024); a one-row call, a matrix-vector
+# product, did not.
+ROW_BLOCK = 256
+
+
+def row_blocks(n_rows: int) -> list[slice]:
+    """Consecutive slices covering range(n_rows), ROW_BLOCK rows each but the
+    last, which runs to n_rows: one slice where n_rows < 2 * ROW_BLOCK, and
+    never one shorter than ROW_BLOCK where n_rows exceeds it."""
+    starts = range(0, max(n_rows - ROW_BLOCK, 0) + 1, ROW_BLOCK)
+    return [slice(start, start + ROW_BLOCK) for start in starts[:-1]] + [slice(starts[-1], n_rows)]

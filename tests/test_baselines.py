@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from freqtrack import baselines
 from freqtrack.baselines import decimal_part, ml_periodogram_argmax, unwrap_track, wrap_to_band
 from freqtrack.signal import Hyperparameters, make_test_track, synthesize_dataset
-from freqtrack.spectral import periodogram
+from freqtrack.spectral import ROW_BLOCK, periodogram
 from oracles import steps_within_half
 
 
@@ -118,3 +119,12 @@ def test_unwrap_track_equals_the_numpy_scalar_recursion(track):
     finite = np.isfinite(ref)
     assert np.array_equal(np.isfinite(out), finite)
     assert out[finite].tobytes() == ref[finite].tobytes()
+
+
+@pytest.mark.parametrize("n_bins", [16, 128, ROW_BLOCK + 1, 1000, 4096])
+def test_argmax_estimator_in_row_blocks_matches_one_table(monkeypatch, n_bins):
+    ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)),
+                            Hyperparameters(1.0, 0.1, 1e-4), 4, seed=1)
+    blocked = ml_periodogram_argmax(ds)
+    monkeypatch.setattr(baselines, "row_blocks", lambda n_rows: [slice(0, n_rows)])
+    assert np.array_equal(blocked, ml_periodogram_argmax(ds))

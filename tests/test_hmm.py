@@ -22,6 +22,7 @@ from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, gaussian_transition,
                               initial_distribution, transition_matrix)
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
+from freqtrack.spectral import ROW_BLOCK, periodogram_table
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
                      log_prob, scaled_rows, table)
 
@@ -160,18 +161,40 @@ def test_observation_table_rescaled_rows_are_within_the_bound_of_the_log_table(r
 
 
 def test_observation_table_memory_is_one_table():
-    # at T=4096, P=512 the periodograms are the only (T, P) table it builds
+    # at T=4096, P=512 the table is built on first read of the periodograms,
+    # the only (T, P) array then; observation_table itself builds none
     n_bins, n_states = 4096, 512
     hyper = Hyperparameters(1.0, 0.1, 1e-4)
     ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)), hyper, 4, seed=0)
     grid = FrequencyGrid(-4.0, 4.0, n_states)
-    tracemalloc.start()
-    try:
-        observation_table(ds, grid, hyper)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * n_bins * n_states * 8
+    peaks = []
+    for read in (lambda obs: obs, lambda obs: obs.periodograms):
+        tracemalloc.start()
+        try:
+            read(observation_table(ds, grid, hyper))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.01 * n_bins * n_states * 8
+    assert peaks[1] <= 1.25 * n_bins * n_states * 8
+
+
+@pytest.mark.parametrize("n_bins", [16, 128, ROW_BLOCK + 1, 1000, 4096])
+def test_viterbi_on_streamed_rows_matches_the_table(n_bins):
+    # one block (16, 128, R + 1), blocks with a longer last one (1000) and
+    # an exact multiple of R (4096), against the dataset's own table
+    hyper = Hyperparameters(1.0, 0.1, 1e-4)
+    ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)), hyper, 4, seed=1)
+    grid = FrequencyGrid(-4.0, 4.0, 512)
+    lam = smoothing_weight(hyper, ds.n_samples)
+    streamed = observation_table(ds, grid, hyper)
+    assert streamed.table is None and (streamed.n_bins, streamed.n_states) == (n_bins, 512)
+    path, cost = viterbi(streamed, grid, lam)
+    assert "periodograms" not in vars(streamed)  # viterbi built no table
+    table = observation_table(ds, grid, hyper, periodogram_table(ds.lags, grid.states))
+    expected_path, expected_cost = viterbi(table, grid, lam)
+    assert np.array_equal(path, expected_path) and cost == expected_cost
+    assert np.array_equal(np.concatenate(list(streamed.row_blocks())), table.periodograms)
 
 
 def test_forward_single_bin():

@@ -758,8 +758,10 @@ def test_stop_reason_no_decrease(monkeypatch, strategy):
     gradient = hyperopt.hyper_nll_gradient
     monkeypatch.setattr(hyperopt, "hyper_nll_gradient", lambda *args: -gradient(*args))
     report = estimate_ml(*small_fit_problem(), strategy=strategy)
-    assert report.stop_reason == "no_decrease" and report.converged
+    assert report.stop_reason == "no_decrease"
     assert report.iterations == len(report.trajectory)
+    # converged once a step was accepted; a fit stuck at its start is not
+    assert report.converged == (len(report.trajectory) > 1)
 
 
 def constant_track_problem():

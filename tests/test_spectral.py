@@ -5,10 +5,12 @@ import pytest
 
 from freqtrack.signal import steering_vector
 from freqtrack.spectral import (
+    ROW_BLOCK,
     empirical_correlation,
     periodogram,
     periodogram_deriv_many,
     periodogram_table,
+    row_blocks,
 )
 from oracles import dft_periodogram, dft_periodogram_derivatives
 
@@ -183,3 +185,14 @@ def test_periodogram_table_memory_is_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * table.nbytes
+
+
+@pytest.mark.parametrize("n_rows", [1, 16, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK - 1,
+                                    2 * ROW_BLOCK, 1000, 4096])
+def test_row_blocks_cover_the_rows_in_blocks_of_at_least_row_block(n_rows):
+    blocks = row_blocks(n_rows)
+    assert np.array_equal(np.concatenate([np.arange(n_rows)[rows] for rows in blocks]),
+                          np.arange(n_rows))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert sizes[:-1] == [ROW_BLOCK] * (len(sizes) - 1)
+    assert ROW_BLOCK <= sizes[-1] < 2 * ROW_BLOCK or sizes == [n_rows]
