@@ -53,14 +53,15 @@ def unwrap_track(track) -> np.ndarray:
     smoothness penalty can only shrink, strictly so whenever the input
     violates the half-step bound.
 
-    The recursion out[t+1] = out[t] + decimal_part(track[t+1] - out[t]) runs
-    on Python floats, the same IEEE operations as on numpy scalars: float
-    floor division by 1.0 is floor() exactly, and like np.floor it gives
-    NaN, not an error, on a non-finite step.
+    Closed form: out[t] = track[t] - sum over s < t of
+    steps[s] - decimal_part(steps[s]), steps = np.diff(track).  Each term is
+    floor(steps[s] + 0.5) exactly (both subtractions are exact by Sterbenz),
+    so the sum is an exact integer and each entry is rounded once, with no
+    error carried from bin to bin.  A non-finite step makes that entry and
+    every later one NaN, without a warning.
     """
-    values = np.asarray(track, dtype=float).tolist()
-    out = values[:1]
-    for value in values[1:]:
-        step = value - out[-1]
-        out.append(out[-1] + (step - (step + 0.5) // 1.0))
-    return np.array(out)
+    out = np.array(track, dtype=float)
+    with np.errstate(invalid="ignore"):  # a non-finite step gives inf - inf = NaN
+        steps = np.diff(out)
+        out[1:] -= np.cumsum(steps - decimal_part(steps))
+    return out

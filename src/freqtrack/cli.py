@@ -128,13 +128,10 @@ def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
     criterion = FitCriterion(dataset, grid)
     axes = [np.logspace(np.log10(v) - 1.0, np.log10(v) + 1.0, m)
             for v in (center.r_a, center.r_b, center.r_nu)]
-    with open(path, "w") as fh:
-        fh.write("r_a,r_b,r_nu,value\n")
-        for ra in axes[0]:
-            for rb in axes[1]:
-                for rnu in axes[2]:
-                    value = value_or_inf(partial(hyper_nll, criterion), (ra, rb, rnu))
-                    fh.write(f"{float(ra)!r},{float(rb)!r},{float(rnu)!r},{value!r}\n")
+    ftio.write_csv(path, "r_a,r_b,r_nu,value", (
+        f"{float(ra)!r},{float(rb)!r},{float(rnu)!r},"
+        f"{value_or_inf(partial(hyper_nll, criterion), (ra, rb, rnu))!r}"
+        for ra in axes[0] for rb in axes[1] for rnu in axes[2]))
     print(f"wrote {path} ({m}x{m}x{m} samples)")
 
 
@@ -217,24 +214,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results: dict[str, list[float]] = {}
     hyper_errors = []
     viterbi_tracks = []
-    with open(args.out / "eval_replicates.csv", "w") as fh:
-        for rep in range(args.replicates):
-            seed = args.seed + rep
-            dataset = synthesize_dataset(truth, hyper, args.n_samples, seed)
-            report = estimate_ml(dataset, args.grid, strategy=args.strategy,
-                                 line_search=args.line_search)
-            tracks = compute_tracks(dataset, args.grid, report.minimizer)
-            viterbi_tracks.append(tracks["viterbi_map"])
-            if rep == 0:
-                fh.write("seed," + ",".join(f"rmse_{n}" for n in tracks) + "\n")
-            row = [str(seed)]
-            for name, track in tracks.items():
-                value = rmse(track, truth)
-                results.setdefault(name, []).append(value)
-                row.append(repr(value))
-            fh.write(",".join(row) + "\n")
-            hyper_errors.append(np.abs(np.log10(report.minimizer.as_array())
-                                       - np.log10(hyper.as_array())))
+    for rep in range(args.replicates):
+        dataset = synthesize_dataset(truth, hyper, args.n_samples, args.seed + rep)
+        report = estimate_ml(dataset, args.grid, strategy=args.strategy,
+                             line_search=args.line_search)
+        tracks = compute_tracks(dataset, args.grid, report.minimizer)
+        viterbi_tracks.append(tracks["viterbi_map"])
+        for name, track in tracks.items():
+            results.setdefault(name, []).append(rmse(track, truth))
+        hyper_errors.append(np.abs(np.log10(report.minimizer.as_array())
+                                   - np.log10(hyper.as_array())))
+    ftio.write_csv(args.out / "eval_replicates.csv",
+                   "seed," + ",".join(f"rmse_{name}" for name in results),
+                   (",".join([str(args.seed + rep), *(repr(v[rep]) for v in results.values())])
+                    for rep in range(args.replicates)))
     _warn_on_edge(args.grid, viterbi_tracks, args.seed)
     summary = _fit_settings(args.strategy, args.line_search)
     print(f"{'method':<14} {'mean rmse':>10} {'median':>10} {'p90':>10}")

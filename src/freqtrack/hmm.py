@@ -122,7 +122,8 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     n = dataset.n_samples
     alpha = alpha_coefficient(hyper, n)
     log_beta = log_beta_coefficient(hyper, n)
-    gamma = dataset.energy / hyper.r_b
+    with np.errstate(over="ignore"):  # an overflow is the non-finite gamma named below
+        gamma = dataset.energy / hyper.r_b
     if not np.isfinite([log_beta, gamma.max()]).all():
         raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
                                   "the likelihood coefficient log beta or energy / r_b non-finite")

@@ -13,20 +13,21 @@ class DataFormatError(ValueError):
     """Malformed or inconsistent input file."""
 
 
-def _write_rows(path, header: str, rows) -> None:
-    """The header, then the rows (each ending CRLF, floats as repr: the bytes
-    csv.writer gives) streamed: joined into one string, the rows of a T=4096,
-    N=4 dataset peak at 2.5 MB of Python objects, against 0.03 MB."""
+def write_csv(path, header: str, rows) -> None:
+    """The header line, then each row's text, every line ending CRLF (the
+    bytes csv.writer gives; floats are written as repr).  rows is streamed:
+    joined into one string, the rows of a T=4096, N=4 dataset peak at
+    2.5 MB of Python objects, against 0.03 MB."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        fh.writelines(rows)
+        fh.writelines(row + "\r\n" for row in rows)
 
 
 def write_dataset_csv(path, dataset: DataSet) -> None:
     """Rows `t,n,re,im` with t in 1..T and n in 1..N."""
-    _write_rows(path, "t,n,re,im", (f"{t},{n},{value.real!r},{value.imag!r}\r\n"
-                                    for t, record in enumerate(dataset.samples, start=1)
-                                    for n, value in enumerate(record.tolist(), start=1)))
+    write_csv(path, "t,n,re,im", (f"{t},{n},{value.real!r},{value.imag!r}"
+                                  for t, record in enumerate(dataset.samples, start=1)
+                                  for n, value in enumerate(record.tolist(), start=1)))
 
 
 def _read_rows(path, header: str, dtype: list) -> np.ndarray:
@@ -72,8 +73,8 @@ def read_dataset_csv(path) -> DataSet:
 
 def write_track_csv(path, track) -> None:
     """Rows `t,nu` with t in 1..T."""
-    _write_rows(path, "t,nu", (f"{t},{nu!r}\r\n" for t, nu
-                               in enumerate(np.asarray(track, dtype=float).tolist(), start=1)))
+    write_csv(path, "t,nu", (f"{t},{nu!r}" for t, nu
+                             in enumerate(np.asarray(track, dtype=float).tolist(), start=1)))
 
 
 def read_track_csv(path) -> np.ndarray:

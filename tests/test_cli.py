@@ -415,6 +415,23 @@ def test_eval_command(tmp_path):
     assert exit_code(["eval", "--replicates", "0"] + small_args(tmp_path)) == 1
 
 
+def test_every_csv_the_commands_write_ends_each_line_crlf(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "LEVELSET_SIZE", 2)
+    assert run(["simulate"] + small_args(tmp_path)) == 0
+    ds_path = str(tmp_path / "dataset.csv")
+    assert run(["estimate", ds_path, "--levelsets", "--grid=-2.5,2.5,48",
+                "--out", str(tmp_path)]) == 0
+    assert run(["track", ds_path, str(tmp_path / "hyper.txt"), "--grid=-2.5,2.5,48",
+                "--out", str(tmp_path)]) == 0
+    assert run(["eval", "--replicates", "2", "--grid=-2.5,2.5,48"] + small_args(tmp_path)) == 0
+    written = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert written == ["dataset.csv", "eval_replicates.csv", "hessian_map.csv", "levelsets.csv",
+                       "ml_aliased.csv", "ml_unwrapped.csv", "truth.csv", "viterbi_map.csv"]
+    for name in written:
+        lines = (tmp_path / name).read_bytes().split(b"\n")
+        assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1]), name
+
+
 def test_estimate_levelsets(tmp_path, monkeypatch):
     inputs = [
         (["--bins", "24", "--r-nu", "2e-3", "--track-range=-0.8,0.8"], (-2.5, 2.5, 48)),
@@ -486,6 +503,55 @@ def test_track_rejects_hyperparameters_with_non_finite_coefficients(tmp_path, ca
     assert _track_exit_code(tmp_path) == 3
     assert "r_a=1.0, r_b=1e-310" in capsys.readouterr().err
     assert not (tmp_path / "viterbi_map.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_track_rejects_an_energy_over_r_b_that_overflows(tmp_path, capsys):
+    # alpha and log beta are finite at r_b = 1e-300, but energy / r_b
+    # overflows once the samples are scaled by 1e4: a data error, not a
+    # RuntimeWarning that -W error turns into a traceback
+    assert run(["simulate", "--seed", "1", "--bins", "16", "--out", str(tmp_path)]) == 0
+    dataset = ftio.read_dataset_csv(tmp_path / "dataset.csv")
+    ftio.write_dataset_csv(tmp_path / "dataset.csv", DataSet(samples=dataset.samples * 1e4))
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "1e-300", "r_nu": "0.001"})
+    assert run(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
+                "--out", str(tmp_path)]) == 3
+    assert "log beta or energy / r_b non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "viterbi_map.csv").exists()
+
+
+def test_track_rejects_a_truth_of_another_length(tmp_path, capsys):
+    assert run(["simulate", "--seed", "1", "--bins", "16", "--out", str(tmp_path)]) == 0
+    ftio.write_track_csv(tmp_path / "truth.csv", [0.1] * 5)
+    ftio.write_key_values(tmp_path / "hyper.txt", {"r_a": "1.0", "r_b": "0.1", "r_nu": "0.001"})
+    assert run(["track", str(tmp_path / "dataset.csv"), str(tmp_path / "hyper.txt"),
+                "--truth", str(tmp_path / "truth.csv"), "--out", str(tmp_path)]) == 3
+    assert "truth has 5 bins but dataset has 16" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.txt").exists()
+
+
+def test_estimate_rejects_a_one_bin_dataset(tmp_path, capsys):
+    assert run(["simulate", "--bins", "1", "--out", str(tmp_path)]) == 0
+    assert run(["estimate", str(tmp_path / "dataset.csv"), "--out", str(tmp_path)]) == 3
+    assert "need at least two bins" in capsys.readouterr().err
+    assert not (tmp_path / "hyper.txt").exists()
+
+
+def test_estimate_exits_4_when_the_fit_start_underflows_the_forward_pass(tmp_path, capsys):
+    # a constant track that jumps by half a cycle at bin 64: the fit starts at
+    # r_nu = spacing^2, where the transition weight of that jump is
+    # exp(-(0.5 / spacing)^2 / 2), exp(-5233) = 0 on the P=1024 grid, so the
+    # start leaves no forward probability at bin 64.  On the default P=128
+    # grid it is exp(-81) and the fit succeeds
+    truth = np.where(np.arange(128) < 64, 0.1, 0.6)
+    ftio.write_dataset_csv(tmp_path / "dataset.csv",
+                           synthesize_dataset(truth, Hyperparameters(1.0, 1e-3, 1e-6), 4, seed=0))
+    dataset = str(tmp_path / "dataset.csv")
+    assert run(["estimate", dataset, "--grid=-2.5,2.5,1024", "--out", str(tmp_path)]) == 4
+    assert ("numerical error: forward probability underflowed to zero at bin 64"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "hyper.txt").exists()
+    assert run(["estimate", dataset, "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

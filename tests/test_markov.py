@@ -67,6 +67,12 @@ def test_transition_degenerate_limit():
     assert np.allclose(np.diag(trans), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("r_nu", [0.0, -1e-3])
+def test_transition_rejects_a_non_positive_r_nu(r_nu):
+    with pytest.raises(ValueError, match="r_nu must be positive"):
+        gaussian_transition(FrequencyGrid(0, 1, 10), r_nu)
+
+
 def test_transition_depends_only_on_squared_distance():
     grid = FrequencyGrid(-1, 1, 9)
     r_nu = 0.05

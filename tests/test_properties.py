@@ -26,6 +26,13 @@ def test_decimal_part_periodicity(x, k):
     ) < 1e-9
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_decimal_part_removes_exactly_floor_of_x_plus_half(x):
+    # the integer unwrap_track subtracts per step: both subtractions are
+    # exact, so no rounding separates it from floor(x + 0.5)
+    assert x - decimal_part(x) == np.floor(x + 0.5)
+
+
 @given(finite)
 def test_wrap_to_band_is_integer_shift(x):
     w = wrap_to_band(x)

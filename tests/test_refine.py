@@ -157,6 +157,16 @@ def test_refinement_single_bin_reaches_periodogram_peak():
     assert result.track[0] == pytest.approx(0.21, abs=0.05)
 
 
+@pytest.mark.parametrize("first", [-0.5, 0.75, np.nan])
+def test_refinement_rejects_a_start_outside_the_initial_band(first):
+    # the objective is +inf unless the first frequency lies in (-1/2, 1/2]
+    ds, track, hyper = tracking_problem(seed=5)
+    track = track.copy()
+    track[0] = first
+    with pytest.raises(ValueError, match="infeasible starting track"):
+        refine_map(ds, track, hyper)
+
+
 def test_strong_smoothing_flattens_track():
     track = np.array([0.1, 0.12, 0.9, 0.11])  # one outlying bin
     hyper = Hyperparameters(1.0, 0.1, 1e-3)
