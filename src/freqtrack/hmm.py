@@ -15,9 +15,9 @@ periodograms.  A row keeps its band minimum only where a per-row lower
 bound on every state beyond the band exceeds it by a proven rounding
 margin, and is searched densely otherwise, so path and cost match a dense
 search bit for bit, in O(T P W), at worst O(T P^2).  Viterbi reads the
-periodograms once, in row blocks computed from the records' lags where
-the observation table holds none, so its kept cost rows are its only
-(T, P) table.
+periodograms once, in row blocks computed from the records' lags straight
+into its kept cost rows where the observation table holds none, so those
+rows are its only (T, P) table.
 
 Forward and backward apply the Gaussian transition through its band
 (markov.GaussianTransition) and never build the P x P matrix; a bin whose
@@ -55,10 +55,13 @@ class ObservationTable:
     log O_t(p) = alpha P_t(p) + log beta - gamma_t, which forward-backward
     reads as the rescaled table ``scaled``.
 
-    The periodograms are ``table`` where one is given, read in place and
-    never copied; otherwise they come from the records' lags over the
-    states, as a (T, P) table built on first read of ``periodograms`` or in
-    row blocks from ``row_blocks``, which builds none."""
+    The periodograms are ``table`` where one is given, read in place;
+    otherwise they come from the records' lags over the states, as a (T, P)
+    table built on first read of ``periodograms``.  ``write_periodograms``
+    writes them into an array the caller holds: ``table`` copied, or row
+    blocks computed from the lags straight into it, which builds no table.
+    ``maxima``, where given, are the row maxima of ``table``, read as
+    ``row_max`` and not recomputed."""
 
     table: np.ndarray | None  # (T, P) periodograms, or None: computed from lags
     alpha: float              # > 0
@@ -66,6 +69,7 @@ class ObservationTable:
     gamma: np.ndarray         # (T,): record energy / r_b
     lags: np.ndarray | None = None    # (T, N), read where table is None
     states: np.ndarray | None = None  # (P,), read where table is None
+    maxima: np.ndarray | None = None  # (T,) row maxima of table, or None: computed
 
     @cached_property
     def periodograms(self) -> np.ndarray:
@@ -74,19 +78,23 @@ class ObservationTable:
             return self.table
         return periodogram_table(self.lags, self.states)
 
-    def row_blocks(self):
-        """The periodograms in row order, as consecutive (rows, P) blocks:
-        table as one block where it is given, and otherwise blocks of
-        spectral.row_blocks computed from lags, the same values bit for bit."""
+    def write_periodograms(self, out: np.ndarray) -> np.ndarray:
+        """Write the (T, P) periodograms into out and return it: table
+        copied where it is given, and otherwise the blocks of
+        spectral.row_blocks computed from lags into out's rows, equal to
+        periodogram_table(lags, states) bit for bit."""
         if self.table is not None:
-            yield self.table
-            return
+            np.copyto(out, self.table)
+            return out
         for rows in row_blocks(self.n_bins):
-            yield periodogram_table(self.lags[rows], self.states)
+            periodogram_table(self.lags[rows], self.states, out=out[rows])
+        return out
 
     @cached_property
     def row_max(self) -> np.ndarray:
-        """(T,) m_t, the largest periodogram of each bin."""
+        """(T,) m_t, the largest periodogram of each bin: maxima where given."""
+        if self.maxima is not None:
+            return self.maxima
         return self.periodograms.max(axis=1)
 
     @cached_property
@@ -106,13 +114,16 @@ class ObservationTable:
 
 
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters,
-                      periodograms: np.ndarray | None = None) -> ObservationTable:
+                      periodograms: np.ndarray | None = None,
+                      row_max: np.ndarray | None = None) -> ObservationTable:
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
 
     periodograms, when given, is periodogram_table(dataset.lags,
     grid.states), computed once for many hyperparameters and read, not
-    copied or recomputed.  Without it no table is built here: the result
-    computes the periodograms from dataset.lags when read (ObservationTable).
+    copied or recomputed; row_max, when given with it, is its row maxima
+    periodograms.max(axis=1), read in the same way.  Without periodograms
+    no table is built here: the result computes them from dataset.lags when
+    read, or writes them into an array its reader holds (ObservationTable).
 
     Raises ValueError naming r_a and r_b when alpha is not positive and
     finite (see alpha_coefficient), or when log beta or the largest record
@@ -127,7 +138,8 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     if not np.isfinite([log_beta, gamma.max()]).all():
         raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
                                   "the likelihood coefficient log beta or energy / r_b non-finite")
-    return ObservationTable(periodograms, alpha, log_beta, gamma, dataset.lags, grid.states)
+    return ObservationTable(periodograms, alpha, log_beta, gamma, dataset.lags, grid.states,
+                            row_max)
 
 
 @dataclass
@@ -164,21 +176,26 @@ def forward(obs: ObservationTable, trans: GaussianTransition,
     head = np.where(init > 0, obs.periodograms[0], -np.inf)
     top = head.max()
     np.multiply(np.exp(obs.alpha * (head - top)), init, out=fwd[0])
-    norm = fwd[0].sum()
-    for t in range(n_bins):
-        row = fwd[t]
+    # the stage loop's ufuncs and methods, bound once; row sums are
+    # np.add.reduce, which ndarray.sum calls
+    divide, multiply, total = np.divide, np.multiply, np.add.reduce
+    spread, kernel_norm = trans.spread, trans.norm
+    norm = total(fwd[0])
+    previous = None
+    for t, (row, obs_row) in enumerate(zip(fwd, scaled)):
         if t > 0:
-            np.divide(fwd[t - 1], trans.norm, out=source)
-            np.multiply(scaled[t], trans.spread(source), out=row)
-            norm = row.sum()
+            divide(previous, kernel_norm, out=source)
+            multiply(obs_row, spread(source), out=row)
+            norm = total(row)
             if not dropped <= _EPS * norm:  # NaN fails
                 fallbacks += 1
-                np.multiply(scaled[t], trans.spread(source, all_taps=True), out=row)
-                norm = row.sum()
+                multiply(obs_row, spread(source, all_taps=True), out=row)
+                norm = total(row)
         if norm == 0.0:
             raise NumericalError(f"forward probability underflowed to zero at bin {t}")
         norms[t] = norm
-        row /= norm
+        divide(row, norm, out=row)
+        previous = row
     offset = obs.alpha * (top + obs.row_max[1:].sum()) + n_bins * obs.log_beta - obs.gamma.sum()
     log_likelihood = float(np.sum(np.log(norms)) + offset)
     return ForwardBackwardResult(forward=fwd, normalizers=norms, log_likelihood=log_likelihood,
@@ -202,16 +219,21 @@ def backward(obs: ObservationTable, trans: GaussianTransition,
     bwd[-1] = 1.0
     weights = np.empty(n_states)
     fallbacks = 0
-    for t in range(n_bins - 2, -1, -1):
-        np.multiply(scaled[t + 1], bwd[t + 1], out=weights)
-        spread = trans.spread(weights)
-        spread /= trans.norm
-        mass = fwd.forward[t] @ spread
-        if not trans.cut * weights.sum() <= _EPS * mass:  # NaN fails
+    divide, multiply, total = np.divide, np.multiply, np.add.reduce
+    spread, kernel_norm, cut = trans.spread, trans.norm, trans.cut
+    # bin t = T - 2 ... 0: its row, then bin t + 1's rows and forward normalizer
+    stages = zip(fwd.forward[-2::-1], bwd[-2::-1], bwd[:0:-1], scaled[:0:-1],
+                 fwd.normalizers[:0:-1])
+    for fwd_row, row, later, obs_later, normalizer in stages:
+        multiply(obs_later, later, out=weights)
+        step = spread(weights)
+        divide(step, kernel_norm, out=step)
+        mass = fwd_row @ step
+        if not cut * total(weights) <= _EPS * mass:  # NaN fails
             fallbacks += 1
-            spread = trans.spread(weights, all_taps=True)
-            spread /= trans.norm
-        np.divide(spread, fwd.normalizers[t + 1], out=bwd[t])
+            step = spread(weights, all_taps=True)
+            divide(step, kernel_norm, out=step)
+        divide(step, normalizer, out=row)
     return replace(fwd, backward=bwd, fallback_bins=fwd.fallback_bins + fallbacks)
 
 
@@ -287,11 +309,12 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     Local cost is -P_t(nu^p), pair cost lag_cost[d] = lam * (d * spacing)^2
     for states d = |p - q| apart, and the first state is constrained to the
     initial band.  Ties break toward the lowest state index at every stage
-    and at termination.  One pass over obs.row_blocks copies the
-    periodograms into the (T, P) table of cost rows and takes each row's
-    maximum and minimum; row t holds P_t until stage t subtracts it from
-    its minima, with no negated copy: x - P is the same IEEE result as
-    x + (-P).
+    and at termination.  obs.write_periodograms writes the periodograms
+    into the (T, P) table of cost rows, whose maximum and minimum are then
+    taken per row; row t holds P_t until stage t subtracts it from its
+    minima, with no negated copy: x - P is the same IEEE result as
+    x + (-P).  The views, buffers and ufuncs of the stage loop are bound
+    once before it, so each stage runs only its arithmetic.
 
     Band.  W = _band_half_width(median range of a row of P_t, lam, grid):
     the band covers 2 sqrt(2 R) steps sqrt(r_nu) of the chain on each side,
@@ -319,11 +342,16 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
                    min_{q >= p+k} (cost[q] - r'_q) + r'_p) - h,   r'_i = r_{P-1-i},
 
     bounds every such sum from below.  Both prefix minima come from one
-    np.minimum.accumulate over a (2, P) array holding the first P - k
-    entries of cost - r and cost[::-1] - r behind k entries of +inf.  Row
-    p keeps its band minimum m when m < B(p) - mu, the rounding margin
-    below, and is otherwise searched densely; NaN fails the test and goes
-    to the dense search.
+    np.fmin.accumulate over a (2, P) array holding the first P - k entries
+    of cost - r and cost[::-1] - r behind k entries of +inf.  It equals
+    np.minimum.accumulate, which would carry a NaN on to every later
+    entry, wherever the margin mu below is finite: each cost is finite or
+    +inf and then so is every r_i (r_{P-1} <= S), so cost - r holds no
+    NaN.  Where r holds a NaN (0 * inf in r_0 where fl(2kc) overflows) or
+    an inf, S and mu are not finite, lowered is NaN or -inf, and every row
+    fails the test whichever accumulate ran.  Row p keeps its band minimum
+    m when m < B(p) - mu, the rounding margin below, and is otherwise
+    searched densely; NaN fails the test and goes to the dense search.
 
     Margin.  Let u = eps/2, M = 2T(max |P_t(p)| + lag_cost[P-1]),
     S = M + r_{P-1} + h and mu = 16 eps S + 2^-1022, with the test
@@ -374,12 +402,12 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     stage t fail until band moves reach them: 0.6% of the rows of a
     T=4096, P=512 track over (-4, 4) at lam = 512.5, W = 10, but most rows
     where W = 1 and T is short.  Memory: the kept cost rows, one (T, P)
-    float table, and one block of periodograms (obs.table, or
-    spectral.ROW_BLOCK to 2 ROW_BLOCK - 1 rows computed from the lags where
-    obs has no table), plus O(P) and blocks of at most _BLOCK floats.  A
-    lag cost or a sum that overflows saturates to +inf without a warning:
-    the constant path always has a finite cost, so no such pair can be on
-    the minimum path.
+    float table, into which the periodograms are copied from obs.table or,
+    where obs has none, computed from the lags in blocks of
+    spectral.ROW_BLOCK to 2 ROW_BLOCK - 1 rows with no block of their own,
+    plus O(P) and blocks of at most _BLOCK floats.  A lag cost or a sum
+    that overflows saturates to +inf without a warning: the constant path
+    always has a finite cost, so no such pair can be on the minimum path.
 
     Raises ValueError naming the first bin whose row of periodograms is
     not finite: the local cost is then unusable, either itself or because
@@ -390,15 +418,8 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
         raise ValueError("lam must be positive and finite")
     n_bins, n_states = obs.n_bins, obs.n_states
     # row t holds P_t until stage t overwrites it with its cost row
-    costs = np.empty((n_bins, n_states))
-    top, bottom = np.empty(n_bins), np.empty(n_bins)
-    start = 0
-    for block in obs.row_blocks():
-        span = slice(start, start + block.shape[0])
-        costs[span] = block
-        block.max(axis=1, out=top[span])  # NaN propagates
-        block.min(axis=1, out=bottom[span])
-        start = span.stop
+    costs = obs.write_periodograms(np.empty((n_bins, n_states)))
+    top, bottom = costs.max(axis=1), costs.min(axis=1)  # NaN propagates
     finite = np.isfinite(top) & np.isfinite(bottom)
     if not finite.all():
         raise ValueError(f"local cost is not finite at bin {int(np.argmin(finite))}")
@@ -419,49 +440,58 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
         # the previous stage's cost row between W entries of +inf on each side
         padded = np.full(n_states + 2 * half, np.inf)
         cost = padded[half:half + n_states]
-        reversed_cost = padded[::-1][half:half + n_states]
         # windows[j] holds the cost at q = p + j - W for each target p;
         # row d of below and above holds the predecessors d states from p
         windows = sliding_window_view(padded, n_states)
         below, above = windows[half::-1], windows[half:]
         chunk = min(reach, max(1, _BLOCK // n_states))
         fold = np.empty((chunk, n_states))
+        fold_head = fold[0]
+        spans = [slice(lo, min(lo + chunk, reach)) for lo in range(0, reach, chunk)]
         # the lag costs of each chunk of lags; full rows, which add faster
         # than a broadcast column, where one chunk holds every lag
-        pairs = [lag_cost[lo:min(lo + chunk, reach), None] for lo in range(0, reach, chunk)]
-        if len(pairs) == 1:
-            pairs = [np.repeat(pairs[0], n_states, axis=1)]
+        pairs = ([np.repeat(lag_cost[:reach, None], n_states, axis=1)] if len(spans) == 1
+                 else [lag_cost[span, None] for span in spans])
+        # each chunk's rows of below and above, its part of fold and its lag costs
+        folds = [(below[span], above[span], fold[:span.stop - span.start], pair)
+                 for span, pair in zip(spans, pairs)]
         # the first P - k entries of cost - r and cost[::-1] - r behind k = W + 1 of +inf
         head = n_states - reach
+        cost_head, reversed_head = cost[:head], padded[::-1][half:half + head]
+        ramp_head = ramp[:head]
         sweep = np.full((2, n_states), np.inf)
+        sweep_below, sweep_above = sweep[0, reach:], sweep[1, reach:]
         bound = np.empty((2, n_states))
+        bound_below, bound_above = bound[0], bound[1, ::-1]
         certified = np.empty(n_states, dtype=bool)
         low = np.empty(n_states)
+        # the stage loop's ufuncs, bound once like its views and buffers
+        copyto, add, subtract, minimum, less = (np.copyto, np.add, np.subtract, np.minimum,
+                                                np.less)
+        min_reduce, prefix_min = np.minimum.reduce, np.fmin.accumulate
         np.subtract(np.where(initial_distribution(grid) > 0, 0.0, np.inf), costs[0],
                     out=costs[0])
-        for t in range(1, n_bins):
-            cost[:] = costs[t - 1]
-            for i, pair in enumerate(pairs):
-                lags = slice(i * chunk, i * chunk + len(pair))
-                part = fold[:len(pair)]
-                np.minimum(below[lags], above[lags], out=part)
-                part += pair
+        for previous, row in zip(costs, costs[1:]):
+            copyto(cost, previous)
+            for i, (near, far, part, pair) in enumerate(folds):
+                minimum(near, far, out=part)
+                add(part, pair, out=part)
                 if i:
-                    np.minimum(part[0], low, out=part[0])
-                np.minimum.reduce(part, axis=0, out=low)
-            np.subtract(cost[:head], ramp[:head], out=sweep[0, reach:])
-            np.subtract(reversed_cost[:head], ramp[:head], out=sweep[1, reach:])
-            np.minimum.accumulate(sweep, axis=1, out=sweep)
-            np.add(sweep, lowered, out=bound)
-            np.minimum(bound[0], bound[1, ::-1], out=bound[0])
-            np.less(low, bound[0], out=certified)
-            if np.count_nonzero(certified) < n_states:
+                    minimum(fold_head, low, out=fold_head)
+                min_reduce(part, axis=0, out=low)
+            subtract(cost_head, ramp_head, out=sweep_below)
+            subtract(reversed_head, ramp_head, out=sweep_above)
+            prefix_min(sweep, axis=1, out=sweep)
+            add(sweep, lowered, out=bound)
+            minimum(bound_below, bound_above, out=bound_below)
+            less(low, bound_below, out=certified)
+            if not certified.all():
                 _dense_minima(low, np.flatnonzero(~certified), cost, dense)
-            np.subtract(low, costs[t], out=costs[t])
+            subtract(low, row, out=row)
         path = np.empty(n_bins, dtype=int)
-        path[-1] = int(np.argmin(costs[-1]))
+        state = path[-1] = int(np.argmin(costs[-1]))
         sums = np.empty(n_states)
-        for t in range(n_bins - 1, 0, -1):
-            np.add(costs[t - 1], dense[path[t]], out=sums)
-            path[t - 1] = sums.argmin()
+        for t, row in zip(range(n_bins - 2, -1, -1), costs[-2::-1]):
+            add(row, dense[state], out=sums)
+            state = path[t] = sums.argmin()
     return path, float(costs[-1, path[-1]])

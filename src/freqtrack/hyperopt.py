@@ -13,7 +13,7 @@ never needs explicit constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -54,19 +54,24 @@ LINE_SEARCH_TOL = 1e-3
 SETTLE_RATIO = 1e-3
 MAX_STEP = 2.0
 ARMIJO = 1e-4
+# A starting point whose forward pass underflows is retried at 4 r_nu, up
+# to START_RETRIES times: a wider transition gives weight to a jump that the
+# start's r_nu cannot reach.
+START_RETRIES = 8
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class FitCriterion:
     """The criterion of one fit, built once per (dataset, grid): the data-only
-    work every evaluation shares, the periodogram table and the initial
-    distribution, and ``lowest``, the (point, value, observation table,
-    forward pass) of the lowest hyper_nll evaluation so far."""
+    work every evaluation shares, the periodogram table, its row maxima and
+    the initial distribution, and ``lowest``, the (point, value, observation
+    table, forward pass) of the lowest hyper_nll evaluation so far."""
 
     def __init__(self, dataset: DataSet, grid: FrequencyGrid):
         self.dataset, self.grid = dataset, grid
         self.periodograms = periodogram_table(dataset.lags, grid.states)
+        self.row_max = self.periodograms.max(axis=1)
         self.init = initial_distribution(grid)
         self.lowest = (None, np.inf, None, None)
 
@@ -74,7 +79,8 @@ class FitCriterion:
 def hyper_nll(criterion: FitCriterion, hyper: Hyperparameters) -> float:
     """Negative log-likelihood of the hyperparameters (one forward pass).
     A value below criterion.lowest's replaces it."""
-    obs = observation_table(criterion.dataset, criterion.grid, hyper, criterion.periodograms)
+    obs = observation_table(criterion.dataset, criterion.grid, hyper, criterion.periodograms,
+                            criterion.row_max)
     fwd = forward(obs, gaussian_transition(criterion.grid, hyper.r_nu), criterion.init)
     value = -fwd.log_likelihood
     if value < criterion.lowest[1]:
@@ -107,7 +113,8 @@ def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.nd
     point, _, obs, fwd = criterion.lowest
     dataset, grid = criterion.dataset, criterion.grid
     if point != hyper:
-        obs, fwd = observation_table(dataset, grid, hyper, criterion.periodograms), None
+        obs = observation_table(dataset, grid, hyper, criterion.periodograms, criterion.row_max)
+        fwd = None
     trans = gaussian_transition(grid, hyper.r_nu)
     fb = forward_backward(obs, trans, criterion.init, fwd)
     singles = fb.forward * fb.backward
@@ -393,8 +400,12 @@ def estimate_ml(
     REL_TOL * max(1, |f|)) or "max_iter".  Every accepted step decreases the
     criterion, so the trajectory is monotone.  A search may probe any
     x: where exp(x) overflows or underflows, hyper_nll rejects the
-    hyperparameters or its forward pass underflows, the criterion is +inf
-    (the starting point alone fails loudly).
+    hyperparameters or its forward pass underflows, the criterion is +inf.
+    The starting point alone fails loudly.  Where its forward pass
+    underflows it is first retried at 4 r_nu, up to START_RETRIES times,
+    each retry counted as a function evaluation: empirical_init floors r_nu
+    at the spacing squared, where the transition can give a large jump of
+    the data no weight.  A default fit needs no retry.
 
     The start and every evaluation read one FitCriterion, so the
     periodogram table is computed once, and a gradient reuses the forward
@@ -426,9 +437,17 @@ def estimate_ml(
         return hyper_nll_gradient(fit, Hyperparameters.from_array(np.exp(x)))
 
     fun = _total(criterion)
-    x = np.log(empirical_init(fit).as_array())
-    start = Hyperparameters.from_array(np.exp(x))  # as the gradient at x sees it
-    fx = criterion(start)
+    start = empirical_init(fit)
+    for retry in range(START_RETRIES + 1):
+        x = np.log(start.as_array())
+        start = Hyperparameters.from_array(np.exp(x))  # as the gradient at x sees it
+        try:
+            fx = criterion(start)
+            break
+        except NumericalError:
+            if retry == START_RETRIES:
+                raise
+            start = replace(start, r_nu=4.0 * start.r_nu)
     if not np.isfinite(fx):
         raise ValueError("non-finite criterion at the starting point")
     trajectory = [x.copy()]

@@ -54,13 +54,16 @@ def periodogram_deriv_many(lags, nus) -> tuple[np.ndarray, np.ndarray]:
             -np.sum(omega**2 * (a * cos + b * sin), axis=-1))
 
 
-def periodogram_table(lags, nus) -> np.ndarray:
+def periodogram_table(lags, nus, out: np.ndarray | None = None) -> np.ndarray:
     """(T, P) periodograms over the frequencies nus: one real (T, 2N-1) @
     (2N-1, P) product of the coefficients [c(0), a_k, b_k] with the basis
-    [1, cos, sin], clamped at 0 in place, the only (T, P) array allocated."""
+    [1, cos, sin], clamped at 0 in place.  The product is written into out,
+    a (T, P) float array, where one is given, and otherwise into the only
+    (T, P) array allocated; either way the result is returned."""
     a, b, cos, sin, _ = _terms(lags, nus)
     coefficients = np.concatenate([np.asarray(lags)[:, :1].real, a, b], axis=1)
-    out = coefficients @ np.concatenate([np.ones((1, cos.shape[0])), cos.T, sin.T])
+    out = np.matmul(coefficients, np.concatenate([np.ones((1, cos.shape[0])), cos.T, sin.T]),
+                    out=out)
     return np.maximum(out, 0.0, out=out)
 
 

@@ -537,21 +537,55 @@ def test_estimate_rejects_a_one_bin_dataset(tmp_path, capsys):
     assert not (tmp_path / "hyper.txt").exists()
 
 
-def test_estimate_exits_4_when_the_fit_start_underflows_the_forward_pass(tmp_path, capsys):
+def _one_jump_dataset(path) -> str:
     # a constant track that jumps by half a cycle at bin 64: the fit starts at
     # r_nu = spacing^2, where the transition weight of that jump is
     # exp(-(0.5 / spacing)^2 / 2), exp(-5233) = 0 on the P=1024 grid, so the
     # start leaves no forward probability at bin 64.  On the default P=128
-    # grid it is exp(-81) and the fit succeeds
+    # grid it is exp(-81)
     truth = np.where(np.arange(128) < 64, 0.1, 0.6)
-    ftio.write_dataset_csv(tmp_path / "dataset.csv",
+    ftio.write_dataset_csv(path / "dataset.csv",
                            synthesize_dataset(truth, Hyperparameters(1.0, 1e-3, 1e-6), 4, seed=0))
-    dataset = str(tmp_path / "dataset.csv")
+    return str(path / "dataset.csv")
+
+
+def test_estimate_exits_4_when_the_fit_start_underflows_the_forward_pass(tmp_path, capsys,
+                                                                        monkeypatch):
+    # with no retry left the start's underflow ends the fit; the default P=128
+    # grid needs none and succeeds
+    dataset = _one_jump_dataset(tmp_path)
+    monkeypatch.setattr(hyperopt, "START_RETRIES", 0)
     assert run(["estimate", dataset, "--grid=-2.5,2.5,1024", "--out", str(tmp_path)]) == 4
     assert ("numerical error: forward probability underflowed to zero at bin 64"
             in capsys.readouterr().err)
     assert not (tmp_path / "hyper.txt").exists()
     assert run(["estimate", dataset, "--out", str(tmp_path)]) == 0
+
+
+def test_estimate_retries_a_start_that_underflows_the_forward_pass_at_4_r_nu(tmp_path):
+    # the P=1024 start underflows at r_nu = spacing^2 and at 4 spacing^2, and
+    # the fit starts at 16 spacing^2 = 3.8e-4 and converges near the true
+    # r_b; both retries count as function evaluations
+    dataset = _one_jump_dataset(tmp_path)
+    grid = FrequencyGrid(-2.5, 2.5, 1024)
+    calls, underflows = [], []
+
+    def counted(criterion, hyper):
+        calls.append(hyper)
+        try:
+            return hyper_nll(criterion, hyper)
+        except NumericalError:
+            underflows.append(hyper.r_nu)
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hyperopt, "hyper_nll", counted)
+        report = hyperopt.estimate_ml(ftio.read_dataset_csv(dataset), grid)
+    assert underflows == pytest.approx([grid.spacing**2, 4 * grid.spacing**2], rel=1e-12)
+    assert np.exp(report.trajectory[0][2]) == pytest.approx(16 * grid.spacing**2, rel=1e-12)
+    assert report.function_evals == len(calls)
+    assert report.stop_reason == "relative_decrease" and report.converged
+    assert report.minimizer.r_b == pytest.approx(1e-3, rel=0.05)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -897,9 +931,9 @@ def test_fuzzed_hyper_exit_code(tmp_path, text):
 
 def test_track_memory_is_one_table():
     # Viterbi's cost rows are the only stored (T, P) float table: the argmax
-    # baseline and Viterbi compute the periodograms in row blocks and keep
-    # only each bin's peak or the block's rows of local cost, Viterbi reads
-    # its path back from its cost rows, and no log-likelihood table is built
+    # baseline computes the periodograms in row blocks and keeps only each
+    # bin's peak, Viterbi computes its blocks straight into its cost rows
+    # and reads its path back from them, and no log-likelihood table is built
     n_bins, n_states = 4096, 512
     hyper = Hyperparameters(1.0, 0.1, 1e-4)
     ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)), hyper, 4, seed=0)
@@ -910,7 +944,7 @@ def test_track_memory_is_one_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n_bins * n_states * 8
+    assert peak <= 1.1 * n_bins * n_states * 8
 
 
 def test_estimate_reports_a_fit_stuck_at_its_start(tmp_path):

@@ -194,7 +194,10 @@ def test_viterbi_on_streamed_rows_matches_the_table(n_bins):
     table = observation_table(ds, grid, hyper, periodogram_table(ds.lags, grid.states))
     expected_path, expected_cost = viterbi(table, grid, lam)
     assert np.array_equal(path, expected_path) and cost == expected_cost
-    assert np.array_equal(np.concatenate(list(streamed.row_blocks())), table.periodograms)
+    # the blocks written in place equal one periodogram_table call on all rows
+    written = streamed.write_periodograms(np.full((n_bins, 512), np.nan))
+    assert written.tobytes() == table.periodograms.tobytes()
+    assert table.write_periodograms(np.empty((n_bins, 512))).tobytes() == written.tobytes()
 
 
 def test_forward_single_bin():
@@ -444,6 +447,29 @@ def test_viterbi_large_lambda_gives_best_constant_path():
         path, cost = viterbi(obs, grid, lam)
         assert np.all(path == best_const)
         assert np.isfinite(cost)
+
+
+def test_viterbi_searches_every_row_densely_where_the_one_step_pair_cost_overflows():
+    # lam spacing^2 = inf at a spacing of 2.08, so ramp[0] = 0 inf is NaN
+    # inside a non-empty sweep, where np.fmin.accumulate and
+    # np.minimum.accumulate differ: the margin is +inf either way, and every
+    # row of every stage goes to the dense search
+    grid, lam = FrequencyGrid(-0.25, 60.0, 30), 1e308
+    assert np.isinf(lam * grid.spacing**2)
+    rows = np.random.default_rng(3).normal(0, 2, (6, 30))
+    searched = []
+    dense_minima = hmm._dense_minima
+
+    def counted(low, bad, *rest):
+        searched.append(bad.size)
+        dense_minima(low, bad, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hmm, "_dense_minima", counted)
+        path, cost = viterbi(table(rows), grid, lam)
+    ref_path, ref_cost = dense_min_cost_path(-rows, grid, lam)
+    assert np.array_equal(path, ref_path) and cost == ref_cost
+    assert searched == [30] * 5
 
 
 def test_viterbi_flat_costs_tie_breaks_to_lowest_admissible_state():

@@ -287,6 +287,22 @@ def test_observation_table_from_a_cached_periodogram_table_is_bit_identical():
         assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
 
 
+def test_criterion_takes_the_row_maxima_of_its_table_once():
+    # every evaluation's observation table reads the criterion's row maxima,
+    # which equal a fresh table's bit for bit, and none recomputes them
+    ds, grid = standard_dataset()
+    criterion = FitCriterion(ds, grid)
+    assert np.array_equal(criterion.row_max, criterion.periodograms.max(axis=1))
+    hyper = Hyperparameters(1.0, 0.1, 1e-3)
+    fresh = observation_table(ds, grid, hyper)
+    value = hyper_nll(criterion, hyper)
+    obs = criterion.lowest[2]
+    assert obs.row_max is criterion.row_max
+    assert np.array_equal(obs.scaled, fresh.scaled)
+    assert value == -hmm.forward(fresh, gaussian_transition(grid, hyper.r_nu),
+                                 initial_distribution(grid)).log_likelihood
+
+
 def test_observation_gradient_zero_crossing():
     # d log O / d r_a = -N/(N r_a + r_b) + N P/(N r_a + r_b)^2 vanishes
     # exactly when the periodogram equals N r_a + r_b
