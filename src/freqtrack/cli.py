@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -361,11 +361,14 @@ def _add_simulation(parser, least_bins: int) -> None:
                         help='truth span "lo,hi" (default %(default)s)')
 
 
+@cache
 def make_parser() -> _Parser:
     """The one schema of the settings: each subcommand accepts exactly the
     options its cmd_* function reads, spelled out in full, each with its
     default and its check.  `@FILE` reads one argument per line from FILE,
-    in its place on the command line, so a later flag overrides it."""
+    in its place on the command line, so a later flag overrides it.  Built
+    once per process: a parser is a web of reference cycles, which each
+    main call would otherwise leave to the cyclic collector."""
     parser = _Parser(prog="freqtrack", allow_abbrev=False, fromfile_prefix_chars="@",
                      description="Frequency tracking beyond the Nyquist limit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,9 +14,9 @@ derived per call from lam, the spacing and the median range of a row of
 periodograms.  A row keeps its band minimum only where a per-row lower
 bound on every state beyond the band exceeds it by a proven rounding
 margin, and is searched densely otherwise, so path and cost match a dense
-search bit for bit, in O(T P W), at worst O(T P^2).  Viterbi reads the
-periodograms once, in row blocks computed from the records' lags straight
-into its kept cost rows where the observation table holds none, so those
+search bit for bit, in O(T P W), at worst O(T P^2).  Viterbi has the
+periodograms written once into its kept cost rows, copied from the fit's
+table or computed from the records' lags straight into them, so those
 rows are its only (T, P) table.
 
 Forward and backward apply the Gaussian transition through its band
@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from freqtrack.likelihood import alpha_coefficient, log_beta_coefficient
 from freqtrack.markov import FrequencyGrid, GaussianTransition, initial_distribution
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
-from freqtrack.spectral import periodogram_table, row_blocks
+from freqtrack.spectral import periodogram_table
 
 # Viterbi folds its band and searches rows densely in blocks of at most
 # this many pair sums (512 KiB of floats).
@@ -50,52 +50,33 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """The periodograms P_t(p), whose negation is Viterbi's local cost, and
-    the coefficients of the per-bin state log-likelihoods
-    log O_t(p) = alpha P_t(p) + log beta - gamma_t, which forward-backward
-    reads as the rescaled table ``scaled``.
+    """The per-bin state log-likelihoods
+    log O_t(p) = alpha P_t(p) + log beta - gamma_t, from one of two sources
+    of the periodograms P_t(p), whose negation is Viterbi's local cost.
 
-    The periodograms are ``table`` where one is given, read in place;
-    otherwise they come from the records' lags over the states, as a (T, P)
-    table built on first read of ``periodograms``.  ``write_periodograms``
-    writes them into an array the caller holds: ``table`` copied, or row
-    blocks computed from the lags straight into it, which builds no table.
-    ``maxima``, where given, are the row maxima of ``table``, read as
-    ``row_max`` and not recomputed."""
+    The fit gives its table ``periodograms`` and their row maxima
+    ``row_max`` (hyperopt.FitCriterion), read in place; forward-backward
+    reads them as the rescaled table ``scaled``, the one array built on
+    first read.  The track path gives the records' ``lags`` and the
+    ``states`` instead, and holds no (T, P) array: ``write_periodograms``
+    alone reads them, computing the periodograms straight into an array
+    its caller holds, into which it copies a given table instead."""
 
-    table: np.ndarray | None  # (T, P) periodograms, or None: computed from lags
-    alpha: float              # > 0
+    periodograms: np.ndarray | None  # (T, P) P_t(p), or None: computed from lags
+    row_max: np.ndarray | None       # (T,) m_t = max P_t, given with periodograms
+    alpha: float                     # > 0
     log_beta: float
-    gamma: np.ndarray         # (T,): record energy / r_b
-    lags: np.ndarray | None = None    # (T, N), read where table is None
-    states: np.ndarray | None = None  # (P,), read where table is None
-    maxima: np.ndarray | None = None  # (T,) row maxima of table, or None: computed
-
-    @cached_property
-    def periodograms(self) -> np.ndarray:
-        """(T, P) P_t(p): table, or periodogram_table(lags, states)."""
-        if self.table is not None:
-            return self.table
-        return periodogram_table(self.lags, self.states)
+    gamma: np.ndarray                # (T,): record energy / r_b
+    lags: np.ndarray | None = None   # (T, N), read where periodograms is None
+    states: np.ndarray | None = None  # (P,), read where periodograms is None
 
     def write_periodograms(self, out: np.ndarray) -> np.ndarray:
-        """Write the (T, P) periodograms into out and return it: table
-        copied where it is given, and otherwise the blocks of
-        spectral.row_blocks computed from lags into out's rows, equal to
-        periodogram_table(lags, states) bit for bit."""
-        if self.table is not None:
-            np.copyto(out, self.table)
-            return out
-        for rows in row_blocks(self.n_bins):
-            periodogram_table(self.lags[rows], self.states, out=out[rows])
+        """Write the (T, P) periodograms into out and return it: the given
+        table copied, or periodogram_table(lags, states, out=out)."""
+        if self.periodograms is None:
+            return periodogram_table(self.lags, self.states, out=out)
+        np.copyto(out, self.periodograms)
         return out
-
-    @cached_property
-    def row_max(self) -> np.ndarray:
-        """(T,) m_t, the largest periodogram of each bin: maxima where given."""
-        if self.maxima is not None:
-            return self.maxima
-        return self.periodograms.max(axis=1)
 
     @cached_property
     def scaled(self) -> np.ndarray:
@@ -110,7 +91,7 @@ class ObservationTable:
 
     @property
     def n_states(self) -> int:
-        return self.states.size if self.table is None else self.table.shape[1]
+        return self.states.size if self.periodograms is None else self.periodograms.shape[1]
 
 
 def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters,
@@ -119,11 +100,11 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     """Entry (t, p) is the marginal log-likelihood of record t at state p.
 
     periodograms, when given, is periodogram_table(dataset.lags,
-    grid.states), computed once for many hyperparameters and read, not
-    copied or recomputed; row_max, when given with it, is its row maxima
-    periodograms.max(axis=1), read in the same way.  Without periodograms
-    no table is built here: the result computes them from dataset.lags when
-    read, or writes them into an array its reader holds (ObservationTable).
+    grid.states), computed once for many hyperparameters, and row_max its
+    row maxima periodograms.max(axis=1); forward-backward reads both, in
+    place, not copied or recomputed.  Without them the periodograms'
+    source is dataset.lags over grid.states, which only Viterbi reads, and
+    no table is built here or on any read (ObservationTable).
 
     Raises ValueError naming r_a and r_b when alpha is not positive and
     finite (see alpha_coefficient), or when log beta or the largest record
@@ -138,8 +119,8 @@ def observation_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparamet
     if not np.isfinite([log_beta, gamma.max()]).all():
         raise HyperparameterError(f"hyperparameters r_a={hyper.r_a!r}, r_b={hyper.r_b!r} make "
                                   "the likelihood coefficient log beta or energy / r_b non-finite")
-    return ObservationTable(periodograms, alpha, log_beta, gamma, dataset.lags, grid.states,
-                            row_max)
+    return ObservationTable(periodograms, row_max, alpha, log_beta, gamma, dataset.lags,
+                            grid.states)
 
 
 @dataclass
@@ -402,12 +383,12 @@ def viterbi(obs: ObservationTable, grid: FrequencyGrid, lam: float) -> tuple[np.
     stage t fail until band moves reach them: 0.6% of the rows of a
     T=4096, P=512 track over (-4, 4) at lam = 512.5, W = 10, but most rows
     where W = 1 and T is short.  Memory: the kept cost rows, one (T, P)
-    float table, into which the periodograms are copied from obs.table or,
-    where obs has none, computed from the lags in blocks of
-    spectral.ROW_BLOCK to 2 ROW_BLOCK - 1 rows with no block of their own,
-    plus O(P) and blocks of at most _BLOCK floats.  A lag cost or a sum
-    that overflows saturates to +inf without a warning: the constant path
-    always has a finite cost, so no such pair can be on the minimum path.
+    float table, into which obs.write_periodograms copies the fit's table
+    or computes the periodograms from the lags, one block of
+    spectral.row_blocks at a time, plus O(P) and blocks of at most _BLOCK
+    floats.  A lag cost or a sum that overflows saturates to +inf without
+    a warning: the constant path always has a finite cost, so no such pair
+    can be on the minimum path.
 
     Raises ValueError naming the first bin whose row of periodograms is
     not finite: the local cost is then unusable, either itself or because

@@ -55,22 +55,33 @@ def periodogram_deriv_many(lags, nus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def periodogram_table(lags, nus, out: np.ndarray | None = None) -> np.ndarray:
-    """(T, P) periodograms over the frequencies nus: one real (T, 2N-1) @
-    (2N-1, P) product of the coefficients [c(0), a_k, b_k] with the basis
-    [1, cos, sin], clamped at 0 in place.  The product is written into out,
-    a (T, P) float array, where one is given, and otherwise into the only
-    (T, P) array allocated; either way the result is returned."""
-    a, b, cos, sin, _ = _terms(lags, nus)
-    coefficients = np.concatenate([np.asarray(lags)[:, :1].real, a, b], axis=1)
-    out = np.matmul(coefficients, np.concatenate([np.ones((1, cos.shape[0])), cos.T, sin.T]),
-                    out=out)
-    return np.maximum(out, 0.0, out=out)
+    """(T, P) periodograms of the (T, N) lags over the frequencies nus: per
+    block of rows of row_blocks(T), one real (rows, 2N-1) @ (2N-1, P)
+    product of the coefficients [c(0), a_k, b_k] with the basis
+    [1, cos, sin], clamped at 0 in place.  The blocks are written into
+    out, a (T, P) float array, where one is given, and otherwise into the
+    only (T, P) array allocated; either way the result is returned.  So a
+    T-row table is the same BLAS calls, and the same bits, whoever asks
+    for it and wherever it is written, and holds one block's temporaries."""
+    lags = np.asarray(lags)
+    if out is None:
+        out = np.empty((lags.shape[0], np.size(nus)))
+    for rows in row_blocks(lags.shape[0]):
+        a, b, cos, sin, _ = _terms(lags[rows], nus)
+        coefficients = np.concatenate([lags[rows, :1].real, a, b], axis=1)
+        basis = np.concatenate([np.ones((1, cos.shape[0])), cos.T, sin.T])
+        block = np.matmul(coefficients, basis, out=out[rows])
+        np.maximum(block, 0.0, out=block)
+    return out
 
 
-# Rows per periodogram_table call where a T-row table is computed in blocks.
-# A call on at least 64 rows matched the whole table bit for bit (OpenBLAS,
-# T=4096 records at P=512 and 1024); a one-row call, a matrix-vector
-# product, did not.
+# Rows per block of periodogram_table, and per periodogram_table call of
+# the argmax baseline, which keeps only each row's peak: a block bounds the
+# memory a pass over a long table holds besides its result.  No block is
+# shorter than ROW_BLOCK rows unless the table is, so every block is a
+# matrix-matrix product, never a one-row matrix-vector one, which BLAS
+# kernels round differently, and a table of fewer than 2 ROW_BLOCK rows,
+# as a fit's at T=128, is one product.
 ROW_BLOCK = 256
 
 

@@ -7,9 +7,10 @@ derivatives by the direct DFT, the r_nu gradient from dense pair
 marginals and row-by-row csv-module readers of the dataset and track
 files: slow forms the pipeline never runs.
 log_likelihood_entry reads the package's own value for one record at one
-frequency, for comparison with the dense density; table and log_prob build
-observation tables from log-likelihood rows and read them back, and
-scaled_rows rescales the read-back rows in the log-table form.
+frequency, for comparison with the dense density; table and fit_table
+build observation tables from log-likelihood rows and as the fit does,
+log_prob reads them back, and scaled_rows rescales the read-back rows in
+the log-table form.
 """
 
 import csv
@@ -20,11 +21,13 @@ import numpy as np
 
 from freqtrack.hmm import (NumericalError, ObservationTable, forward_backward,
                            observation_table, posterior_marginals)
+from freqtrack.hyperopt import FitCriterion
 from freqtrack.io import DataFormatError
 from freqtrack.likelihood import in_initial_band
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import DataSet, Hyperparameters, steering_vector
+from freqtrack.spectral import periodogram_table
 
 
 def dense_gaussian_log_density(y, nu, hyper):
@@ -72,14 +75,25 @@ def log_likelihood_entry(y, nu: float, hyper: Hyperparameters) -> float:
     """observation_table's entry for the single record y at frequency nu,
     read from a two-state grid whose first state is nu exactly."""
     dataset = DataSet(samples=np.asarray(y, dtype=complex)[None, :])
-    return float(log_prob(observation_table(dataset, FrequencyGrid(nu, nu + 1, 2), hyper))[0, 0])
+    grid = FrequencyGrid(nu, nu + 1, 2)
+    periodograms = periodogram_table(dataset.lags, grid.states)
+    obs = observation_table(dataset, grid, hyper, periodograms, periodograms.max(axis=1))
+    return float(log_prob(obs)[0, 0])
 
 
 def table(rows) -> ObservationTable:
     """The observation table whose log-likelihoods, and periodograms, are
-    rows: alpha 1, log beta 0 and gamma 0 leave every entry's value."""
+    rows, with their row maxima: alpha 1, log beta 0 and gamma 0 leave
+    every entry's value."""
     rows = np.asarray(rows, dtype=float)
-    return ObservationTable(rows, 1.0, 0.0, np.zeros(rows.shape[0]))
+    return ObservationTable(rows, rows.max(axis=1), 1.0, 0.0, np.zeros(rows.shape[0]))
+
+
+def fit_table(dataset: DataSet, grid: FrequencyGrid, hyper: Hyperparameters) -> ObservationTable:
+    """observation_table as hyper_nll reads it: on FitCriterion's periodogram
+    table and row maxima."""
+    criterion = FitCriterion(dataset, grid)
+    return observation_table(dataset, grid, hyper, criterion.periodograms, criterion.row_max)
 
 
 def log_prob(obs: ObservationTable) -> np.ndarray:
@@ -163,7 +177,7 @@ def dense_r_nu_gradient(dataset: DataSet, hyper: Hyperparameters,
     marginals of posterior_marginals on transition_matrix, with
     d2[q, p] = (nu_p - nu_q)^2 and e[q] = sum_p T[q, p] d2[q, p]; scale is
     the sum of the two terms' sizes."""
-    obs = observation_table(dataset, grid, hyper)
+    obs = fit_table(dataset, grid, hyper)
     fb = forward_backward(obs, gaussian_transition(grid, hyper.r_nu), initial_distribution(grid))
     trans = transition_matrix(grid, hyper.r_nu)
     pair_sum = posterior_marginals(fb, obs, trans).pair_sum

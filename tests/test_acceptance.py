@@ -11,7 +11,7 @@ import pytest
 
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.cli import compute_tracks, rmse
-from freqtrack.hmm import forward_backward, observation_table, posterior_marginals, viterbi
+from freqtrack.hmm import forward_backward, posterior_marginals, viterbi
 from freqtrack.hyperopt import (
     STRATEGIES,
     FitCriterion,
@@ -28,7 +28,7 @@ from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesi
 from freqtrack.spectral import (empirical_correlation, periodogram, periodogram_deriv_many,
                                 periodogram_table)
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
-                     log_likelihood_entry, steps_within_half, table)
+                     fit_table, log_likelihood_entry, steps_within_half, table)
 
 GRID = FrequencyGrid(-2.5, 2.5, 128)
 TRUE_HYPER = Hyperparameters(1.0, 0.1, 1e-3)
@@ -278,7 +278,7 @@ def test_criterion_9_probability_hygiene():
     transition = gaussian_transition(GRID, TRUE_HYPER.r_nu)
     trans = transition_matrix(GRID, TRUE_HYPER.r_nu)
     init = initial_distribution(GRID)
-    obs = observation_table(ds, GRID, TRUE_HYPER)
+    obs = fit_table(ds, GRID, TRUE_HYPER)
     fb = forward_backward(obs, transition, init)
     post = posterior_marginals(fb, obs, trans)
     ok = np.max(np.abs(trans.sum(axis=1) - 1.0)) < 1e-10

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import itertools
 import os
@@ -298,6 +299,28 @@ def test_blank_lines_in_argument_file_are_skipped(tmp_path, blank):
     assert (args.seed, args.n_bins) == (2, 8)
     args_file.write_text("--seed 2\n")  # a space does not split a line
     assert exit_code(["simulate", f"@{args_file}", "--out", str(tmp_path)]) == 1
+
+
+def test_a_repeated_command_leaves_no_reference_cycles(tmp_path):
+    # main parses every call with the process's one parser, so a second
+    # call of each command leaves nothing for the cyclic collector, whose
+    # runs would move the peak resident memory
+    out, data = ["--out", str(tmp_path)], str(tmp_path / "dataset.csv")
+    commands = {"simulate": ["simulate", "--bins", "32", *out],
+                "estimate": ["estimate", data, *out],
+                "track": ["track", data, str(tmp_path / "hyper.txt"), *out],
+                "eval": ["eval", "--bins", "32", "--replicates", "1", *out]}
+    left = {}
+    for name, argv in commands.items():
+        assert run(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(argv) == 0
+            left[name] = gc.collect()
+        finally:
+            gc.enable()
+    assert left == dict.fromkeys(commands, 0)
 
 
 def test_parser_defaults():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqtrack import hmm
+from freqtrack import hmm, spectral
 from freqtrack.hmm import (
     backward,
     forward,
@@ -24,7 +24,7 @@ from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steerin
                               synthesize_dataset)
 from freqtrack.spectral import ROW_BLOCK, periodogram_table
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
-                     log_prob, scaled_rows, table)
+                     fit_table, log_prob, scaled_rows, table)
 
 
 def random_instance(rng, n_bins=None, n_states=None, scale=5.0):
@@ -113,7 +113,7 @@ def test_observation_table_matches_per_entry_likelihood():
     hyper = Hyperparameters(1.0, 0.3, 1e-2)
     ds = synthesize_dataset(rng.uniform(-1, 1, 4), hyper, 4, seed=5)
     grid = FrequencyGrid(-1.5, 1.5, 10)
-    rows = log_prob(observation_table(ds, grid, hyper))
+    rows = log_prob(fit_table(ds, grid, hyper))
     for t in range(4):
         for p, nu in enumerate(grid.states):
             assert rows[t, p] == pytest.approx(
@@ -125,7 +125,7 @@ def test_observation_table_argmax_at_true_state():
     hyper = Hyperparameters(1.0, 1e-6, 1e-2)
     grid = FrequencyGrid(-0.5, 0.5, 11)  # contains 0.2 exactly
     ds = DataSet(steering_vector([0.2], 4))
-    rows = log_prob(observation_table(ds, grid, hyper))
+    rows = log_prob(fit_table(ds, grid, hyper))
     assert grid.states[np.argmax(rows[0])] == pytest.approx(0.2)
 
 
@@ -133,7 +133,7 @@ def test_observation_table_periodic_states_equal():
     hyper = Hyperparameters(1.0, 0.5, 1e-2)
     grid = FrequencyGrid(-1.0, 1.0, 5)  # contains both -1, 0 and 1
     ds = synthesize_dataset([0.3], hyper, 4, seed=1)
-    rows = log_prob(observation_table(ds, grid, hyper))
+    rows = log_prob(fit_table(ds, grid, hyper))
     states = list(grid.states)
     assert rows[0, states.index(0.0)] == pytest.approx(rows[0, states.index(1.0)], rel=1e-12)
 
@@ -149,7 +149,7 @@ def test_observation_table_rescaled_rows_are_within_the_bound_of_the_log_table(r
     # where rows peak thousands of nats above their other states
     hyper = Hyperparameters(1.0, r_b, 1e-3)
     ds = synthesize_dataset(make_test_track("sine", n_bins, (-1.5, 1.5)), hyper, 4, seed=0)
-    obs = observation_table(ds, FrequencyGrid(-2.5, 2.5, 128), hyper)
+    obs = fit_table(ds, FrequencyGrid(-2.5, 2.5, 128), hyper)
     oracle, _ = scaled_rows(obs)
     u, rho = np.finfo(float).eps / 2, 4 * np.finfo(float).eps
     spread = (obs.alpha * np.abs(obs.periodograms).max(axis=1) + abs(obs.log_beta)
@@ -161,22 +161,20 @@ def test_observation_table_rescaled_rows_are_within_the_bound_of_the_log_table(r
 
 
 def test_observation_table_memory_is_one_table():
-    # at T=4096, P=512 the table is built on first read of the periodograms,
-    # the only (T, P) array then; observation_table itself builds none
+    # at T=4096, P=512 observation_table builds no (T, P) array: without a
+    # table its source is the lags, which only write_periodograms reads
     n_bins, n_states = 4096, 512
     hyper = Hyperparameters(1.0, 0.1, 1e-4)
     ds = synthesize_dataset(make_test_track("sine", n_bins, (-3.0, 3.0)), hyper, 4, seed=0)
     grid = FrequencyGrid(-4.0, 4.0, n_states)
-    peaks = []
-    for read in (lambda obs: obs, lambda obs: obs.periodograms):
-        tracemalloc.start()
-        try:
-            read(observation_table(ds, grid, hyper))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 0.01 * n_bins * n_states * 8
-    assert peaks[1] <= 1.25 * n_bins * n_states * 8
+    tracemalloc.start()
+    try:
+        obs = observation_table(ds, grid, hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * n_bins * n_states * 8
+    assert obs.periodograms is None and obs.lags is ds.lags
 
 
 @pytest.mark.parametrize("n_bins", [16, 128, ROW_BLOCK + 1, 1000, 4096])
@@ -188,16 +186,36 @@ def test_viterbi_on_streamed_rows_matches_the_table(n_bins):
     grid = FrequencyGrid(-4.0, 4.0, 512)
     lam = smoothing_weight(hyper, ds.n_samples)
     streamed = observation_table(ds, grid, hyper)
-    assert streamed.table is None and (streamed.n_bins, streamed.n_states) == (n_bins, 512)
+    assert streamed.periodograms is None and (streamed.n_bins, streamed.n_states) == (n_bins, 512)
     path, cost = viterbi(streamed, grid, lam)
-    assert "periodograms" not in vars(streamed)  # viterbi built no table
-    table = observation_table(ds, grid, hyper, periodogram_table(ds.lags, grid.states))
+    assert "scaled" not in vars(streamed)  # viterbi built nothing on the table
+    periodograms = periodogram_table(ds.lags, grid.states)
+    table = observation_table(ds, grid, hyper, periodograms, periodograms.max(axis=1))
     expected_path, expected_cost = viterbi(table, grid, lam)
     assert np.array_equal(path, expected_path) and cost == expected_cost
     # the blocks written in place equal one periodogram_table call on all rows
     written = streamed.write_periodograms(np.full((n_bins, 512), np.nan))
     assert written.tobytes() == table.periodograms.tobytes()
     assert table.write_periodograms(np.empty((n_bins, 512))).tobytes() == written.tobytes()
+
+
+def test_viterbi_on_one_row_blocks_matches_the_table(monkeypatch):
+    # one-row blocks make every block a matrix-vector product, which BLAS
+    # kernels round unlike a matrix product: the written rows and the table
+    # still equal byte for byte, as both are periodogram_table's blocks
+    monkeypatch.setattr(spectral, "ROW_BLOCK", 1)
+    hyper = Hyperparameters(1.0, 0.1, 1e-4)
+    ds = synthesize_dataset(make_test_track("sine", 300, (-3.0, 3.0)), hyper, 4, seed=1)
+    grid = FrequencyGrid(-4.0, 4.0, 512)
+    lam = smoothing_weight(hyper, ds.n_samples)
+    periodograms = periodogram_table(ds.lags, grid.states)
+    streamed = observation_table(ds, grid, hyper)
+    written = streamed.write_periodograms(np.full(periodograms.shape, np.nan))
+    assert written.tobytes() == periodograms.tobytes()
+    table = observation_table(ds, grid, hyper, periodograms, periodograms.max(axis=1))
+    path, cost = viterbi(streamed, grid, lam)
+    expected_path, expected_cost = viterbi(table, grid, lam)
+    assert np.array_equal(path, expected_path) and cost == expected_cost
 
 
 def test_forward_single_bin():
@@ -331,8 +349,9 @@ def test_forward_backward_band_equals_dense_at_a_high_snr_fit_start(n_states):
     track = make_test_track("sine", 128, (-1.5, 1.5))
     dataset = synthesize_dataset(track, Hyperparameters(1.0, 1e-3, 1e-3), 4, seed=3)
     grid = FrequencyGrid(-2.5, 2.5, n_states)
-    hyper = empirical_init(FitCriterion(dataset, grid))
-    obs = observation_table(dataset, grid, hyper)
+    criterion = FitCriterion(dataset, grid)
+    hyper = empirical_init(criterion)
+    obs = observation_table(dataset, grid, hyper, criterion.periodograms, criterion.row_max)
     transition = gaussian_transition(grid, hyper.r_nu)
     init = initial_distribution(grid)
     log_likelihood, _, _ = dense_forward_backward(obs, dense_matrix(transition), init)
@@ -680,10 +699,12 @@ def test_viterbi_fine_grids_equal_dense_search(n_states, resolution):
     assert grid.resolution(hyper.r_nu) == pytest.approx(resolution, rel=0.04)
     truth = make_test_track("sine", 128, (-1.5, 1.5))
     dataset = synthesize_dataset(truth, Hyperparameters(1.0, 0.1, 1e-3), 4, 0)
-    obs = observation_table(DataSet(dataset.samples[:16]), grid, hyper)
+    records = DataSet(dataset.samples[:16])
+    obs = observation_table(records, grid, hyper)
     lam = smoothing_weight(hyper, 4)
     path, cost, half = viterbi_and_width(obs, grid, lam)
-    ref_path, ref_cost = dense_min_cost_path(-obs.periodograms, grid, lam)
+    local = -periodogram_table(records.lags, grid.states)
+    ref_path, ref_cost = dense_min_cost_path(local, grid, lam)
     assert np.array_equal(path, ref_path) and cost == ref_cost
     assert 16 < half < n_states // 4
 

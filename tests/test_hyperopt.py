@@ -27,7 +27,7 @@ from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, GaussianTransition,
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
 from freqtrack.spectral import empirical_correlation, periodogram_table
-from oracles import brute_force_joint, dense_r_nu_gradient, scaled_rows
+from oracles import brute_force_joint, dense_r_nu_gradient, fit_table, scaled_rows
 
 
 def small_problem(seed, n_bins=4, n_states=5):
@@ -45,7 +45,7 @@ def small_problem(seed, n_bins=4, n_states=5):
 def test_hyper_nll_matches_brute_force():
     for seed in range(5):
         ds, hyper, grid = small_problem(seed, n_bins=3, n_states=4)
-        obs = observation_table(ds, grid, hyper)
+        obs = fit_table(ds, grid, hyper)
         trans = transition_matrix(grid, hyper.r_nu)
         init = initial_distribution(grid)
         bf = brute_force_joint(obs, trans, init)
@@ -69,7 +69,7 @@ def test_hyper_nll_flat_transition_limit():
     hyper = Hyperparameters(1.0, 0.5, 1e6)
     grid = FrequencyGrid(-1.0, 1.0, 8)
     value = hyper_nll(FitCriterion(ds, grid), hyper)
-    scaled, shifts = scaled_rows(observation_table(ds, grid, hyper))
+    scaled, shifts = scaled_rows(fit_table(ds, grid, hyper))
     # a flat transition forgets the state: bin 0 carries the initial law,
     # every later bin the uniform one
     uniform = np.full((ds.n_bins - 1, grid.size), 1 / grid.size)
@@ -277,14 +277,18 @@ def test_fit_gradients_equal_fresh_gradients(monkeypatch, strategy):
 
 
 def test_observation_table_from_a_cached_periodogram_table_is_bit_identical():
+    # a cached table is read in place, and it, its row maxima and its
+    # rescaled rows equal those of the rows the lag source writes
     ds, grid = standard_dataset()
     hyper = Hyperparameters(1.0, 0.1, 1e-3)
     periodograms = periodogram_table(ds.lags, grid.states)
-    cached = observation_table(ds, grid, hyper, periodograms)
+    cached = observation_table(ds, grid, hyper, periodograms, periodograms.max(axis=1))
     fresh = observation_table(ds, grid, hyper)
-    assert cached.periodograms is periodograms
+    assert cached.periodograms is periodograms and fresh.periodograms is None
+    written = fresh.write_periodograms(np.full(periodograms.shape, np.nan))
+    rewritten = observation_table(ds, grid, hyper, written, written.max(axis=1))
     for name in ("periodograms", "alpha", "log_beta", "gamma", "row_max", "scaled"):
-        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+        assert np.array_equal(getattr(cached, name), getattr(rewritten, name)), name
 
 
 def test_criterion_takes_the_row_maxima_of_its_table_once():
@@ -294,7 +298,8 @@ def test_criterion_takes_the_row_maxima_of_its_table_once():
     criterion = FitCriterion(ds, grid)
     assert np.array_equal(criterion.row_max, criterion.periodograms.max(axis=1))
     hyper = Hyperparameters(1.0, 0.1, 1e-3)
-    fresh = observation_table(ds, grid, hyper)
+    periodograms = periodogram_table(ds.lags, grid.states)
+    fresh = observation_table(ds, grid, hyper, periodograms, periodograms.max(axis=1))
     value = hyper_nll(criterion, hyper)
     obs = criterion.lowest[2]
     assert obs.row_max is criterion.row_max
