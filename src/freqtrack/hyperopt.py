@@ -22,7 +22,7 @@ from freqtrack.baselines import decimal_part
 # unused, but perfbench's tracing.SITES pins posterior_marginals and transition_matrix here
 from freqtrack.hmm import (NumericalError, forward, forward_backward, observation_table,
                            posterior_marginals)
-from freqtrack.likelihood import lowers
+from freqtrack.likelihood import backtrack, lowers
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
 from freqtrack.signal import DataSet, HyperparameterError, Hyperparameters
@@ -46,14 +46,12 @@ DEFAULT_LINE_SEARCH = "quadratic_interp"
 # the parabola through its bracket predicts a further decrease of at most
 # SETTLE_RATIO times the decrease it has made, or once the bracket [a, c]
 # is narrower than LINE_SEARCH_TOL * max(1, c).  A bfgs step is at most
-# MAX_STEP long in log-parameter space and is accepted on Armijo's test
-# with the constant ARMIJO.
+# MAX_STEP long in log-parameter space.
 MAX_ITER = 200
 REL_TOL = 1e-8
 LINE_SEARCH_TOL = 1e-3
 SETTLE_RATIO = 1e-3
 MAX_STEP = 2.0
-ARMIJO = 1e-4
 # A starting point whose forward pass underflows is retried at 4 r_nu, up
 # to START_RETRIES times: a wider transition gives weight to a jump that the
 # start's r_nu cannot reach.
@@ -344,25 +342,6 @@ def _line_search(phi, f0, step, method):
     return b, fb
 
 
-def _backtrack(phi, f0: float, slope: float):
-    """(s, phi(s)) for the first step s of 1, s_1, s_2 ... that passes Armijo's
-    test phi(s) <= f0 + ARMIJO s slope, slope = phi'(0) < 0, and lowers phi
-    below f0, or None once a step falls below 1e-14.
-
-    Each next step is the vertex of the parabola through phi(0) = f0,
-    phi'(0) = slope and phi(s), clamped to [s / 10, s / 2] (Nocedal & Wright
-    2006, sec. 3.5); where phi(s) is +inf the vertex is 0 and the step s / 10.
-    """
-    s = 1.0
-    while s >= 1e-14:  # a NaN step ends the search too
-        fs = phi(s)
-        if fs <= f0 + ARMIJO * s * slope and lowers(f0, fs):
-            return s, fs
-        vertex = -slope * s * s / (2.0 * (fs - f0 - slope * s))
-        s = min(max(vertex, 0.1 * s), 0.5 * s)
-    return None
-
-
 def _bfgs_update(inverse: np.ndarray, step: np.ndarray, change: np.ndarray) -> np.ndarray:
     """The BFGS update of the inverse Hessian approximation from a step and
     the gradient's change along it (Nocedal & Wright 2006, eq. 6.17).
@@ -496,7 +475,7 @@ def estimate_ml(
             for direction in candidates:
                 def phi(s):
                     return fun(x + s * direction)
-                result = (_backtrack(phi, fx, float(g @ direction)) if strategy == "bfgs"
+                result = (backtrack(phi, fx, float(g @ direction)) if strategy == "bfgs"
                           else _line_search(phi, fx, steps[slot], line_search))
                 if result is not None:
                     s, fx = result

@@ -60,15 +60,37 @@ def smoothing_weight(hyper: Hyperparameters, n_samples: int) -> float:
     return lam
 
 
+ARMIJO = 1e-4  # backtrack's sufficient-decrease constant
+
+
 def rounding_level(value: float) -> float:
-    """16 eps max(1, |value|): the fit and the track refinement take a
-    decrease of a criterion at value below this level for noise."""
-    return 16 * np.finfo(float).eps * max(1.0, abs(value))
+    """16 eps |value|: the fit and the track refinement take a decrease of a
+    criterion at value below this level for noise, in any amplitude unit."""
+    return 16 * np.finfo(float).eps * abs(value)
 
 
 def lowers(before: float, after: float) -> bool:
     """Whether after is below before by more than before's rounding_level."""
     return before - after > rounding_level(before)
+
+
+def backtrack(phi, f0: float, slope: float):
+    """(s, phi(s)) for the first step s of 1, s_1, s_2 ... that passes Armijo's
+    test phi(s) <= f0 + ARMIJO s slope, slope = phi'(0) < 0, and lowers phi
+    below f0, or None once a step falls below 1e-14.
+
+    Each next step is the vertex of the parabola through phi(0) = f0,
+    phi'(0) = slope and phi(s), clamped to [s / 10, s / 2] (Nocedal & Wright
+    2006, sec. 3.5); where phi(s) is +inf the vertex is 0 and the step s / 10.
+    """
+    s = 1.0
+    while s >= 1e-14:  # a NaN step ends the search too
+        fs = phi(s)
+        if fs <= f0 + ARMIJO * s * slope and lowers(f0, fs):
+            return s, fs
+        vertex = -slope * s * s / (2.0 * (fs - f0 - slope * s))
+        s = min(max(vertex, 0.1 * s), 0.5 * s)
+    return None
 
 
 def in_initial_band(nu):

@@ -2,7 +2,8 @@
 
 The tracking criterion is smooth away from the band constraint, with a
 cheap gradient (periodogram derivatives) and a tridiagonal Hessian, so
-Newton steps solve in linear time.
+Newton steps solve in linear time.  Refinement stops on the Newton
+decrement (Boyd & Vandenberghe 2004, sec. 9.5.1), in any amplitude unit.
 """
 
 from __future__ import annotations
@@ -11,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freqtrack.likelihood import (in_initial_band, lowers, map_objective, rounding_level,
+from freqtrack.likelihood import (backtrack, in_initial_band, map_objective, rounding_level,
                                   smoothing_weight)
 from freqtrack.signal import DataSet, Hyperparameters
 from freqtrack.spectral import periodogram_deriv_many
 
-# refine_map stops after MAX_ITER iterations or once every component of
-# the gradient is below GRAD_TOL in magnitude.
 MAX_ITER = 100
-GRAD_TOL = 1e-8
 
 
 def objective_gradient(dataset: DataSet, track,
@@ -83,23 +81,25 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
 class RefinementResult:
     track: np.ndarray
     objective_trace: list
-    stop_reason: str  # "gradient", "no_decrease" or "max_iter"
+    stop_reason: str  # "converged", "no_decrease" or "max_iter"
 
     @property
     def iterations(self) -> int:
-        """Accepted Newton steps."""
+        """Accepted steps."""
         return len(self.objective_trace) - 1
 
 
 def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> RefinementResult:
     """Locally minimize the tracking criterion from a feasible starting track.
 
-    Each Newton step solves the tridiagonal system in O(T), with step
-    halving and a gradient fallback whenever the system is indefinite or the
-    step does not lower the criterion beyond its rounding level (lowers); a
-    non-finite system raises ValueError.  Steps that push the first
-    frequency out of the band are rejected by the same test (infinite
-    criterion).
+    Each iteration solves the tridiagonal Newton system in O(T), taking the
+    step -g / max|g| where it is indefinite or its step does not descend.
+    A zero gradient, or a Newton step whose predicted decrease -g.s/2 is
+    within the criterion's rounding level (taken in full unless it leaves
+    the band), stops as "converged".  Any other step goes through the fit's
+    backtracking (likelihood.backtrack), which rejects a step out of the
+    band (infinite criterion); where it finds none, "no_decrease".  It stops
+    as "max_iter" after MAX_ITER iterations.  A non-finite system raises ValueError.
     """
     track = np.asarray(init_track, dtype=float).copy()
     value = map_objective(dataset, track, hyper)
@@ -111,29 +111,27 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
 
     for _ in range(MAX_ITER):
         grad, diag = objective_gradient(dataset, track, hyper)
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            stop_reason = "gradient"
+        if not grad.any():
+            stop_reason = "converged"
             break
         step = _solve_tridiagonal(diag, off, -grad)
-        if step is not None and float(step @ grad) >= 0.0:
-            step = None
-        # A Newton step whose predicted decrease -g.step/2 is below the
-        # rounding level of the criterion is taken in full; any other step
-        # must lower the criterion by more than that level.
-        below_rounding = step is not None and -0.5 * float(grad @ step) < rounding_level(value)
-        if step is None:
-            step = -grad / max(np.max(np.abs(grad)), 1.0)
-        scale = 1.0
-        new_value = map_objective(dataset, track + scale * step, hyper)
-        below_rounding = below_rounding and np.isfinite(new_value)
-        while not below_rounding and not lowers(value, new_value) and scale > 1e-14:
-            scale *= 0.5
-            new_value = map_objective(dataset, track + scale * step, hyper)
-        if not below_rounding and not lowers(value, new_value):
+        slope = np.inf if step is None else float(grad @ step)
+        if not slope < 0.0:
+            step = -grad / np.max(np.abs(grad))
+            slope = float(grad @ step)
+        elif -0.5 * slope <= rounding_level(value):
+            new_value = map_objective(dataset, track + step, hyper)
+            if np.isfinite(new_value):
+                track, value = track + step, new_value
+                trace.append(value)
+            stop_reason = "converged"
+            break
+        found = backtrack(lambda s: map_objective(dataset, track + s * step, hyper), value, slope)
+        if found is None:
             stop_reason = "no_decrease"
             break
-        track = track + scale * step
-        value = new_value
+        s, value = found
+        track = track + s * step
         trace.append(value)
 
     return RefinementResult(track=track, objective_trace=trace, stop_reason=stop_reason)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from freqtrack import hmm, hyperopt, markov
+from freqtrack import hmm, hyperopt, likelihood, markov
 from freqtrack.baselines import unwrap_track
 from freqtrack.hmm import ObservationTable, observation_table
 from freqtrack.hyperopt import (
@@ -638,7 +638,7 @@ def probed(phi):
 
 def test_backtrack_accepts_a_full_step_that_passes_armijo_after_one_evaluation():
     phi, steps = probed(lambda s: 1.0 - 0.5 * s)
-    assert hyperopt._backtrack(phi, 1.0, -1.0) == (1.0, 0.5) and steps == [1.0]
+    assert likelihood.backtrack(phi, 1.0, -1.0) == (1.0, 0.5) and steps == [1.0]
 
 
 @pytest.mark.parametrize("phi, second", [
@@ -651,19 +651,19 @@ def test_backtrack_moves_a_failed_full_step_to_the_clamped_parabola_vertex(phi, 
     phi, steps = probed(phi)
     assert phi(0.0) == pytest.approx(0.09)
     steps.clear()
-    s, fs = hyperopt._backtrack(phi, 0.09, -0.6)
+    s, fs = likelihood.backtrack(phi, 0.09, -0.6)
     assert steps[:2] == [1.0, pytest.approx(second, rel=1e-12)]
-    assert fs < 0.09 - hyperopt.ARMIJO * 0.6 * s
+    assert fs < 0.09 - likelihood.ARMIJO * 0.6 * s
 
 
 def test_backtrack_steps_to_a_tenth_where_the_full_step_is_inf():
     phi, steps = probed(lambda s: np.inf if s > 0.5 else 1.0 - s)
-    assert hyperopt._backtrack(phi, 1.0, -1.0) == (0.1, 0.9) and steps == [1.0, 0.1]
+    assert likelihood.backtrack(phi, 1.0, -1.0) == (0.1, 0.9) and steps == [1.0, 0.1]
 
 
 def test_backtrack_ends_on_nan():
     phi, steps = probed(lambda s: np.nan)
-    assert hyperopt._backtrack(phi, 1.0, -1.0) is None and steps == [1.0]
+    assert likelihood.backtrack(phi, 1.0, -1.0) is None and steps == [1.0]
 
 
 @pytest.mark.parametrize("phi, f0, slope", [
@@ -673,7 +673,7 @@ def test_backtrack_ends_on_nan():
 def test_backtrack_rejects_a_decrease_at_rounding_level(phi, f0, slope):
     # such a step passes Armijo's test with a vanishing slope, but moves x
     # along a direction that does not descend
-    assert hyperopt._backtrack(phi, f0, slope) is None
+    assert likelihood.backtrack(phi, f0, slope) is None
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,29 +63,31 @@ def test_refinement_decreases_objective_and_zeroes_gradient():
     trace = result.objective_trace
     assert all(b <= a + 1e-10 for a, b in zip(trace, trace[1:]))
     assert trace[-1] <= map_objective(ds, init, hyper) + 1e-10
-    assert result.stop_reason == "gradient"
+    assert result.stop_reason == "converged"
     grad, _ = objective_gradient(ds, result.track, hyper)
     assert np.max(np.abs(grad)) < 1e-7
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_refinement_converges_below_rounding_level(seed):
-    # default simulation: near the minimum the Newton decrease falls below
-    # the rounding of the criterion (about -500), which must not stop descent
+    # default simulation: near the minimum the Newton decrease falls within
+    # the rounding level of the criterion (about -500); that step is taken
+    # in full, so the stop leaves no gradient a further step could remove
     truth = make_test_track("sine", 128, (-1.5, 1.5))
     hyper = Hyperparameters(1.0, 0.1, 1e-3)
     ds = synthesize_dataset(truth, hyper, 4, seed=seed)
     grid = FrequencyGrid(-2.5, 2.5, 128)
     path, _ = viterbi(observation_table(ds, grid, hyper), grid, smoothing_weight(hyper, 4))
     result = refine_map(ds, grid.states[path], hyper)
-    assert result.stop_reason == "gradient"
+    assert result.stop_reason == "converged"
     grad, _ = objective_gradient(ds, result.track, hyper)
     assert np.max(np.abs(grad)) < 1e-9
 
 
-def test_stop_reason_gradient(monkeypatch):
+def test_stop_reason_converged(monkeypatch):
     # one periodogram_deriv_many call gives the gradient and the Hessian
-    # diagonal at each iterate, including the one where the gradient test stops
+    # diagonal at each iterate; the Newton step that predicts a decrease
+    # within the rounding level is taken and stops without another call
     ds, track, hyper = tracking_problem(seed=3)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
     calls = 0
@@ -95,8 +99,8 @@ def test_stop_reason_gradient(monkeypatch):
         return deriv_many(*args)
     monkeypatch.setattr(refine, "periodogram_deriv_many", counted)
     result = refine_map(ds, init, hyper)
-    assert result.stop_reason == "gradient"
-    assert result.iterations >= 2 and calls == result.iterations + 1
+    assert result.stop_reason == "converged"
+    assert result.iterations >= 2 and calls == result.iterations
 
 
 def test_stop_reason_max_iter(monkeypatch):
@@ -120,19 +124,30 @@ def _with_diagonal(change):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_stop_reason_no_decrease(monkeypatch, seed):
-    # at a Newton minimum a gradient step only meets rounding noise, and a
-    # zero tolerance never accepts the gradient as small enough; a negated
-    # Hessian diagonal makes the system indefinite, so every step is the
-    # gradient fallback.  A "decrease" at the criterion's rounding level is
-    # no decrease, so the minimum does not move
+    # at a Newton minimum a gradient step only meets rounding noise; a
+    # negated Hessian diagonal makes the system indefinite, so every step is
+    # the gradient fallback.  A "decrease" at the criterion's rounding level
+    # is no decrease, so the minimum does not move
     ds, track, hyper = tracking_problem(seed=seed)
     init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
     minimum = refine_map(ds, init, hyper).track
-    monkeypatch.setattr(refine, "GRAD_TOL", 0.0)
     monkeypatch.setattr(refine, "objective_gradient", _with_diagonal(lambda diag: -diag))
     result = refine_map(ds, minimum, hyper)
     assert result.stop_reason == "no_decrease"
     assert np.array_equal(result.track, minimum)
+
+
+def test_zero_gradient_at_an_indefinite_hessian_is_converged(monkeypatch):
+    # on all-zero samples a constant track has the gradient 0 exactly; with
+    # the system indefinite, the gradient fallback -g / max|g| would be 0/0
+    ds = DataSet(np.zeros((6, 4), dtype=complex))
+    hyper = Hyperparameters(1.0, 0.1, 1e-3)
+    monkeypatch.setattr(refine, "objective_gradient", _with_diagonal(lambda diag: -diag))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = refine_map(ds, np.full(6, 0.2), hyper)
+    assert result.stop_reason == "converged" and result.iterations == 0
+    assert np.array_equal(result.track, np.full(6, 0.2))
 
 
 def test_refinement_is_local_minimum():
@@ -155,6 +170,17 @@ def test_refinement_single_bin_reaches_periodogram_peak():
     assert first == pytest.approx(0.0, abs=1e-8)
     assert second < 0
     assert result.track[0] == pytest.approx(0.21, abs=0.05)
+
+
+def test_a_converged_newton_step_out_of_the_band_is_not_taken():
+    # one bin whose periodogram peaks 1e-9 beyond the band's closed end: from
+    # 1e-9 inside it the Newton step predicts a decrease within the rounding
+    # level but lands outside the band, where the criterion is infinite
+    hyper = Hyperparameters(1.0, 1e-6, 1e-2)
+    ds = DataSet(steering_vector([0.5 + 1e-9], 4))
+    result = refine_map(ds, np.array([0.5 - 1e-9]), hyper)
+    assert result.stop_reason == "converged" and result.iterations == 0
+    assert result.track[0] == 0.5 - 1e-9 and np.isfinite(result.objective_trace[-1])
 
 
 @pytest.mark.parametrize("first", [-0.5, 0.75, np.nan])
