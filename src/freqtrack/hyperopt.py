@@ -102,7 +102,15 @@ def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.nd
     the pair marginals head[t, q] k[|p - q|] weighted[t, p] (head =
     forward[:-1] / z, weighted = scaled[1:] backward[1:] / c[1:], z the row
     sums, c the forward normalizers) and their sums over destinations, the
-    single marginals of bins 0 ... T-2.  It builds no P x P array.
+    single marginals of bins 0 ... T-2.  Its lag moment is BLAS products in
+    column blocks whose rounding depends on the BLAS kernel and threads, but
+    every term is nonnegative, so it is within gamma_n = n u / (1 - n u) of
+    exact, relative, n = 2h + 1 + (T - 1) P (markov._lag_moment).  It
+    builds no P x P array, and no (T, P) table beyond the forward, backward
+    and singles tables and the rescaled observations: weighted is written
+    over rows 1 ... T-1 of singles once S and the visits are read from it,
+    and head over rows 0 ... T-2 of the backward table once weighted is, so
+    a fresh gradient peaks at about 4 tables in all.
 
     Where hyper is the point of criterion.lowest its observation table and
     forward pass are reused, so only the backward pass and the reduction
@@ -125,10 +133,13 @@ def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.nd
     d_rb = (n_bins * (1 - n - r_b / s) + (float(dataset.energy.sum()) - spectral_mass) / r_b
             + r_b / s * (spectral_mass / s))
 
-    head = fb.forward[:-1] / trans.norm
-    weighted = obs.scaled[1:] * fb.backward[1:]
+    visits = singles[:-1].sum(axis=0)
+    # weighted over singles[1:] and then head over backward[:-1], each table
+    # read for the last time; the forward pass, which criterion.lowest may hold, is not written
+    weighted = np.multiply(obs.scaled[1:], fb.backward[1:], out=singles[1:])
     weighted /= fb.normalizers[1:, None]
-    d_rnu = trans.r_nu_score(head, weighted, singles[:-1].sum(axis=0))
+    head = np.divide(fb.forward[:-1], trans.norm, out=fb.backward[:-1])
+    d_rnu = trans.r_nu_score(head, weighted, visits)
 
     return -np.array([d_ra, d_rb, d_rnu])
 

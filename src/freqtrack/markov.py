@@ -15,6 +15,8 @@ from freqtrack.likelihood import in_initial_band
 # transition's band: next to the diagonal entry 1 they lie below the
 # rounding of its rounding error.
 KERNEL_CUTOFF = 2.0**-106
+# _lag_moment's Toeplitz block holds at most this many floats (128 KiB).
+_MOMENT_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,13 @@ class GaussianTransition:
         """(sum_j k[|j|] (j spacing)^2 c[j] - e @ visits) / (2 r_nu), the
         transition's term of the EM-identity gradient in log r_nu, from the
         (T - 1, P) tables whose products head[t, q] k[|p - q|] weighted[t, p]
-        are the pair marginals and their sums visits over t and p.  The lag
-        sums c[j] = sum_{t,q} head[t, q] weighted[t, q + j] come from one
-        einsum over a strided view of the zero-padded weighted table,
-        O(T P h); e[q] = sum_p T[q, p] ((p - q) spacing)^2, the prior mean
-        squared step from q, is (cum[q] + cum[P-1-q]) / norm[q], cum the
-        running sum of k[d] (d spacing)^2.
+        are the pair marginals and their sums visits over t and p, with
+        c[j] = sum_{t,q} head[t, q] weighted[t, q + j] the lag sums.  The
+        first sum is _lag_moment's, over lags |j| <= h, O(T P h), a sum of
+        nonnegative terms within gamma_n, n = 2h + 1 + (T - 1) P, of exact;
+        e[q] = sum_p T[q, p] ((p - q) spacing)^2, the prior mean squared step
+        from q, is (cum[q] + cum[P-1-q]) / norm[q], cum the running sum of
+        k[d] (d spacing)^2.
 
         Certificate.  Beyond lag h the kernel is below KERNEL_CUTOFF, past the
         peak of k[d] d^2 at d^2 spacing^2 = 2 r_nu, so the dropped lags add at
@@ -116,24 +119,61 @@ class GaussianTransition:
         first sum; where that is not within eps of it (NaN fails) it is
         recomputed with all 2P - 1 taps.
         """
-        spacing = self.spacing
-        n_pairs, n_states = weighted.shape
+        spacing, n_states = self.spacing, self.kernel.size
 
-        def moment(taps):  # sum_j taps[h + j] (j spacing)^2 c[j] over lags |j| <= h
-            h = taps.size // 2
-            padded = np.zeros((n_pairs, n_states + 2 * h))
-            padded[:, h:h + n_states] = weighted
-            lag_sums = np.einsum("tq,tqj->j", head, sliding_window_view(padded, taps.size, axis=1))
-            return float(lag_sums @ (taps * (np.arange(-h, h + 1) * spacing) ** 2))
+        def moment(half):
+            return _lag_moment(head, weighted,
+                               self.kernel[:half + 1] * (np.arange(half + 1) * spacing) ** 2)
 
-        step = moment(self._band_taps)
+        step = moment(self.half_width)
         dropped = (self.cut * ((self.half_width + 1) * spacing) ** 2
                    * float(head.sum(axis=1) @ weighted.sum(axis=1)))
         if not dropped <= np.finfo(float).eps * step:  # NaN fails
-            step = moment(self.taps)
+            step = moment(n_states - 1)
         cum = np.cumsum(self.kernel * (np.arange(n_states) * spacing) ** 2)
         expected = (cum + cum[::-1]) / self.norm
         return (step - float(expected @ visits)) / (2.0 * self.r_nu)
+
+
+def _lag_moment(head: np.ndarray, weighted: np.ndarray, weights: np.ndarray) -> float:
+    """sum over t and |p - q| <= h of head[t, q] weights[|p - q|] weighted[t, p],
+    h = weights.size - 1: vdot(head, weighted @ K) with K[p, q] the weight of
+    lag |p - q| within h, else 0, taken in column blocks of W states.
+
+    One contiguous (W + 2h, W) Toeplitz block is built per call, row i and
+    column j holding the weight of lag |i - h - j|, W the widest power of
+    two whose block holds at most _MOMENT_BLOCK floats (1 where none does).
+    Columns q0 ... q0 + W - 1 of weighted @ K read only the source states
+    within h of them, clamped to the grid, so each column block is one BLAS
+    product of a window of weighted by a row slice of the block, read in
+    place: no zero padding, and all taps (h = P - 1) is the same code.
+    O(T P h) time, O(T W) memory beyond the block.
+
+    Bound.  Every term is a product of nonnegative floats, so there is no
+    cancellation: in whatever order the products and the blocks sum them,
+    the result is within gamma_n = n u / (1 - n u) of the exact sum of the
+    terms, relative, n = 2h + 1 + (T - 1) P and u = eps / 2 (Higham 2002,
+    sections 3.1 and 4.2); the error of blocked and pairwise sums grows far
+    more slowly than this worst case.
+    """
+    half = weights.size - 1
+    n_states = weighted.shape[1]
+    width = 1
+    while (2 * width + 2 * half) * 2 * width <= _MOMENT_BLOCK:
+        width *= 2
+    # the weights at lags -(W - 1 + h) ... W - 1 + h, 0 beyond h
+    taps = np.zeros(2 * (width + half) - 1)
+    taps[width - 1:width + 2 * half] = np.concatenate([weights[:0:-1], weights])
+    block = sliding_window_view(taps, width)[:, ::-1].copy()
+    total = 0.0
+    for start in range(0, n_states, width):
+        stop = min(start + width, n_states)
+        low, high = max(start - half, 0), min(stop + half, n_states)
+        product = weighted[:, low:high] @ block[low - start + half:high - start + half,
+                                                :stop - start]
+        product *= head[:, start:stop]
+        total += float(product.sum())
+    return total
 
 
 def gaussian_transition(grid: FrequencyGrid, r_nu: float) -> GaussianTransition:

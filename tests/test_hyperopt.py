@@ -141,7 +141,9 @@ def test_gradient_memory_is_below_pair_tensor():
 def r_nu_problem(n_bins, n_states, r_nu):
     track = make_test_track("sine", n_bins, (-1.5, 1.5))
     ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=n_bins)
-    return ds, Hyperparameters(1.0, 0.1, r_nu), FrequencyGrid(-2.5, 2.5, n_states)
+    # both states of a two-state grid on [-2.5, 2.5] would lie outside the start band
+    grid = FrequencyGrid(-2.5, 2.5, n_states) if n_states > 2 else FrequencyGrid(0.0, 0.5, 2)
+    return ds, Hyperparameters(1.0, 0.1, r_nu), grid
 
 
 def test_gradient_at_a_wide_grid_builds_no_state_by_state_array():
@@ -160,28 +162,63 @@ def test_gradient_at_a_wide_grid_builds_no_state_by_state_array():
 
 
 @pytest.mark.parametrize("r_nu", [4e-3, 3.9e5], ids=["narrow", "all-taps"])
+@pytest.mark.parametrize("n_states", [384, 2048])
+def test_fresh_gradient_peaks_at_five_tables(n_states, r_nu):
+    # the forward, backward, singles and rescaled observation tables, with
+    # head and weighted written over two of them and the lag moment taken in
+    # column blocks; a separate head, weighted and zero-padded table peaked
+    # at 7.3 to 9.1 tables
+    ds, hyper, grid = r_nu_problem(128, n_states, r_nu)
+    criterion = FitCriterion(ds, grid)
+    tracemalloc.start()
+    try:
+        hyper_nll_gradient(criterion, hyper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * ds.n_bins * grid.size * 8
+
+
+def test_gradient_at_the_lowest_point_leaves_its_forward_pass_alone():
+    # the gradient writes head and weighted over its own tables, never over
+    # the forward pass criterion.lowest holds for the next gradient
+    ds, hyper, grid = r_nu_problem(128, 384, 4e-3)
+    criterion = FitCriterion(ds, grid)
+    hyper_nll(criterion, hyper)
+    held = criterion.lowest[3]
+    before = held.forward.copy(), held.normalizers.copy()
+    first = hyper_nll_gradient(criterion, hyper)
+    assert criterion.lowest[3] is held and held.backward is None
+    assert np.array_equal(held.forward, before[0]) and np.array_equal(held.normalizers, before[1])
+    assert np.array_equal(hyper_nll_gradient(criterion, hyper), first)
+
+
+@pytest.mark.parametrize("r_nu", [4e-3, 3.9e5], ids=["narrow", "all-taps"])
 @pytest.mark.parametrize("n_bins", [2, 16, 128])
-@pytest.mark.parametrize("n_states", [128, 384])
+@pytest.mark.parametrize("n_states", [2, 3, 65, 128, 131, 384, 1026])
 def test_r_nu_gradient_equals_the_dense_pair_marginals(n_states, n_bins, r_nu):
     # the lag sums of the pair marginals against the dense (P, P) ones; at
-    # r_nu = 3.9e5, where a T=16 fit ends, the band keeps all 2P - 1 taps
+    # r_nu = 3.9e5, where a T=16 fit ends, the band keeps all 2P - 1 taps.
+    # The lag moment's column blocks are 4 to 128 states wide here: P = 2
+    # and 3 lie within one block, 65 is one past a block, 131 and 1026 end
+    # on a partial block, at both r_nu
     ds, hyper, grid = r_nu_problem(n_bins, n_states, r_nu)
     expected, scale = dense_r_nu_gradient(ds, hyper, grid)
     assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
 
 
-def recorded_windows(monkeypatch):
-    """The window sizes of the gradient's lag sums, one per pass over the
-    weighted table: 2h+1 for the band, 2P - 1 for all taps."""
-    sizes = []
-    window_view = markov.sliding_window_view
+def recorded_spans(monkeypatch):
+    """The lag span h of each of the gradient's lag-moment passes over the
+    weighted table: the band's half width, then P - 1 for all taps."""
+    spans = []
+    lag_moment = markov._lag_moment
 
-    def recorded(table, size, **kwargs):
-        sizes.append(size)
-        return window_view(table, size, **kwargs)
+    def recorded(head, weighted, weights):
+        spans.append(weights.size - 1)
+        return lag_moment(head, weighted, weights)
 
-    monkeypatch.setattr(markov, "sliding_window_view", recorded)
-    return sizes
+    monkeypatch.setattr(markov, "_lag_moment", recorded)
+    return spans
 
 
 def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch):
@@ -190,15 +227,15 @@ def test_r_nu_gradient_recomputes_a_band_that_fails_its_certificate(monkeypatch)
     # recomputed with all 2P - 1 taps and again equals the dense one
     ds, hyper, grid = r_nu_problem(128, 128, 4e-3)
     expected, scale = dense_r_nu_gradient(ds, hyper, grid)
-    sizes = recorded_windows(monkeypatch)
+    spans = recorded_spans(monkeypatch)
     half = gaussian_transition(grid, hyper.r_nu).half_width
     assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
-    assert sizes == [2 * half + 1] and half < grid.size - 1
-    sizes.clear()
+    assert spans == [half] and half < grid.size - 1
+    spans.clear()
     monkeypatch.setattr(GaussianTransition, "half_width", property(lambda trans: 2))
     monkeypatch.setattr(GaussianTransition, "cut", property(lambda trans: float(trans.kernel[3])))
     assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
-    assert sizes == [5, 2 * grid.size - 1]
+    assert spans == [2, grid.size - 1]
 
 
 @pytest.mark.parametrize("n_states, r_nu", [(128, 5e-6), (384, 1e-6)])
@@ -208,9 +245,9 @@ def test_r_nu_gradient_where_the_band_keeps_lag_zero_alone(monkeypatch, n_states
     ds, hyper, grid = r_nu_problem(128, n_states, r_nu)
     assert gaussian_transition(grid, r_nu).half_width == 0
     expected, scale = dense_r_nu_gradient(ds, hyper, grid)
-    sizes = recorded_windows(monkeypatch)
+    spans = recorded_spans(monkeypatch)
     assert abs(-hyper_nll_gradient(FitCriterion(ds, grid), hyper)[2] - expected) <= 1e-12 * scale
-    assert sizes == [1, 2 * n_states - 1]
+    assert spans == [0, n_states - 1]
 
 
 def test_fit_builds_no_transition_matrix_or_pair_marginals(monkeypatch):
