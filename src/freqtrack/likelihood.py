@@ -7,11 +7,10 @@ Marginalizing the Gaussian amplitude out of the per-bin likelihood leaves
 with alpha = N r_a / (r_b (N r_a + r_b)), gamma = |y|^2 / r_b and P the
 periodogram.  Summed over bins and combined with a Gauss-Markov prior on
 frequency increments, the negative log posterior is a regularized least
-squares criterion with weight lam = 1 / (2 alpha r_nu), plus a band
-constraint on the first frequency that pins down the global integer shift:
-the criterion is equal on every integer shift of a track (1-periodic
-likelihood, increment-only prior), and a band one period wide, (-1/2, +1/2],
-admits exactly one of those copies.
+squares criterion with weight lam = 1 / (2 alpha r_nu).  It is equal on
+every integer shift of a track (1-periodic likelihood, increment-only
+prior); the start band (-1/2, +1/2] of the first frequency picks the copy
+that is reported.
 """
 
 from __future__ import annotations
@@ -77,7 +76,8 @@ def lowers(before: float, after: float) -> bool:
 def backtrack(phi, f0: float, slope: float):
     """(s, phi(s)) for the first step s of 1, s_1, s_2 ... that passes Armijo's
     test phi(s) <= f0 + ARMIJO s slope, slope = phi'(0) < 0, and lowers phi
-    below f0, or None once a step falls below 1e-14.
+    below f0, or None once a step falls below 1e-14 or the parabola below
+    has no positive curvature (Armijo's test held, but no decrease lowers).
 
     Each next step is the vertex of the parabola through phi(0) = f0,
     phi'(0) = slope and phi(s), clamped to [s / 10, s / 2] (Nocedal & Wright
@@ -88,18 +88,18 @@ def backtrack(phi, f0: float, slope: float):
         fs = phi(s)
         if fs <= f0 + ARMIJO * s * slope and lowers(f0, fs):
             return s, fs
-        vertex = -slope * s * s / (2.0 * (fs - f0 - slope * s))
-        s = min(max(vertex, 0.1 * s), 0.5 * s)
+        curvature = fs - f0 - slope * s
+        if not curvature > 0.0:
+            return None
+        s = min(max(-slope * s * s / (2.0 * curvature), 0.1 * s), 0.5 * s)
     return None
 
 
 def in_initial_band(nu):
-    """First-frequency constraint set (-1/2, +1/2], left-open right-closed;
-    elementwise.  A wider band admits shifted copies of a track at equal
-    criterion and leaves the grid to pick one: three periods wide, it moved
-    the refined MAP of the default simulation by one cycle on seeds 1 and 3
-    (RMSE 0.016 -> 1.004, 0.015 -> 1.001).
-    """
+    """Start band (-1/2, +1/2] of the first frequency, elementwise: of the
+    integer shifts of a track it holds one, the copy Viterbi starts in and
+    refine_map reports.  A band three periods wide moved the default
+    simulation's refined MAP by one cycle on seeds 1 and 3."""
     return (nu > -0.5) & (nu <= 0.5)
 
 
@@ -112,9 +112,8 @@ def data_misfit(lags: np.ndarray, track) -> float:
 
 
 def map_objective(dataset: DataSet, track, hyper: Hyperparameters) -> float:
-    """-sum_t P_t(nu_t) + lam sum_t (nu_{t+1}-nu_t)^2 (+inf outside band)."""
+    """-sum_t P_t(nu_t) + lam sum_t (nu_{t+1}-nu_t)^2, equal on every integer
+    shift of the track."""
     track = np.asarray(track, dtype=float)
-    if not in_initial_band(track[0]):
-        return np.inf
     lam = smoothing_weight(hyper, dataset.n_samples)
     return data_misfit(dataset.lags, track) + lam * float(np.sum(np.diff(track) ** 2))

@@ -930,6 +930,9 @@ def _track_exit_code(tmp_path, truth=True) -> int:
 # a sample whose square is just below the float maximum overflows the periodogram
 # unless the record energy check runs first
 @example(text="t,n,re,im\n1,1,0.0,0.0\n1,2,0.0,1.3407807929942596e+154\n")
+# a subnormal sample makes the one-bin criterion's slope subnormal: backtracking
+# along it once divided by a curvature that underflowed to exactly 0
+@example(text="t,n,re,im\n1,1,0.0,1.0\n1,2,2.2250738585e-313,0.0\n")
 def test_fuzzed_dataset_exit_code(tmp_path, text):
     _valid_inputs(tmp_path)
     (tmp_path / "dataset.csv").write_text(text, encoding="utf-8")
@@ -1016,10 +1019,14 @@ def test_eval_seed_5015_tracks_within_the_acceptance_rmse(tmp_path, grid):
     assert _eval_hessian_map_rmse(tmp_path, 5015, grid) < RMSE_LIMIT
 
 
-@pytest.mark.parametrize("grid", _SLIP_GRIDS)
-@pytest.mark.parametrize("seed", [51, 855009, 858010])
+# 855009 slipped at P=128 (RMSE 0.992) only while refinement met the start
+# band as a wall; reporting the band copy of its descent gives 0.019
+@pytest.mark.parametrize("seed, grid", [
+    pytest.param(seed, grid.values[0], id=f"{seed}-{grid.id}",
+                 marks=() if seed == 855009 else grid.marks)
+    for seed in (51, 855009, 858010) for grid in _SLIP_GRIDS])
 def test_eval_cycle_slip_seeds_track_within_the_acceptance_rmse(tmp_path, seed, grid):
-    # hessian_map RMSE at P=128: 0.996, 0.992 and 0.163
+    # hessian_map RMSE at P=128: 0.996 on 51 and 0.163 on 858010
     assert _eval_hessian_map_rmse(tmp_path, seed, grid) < RMSE_LIMIT
 
 

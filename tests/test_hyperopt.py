@@ -713,6 +713,15 @@ def test_backtrack_rejects_a_decrease_at_rounding_level(phi, f0, slope):
     assert likelihood.backtrack(phi, f0, slope) is None
 
 
+def test_backtrack_ends_where_a_subnormal_slope_underflows():
+    # a flat phi with a subnormal slope, as the one-bin tracking criterion of
+    # a record with a subnormal sample: once s * slope underflows to 0 the
+    # parabola through phi(s) has no curvature left, and the search ends
+    phi, steps = probed(lambda s: -0.5)
+    assert likelihood.backtrack(phi, -0.5, -1.26e-312) is None
+    assert steps[-1] >= 1e-14 and steps[-1] * -1.26e-312 == 0.0
+
+
 @pytest.mark.filterwarnings("error")
 def test_criterion_is_inf_where_the_hyperparameters_are_rejected():
     criterion = FitCriterion(*standard_dataset())
