@@ -114,6 +114,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "iterations": best.iterations,
         "converged": best.converged,
         "stop_reason": best.stop_reason,
+        "decrement": repr(best.decrement),
     })
     if args.levelsets:
         _write_levelsets(args.out / "levelsets.csv", dataset, args.grid, r)

@@ -32,8 +32,8 @@ STRATEGIES = ("coordinate_wise", "gradient", "vignes", "bisector", "polak_ribier
 # bfgs curves its steps with the inverse Hessian that the exact gradients'
 # differences build up (Nocedal & Wright 2006, ch. 6) from the complete-data
 # metric at the start, and its gradient at an accepted point reuses that
-# point's forward pass.  A default fit (T=128, P=128) makes 5.4 function and
-# 4.4 gradient evaluations on average over 162 seeds, at most 9 and 8.
+# point's forward pass.  A default fit (T=128, P=128) makes 4.96 function and
+# 4.95 gradient evaluations on average over 162 seeds, at most 8 and 8.
 DEFAULT_STRATEGY = "bfgs"
 # Parabolic probes (Brent 1973, ch. 5) reach the vignes minima of four sine
 # datasets, seeds 0 and 1 at P=128 on [-2.5, 2.5] and 201 and 202 at P=384 on
@@ -41,14 +41,16 @@ DEFAULT_STRATEGY = "bfgs"
 # bfgs takes no line search.
 DEFAULT_LINE_SEARCH = "quadratic_interp"
 
-# estimate_ml stops after MAX_ITER iterations or once one lowers the
-# criterion by less than REL_TOL * max(1, |f|).  A line search stops once
-# the parabola through its bracket predicts a further decrease of at most
-# SETTLE_RATIO times the decrease it has made, or once the bracket [a, c]
-# is narrower than LINE_SEARCH_TOL * max(1, c).  A bfgs step is at most
-# MAX_STEP long in log-parameter space.
+# estimate_ml stops after MAX_ITER iterations or once the decrement g.H g / 2,
+# the gain left in nats (Boyd & Vandenberghe 2004, sec. 9.5.1), is at most
+# DECREMENT_TOL: where H approximates the inverse observed information, about
+# sqrt(2 DECREMENT_TOL) = 7.7e-4 standard errors from the minimizer.  A line
+# search stops once the parabola through its bracket predicts a further
+# decrease of at most SETTLE_RATIO times the decrease it has made, or once
+# the bracket [a, c] is narrower than LINE_SEARCH_TOL * max(1, c).  A bfgs
+# step is at most MAX_STEP long in log-parameter space.
 MAX_ITER = 200
-REL_TOL = 1e-8
+DECREMENT_TOL = 3e-7
 LINE_SEARCH_TOL = 1e-3
 SETTLE_RATIO = 1e-3
 MAX_STEP = 2.0
@@ -193,7 +195,7 @@ def empirical_init(criterion: FitCriterion) -> Hyperparameters:
 def _complete_data_metric(dataset: DataSet, hyper: Hyperparameters) -> np.ndarray:
     """The inverse of the complete-data Fisher information of the
     hyperparameters in log-parameters, EM's own metric (Jamshidian & Jennrich
-    1997), bfgs's first inverse Hessian.
+    1997): the fit's stop metric, and bfgs's first inverse Hessian.
 
     Given its frequency a bin's record has covariance r_a e e^H + r_b I: the
     eigenvalue s = N r_a + r_b along e and r_b on the N - 1 directions
@@ -217,10 +219,11 @@ class OptimizerReport:
     gradient_evals: int
     function_evals: int
     iterations: int
-    # "relative_decrease", "no_decrease", "zero_gradient", "max_iter" or
-    # "r_nu_below_resolution"; the last two are not convergence, and neither
-    # is "no_decrease" before any step was accepted: the fit is stuck at its start
+    # "decrement", "no_decrease", "max_iter" or "r_nu_below_resolution"; the
+    # last two are not convergence, and neither is "no_decrease" before any
+    # step was accepted: the fit is stuck at its start
     stop_reason: str
+    decrement: float  # g.H g / 2 at the last gradient, in nats
     trajectory: list = field(default_factory=list)  # log-parameter iterates
 
     @property
@@ -373,24 +376,25 @@ def estimate_ml(
 ) -> OptimizerReport:
     """Minimize hyper_nll over log(r) starting from the empirical estimates.
 
-    One descent loop serves every strategy; they differ only in the searches
-    an iteration makes, each a step slot and the directions to try in
-    order.  coordinate_wise searches three slots, +e_i then -e_i, each
-    taking the first that lowers the criterion; the gradient strategies
-    search one slot along one direction d, -g where d does not descend.
-    The line-search strategies search unit directions by line_search and
-    reuse the accepted step as the slot's next hint; a slot that does not
-    move shrinks its hint.  bfgs searches d = -H g, H the BFGS inverse
-    Hessian started at the inverse of the complete-data information, capped
-    at MAX_STEP, by Armijo backtracking from the full step.  Every search
-    accepts only a decrease beyond the rounding level (lowers).
-    stop_reason names the exit: "zero_gradient", "no_decrease" (no slot
-    moved; for a gradient strategy, d found no decrease),
-    "relative_decrease" (an iteration lowered the criterion by less than
-    REL_TOL * max(1, |f|)) or "max_iter".  Every accepted step decreases the
-    criterion, so the trajectory is monotone.  A search may probe any
-    x: where exp(x) overflows or underflows, hyper_nll rejects the
-    hyperparameters or its forward pass underflows, the criterion is +inf.
+    One descent loop serves every strategy.  Each iteration takes the
+    gradient g at x and stops as "decrement" once g.H g / 2 <= DECREMENT_TOL,
+    H the BFGS inverse Hessian for bfgs and, for the rest, the complete-data
+    metric at x, bfgs's first H: a change of amplitude unit moves neither g
+    nor H.  Otherwise the strategies differ only in the searches the
+    iteration makes, each a step slot and the directions to try in order.
+    coordinate_wise searches three slots, +e_i then -e_i, each taking the
+    first that lowers the criterion; the gradient strategies search one slot
+    along one direction d, -g where d does not descend.  The line-search
+    strategies search unit directions by line_search and reuse the accepted
+    step as the slot's next hint; a slot that does not move shrinks its
+    hint.  bfgs searches d = -H g, capped at MAX_STEP, by Armijo
+    backtracking from the full step.  Every search accepts only a decrease
+    beyond the rounding level (lowers).  The other exits are "no_decrease"
+    (no slot moved; for a gradient strategy, d found no decrease) and
+    "max_iter".  Every accepted step decreases the criterion, so the
+    trajectory is monotone.  A search may probe any x: where exp(x)
+    overflows or underflows, hyper_nll rejects the hyperparameters or its
+    forward pass underflows, the criterion is +inf.
     The starting point alone fails loudly.  Where its forward pass
     underflows it is first retried at 4 r_nu, up to START_RETRIES times,
     each retry counted as a function evaluation: empirical_init floors r_nu
@@ -421,11 +425,6 @@ def estimate_ml(
         function_evals += 1
         return hyper_nll(fit, hyper)
 
-    def gradient(x):
-        nonlocal gradient_evals
-        gradient_evals += 1
-        return hyper_nll_gradient(fit, Hyperparameters.from_array(np.exp(x)))
-
     fun = _total(criterion)
     start = empirical_init(fit)
     for retry in range(START_RETRIES + 1):
@@ -442,32 +441,35 @@ def estimate_ml(
         raise ValueError("non-finite criterion at the starting point")
     trajectory = [x.copy()]
     steps = np.full(3 if strategy == "coordinate_wise" else 1, 0.1)
-    g = prev_g = prev_d = None
-    inverse = _complete_data_metric(dataset, start) if strategy == "bfgs" else None
+    prev_g = prev_d = None
     weights = np.ones(3)  # vignes: per-component step correction
     stop_reason = "max_iter"
-    iterations = 0
+    iterations, decrement = 0, np.inf
     for iterations in range(1, MAX_ITER + 1):
+        hyper = Hyperparameters.from_array(np.exp(x))
+        gradient_evals += 1
+        g = hyper_nll_gradient(fit, hyper)
+        metric = (_bfgs_update(metric, trajectory[-1] - trajectory[-2], g - prev_g)
+                  if strategy == "bfgs" and prev_g is not None
+                  else _complete_data_metric(dataset, hyper))
+        newton = -(metric @ g)
+        decrement = -0.5 * float(g @ newton)
+        if decrement <= DECREMENT_TOL:
+            stop_reason = "decrement"
+            break
         if strategy == "coordinate_wise":
             searches = [(axis, (e, -e)) for axis, e in enumerate(np.eye(3))]
         else:
-            g = gradient(x)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm == 0.0:
-                stop_reason = "zero_gradient"
-                break
             restart = strategy == "polak_ribiere" and (iterations - 1) % 3 == 0
             if strategy == "bfgs":
-                if prev_g is not None:
-                    inverse = _bfgs_update(inverse, trajectory[-1] - trajectory[-2], g - prev_g)
-                d = -(inverse @ g)
+                d = newton
             elif strategy == "gradient" or prev_g is None or restart:
                 d = -g
             elif strategy == "polak_ribiere":
                 beta = max(0.0, float(g @ (g - prev_g)) / float(prev_g @ prev_g))
                 d = -g + beta * prev_d
             elif strategy == "bisector":
-                d = -g / gnorm + prev_d / np.linalg.norm(prev_d)
+                d = -g / np.linalg.norm(g) + prev_d / np.linalg.norm(prev_d)
             else:  # vignes: grow the weight of a component whose sign holds
                 same = np.sign(g) == np.sign(prev_g)
                 weights = np.where(same, weights * 1.5, weights * 0.5)
@@ -480,7 +482,6 @@ def estimate_ml(
                 d = d / np.linalg.norm(d)
             searches = [(0, (d,))]
 
-        f_before = fx
         moved = False
         for slot, candidates in searches:
             for direction in candidates:
@@ -502,9 +503,6 @@ def estimate_ml(
             break
         prev_g = g
         trajectory.append(x.copy())
-        if f_before - fx < REL_TOL * max(1.0, abs(fx)):
-            stop_reason = "relative_decrease"
-            break
 
     minimizer = Hyperparameters.from_array(np.exp(x))
     if gaussian_transition(grid, minimizer.r_nu).half_width == 0:
@@ -516,5 +514,6 @@ def estimate_ml(
         function_evals=function_evals,
         iterations=iterations,
         stop_reason=stop_reason,
+        decrement=decrement,
         trajectory=trajectory,
     )

@@ -23,8 +23,8 @@ def objective_gradient(dataset: DataSet, track,
                        hyper: Hyperparameters) -> tuple[np.ndarray, np.ndarray]:
     """Newton system of the tracking criterion from one derivative evaluation:
     the gradient, -P'_t plus the difference-penalty term, and the Hessian's
-    diagonal, -P''_t plus 4 lam (2 lam at either end).  The off-diagonal is
-    the constant -2 lam."""
+    diagonal, lam times the stencil [2, 4, ..., 4, 2] ([0] for one bin) minus
+    P''_t.  The off-diagonal is the constant -2 lam."""
     track = np.asarray(track, dtype=float)
     lam = smoothing_weight(hyper, dataset.n_samples)
     first, second = periodogram_deriv_many(dataset.lags, track)
@@ -32,10 +32,8 @@ def objective_gradient(dataset: DataSet, track,
     pen = np.zeros_like(track)
     pen[1:] += 2.0 * diffs
     pen[:-1] -= 2.0 * diffs
-    diag = -second + 4.0 * lam
-    diag[0] -= 2.0 * lam
-    diag[-1] -= 2.0 * lam
-    return -first + lam * pen, diag
+    stencil = 4.0 - 2.0 * np.bincount([0, track.size - 1], minlength=track.size)
+    return -first + lam * pen, lam * stencil - second
 
 
 def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -412,7 +412,8 @@ def test_full_pipeline(tmp_path):
     assert run(["estimate", ds_path, "--strategy", "vignes",
                 "--out", str(tmp_path), "--grid=-2.5,2.5,48"]) == 0
     fit = ftio.read_key_values(tmp_path / "hyper.txt")
-    assert fit["stop_reason"] == "relative_decrease" and fit["converged"] == "True"
+    assert fit["stop_reason"] == "decrement" and fit["converged"] == "True"
+    assert 0.0 <= float(fit["decrement"]) <= hyperopt.DECREMENT_TOL
     # track with the generating hyperparameters: 24 bins are too few for a
     # reliable estimate, and this test is about the pipeline, not recovery
     hyper = tmp_path / "hyper_true.txt"
@@ -607,7 +608,7 @@ def test_estimate_retries_a_start_that_underflows_the_forward_pass_at_4_r_nu(tmp
     assert underflows == pytest.approx([grid.spacing**2, 4 * grid.spacing**2], rel=1e-12)
     assert np.exp(report.trajectory[0][2]) == pytest.approx(16 * grid.spacing**2, rel=1e-12)
     assert report.function_evals == len(calls)
-    assert report.stop_reason == "relative_decrease" and report.converged
+    assert report.stop_reason == "decrement" and report.converged
     assert report.minimizer.r_b == pytest.approx(1e-3, rel=0.05)
 
 

@@ -12,9 +12,9 @@ from freqtrack import hmm, hyperopt, likelihood, markov
 from freqtrack.baselines import unwrap_track
 from freqtrack.hmm import ObservationTable, observation_table
 from freqtrack.hyperopt import (
+    DECREMENT_TOL,
     LINE_SEARCH_TOL,
     LINE_SEARCHES,
-    REL_TOL,
     STRATEGIES,
     FitCriterion,
     empirical_init,
@@ -256,7 +256,7 @@ def test_fit_builds_no_transition_matrix_or_pair_marginals(monkeypatch):
 
     monkeypatch.setattr(hyperopt, "transition_matrix", refuse)
     monkeypatch.setattr(hyperopt, "posterior_marginals", refuse)
-    assert estimate_ml(*standard_dataset()).stop_reason == "relative_decrease"
+    assert estimate_ml(*standard_dataset()).stop_reason == "decrement"
 
 
 @pytest.mark.parametrize("grid, hyper", [
@@ -294,7 +294,7 @@ def test_gradient_runs_a_forward_pass_only_away_from_the_lowest_evaluation(monke
     assert np.array_equal(hyper_nll_gradient(criterion, b), fresh[1]) and len(passes) == 1
 
 
-@pytest.mark.parametrize("strategy", [s for s in STRATEGIES if s != "coordinate_wise"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_fit_gradients_equal_fresh_gradients(monkeypatch, strategy):
     # a fit's gradient reuses the pass of its lowest evaluation only where
     # that evaluation's point is the gradient's own
@@ -441,7 +441,7 @@ def test_empirical_init_starts_r_nu_within_tenfold_of_the_fit(profile, span, gri
     # wrap, and started r_nu 21-32 times the fitted one on default seeds 0-4
     for seed in range(5):
         start, report = default_fit(seed, profile, span, grid)
-        assert report.stop_reason == "relative_decrease"
+        assert report.stop_reason == "decrement"
         assert 0.1 < start.r_nu / report.minimizer.r_nu < 10
 
 
@@ -506,11 +506,30 @@ def test_bfgs_first_metric_inverts_the_complete_data_information():
 ])
 def test_bfgs_reaches_the_vignes_minimum(seed, grid):
     _, report = default_fit(seed, grid=grid)
-    assert hyperopt.DEFAULT_STRATEGY == "bfgs" and report.stop_reason == "relative_decrease"
+    assert hyperopt.DEFAULT_STRATEGY == "bfgs" and report.stop_reason == "decrement"
     track = make_test_track("sine", 128, (-1.5, 1.5))
     ds = synthesize_dataset(track, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed)
     vignes = estimate_ml(ds, FrequencyGrid(*grid), strategy="vignes").reached_minimum
-    assert report.reached_minimum <= vignes + REL_TOL * max(1.0, abs(vignes))
+    assert report.reached_minimum <= vignes + DECREMENT_TOL
+
+
+def test_decrement_is_the_metric_norm_of_the_last_gradient():
+    # a stop on the decrement is at the minimizer, where vignes's metric is
+    # the complete-data metric
+    ds, grid = standard_dataset()
+    report = estimate_ml(ds, grid, strategy="vignes")
+    g = hyper_nll_gradient(FitCriterion(ds, grid), report.minimizer)
+    metric = hyperopt._complete_data_metric(ds, report.minimizer)
+    assert report.stop_reason == "decrement"
+    assert report.decrement == pytest.approx(0.5 * g @ metric @ g, rel=1e-12)
+
+
+@pytest.mark.parametrize("line_search", LINE_SEARCHES)
+def test_a_decrement_stop_is_within_its_tolerance(line_search):
+    for strategy in STRATEGIES:
+        report = estimate_ml(*small_fit_problem(), strategy=strategy, line_search=line_search)
+        assert report.stop_reason == "decrement", strategy
+        assert 0.0 <= report.decrement <= DECREMENT_TOL, strategy
 
 
 def test_empirical_init_rejects_zero_data():
@@ -743,24 +762,32 @@ def test_criterion_is_inf_where_the_hyperparameters_are_rejected():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("unbounded", [
-    lambda hyper: -np.log(hyper.r_a),   # toward r_a = inf, where exp overflows
-    lambda hyper: np.log(hyper.r_b),    # toward r_b = 0, where exp underflows
+@pytest.mark.parametrize("unbounded, gradient", [
+    # toward r_a = inf, where exp overflows
+    (lambda hyper: -np.log(hyper.r_a), np.array([-1.0, 0.0, 0.0])),
+    # toward r_b = 0, where exp underflows
+    (lambda hyper: np.log(hyper.r_b), np.array([0.0, 1.0, 0.0])),
 ], ids=["r_a_up", "r_b_down"])
-def test_fit_of_an_unbounded_criterion_stays_total(monkeypatch, unbounded):
+def test_fit_of_an_unbounded_criterion_stays_total(monkeypatch, unbounded, gradient):
     # _bracket expands toward its 1e6 cap: the probes past the float range
     # are +inf, so the fit ends instead of raising on the overflowed point,
-    # and function_evals still counts the hyper_nll calls
-    calls = []
+    # and function_evals and gradient_evals still count the calls
+    calls, gradient_calls = [], []
 
     def criterion(fit, hyper):
         calls.append(hyper)
         return unbounded(hyper)
 
+    def criterion_gradient(fit, hyper):
+        gradient_calls.append(hyper)
+        return gradient
+
     monkeypatch.setattr(hyperopt, "hyper_nll", criterion)
+    monkeypatch.setattr(hyperopt, "hyper_nll_gradient", criterion_gradient)
     report = estimate_ml(*small_fit_problem(), strategy="coordinate_wise")
     assert np.isfinite(report.reached_minimum) and report.reached_minimum < -600.0
     assert report.function_evals == len(calls)
+    assert report.gradient_evals == len(gradient_calls) > 0
 
 
 def test_unknown_strategy_rejected():
@@ -792,26 +819,28 @@ def small_fit_problem():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_stop_reason_relative_decrease(monkeypatch, strategy):
-    monkeypatch.setattr(hyperopt, "REL_TOL", np.inf)
+def test_stop_reason_decrement(monkeypatch, strategy):
+    # every strategy tests the decrement at its first gradient, before any search
+    monkeypatch.setattr(hyperopt, "DECREMENT_TOL", np.inf)
     report = estimate_ml(*small_fit_problem(), strategy=strategy)
-    assert report.stop_reason == "relative_decrease" and report.converged
-    assert report.iterations == 1 and len(report.trajectory) == 2
+    assert report.stop_reason == "decrement" and report.converged
+    assert report.iterations == 1 and len(report.trajectory) == 1
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_stop_reason_max_iter(monkeypatch, strategy):
     monkeypatch.setattr(hyperopt, "MAX_ITER", 1)
-    monkeypatch.setattr(hyperopt, "REL_TOL", 0.0)
+    monkeypatch.setattr(hyperopt, "DECREMENT_TOL", 0.0)
     report = estimate_ml(*small_fit_problem(), strategy=strategy)
     assert report.stop_reason == "max_iter" and not report.converged
     assert report.iterations == 1 and len(report.trajectory) == 2
 
 
 def test_stop_reason_zero_gradient(monkeypatch):
+    # a zero gradient has decrement 0
     monkeypatch.setattr(hyperopt, "hyper_nll_gradient", lambda *args: np.zeros(3))
     report = estimate_ml(*small_fit_problem(), strategy="vignes")
-    assert report.stop_reason == "zero_gradient" and report.converged
+    assert report.stop_reason == "decrement" and report.converged and report.decrement == 0.0
     assert (report.iterations, report.gradient_evals, report.function_evals) == (1, 1, 1)
     assert len(report.trajectory) == 1
 
@@ -821,7 +850,7 @@ def test_stop_reason_no_decrease(monkeypatch, strategy):
     # a negated gradient points uphill, so the gradient strategies find no
     # decrease; a zero tolerance keeps coordinate_wise going until none of
     # its six directions lowers the criterion
-    monkeypatch.setattr(hyperopt, "REL_TOL", 0.0)
+    monkeypatch.setattr(hyperopt, "DECREMENT_TOL", 0.0)
     gradient = hyperopt.hyper_nll_gradient
     monkeypatch.setattr(hyperopt, "hyper_nll_gradient", lambda *args: -gradient(*args))
     report = estimate_ml(*small_fit_problem(), strategy=strategy)
@@ -861,5 +890,5 @@ def test_constant_track_fit_starts_finite_and_leaves_the_flat_start():
     with pytest.raises(hmm.NumericalError):
         hyper_nll(criterion, replace(start, r_nu=1e-8))
     report = estimate_ml(ds, grid)
-    assert report.stop_reason == "relative_decrease"
+    assert report.stop_reason == "decrement"
     assert report.reached_minimum < -87.53

@@ -1,11 +1,13 @@
 """Metamorphic tests: transformations of the data that the model maps to a
 known transformation of every answer."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from freqtrack.cli import compute_tracks
-from freqtrack.hyperopt import estimate_ml
+from freqtrack.hyperopt import STRATEGIES, estimate_ml
 from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import refine_map
 from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesize_dataset
@@ -61,6 +63,41 @@ def test_tracks_agree_in_any_amplitude_unit(tracked, c):
     assert result.stop_reason == "converged"
     assert (other_result.stop_reason, other_result.iterations) == (result.stop_reason,
                                                                    result.iterations)
+
+
+@functools.cache
+def fit_in_unit(seed, strategy, c):
+    """estimate_ml on the default simulation with the samples times c, and
+    its minimizer's log-parameters back in the unit c = 1: log r_a and
+    log r_b less 2 log c."""
+    n_bins, track_range, r_nu, grid = INPUTS["default"]
+    hyper = Hyperparameters(1.0, 0.1, r_nu)
+    dataset = synthesize_dataset(make_test_track("sine", n_bins, track_range), hyper, 4, seed=seed)
+    report = estimate_ml(DataSet(dataset.samples * c), grid, strategy=strategy)
+    return report, np.log(report.minimizer.as_array()) - 2.0 * np.log(c) * np.array([1, 1, 0])
+
+
+@pytest.mark.parametrize("c", [2.0**-20, 1e3])
+def test_the_default_fit_is_the_same_in_any_amplitude_unit(c):
+    # the fit stops on its decrement, which a change of unit does not move;
+    # a stop relative to |f|, which holds the constant 2 T N log c, made
+    # other evaluations on 2 or 3 of these 5 seeds
+    for seed in range(5000, 5005):
+        report, x = fit_in_unit(seed, "bfgs", 1.0)
+        other, other_x = fit_in_unit(seed, "bfgs", c)
+        assert ((other.function_evals, other.gradient_evals, other.iterations, other.stop_reason)
+                == (report.function_evals, report.gradient_evals, report.iterations,
+                    report.stop_reason)), seed
+        assert np.max(np.abs(other_x - x)) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("c", [2.0**-20, 1e3])
+def test_every_strategy_stops_alike_in_any_amplitude_unit(c):
+    for strategy in STRATEGIES:
+        report, x = fit_in_unit(5000, strategy, 1.0)
+        other, other_x = fit_in_unit(5000, strategy, c)
+        assert other.stop_reason == report.stop_reason, strategy
+        assert np.max(np.abs(other_x - x)) <= 1e-5, strategy
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -12,6 +12,7 @@ from freqtrack.markov import FrequencyGrid
 from freqtrack.refine import objective_gradient, refine_map
 from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
                               synthesize_dataset)
+from freqtrack.spectral import periodogram_deriv_many
 from oracles import steps_within_half
 
 
@@ -178,12 +179,21 @@ def test_refinement_single_bin_reaches_periodogram_peak():
     hyper = Hyperparameters(1.0, 1e-6, 1e-2)
     ds = DataSet(steering_vector([0.21], 4))
     result = refine_map(ds, np.array([0.15]), hyper)
-    from freqtrack.spectral import periodogram_deriv_many
-
     (first,), (second,) = periodogram_deriv_many(ds.lags, result.track)
     assert first == pytest.approx(0.0, abs=1e-8)
     assert second < 0
     assert result.track[0] == pytest.approx(0.21, abs=0.05)
+
+
+def test_one_bin_hessian_is_the_periodogram_curvature_alone():
+    # one bin has no penalty term: its stencil is 0, so the diagonal is
+    # -P'' exactly, where (-P'' + 4 lam) - 2 lam - 2 lam rounded it away
+    hyper = Hyperparameters(1.0, 0.1, 1e-6)
+    ds = DataSet(np.array([[1j, 1e-200]]))
+    track = np.array([1.375])
+    _, (second,) = periodogram_deriv_many(ds.lags, track)
+    _, diag = objective_gradient(ds, track, hyper)
+    assert second != 0.0 and diag.tolist() == [-second]
 
 
 def test_a_converged_newton_step_out_of_the_band_is_taken_and_shifted():
