@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +21,9 @@ import numpy as np
 from freqtrack import io as ftio
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.hmm import NumericalError, observation_table, viterbi
+# hyper_nll unused, but perfbench's tracing.SITES pins it here
 from freqtrack.hyperopt import (DEFAULT_LINE_SEARCH, DEFAULT_STRATEGY, LINE_SEARCHES,
-                                STRATEGIES, FitCriterion, _median, estimate_ml, hyper_nll,
-                                value_or_inf)
+                                STRATEGIES, FitCriterion, _median, estimate_ml, hyper_nll)
 from freqtrack.likelihood import smoothing_weight
 from freqtrack.markov import FrequencyGrid, initial_distribution
 from freqtrack.refine import refine_map
@@ -131,7 +131,7 @@ def _write_levelsets(path, dataset, grid, center: Hyperparameters) -> None:
             for v in (center.r_a, center.r_b, center.r_nu)]
     ftio.write_csv(path, "r_a,r_b,r_nu,value", (
         f"{float(ra)!r},{float(rb)!r},{float(rnu)!r},"
-        f"{value_or_inf(partial(hyper_nll, criterion), (ra, rb, rnu))!r}"
+        f"{criterion.score((ra, rb, rnu))!r}"
         for ra in axes[0] for rb in axes[1] for rnu in axes[2]))
     print(f"wrote {path} ({m}x{m}x{m} samples)")
 

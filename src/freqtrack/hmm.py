@@ -218,13 +218,6 @@ def backward(obs: ObservationTable, trans: GaussianTransition,
     return replace(fwd, backward=bwd, fallback_bins=fwd.fallback_bins + fallbacks)
 
 
-def forward_backward(obs: ObservationTable, trans: GaussianTransition, init: np.ndarray,
-                     fwd: ForwardBackwardResult | None = None) -> ForwardBackwardResult:
-    """The backward pass after the forward one; fwd, when given, is a
-    forward pass already run on the same obs, trans and init, and is reused."""
-    return backward(obs, trans, forward(obs, trans, init) if fwd is None else fwd)
-
-
 @dataclass
 class PosteriorMarginals:
     """Posterior marginals of one forward-backward pass; the O(TP^2) tensor

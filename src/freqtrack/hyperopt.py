@@ -18,10 +18,11 @@ from functools import partial
 
 import numpy as np
 
+# backward through its module: perfbench's tracing.SITES lets freqtrack.hmm alone bind it
+from freqtrack import hmm
 from freqtrack.baselines import decimal_part
 # unused, but perfbench's tracing.SITES pins posterior_marginals and transition_matrix here
-from freqtrack.hmm import (NumericalError, forward, forward_backward, observation_table,
-                           posterior_marginals)
+from freqtrack.hmm import NumericalError, forward, observation_table, posterior_marginals
 from freqtrack.likelihood import backtrack, lowers
 from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distribution,
                               transition_matrix)
@@ -66,7 +67,8 @@ class FitCriterion:
     """The criterion of one fit, built once per (dataset, grid): the data-only
     work every evaluation shares, the periodogram table, its row maxima and
     the initial distribution, and ``lowest``, the (point, value, observation
-    table, forward pass) of the lowest hyper_nll evaluation so far."""
+    table, forward pass) of the lowest hyper_nll evaluation so far.  Its
+    methods are the fit's evaluations, each counted, a call that raises too."""
 
     def __init__(self, dataset: DataSet, grid: FrequencyGrid):
         self.dataset, self.grid = dataset, grid
@@ -74,6 +76,26 @@ class FitCriterion:
         self.row_max = self.periodograms.max(axis=1)
         self.init = initial_distribution(grid)
         self.lowest = (None, np.inf, None, None)
+        self.function_evals = self.gradient_evals = 0
+
+    def value(self, hyper: Hyperparameters) -> float:
+        """hyper_nll at hyper, raising as it does."""
+        self.function_evals += 1
+        return hyper_nll(self, hyper)
+
+    def score(self, values) -> float:
+        """value at values = (r_a, r_b, r_nu), or +inf where they are not
+        positive and finite (uncounted), or where value raises: the fit and
+        estimate --levelsets score such a point alike."""
+        try:
+            return self.value(Hyperparameters.from_array(values))
+        except (HyperparameterError, NumericalError):
+            return np.inf
+
+    def gradient(self, hyper: Hyperparameters) -> np.ndarray:
+        """hyper_nll_gradient at hyper."""
+        self.gradient_evals += 1
+        return hyper_nll_gradient(self, hyper)
 
 
 def hyper_nll(criterion: FitCriterion, hyper: Hyperparameters) -> float:
@@ -115,8 +137,8 @@ def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.nd
     a fresh gradient peaks at about 4 tables in all.
 
     Where hyper is the point of criterion.lowest its observation table and
-    forward pass are reused, so only the backward pass and the reduction
-    run; the result is the same bit for bit.
+    forward pass are reused, so only hmm.backward and the reduction run,
+    and the result is the same bit for bit as with a fresh forward pass.
     """
     point, _, obs, fwd = criterion.lowest
     dataset, grid = criterion.dataset, criterion.grid
@@ -124,7 +146,7 @@ def hyper_nll_gradient(criterion: FitCriterion, hyper: Hyperparameters) -> np.nd
         obs = observation_table(dataset, grid, hyper, criterion.periodograms, criterion.row_max)
         fwd = None
     trans = gaussian_transition(grid, hyper.r_nu)
-    fb = forward_backward(obs, trans, criterion.init, fwd)
+    fb = hmm.backward(obs, trans, forward(obs, trans, criterion.init) if fwd is None else fwd)
     singles = fb.forward * fb.backward
 
     n, n_bins = dataset.n_samples, dataset.n_bins
@@ -231,26 +253,6 @@ class OptimizerReport:
         if self.stop_reason == "no_decrease":
             return len(self.trajectory) > 1
         return self.stop_reason not in ("max_iter", "r_nu_below_resolution")
-
-
-def value_or_inf(fn, values) -> float:
-    """fn(hyper) at values = (r_a, r_b, r_nu), or +inf where the values are
-    not positive and finite, where fn rejects the hyperparameters, or where
-    the forward probability underflows to zero: the fit and estimate
-    --levelsets score such a point alike."""
-    try:
-        return fn(Hyperparameters.from_array(values))
-    except (HyperparameterError, NumericalError):
-        return np.inf
-
-
-def _total(fn):
-    """value_or_inf over log-parameters x: a line search may probe any x."""
-    def total(x):
-        with np.errstate(over="ignore"):
-            values = np.exp(x)
-        return value_or_inf(fn, values)
-    return total
 
 
 def _bracket(phi, f0: float, step: float):
@@ -392,20 +394,21 @@ def estimate_ml(
     beyond the rounding level (lowers).  The other exits are "no_decrease"
     (no slot moved; for a gradient strategy, d found no decrease) and
     "max_iter".  Every accepted step decreases the criterion, so the
-    trajectory is monotone.  A search may probe any x: where exp(x)
-    overflows or underflows, hyper_nll rejects the hyperparameters or its
-    forward pass underflows, the criterion is +inf.
-    The starting point alone fails loudly.  Where its forward pass
-    underflows it is first retried at 4 r_nu, up to START_RETRIES times,
-    each retry counted as a function evaluation: empirical_init floors r_nu
-    at the spacing squared, where the transition can give a large jump of
-    the data no weight.  A default fit needs no retry.
+    trajectory is monotone.  A search may probe any x: fit.score(exp(x))
+    is +inf where exp(x) overflows or underflows, hyper_nll rejects the
+    hyperparameters or its forward pass underflows.  The start alone fails
+    loudly (fit.value).  Where its forward pass underflows it is first
+    retried at 4 r_nu, up to START_RETRIES times, each retry a counted
+    evaluation: empirical_init floors r_nu at the spacing squared, where
+    the transition can give a large jump of the data no weight.
+    A default fit needs no retry.
 
     The start and every evaluation read one FitCriterion, so the
     periodogram table is computed once, and a gradient reuses the forward
     pass of the lowest evaluation where it is taken at that point.  Nearly
     every gradient is, the start's too: an accepted point is the lowest
-    evaluation unless a rejected probe of its search was lower.
+    evaluation unless a rejected probe of its search was lower.  The
+    report's counts are the criterion's.
 
     Whatever the exit, a minimizer whose transition keeps lag 0 alone
     (half_width 0) is reported as "r_nu_below_resolution": the grid cannot
@@ -418,20 +421,12 @@ def estimate_ml(
         raise ValueError(f"unknown line search {line_search!r}")
 
     fit = FitCriterion(dataset, grid)
-    function_evals = gradient_evals = 0
-
-    def criterion(hyper):
-        nonlocal function_evals
-        function_evals += 1
-        return hyper_nll(fit, hyper)
-
-    fun = _total(criterion)
     start = empirical_init(fit)
     for retry in range(START_RETRIES + 1):
         x = np.log(start.as_array())
         start = Hyperparameters.from_array(np.exp(x))  # as the gradient at x sees it
         try:
-            fx = criterion(start)
+            fx = fit.value(start)
             break
         except NumericalError:
             if retry == START_RETRIES:
@@ -447,8 +442,7 @@ def estimate_ml(
     iterations, decrement = 0, np.inf
     for iterations in range(1, MAX_ITER + 1):
         hyper = Hyperparameters.from_array(np.exp(x))
-        gradient_evals += 1
-        g = hyper_nll_gradient(fit, hyper)
+        g = fit.gradient(hyper)
         metric = (_bfgs_update(metric, trajectory[-1] - trajectory[-2], g - prev_g)
                   if strategy == "bfgs" and prev_g is not None
                   else _complete_data_metric(dataset, hyper))
@@ -486,7 +480,9 @@ def estimate_ml(
         for slot, candidates in searches:
             for direction in candidates:
                 def phi(s):
-                    return fun(x + s * direction)
+                    with np.errstate(over="ignore"):
+                        values = np.exp(x + s * direction)
+                    return fit.score(values)
                 result = (backtrack(phi, fx, float(g @ direction)) if strategy == "bfgs"
                           else _line_search(phi, fx, steps[slot], line_search))
                 if result is not None:
@@ -510,8 +506,8 @@ def estimate_ml(
     return OptimizerReport(
         minimizer=minimizer,
         reached_minimum=fx,
-        gradient_evals=gradient_evals,
-        function_evals=function_evals,
+        gradient_evals=fit.gradient_evals,
+        function_evals=fit.function_evals,
         iterations=iterations,
         stop_reason=stop_reason,
         decrement=decrement,

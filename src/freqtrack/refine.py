@@ -89,14 +89,17 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
     """Locally minimize the tracking criterion from a finite starting track.
 
     Each iteration solves the tridiagonal Newton system, modified where it
-    is indefinite, in O(T).  A zero gradient, or a step whose predicted
-    decrease -g.s/2 is within the criterion's rounding level (taken in
-    full), stops as "converged"; a step that rounding keeps from descending,
-    or that the fit's backtracking (likelihood.backtrack) finds no decrease
-    along, as "no_decrease"; MAX_ITER iterations as "max_iter".  The
-    criterion is equal on every integer shift of a track, so the result is
-    shifted once, by an integer, to put its first frequency in the start
-    band (-1/2, +1/2].  A non-finite system raises ValueError.
+    is indefinite, in O(T), and scales the step to move no bin by more than
+    1/(2N), half an N-sample record's main lobe: a small modified pivot
+    near an inflection can carry a bin off its peak into a lower basin.
+    A zero gradient, or a step whose predicted decrease -g.s/2 is within
+    the criterion's rounding level (taken in full), stops as "converged"; a
+    step that rounding keeps from descending, or that the fit's
+    backtracking (likelihood.backtrack) finds no decrease along, as
+    "no_decrease"; MAX_ITER iterations as "max_iter".  The criterion is
+    equal on every integer shift of a track, so the result is shifted once,
+    by an integer, to put its first frequency in the start band
+    (-1/2, +1/2].  A non-finite system raises ValueError.
     """
     track = np.asarray(init_track, dtype=float)
     value = map_objective(dataset, track, hyper)
@@ -105,6 +108,7 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
     trace = [value]
     stop_reason = "max_iter"
     off = np.full(track.size - 1, -2.0 * smoothing_weight(hyper, dataset.n_samples))
+    cap = 0.5 / dataset.n_samples
 
     for _ in range(MAX_ITER):
         grad, diag = objective_gradient(dataset, track, hyper)
@@ -112,6 +116,7 @@ def refine_map(dataset: DataSet, init_track, hyper: Hyperparameters) -> Refineme
             stop_reason = "converged"
             break
         step = _solve_tridiagonal(diag, off, -grad)
+        step *= cap / max(np.abs(step).max(), cap)  # exactly 1.0 unless a bin moves beyond cap
         slope = float(grad @ step)
         if not slope < 0.0:
             stop_reason = "no_decrease"

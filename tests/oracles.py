@@ -5,7 +5,8 @@ criterion's grid paths, the half-step test of a track, the dense
 complex Gaussian density of one record, the periodogram and its
 derivatives by the direct DFT, the r_nu gradient from dense pair
 marginals and row-by-row csv-module readers of the dataset and track
-files: slow forms the pipeline never runs.
+files: slow forms the pipeline never runs.  forward_backward runs both
+passes, as the fit's gradient does away from its lowest evaluation.
 log_likelihood_entry reads the package's own value for one record at one
 frequency, for comparison with the dense density; table and fit_table
 build observation tables from log-likelihood rows and as the fit does,
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freqtrack.hmm import (NumericalError, ObservationTable, forward_backward,
+from freqtrack.hmm import (NumericalError, ObservationTable, backward, forward,
                            observation_table, posterior_marginals)
 from freqtrack.hyperopt import FitCriterion
 from freqtrack.io import DataFormatError
@@ -28,6 +29,11 @@ from freqtrack.markov import (FrequencyGrid, gaussian_transition, initial_distri
                               transition_matrix)
 from freqtrack.signal import DataSet, Hyperparameters, steering_vector
 from freqtrack.spectral import periodogram_table
+
+
+def forward_backward(obs, trans, init):
+    """The backward pass on a fresh forward pass."""
+    return backward(obs, trans, forward(obs, trans, init))
 
 
 def dense_gaussian_log_density(y, nu, hyper):

@@ -11,7 +11,7 @@ import pytest
 
 from freqtrack.baselines import ml_periodogram_argmax, unwrap_track
 from freqtrack.cli import compute_tracks, rmse
-from freqtrack.hmm import forward_backward, posterior_marginals, viterbi
+from freqtrack.hmm import posterior_marginals, viterbi
 from freqtrack.hyperopt import (
     STRATEGIES,
     FitCriterion,
@@ -28,7 +28,8 @@ from freqtrack.signal import DataSet, Hyperparameters, make_test_track, synthesi
 from freqtrack.spectral import (empirical_correlation, periodogram, periodogram_deriv_many,
                                 periodogram_table)
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
-                     fit_table, log_likelihood_entry, steps_within_half, table)
+                     fit_table, forward_backward, log_likelihood_entry, steps_within_half,
+                     table)
 
 GRID = FrequencyGrid(-2.5, 2.5, 128)
 TRUE_HYPER = Hyperparameters(1.0, 0.1, 1e-3)

@@ -11,7 +11,6 @@ from freqtrack import hmm, spectral
 from freqtrack.hmm import (
     backward,
     forward,
-    forward_backward,
     observation_table,
     posterior_marginals,
     viterbi,
@@ -24,7 +23,7 @@ from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steerin
                               synthesize_dataset)
 from freqtrack.spectral import ROW_BLOCK, periodogram_table
 from oracles import (brute_force_joint, dense_gaussian_log_density, exhaustive_min_cost,
-                     fit_table, log_prob, scaled_rows, table)
+                     fit_table, forward_backward, log_prob, scaled_rows, table)
 
 
 def random_instance(rng, n_bins=None, n_states=None, scale=5.0):

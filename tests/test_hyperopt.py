@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from freqtrack import hmm, hyperopt, likelihood, markov
 from freqtrack.baselines import unwrap_track
-from freqtrack.hmm import ObservationTable, observation_table
+from freqtrack.hmm import NumericalError, ObservationTable, observation_table
 from freqtrack.hyperopt import (
     DECREMENT_TOL,
     LINE_SEARCH_TOL,
@@ -24,8 +24,8 @@ from freqtrack.hyperopt import (
 )
 from freqtrack.markov import (KERNEL_CUTOFF, FrequencyGrid, GaussianTransition,
                               gaussian_transition, initial_distribution, transition_matrix)
-from freqtrack.signal import (DataSet, Hyperparameters, make_test_track, steering_vector,
-                              synthesize_dataset)
+from freqtrack.signal import (DataSet, HyperparameterError, Hyperparameters, make_test_track,
+                              steering_vector, synthesize_dataset)
 from freqtrack.spectral import empirical_correlation, periodogram_table
 from oracles import brute_force_joint, dense_r_nu_gradient, fit_table, scaled_rows
 
@@ -274,6 +274,7 @@ def test_gradient_reusing_the_criterion_pass_is_bit_identical(monkeypatch, grid,
     assert value == hyper_nll(FitCriterion(ds, criterion.grid), hyper)
     fresh = hyper_nll_gradient(FitCriterion(ds, criterion.grid), hyper)
     monkeypatch.setattr(hmm, "forward", None)
+    monkeypatch.setattr(hyperopt, "forward", None)
     monkeypatch.setattr(hmm, "periodogram_table", None)
     assert np.array_equal(hyper_nll_gradient(criterion, hyper), fresh)
 
@@ -281,17 +282,22 @@ def test_gradient_reusing_the_criterion_pass_is_bit_identical(monkeypatch, grid,
 def test_gradient_runs_a_forward_pass_only_away_from_the_lowest_evaluation(monkeypatch):
     # after evaluations at a lower point a and a higher point b the
     # criterion holds a's pass: the gradient at a reuses it, the one at b
-    # runs its own, and both equal a fresh criterion's bit for bit
+    # runs its own, and both equal a fresh criterion's bit for bit.  Each
+    # gradient runs one backward pass
     ds, grid = standard_dataset()
     a, b = Hyperparameters(1.0, 0.1, 1e-3), Hyperparameters(0.3, 2.0, 0.2)
     criterion = FitCriterion(ds, grid)
     assert hyper_nll(criterion, a) < hyper_nll(criterion, b)
     fresh = [hyper_nll_gradient(FitCriterion(ds, grid), point) for point in (a, b)]
-    passes = []
-    run = hmm.forward
-    monkeypatch.setattr(hmm, "forward", lambda *args: passes.append(args) or run(*args))
-    assert np.array_equal(hyper_nll_gradient(criterion, a), fresh[0]) and len(passes) == 0
-    assert np.array_equal(hyper_nll_gradient(criterion, b), fresh[1]) and len(passes) == 1
+    passes, backward_passes = [], []
+    run, run_backward = hyperopt.forward, hmm.backward
+    monkeypatch.setattr(hyperopt, "forward", lambda *args: passes.append(args) or run(*args))
+    monkeypatch.setattr(hmm, "backward",
+                        lambda *args: backward_passes.append(args) or run_backward(*args))
+    assert np.array_equal(hyper_nll_gradient(criterion, a), fresh[0])
+    assert len(passes) == 0 and len(backward_passes) == 1
+    assert np.array_equal(hyper_nll_gradient(criterion, b), fresh[1])
+    assert len(passes) == 1 and len(backward_passes) == 2
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -744,21 +750,48 @@ def test_backtrack_ends_where_a_subnormal_slope_underflows():
 @pytest.mark.filterwarnings("error")
 def test_criterion_is_inf_where_the_hyperparameters_are_rejected():
     criterion = FitCriterion(*standard_dataset())
-    calls = []
 
-    def nll(hyper):
-        calls.append(hyper)
-        return hyper_nll(criterion, hyper)
+    def score(x):
+        # as the fit's line searches score a log-parameter point
+        with np.errstate(over="ignore"):
+            values = np.exp(x)
+        return criterion.score(values)
 
-    fun = hyperopt._total(nll)
     # alpha overflows: hyper_nll is called and rejects the point
-    assert fun(np.log([1e155, 1e155, 1e-2])) == np.inf and len(calls) == 1
+    assert score(np.log([1e155, 1e155, 1e-2])) == np.inf and criterion.function_evals == 1
     # exp overflows, or underflows to 0: no hyper_nll call
-    assert fun(np.array([800.0, 0.0, 0.0])) == np.inf and len(calls) == 1
-    assert fun(np.array([0.0, -800.0, 0.0])) == np.inf and len(calls) == 1
+    assert score(np.array([800.0, 0.0, 0.0])) == np.inf and criterion.function_evals == 1
+    assert score(np.array([0.0, -800.0, 0.0])) == np.inf and criterion.function_evals == 1
     # r_nu = 1e-316 and r_b = 1e-300: the forward probability underflows
-    assert fun(np.array([0.0, -690.0, -727.0])) == np.inf and len(calls) == 2
-    assert np.isfinite(fun(np.log([1.0, 0.1, 1e-2]))) and len(calls) == 3
+    assert score(np.array([0.0, -690.0, -727.0])) == np.inf and criterion.function_evals == 2
+    assert np.isfinite(score(np.log([1.0, 0.1, 1e-2]))) and criterion.function_evals == 3
+
+
+def test_criterion_counts_every_evaluation_that_runs(monkeypatch):
+    # value and gradient count each call, one that raises too; score counts
+    # the value it takes, and nothing for values from_array rejects
+    criterion = FitCriterion(*standard_dataset())
+    hyper = Hyperparameters(1.0, 0.1, 1e-3)
+    value = criterion.value(hyper)
+    assert criterion.score([1.0, 0.1, 1e-3]) == value
+    assert criterion.gradient(hyper).shape == (3,)
+    assert (criterion.function_evals, criterion.gradient_evals) == (2, 1)
+    for values in ([np.inf, 0.1, 1e-3], [1.0, 0.0, 1e-3], [1.0, 0.1, -1.0], [np.nan, 1.0, 1.0]):
+        assert criterion.score(values) == np.inf
+    assert (criterion.function_evals, criterion.gradient_evals) == (2, 1)
+    with pytest.raises(HyperparameterError):
+        criterion.value(Hyperparameters(1e155, 1e155, 1e-2))
+    with pytest.raises(NumericalError):
+        criterion.value(Hyperparameters(1.0, 1e-300, 1e-316))
+    assert (criterion.function_evals, criterion.gradient_evals) == (4, 1)
+
+    def underflows(*args):
+        raise NumericalError("forward probability underflowed to zero at bin 0")
+
+    monkeypatch.setattr(hyperopt, "hyper_nll_gradient", underflows)
+    with pytest.raises(NumericalError):
+        criterion.gradient(Hyperparameters(0.3, 2.0, 0.2))
+    assert (criterion.function_evals, criterion.gradient_evals) == (4, 2)
 
 
 @pytest.mark.filterwarnings("error")

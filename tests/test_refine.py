@@ -258,13 +258,15 @@ def test_the_reported_track_is_shifted_by_the_band_rule(start):
     assert result.track[0] == wrap_to_band(start)
 
 
-def _default_viterbi_start(truth, seed, hyper=None):
+def _default_viterbi_start(truth, seed, hyper=None, n_samples=4, n_states=128):
     """Dataset, hyperparameters (fitted where hyper is None) and Viterbi track
-    of one replicate of the default simulation, T=128 on the default grid."""
-    ds = synthesize_dataset(truth, Hyperparameters(1.0, 0.1, 1e-3), 4, seed=seed)
-    grid = FrequencyGrid(-2.5, 2.5, 128)
+    of one replicate of the default simulation, T=128, by default at N=4 on
+    the default grid."""
+    ds = synthesize_dataset(truth, Hyperparameters(1.0, 0.1, 1e-3), n_samples, seed=seed)
+    grid = FrequencyGrid(-2.5, 2.5, n_states)
     hyper = hyper or estimate_ml(ds, grid).minimizer
-    path, _ = viterbi(observation_table(ds, grid, hyper), grid, smoothing_weight(hyper, 4))
+    path, _ = viterbi(observation_table(ds, grid, hyper), grid,
+                      smoothing_weight(hyper, n_samples))
     return ds, hyper, grid.states[path]
 
 
@@ -286,6 +288,39 @@ def test_refinement_near_the_band_edge_converges(seed):
     result = refine_map(ds, start, hyper)
     assert result.stop_reason == "converged" and result.iterations <= 24
     assert in_initial_band(result.track[0])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_refinement_at_16_samples_stays_on_its_peak(seed):
+    # the main lobe is about 1/16 cycle wide at N = 16; a Newton step from a
+    # small modified pivot near an inflection carried bins into a
+    # neighbouring basin, RMSE 0.0142, 0.0140 and 0.0208 on these seeds
+    # before steps were capped at 1/(2N), 0.0043, 0.0053 and 0.0043 after
+    truth = make_test_track("sine", 128, (-1.5, 1.5))
+    ds, hyper, start = _default_viterbi_start(truth, seed, n_samples=16, n_states=126)
+    result = refine_map(ds, start, hyper)
+    assert np.sqrt(np.mean((result.track - truth) ** 2)) < 0.01
+
+
+def test_a_refinement_step_moves_no_bin_beyond_half_the_main_lobe(monkeypatch):
+    # Newton steps lengthened a hundredfold and taken in full are cut back
+    # to 1/(2N) = 1/8 at N = 4
+    ds, track, hyper = tracking_problem(seed=3)
+    init = track + np.random.default_rng(4).normal(0, 0.02, track.size)
+    solve, derivatives = refine._solve_tridiagonal, refine.periodogram_deriv_many
+    iterates = []
+
+    def at(lags, nus):
+        iterates.append(nus.copy())
+        return derivatives(lags, nus)
+
+    monkeypatch.setattr(refine, "_solve_tridiagonal", lambda *args: 100.0 * solve(*args))
+    monkeypatch.setattr(refine, "backtrack", lambda phi, f0, slope: (1.0, phi(1.0)))
+    monkeypatch.setattr(refine, "periodogram_deriv_many", at)
+    monkeypatch.setattr(refine, "MAX_ITER", 4)
+    refine_map(ds, init, hyper)
+    moves = [np.abs(b - a).max() for a, b in zip(iterates, iterates[1:])]
+    assert moves == pytest.approx([0.125] * 3, rel=1e-12)
 
 
 def test_strong_smoothing_flattens_track():
